@@ -8,13 +8,19 @@ build:
 # The obs registry, the instrumented server, and the packages with parallel
 # kernels (grouping/join/sort chunk fan-out) are the most
 # concurrency-sensitive, so test always re-runs them under the race detector
-# (full-tree race stays available as `make race`). internal/core additionally
-# races with the parallel threshold forced low, so the chunk fan-out in every
-# evaluation stage fires even on the small test relations.
+# (full-tree race stays available as `make race`). internal/core, relation
+# and sql additionally race with the parallel threshold forced low, so the
+# chunk fan-out in every evaluation stage and executor loop fires even on
+# the small test relations; -count=1 because the threshold is read at
+# package init, which the test cache does not see, so a cached result of the
+# plain race run would stand in for it. perfbench is its own module, which the root
+# `go test ./...` never reaches; vetting and testing it here catches a break
+# in an API the benchmark calls before the benchmark runs.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -race ./internal/core ./internal/relation
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:
 	$(GO) test -race ./...
@@ -31,11 +37,12 @@ lint:
 		echo "$(GO) vet ./... (staticcheck not installed)"; $(GO) vet ./...; \
 	fi
 
-# bench-gate re-runs the tracked headline workloads and fails when any of
+# bench-gate re-runs the tracked headline workloads (BENCH_GATE_PATTERN,
+# defined below — the one list of gated benchmarks) and fails when any of
 # them falls below 0.9x of the ns/op recorded in BENCH_eval.json — the perf
 # counterpart of lint, cheap enough to run before every merge.
 bench-gate:
-	bash scripts/bench_gate.sh
+	BENCH_GATE_PATTERN='$(BENCH_GATE_PATTERN)' bash scripts/bench_gate.sh
 
 # The suite includes BenchmarkTPCHQ1SF1, whose SF-1 dataset takes about a
 # minute to generate; the widened -timeout keeps the full run inside it.

@@ -207,13 +207,11 @@ func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 	if kind != value.KindBool && kind != value.KindNull {
 		return fmt.Errorf("core: join condition must be boolean, got %s", kind)
 	}
-	prog, progErr := expr.Compile(e, schemaResolver(probe.Schema))
-	on := func(t relation.Tuple) (bool, error) {
-		if progErr == nil {
-			return prog.EvalBool(t)
-		}
-		return expr.EvalBool(e, rowEnv{schema: probe.Schema, row: t})
+	prog, err := expr.Compile(e, schemaResolver(probe.Schema))
+	if err != nil {
+		return fmt.Errorf("core: join condition: %w", err)
 	}
+	on := func(t relation.Tuple) (bool, error) { return prog.EvalBool(t) }
 	var j *relation.Relation
 	if lcols, rcols := equiPairs(e, probe.Schema, len(left.Schema)); len(lcols) > 0 {
 		j, err = left.HashJoin(right, lcols, rcols, on)

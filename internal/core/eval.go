@@ -50,9 +50,8 @@ type Result struct {
 	Levels []GroupLevel // the grouping specification the tree reflects
 }
 
-// rowEnv adapts one working row to the tree-walking expression evaluator.
-// It is the fallback for expressions the compiler declines; the hot paths
-// run compiled programs that index the row directly.
+// rowEnv adapts one working row to the interpreter: the row a batch
+// program flagged re-runs through it for the exact error.
 type rowEnv struct {
 	schema relation.Schema
 	row    relation.Tuple
@@ -65,9 +64,9 @@ func (e rowEnv) Lookup(name string) (value.Value, bool) {
 	return value.Null, false
 }
 
-// schemaResolver resolves column names to working-row positions for
-// expression compilation. Resolution happens once per expression per
-// evaluation instead of once per reference per row.
+// schemaResolver resolves column names to row positions for binding an
+// expression (expr.Compile), once per expression instead of once per
+// reference per row.
 func schemaResolver(schema relation.Schema) expr.Resolver {
 	return func(name string) (int, bool) {
 		if i := schema.IndexOf(name); i >= 0 {
@@ -219,24 +218,14 @@ func coerce(v value.Value, kind value.Kind) value.Value {
 	return v
 }
 
-// viewEqualOn reports whether two view rows agree on the given working
-// positions — the adjacency probe group building applies to the ordered
-// view. typed, when non-nil, carries the positions' column vectors and the
-// probe compares raw payloads (Col.CellEqual — NULL equals NULL, multiset
-// identity, exactly the sort's notion of adjacency); the boxed fallback
-// compares cells through the view.
-func viewEqualOn(v *relation.IndexView, a, b int, cols []int, typed []*relation.Col) bool {
-	if typed != nil {
-		ra, rb := int(v.Idx[a]), int(v.Idx[b])
-		for _, c := range typed {
-			if !c.CellEqual(ra, rb) {
-				return false
-			}
-		}
-		return true
-	}
+// viewEqualOn reports whether two view rows agree on the given key
+// columns — the adjacency probe group building applies to the ordered view.
+// It compares raw payloads (Col.CellEqual — NULL equals NULL, multiset
+// identity, exactly the sort's notion of adjacency).
+func viewEqualOn(v *relation.IndexView, a, b int, cols []*relation.Col) bool {
+	ra, rb := int(v.Idx[a]), int(v.Idx[b])
 	for _, c := range cols {
-		if !value.Equal(v.At(a, c), v.At(b, c)) {
+		if !c.CellEqual(ra, rb) {
 			return false
 		}
 	}
@@ -256,12 +245,9 @@ func (ev *evalCtx) buildGroups(view *relation.IndexView) (*Group, error) {
 			return nil, err
 		}
 		levelIdx[li] = pos
-		if view.Cols != nil {
-			typed := make([]*relation.Col, len(pos))
-			for k, p := range pos {
-				typed[k] = view.ColAt(p)
-			}
-			levelCols[li] = typed
+		levelCols[li] = make([]*relation.Col, len(pos))
+		for k, p := range pos {
+			levelCols[li][k] = view.ColAt(p)
 		}
 	}
 	root := &Group{Level: 1, Start: 0, End: view.Len()}
@@ -271,11 +257,10 @@ func (ev *evalCtx) buildGroups(view *relation.IndexView) (*Group, error) {
 			return
 		}
 		idx := levelIdx[li]
-		typed := levelCols[li]
 		i := g.Start
 		for i < g.End {
 			j := i + 1
-			for j < g.End && viewEqualOn(view, j, i, idx, typed) {
+			for j < g.End && viewEqualOn(view, j, i, levelCols[li]) {
 				j++
 			}
 			key := make([]value.Value, len(idx))

@@ -6,10 +6,11 @@ import (
 
 	"sheetmusiq/internal/dataset"
 	"sheetmusiq/internal/relation"
+	"sheetmusiq/internal/value"
 )
 
 // This file holds the sequential/parallel equivalence property test for
-// the compiled, data-parallel evaluation pipeline: every query shape the
+// the vectorized, data-parallel evaluation pipeline: every query shape the
 // core and commute tests exercise must render identically whether the
 // stage bodies run in one chunk or in forced-parallel chunks. Run under
 // -race via `make race`, it also proves the chunked stages share no state.
@@ -180,4 +181,72 @@ func clip(s string) string {
 		return s
 	}
 	return s[:max] + "…"
+}
+
+// chunkBoundaryRel is the 16-row table of the chunk-boundary error tests:
+// X = i+1, D = 1 except D = 0 at row bad (a division by zero), and Y NULL
+// except 7 on every row after bad (UPPER over INTEGER errs there). The
+// first erring row in row order is therefore bad, and every later chunk
+// errs too, with a different message.
+func chunkBoundaryRel(bad int) *relation.Relation {
+	rel := relation.New("t", relation.Schema{
+		{Name: "X", Kind: value.KindInt},
+		{Name: "D", Kind: value.KindInt},
+		{Name: "Y", Kind: value.KindInt},
+	})
+	for i := 0; i < 16; i++ {
+		d, y := value.NewInt(1), value.Null
+		if i == bad {
+			d = value.NewInt(0)
+		}
+		if i > bad {
+			y = value.NewInt(7)
+		}
+		rel.MustAppend(value.NewInt(int64(i+1)), d, y)
+	}
+	return rel
+}
+
+// TestChunkBoundaryErrors places the one first-erring row at each chunk
+// boundary of a 4-chunk split (the SHEETMUSIQ_PARALLEL_THRESHOLD=4 setting,
+// forced here) and pins the σ and θ error strings: the batch program flags
+// the row and its interpreter re-run reports the division by zero, never
+// a later chunk's UPPER error, in parallel and sequentially alike.
+func TestChunkBoundaryErrors(t *testing.T) {
+	oldProcs := runtime.GOMAXPROCS(4)
+	old := relation.ParallelThreshold
+	defer func() {
+		relation.ParallelThreshold = old
+		runtime.GOMAXPROCS(oldProcs)
+	}()
+	const formula = "X / D + LENGTH(UPPER(Y))"
+	cases := []struct {
+		name  string
+		build func(s *Spreadsheet) error
+		want  string
+	}{
+		{"selection", func(s *Spreadsheet) error {
+			_, err := s.Select(formula + " > 0")
+			return err
+		}, "core: selection (((X / D) + LENGTH(UPPER(Y))) > 0): value: division by zero"},
+		{"formula", func(s *Spreadsheet) error {
+			_, err := s.Formula("Q", formula)
+			return err
+		}, "core: formula Q: value: division by zero"},
+	}
+	for _, threshold := range []int{4, 1 << 30} {
+		relation.ParallelThreshold = threshold
+		for _, bad := range []int{0, 3, 4, 7, 8, 11, 12, 15} {
+			for _, c := range cases {
+				s := New(chunkBoundaryRel(bad))
+				if err := c.build(s); err != nil {
+					t.Fatalf("%s: build: %v", c.name, err)
+				}
+				_, err := s.Evaluate()
+				if err == nil || err.Error() != c.want {
+					t.Errorf("threshold %d, bad row %d, %s: err = %v, want %q", threshold, bad, c.name, err, c.want)
+				}
+			}
+		}
+	}
 }

@@ -342,12 +342,6 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 		nBase: len(s.base.Schema),
 		width: len(work),
 	}
-	ev.resolve = func(name string) (int, bool) {
-		if i := ev.ix.IndexOf(name); i >= 0 {
-			return i, true
-		}
-		return 0, false
-	}
 
 	// Stratify computed columns and selections by depth.
 	maxD := 0

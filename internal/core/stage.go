@@ -24,13 +24,12 @@ import (
 // columns) and its derived lookups. It is rebuilt per evaluation, never
 // cached — only snapshots are.
 type evalCtx struct {
-	s       *Spreadsheet
-	work    relation.Schema
-	ix      *relation.NameIndex
-	cols    []*relation.Col
-	nBase   int
-	width   int
-	resolve expr.Resolver
+	s     *Spreadsheet
+	work  relation.Schema
+	ix    *relation.NameIndex
+	cols  []*relation.Col
+	nBase int
+	width int
 	// groups caches dense groupings within one evaluation, keyed on the
 	// identity of the index vector and of every key column's backing
 	// storage. Consecutive η stages at one level share a basis and an index
@@ -140,17 +139,12 @@ func (ev *evalCtx) viewOf(snap *stageSnap) *relation.IndexView {
 	}
 }
 
-// baseOnly reports whether the expression references base columns only —
-// the fast path where compiled programs evaluate directly against the base
-// tuple, with no per-row gather.
-func (ev *evalCtx) baseOnly(e expr.Expr) bool {
-	for _, name := range expr.Columns(e) {
-		p := ev.pos(name)
-		if p < 0 || p >= ev.nBase {
-			return false
-		}
-	}
-	return true
+// rowError re-runs view row i — the first erring lane bp flagged — through
+// the interpreter for the exact error.
+func (ev *evalCtx) rowError(bp *expr.BatchProgram, view *relation.IndexView, i int, pred bool) error {
+	row := make(relation.Tuple, ev.width)
+	view.GatherRow(i, row)
+	return bp.RowError(rowEnv{schema: ev.work, row: row}, pred)
 }
 
 // runBase materialises the identity snapshot: every base row survives, no
@@ -395,77 +389,48 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 }
 
 // runFormulaStage computes one θ column row-locally (Def. 12) into a fresh
-// column vector, through a program compiled once against the working
-// schema. Base-only formulas evaluate straight off the base tuples; ones
-// referencing computed columns gather the full working row into a per-chunk
-// scratch buffer first.
+// column vector through a batch program over the typed column vectors. Each
+// chunk writes its lanes' payloads straight into the result column — nothing
+// is boxed. When lanes disagree with the inferred kind (a dynamically typed
+// result, such as integer division with remainders) the program refills the
+// column boxed and the column becomes Boxed if its kinds stay mixed. A chunk
+// with an erring lane re-runs that row through the interpreter for the exact
+// error.
 func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		if outPos < 0 {
 			return nil, fmt.Errorf("core: formula %s column missing", c.Name)
 		}
-		prog, cerr := expr.Compile(c.Formula, ev.resolve)
-		fast := cerr == nil && ev.baseOnly(c.Formula)
 		snap := in.extend()
 		nBase := ev.s.base.Len()
 		view := ev.viewOf(in)
 		n := view.Len()
-		// Vectorized path: a batch program fills each chunk's slots straight
-		// from the typed column vectors. A chunk whose window would error
-		// falls through to the row loop below, which reproduces the exact
-		// error; expressions outside vectorizer coverage decline at compile
-		// and every chunk runs the row path.
-		var bp *expr.BatchProgram
-		if cerr == nil {
-			bp, _ = expr.CompileBatch(c.Formula, ev.batchResolver(view))
-		}
-		// First attempt: raw typed output. Every chunk writes its lanes'
-		// payloads straight into the result column — nothing is boxed and
-		// nothing is converted afterwards. A chunk that would error or whose
-		// lanes disagree with the inferred kind aborts the attempt, and the
-		// whole fill redoes through the boxed path below (rare: a runtime
-		// error, or a dynamically typed result).
-		if bp != nil && n > 0 {
-			if out, ok := runFormulaTyped(bp, view.Idx, n, nBase, c.ResultKind); ok {
-				snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
-				snap.ownBytes = out.MemBytes()
-				return snap, nil
-			}
-		}
-		vals := make([]value.Value, nBase)
-		err := relation.ForChunks(n, func(_, lo, hi int) error {
-			if bp != nil && bp.EvalInto(view.Idx, lo, hi, c.ResultKind, vals) {
-				return nil
-			}
-			var scratch relation.Tuple
-			if !fast {
-				scratch = make(relation.Tuple, ev.width)
-			}
-			for i := lo; i < hi; i++ {
-				ri := view.Idx[i]
-				var v value.Value
-				var err error
-				if fast {
-					v, err = prog.Eval(view.Rows[ri])
-				} else {
-					view.GatherRow(i, scratch)
-					if cerr == nil {
-						v, err = prog.Eval(scratch)
-					} else {
-						v, err = expr.Eval(c.Formula, rowEnv{schema: ev.work, row: scratch})
-					}
-				}
-				if err != nil {
-					return fmt.Errorf("core: formula %s: %w", c.Name, err)
-				}
-				vals[ri] = coerce(v, c.ResultKind)
-			}
-			return nil
-		})
+		bp, err := expr.CompileBatch(c.Formula, ev.batchResolver(view))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("core: formula %s: %w", c.Name, err)
 		}
-		out := typedFromVals(vals, in.idx, nBase)
+		fail := func(bad int) error {
+			return fmt.Errorf("core: formula %s: %w", c.Name, ev.rowError(bp, view, bad, false))
+		}
+		out := relation.AllNullCol()
+		if n > 0 {
+			if out, err = runFormulaTyped(bp, view.Idx, n, nBase, c.ResultKind, fail); err != nil {
+				return nil, err
+			}
+		}
+		if out == nil {
+			vals := make([]value.Value, nBase)
+			err := relation.ForChunks(n, func(_, lo, hi int) error {
+				if bad := bp.EvalInto(view.Idx, lo, hi, c.ResultKind, vals); bad >= 0 {
+					return fail(bad)
+				}
+				return nil
+			})
+			if err != nil {
+				return nil, err
+			}
+			out = typedFromVals(vals, in.idx, nBase)
+		}
 		snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 		snap.ownBytes = out.MemBytes()
 		return snap, nil
@@ -476,15 +441,14 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 // with the column's detected kind.
 var errMixedKinds = errors.New("core: mixed cell kinds")
 
-// errTypedFillDeclined aborts the raw-typed formula fill when a chunk
-// errors or produces lanes of an unexpected kind.
-var errTypedFillDeclined = errors.New("core: typed fill declined")
-
 // runFormulaTyped fills a formula column straight from the batch program's
-// typed lanes (EvalIntoCol) — no boxing, no conversion pass. ok is false
-// when the inferred kind has no payload lane or any chunk declines; the
-// caller then redoes the fill through the boxed path.
-func runFormulaTyped(bp *expr.BatchProgram, idx []int32, n, nBase int, kind value.Kind) (*relation.Col, bool) {
+// typed lanes (EvalIntoCol) — no boxing, no conversion pass. It returns a
+// nil column when the inferred kind has no payload lane or some chunk's
+// lanes disagree with it; the caller then refills boxed. An erring lane
+// ends the fill with fail's error: chunks report in order, so the first
+// chunk to fail either errs first in row order or leaves the boxed refill
+// to find the first error.
+func runFormulaTyped(bp *expr.BatchProgram, idx []int32, n, nBase int, kind value.Kind, fail func(bad int) error) (*relation.Col, error) {
 	out := &relation.Col{Kind: kind}
 	switch kind {
 	case value.KindInt, value.KindBool, value.KindDate:
@@ -494,20 +458,27 @@ func runFormulaTyped(bp *expr.BatchProgram, idx []int32, n, nBase int, kind valu
 	case value.KindString:
 		out.Strs = make([]string, nBase)
 	default:
-		return nil, false
+		return nil, nil
 	}
 	filled := make([]uint8, nBase)
 	err := relation.ForChunks(n, func(_, lo, hi int) error {
-		if !bp.EvalIntoCol(idx, lo, hi, out, filled) {
-			return errTypedFillDeclined
+		bad, ok := bp.EvalIntoCol(idx, lo, hi, out, filled)
+		if bad >= 0 {
+			return fail(bad)
+		}
+		if !ok {
+			return errMixedKinds
 		}
 		return nil
 	})
+	if err == errMixedKinds {
+		return nil, nil
+	}
 	if err != nil {
-		return nil, false
+		return nil, err
 	}
 	out.Nulls = relation.NullsFromFilled(filled)
-	return out, true
+	return out, nil
 }
 
 // typedFromVals converts a freshly filled base-row-indexed boxed vector into
@@ -643,43 +614,20 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 			if len(ppos) > 0 {
 				win.Parts = ev.groupCached(view, ppos)
 			}
-			if view.Cols != nil {
-				// Typed lanes: the kernel reads order keys and the argument
-				// straight off the column vectors through the index vector —
-				// no boxed gather at all. ColAt never returns nil here
-				// (computed columns wrap their vectors).
-				if k := len(opos); k > 0 {
-					win.KeyCols = make([]*relation.Col, k)
-					for j, p := range opos {
-						win.KeyCols[j] = view.ColAt(p)
-					}
-				}
-				if inPos >= 0 {
-					win.ArgCol = view.ColAt(inPos)
-				}
-				expr.NoteWindowBatch()
-			} else {
-				if k := len(opos); k > 0 {
-					flat := make([]value.Value, n*k)
-					_ = relation.ForChunks(n, func(_, lo, hi int) error {
-						for i := lo; i < hi; i++ {
-							view.Gather(i, opos, flat[i*k:(i+1)*k])
-						}
-						return nil
-					})
-					win.Keys = flat
-				}
-				if inPos >= 0 {
-					arg := make([]value.Value, n)
-					_ = relation.ForChunks(n, func(_, lo, hi int) error {
-						for i := lo; i < hi; i++ {
-							arg[i] = view.At(i, inPos)
-						}
-						return nil
-					})
-					win.Arg = arg
+			// Typed lanes: the kernel reads order keys and the argument
+			// straight off the column vectors through the index vector — no
+			// boxed gather at all. ColAt never returns nil (viewOf always
+			// attaches the base columns; computed columns wrap their vectors).
+			if k := len(opos); k > 0 {
+				win.KeyCols = make([]*relation.Col, k)
+				for j, p := range opos {
+					win.KeyCols[j] = view.ColAt(p)
 				}
 			}
+			if inPos >= 0 {
+				win.ArgCol = view.ColAt(inPos)
+			}
+			expr.NoteWindowBatch()
 			res, werr := relation.WindowEval(relation.WindowSpec{Func: w.Func, Frame: w.Frame}, win)
 			if werr != nil {
 				return nil, fmt.Errorf("core: window %s: %w", c.Name, werr)
@@ -699,64 +647,29 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 }
 
 // runSelectStage filters the input snapshot's index vector by one σ
-// predicate. Above the parallel threshold each chunk compacts survivors
-// into its own prefix of a fresh index vector and the chunk-local kept runs
+// predicate through a batch program: each chunk compacts its survivors into
+// its own prefix of a fresh index vector and the chunk-local kept runs
 // concatenate in chunk order, so the surviving multiset order — and, per
-// RunChunks, the first error — are identical to the sequential scan.
+// RunChunks, the first error — are identical to the sequential scan. A chunk
+// with an erring lane re-runs that row through the interpreter for the
+// exact error.
 func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		view := ev.viewOf(in)
-		prog, cerr := expr.Compile(sel.Pred, ev.resolve)
-		if cerr != nil {
-			prog = nil
+		bp, err := expr.CompileBatch(sel.Pred, ev.batchResolver(view))
+		if err != nil {
+			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)
 		}
-		fast := prog != nil && ev.baseOnly(sel.Pred)
 		n := view.Len()
 		dst := make([]int32, n)
 		bounds := relation.Chunks(n)
 		counts := make([]int, len(bounds))
-		// Vectorized path: the batch program compacts each chunk's survivors
-		// into the chunk's prefix of dst directly. A chunk whose window would
-		// error falls through to the row loop, which reproduces the exact
-		// error in row order.
-		var bp *expr.BatchProgram
-		if prog != nil {
-			bp, _ = expr.CompileBatch(sel.Pred, ev.batchResolver(view))
-		}
-		err := relation.RunChunks(bounds, func(c, lo, hi int) error {
-			if bp != nil {
-				if cnt, ok := bp.SelectInto(view.Idx, lo, hi, dst[lo:]); ok {
-					counts[c] = cnt
-					return nil
-				}
+		err = relation.RunChunks(bounds, func(c, lo, hi int) error {
+			cnt, bad := bp.SelectInto(view.Idx, lo, hi, dst[lo:])
+			if bad >= 0 {
+				return fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), ev.rowError(bp, view, bad, true))
 			}
-			w := lo
-			var scratch relation.Tuple
-			if !fast {
-				scratch = make(relation.Tuple, ev.width)
-			}
-			for i := lo; i < hi; i++ {
-				var ok bool
-				var err error
-				if fast {
-					ok, err = prog.EvalBool(view.Rows[view.Idx[i]])
-				} else {
-					view.GatherRow(i, scratch)
-					if prog != nil {
-						ok, err = prog.EvalBool(scratch)
-					} else {
-						ok, err = expr.EvalBool(sel.Pred, rowEnv{schema: ev.work, row: scratch})
-					}
-				}
-				if err != nil {
-					return fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)
-				}
-				if ok {
-					dst[w] = view.Idx[i]
-					w++
-				}
-			}
-			counts[c] = w - lo
+			counts[c] = cnt
 			return nil
 		})
 		if err != nil {

@@ -2,6 +2,7 @@ package expr
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 
@@ -17,45 +18,36 @@ import (
 // formulas write a value vector (EvalInto), with comparison and arithmetic
 // running as tight loops over int64/float64/string payload arrays.
 //
-// The contract is bit-identity with the per-row Program: every value, NULL
-// and error outcome matches the row-at-a-time path exactly. Errors are
+// The contract is bit-identity with the interpreter (Eval): every value,
+// NULL and error outcome matches the row-at-a-time path exactly. Errors are
 // tracked as a per-lane bitmap — a lane's bit is set iff evaluating that row
-// through the row path would return an error, including the short-circuit
+// through Eval would return an error, including the short-circuit
 // suppression rules (AND/OR skip the right side's errors on deciding lanes;
-// IN stops at the first match). When any lane of a window errs, the batch
-// entry points report failure and the caller re-runs the chunk through the
-// row program, which reproduces the exact first error in row order.
+// IN stops at the first match). The entry points report the window's first
+// erring lane; the caller re-runs just that row through Eval, which yields
+// the exact error — the first one in row order, since the bitmap is exact.
 //
-// Expressions outside the vectorizer's coverage — LIKE, string
-// concatenation, scalar function calls, subqueries, unresolvable columns —
-// decline with ErrNotVectorizable and fall back to the row path, counted by
-// the expr.batch.ok/declined pair.
+// LIKE, string concatenation and scalar function calls compile to lane-wise
+// nodes that box their operand lanes and call the interpreter's own
+// operator, so those semantics live in one place. Unresolvable names,
+// aggregate and window calls in row context, and * compile to nodes that
+// err on every lane (zero rows stay silent). Only subqueries decline, with
+// ErrNotVectorizable, counted by the expr.batch.ok/declined pair: they need
+// the statement scope only the interpreter's Env carries.
 
 // BatchResolver maps a column name to the typed column vector a batch
 // program reads it from. It is consulted only at compile time.
 type BatchResolver func(name string) (*relation.Col, bool)
 
-// ErrNotVectorizable marks expressions the batch compiler declines; callers
-// fall back to the per-row Program.
+// ErrNotVectorizable marks expressions the batch compiler declines (those
+// nesting a subquery); callers evaluate them through the interpreter.
 var ErrNotVectorizable = errors.New("expr: expression is not vectorizable")
 
-// Batch compile outcome counters, mirroring expr.compile.ok/declined.
+// Batch compile outcome counters.
 var (
 	batchOK       = obs.Default.Counter("expr.batch.ok")
 	batchDeclined = obs.Default.Counter("expr.batch.declined")
 )
-
-// batchEnabled gates the vectorized backend; tests disable it to force the
-// row path. Toggled only between evaluations, never concurrently with them.
-var batchEnabled = true
-
-// SetBatchEnabled turns the vectorized backend on or off (tests force the
-// row path with it) and returns the previous setting.
-func SetBatchEnabled(on bool) bool {
-	prev := batchEnabled
-	batchEnabled = on
-	return prev
-}
 
 // kindDynamic marks a lane vector carrying boxed values of per-lane kind —
 // the escape hatch for Boxed columns and operators with value-dependent
@@ -132,16 +124,6 @@ func (v *bvec) lane(k int) value.Value {
 	return value.Null
 }
 
-// anyBit reports whether any bit of the bitmap is set.
-func anyBit(bm []uint64) bool {
-	for _, w := range bm {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // unionBits ORs the given lane bitmaps into a freshly allocated one (nil
 // when every part is nil). The result is safe to mutate; the parts are not
 // touched.
@@ -194,6 +176,25 @@ func windowIdx(idx []int32, lo, hi int) []int32 {
 	return nil
 }
 
+// firstBit returns the index of the lowest set bit of the bitmap, or -1.
+func firstBit(bm []uint64) int {
+	for wi, w := range bm {
+		if w != 0 {
+			return wi*64 + bits.TrailingZeros64(w)
+		}
+	}
+	return -1
+}
+
+// allBits returns a bitmap with lanes [0,n) set: every lane errs.
+func allBits(n int) []uint64 {
+	bm := make([]uint64, (n+63)/64)
+	for k := 0; k < n; k++ {
+		relation.BitSet(bm, k)
+	}
+	return bm
+}
+
 // batchFn evaluates one compiled node over a window.
 type batchFn func(c *bctx) *bvec
 
@@ -211,13 +212,9 @@ type BatchProgram struct {
 	pred batchPredFn
 }
 
-// CompileBatch compiles e against typed columns, declining (with the
-// expr.batch.declined counter) anything outside the vectorizer's coverage.
+// CompileBatch compiles e against typed columns. It declines (with the
+// expr.batch.declined counter) only expressions nesting a subquery.
 func CompileBatch(e Expr, resolve BatchResolver) (*BatchProgram, error) {
-	if !batchEnabled {
-		batchDeclined.Inc()
-		return nil, ErrNotVectorizable
-	}
 	fn, err := compileBatch(e, resolve)
 	if err != nil {
 		batchDeclined.Inc()
@@ -232,21 +229,35 @@ func CompileBatch(e Expr, resolve BatchResolver) (*BatchProgram, error) {
 	return &BatchProgram{src: e, fn: fn, pred: pred}, nil
 }
 
-// Source returns the expression the program was compiled from.
-func (p *BatchProgram) Source() Expr { return p.src }
+// RowError re-runs one row an entry point flagged as erring through the
+// interpreter — EvalBool when pred, Eval otherwise — and returns its exact
+// error. The error bitmap is exact, so the row errs; a clean re-run would
+// mean the two evaluators disagree, which is reported rather than ignored.
+func (p *BatchProgram) RowError(env Env, pred bool) error {
+	var err error
+	if pred {
+		_, err = EvalBool(p.src, env)
+	} else {
+		_, err = Eval(p.src, env)
+	}
+	if err == nil {
+		err = fmt.Errorf("expr: %s: batch lane errs but the row evaluates cleanly", p.src.SQL())
+	}
+	return err
+}
 
 // SelectInto evaluates the program as a predicate over window [lo,hi) of
 // idx (nil = identity) and appends the surviving base-row indexes to
-// dst[0:], returning the count. ok is false when any lane of the window
-// would error on the row path — the caller re-runs the chunk through the
-// row program to reproduce the exact error — or, trivially, never here:
-// compile-time declines surface from CompileBatch.
-func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (int, bool) {
+// dst[0:], returning the count. bad is the window position (in [lo,hi)) of
+// the first lane whose row errs under EvalBool, or -1; when bad >= 0 the
+// count is meaningless and the caller re-runs row bad through EvalBool for
+// the exact error.
+func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (count, bad int) {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
 	tv := p.pred(c)
-	if anyBit(tv.errs) {
-		return 0, false
+	if k := firstBit(tv.errs); k >= 0 {
+		return 0, lo + k
 	}
 	w := 0
 	if idx == nil {
@@ -264,20 +275,21 @@ func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (int, bo
 			}
 		}
 	}
-	return w, true
+	return w, -1
 }
 
 // EvalInto evaluates the program over window [lo,hi) of idx (nil =
 // identity), writing each lane's value to out at its base-row index, widened
 // to kind under the consumer's coercion rule (KindFloat widens integer
-// results; any other kind leaves values untouched). ok is false when any
-// lane would error on the row path.
-func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []value.Value) bool {
+// results; any other kind leaves values untouched). It returns the window
+// position of the first lane whose row errs under Eval, or -1; out is
+// untouched when a lane errs.
+func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []value.Value) (bad int) {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
 	v := p.fn(c)
-	if anyBit(v.errs) {
-		return false
+	if k := firstBit(v.errs); k >= 0 {
+		return lo + k
 	}
 	widen := kind == value.KindFloat
 	for k := 0; k < c.n; k++ {
@@ -291,7 +303,7 @@ func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []
 		}
 		out[ri] = val
 	}
-	return true
+	return -1
 }
 
 // EvalIntoCol evaluates the program over window [lo,hi) of idx (nil =
@@ -300,16 +312,17 @@ func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []
 // out.Kind is the expected result kind (the consumer's inferred column
 // kind) and its matching payload array must cover the base rows; integer
 // lanes widen to a float column exactly as EvalInto's coercion does. NULL
-// lanes leave filled clear. ok is false when any lane would error on the
-// row path, or when a non-NULL lane's widened kind disagrees with out.Kind
-// — callers then redo the fill through the boxed path, which reproduces
-// the exact error or the dynamically typed column.
-func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8) bool {
+// lanes leave filled clear. bad is the window position of the first erring
+// lane, or -1, exactly as for EvalInto; errors take precedence over kinds.
+// ok is false when a non-NULL lane's widened kind disagrees with out.Kind —
+// the caller then refills through EvalInto, which yields the dynamically
+// typed column.
+func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8) (bad int, ok bool) {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
 	v := p.fn(c)
-	if anyBit(v.errs) {
-		return false
+	if k := firstBit(v.errs); k >= 0 {
+		return lo + k, false
 	}
 	ri := func(k int) int {
 		if idx != nil {
@@ -319,7 +332,7 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 	}
 	kind := out.Kind
 	if v.kind == value.KindNull {
-		return true
+		return -1, true
 	}
 	if v.kind == kindDynamic {
 		for k := 0; k < c.n; k++ {
@@ -335,7 +348,7 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 				continue
 			}
 			if vk != kind {
-				return false
+				return -1, false
 			}
 			switch kind {
 			case value.KindInt:
@@ -353,11 +366,11 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			case value.KindDate:
 				out.Ints[i] = val.DateDays()
 			default:
-				return false
+				return -1, false
 			}
 			filled[i] = 1
 		}
-		return true
+		return -1, true
 	}
 	if kind == value.KindFloat && v.kind == value.KindInt {
 		for k := 0; k < c.n; k++ {
@@ -368,10 +381,10 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			out.Floats[i] = float64(v.ints[v.pi(k)])
 			filled[i] = 1
 		}
-		return true
+		return -1, true
 	}
 	if v.kind != kind {
-		return false
+		return -1, false
 	}
 	switch kind {
 	case value.KindFloat:
@@ -402,28 +415,31 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			filled[i] = 1
 		}
 	}
-	return true
+	return -1, true
 }
 
 // EvalPos evaluates the program over window [lo,hi) of idx (nil =
 // identity), writing lane k's value to out[lo+k] — positional output for
 // consumers whose output rows follow window order rather than base-row
-// indexing. Widening and the failure contract match EvalInto.
-func (p *BatchProgram) EvalPos(idx []int32, lo, hi int, kind value.Kind, out []value.Value) bool {
+// indexing. Widening and the erring-lane report match EvalInto, except
+// that the lanes before the first erring one are written.
+func (p *BatchProgram) EvalPos(idx []int32, lo, hi int, kind value.Kind, out []value.Value) (bad int) {
 	c := &bctx{rows: windowIdx(idx, lo, hi), lo: lo, n: hi - lo}
 	v := p.fn(c)
-	if anyBit(v.errs) {
-		return false
+	n := c.n
+	bad = -1
+	if k := firstBit(v.errs); k >= 0 {
+		n, bad = k, lo+k
 	}
 	widen := kind == value.KindFloat
-	for k := 0; k < c.n; k++ {
+	for k := 0; k < n; k++ {
 		val := v.lane(k)
 		if widen && val.Kind() == value.KindInt {
 			val = value.NewFloat(float64(val.Int()))
 		}
 		out[lo+k] = val
 	}
-	return true
+	return bad
 }
 
 func compileBatch(e Expr, resolve BatchResolver) (batchFn, error) {
@@ -434,9 +450,7 @@ func compileBatch(e Expr, resolve BatchResolver) (batchFn, error) {
 	case *ColumnRef:
 		col, ok := resolve(n.Name)
 		if !ok {
-			// The row path errors per row on unknown columns; declining keeps
-			// that (and the zero-row silence) exact.
-			return nil, ErrNotVectorizable
+			return errLanes, nil // Eval's unknown-column error, per row
 		}
 		return func(c *bctx) *bvec { return gatherCol(col, c) }, nil
 	case *Unary:
@@ -452,10 +466,139 @@ func compileBatch(e Expr, resolve BatchResolver) (batchFn, error) {
 		return compileBatchBinary(n, resolve)
 	case *IsNull, *InList, *Between:
 		return predAsValue(e, resolve)
-	case *FuncCall, *WindowCall, *Star, *Subquery, *Exists, *InSubquery:
-		return nil, ErrNotVectorizable
+	case *FuncCall:
+		if AggregateNames[n.Name] {
+			return errLanes, nil // rejected in row context before any argument
+		}
+		args, err := compileBatchArgs(n.Args, resolve)
+		if err != nil {
+			return nil, err
+		}
+		name := n.Name
+		return laneWise(args, func(vs []value.Value) (value.Value, error) { return CallScalar(name, vs) }), nil
+	case *WindowCall, *Star:
+		return errLanes, nil // rejected in row context
 	}
-	return nil, ErrNotVectorizable
+	return nil, ErrNotVectorizable // subqueries
+}
+
+// errLanes is the node of an expression Eval rejects on every row.
+func errLanes(c *bctx) *bvec { return &bvec{kind: value.KindNull, errs: allBits(c.n)} }
+
+func compileBatchArgs(args []Expr, resolve BatchResolver) ([]batchFn, error) {
+	out := make([]batchFn, len(args))
+	for i, a := range args {
+		fn, err := compileBatch(a, resolve)
+		if err != nil {
+			return nil, err
+		}
+		out[i] = fn
+	}
+	return out, nil
+}
+
+// laneWise compiles an operator whose semantics live in one boxed scalar
+// function of the interpreter (LIKE, ||, scalar calls). Every operand is
+// evaluated first, exactly as Eval does, so a lane errs iff an operand lane
+// errs or fn fails on the boxed operand lanes.
+func laneWise(args []batchFn, fn func([]value.Value) (value.Value, error)) batchFn {
+	return func(c *bctx) *bvec {
+		n := c.n
+		vecs := make([]*bvec, len(args))
+		errParts := make([][]uint64, len(args))
+		for i, a := range args {
+			vecs[i] = a(c)
+			errParts[i] = vecs[i].errs
+		}
+		out := &bvec{kind: value.KindNull, errs: unionBits(n, errParts...)}
+		lane := make([]value.Value, len(args))
+		for k := 0; k < n; k++ {
+			if relation.BitGet(out.errs, k) {
+				continue
+			}
+			for i, v := range vecs {
+				lane[i] = v.lane(k)
+			}
+			r, err := fn(lane)
+			if err != nil {
+				out.errs = setBit(out.errs, n, k)
+				continue
+			}
+			out.put(k, n, r)
+		}
+		return out
+	}
+}
+
+// likeTruth applies the interpreter's like lane-wise straight to truth
+// lanes — the predicate form of LIKE's lane-wise value node.
+func likeTruth(l, r *bvec, n int) *truthVec {
+	out := &truthVec{t: make([]uint8, n), errs: unionBits(n, l.errs, r.errs)}
+	for k := 0; k < n; k++ {
+		if relation.BitGet(out.errs, k) {
+			continue
+		}
+		v, err := like(l.lane(k), r.lane(k))
+		switch {
+		case err != nil:
+			out.errs = setBit(out.errs, n, k)
+		case v.IsNull():
+			out.t[k] = truthU
+		case v.Bool():
+			out.t[k] = truthT
+		}
+	}
+	return out
+}
+
+// put stores x in lane k of a vector being filled in lane order: a typed
+// payload while every non-NULL lane shares one kind, boxed lanes once kinds
+// mix. The vector starts as KindNull, and erring lanes are never put.
+func (v *bvec) put(k, n int, x value.Value) {
+	if x.IsNull() {
+		if v.kind == kindDynamic {
+			v.vals[k] = x
+		} else {
+			v.nulls = setBit(v.nulls, n, k)
+		}
+		return
+	}
+	switch {
+	case v.kind == value.KindNull:
+		v.kind = x.Kind()
+		switch v.kind {
+		case value.KindFloat:
+			v.floats = make([]float64, n)
+		case value.KindString:
+			v.strs = make([]string, n)
+		default:
+			v.ints = make([]int64, n)
+		}
+	case v.kind != kindDynamic && x.Kind() != v.kind:
+		vals := make([]value.Value, n)
+		for j := 0; j < k; j++ {
+			if !relation.BitGet(v.errs, j) {
+				vals[j] = v.lane(j)
+			}
+		}
+		*v = bvec{kind: kindDynamic, vals: vals, errs: v.errs}
+	}
+	switch v.kind {
+	case kindDynamic:
+		v.vals[k] = x
+	case value.KindFloat:
+		v.floats[k] = x.Float()
+	case value.KindString:
+		v.strs[k] = x.Str()
+	case value.KindBool:
+		if x.Bool() {
+			v.ints[k] = 1
+		}
+	case value.KindDate:
+		v.ints[k] = x.DateDays()
+	default:
+		v.ints[k] = x.Int()
+	}
 }
 
 // predAsValue compiles a predicate-shaped node used in value position: the
@@ -470,25 +613,24 @@ func predAsValue(e Expr, resolve BatchResolver) (batchFn, error) {
 
 func compileBatchBinary(n *Binary, resolve BatchResolver) (batchFn, error) {
 	switch n.Op {
-	case OpLike, OpConcat:
-		return nil, ErrNotVectorizable
 	case OpAnd, OpOr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		return predAsValue(n, resolve)
 	}
-	l, err := compileBatch(n.L, resolve)
+	args, err := compileBatchArgs([]Expr{n.L, n.R}, resolve)
 	if err != nil {
 		return nil, err
 	}
-	r, err := compileBatch(n.R, resolve)
-	if err != nil {
-		return nil, err
-	}
+	l, r := args[0], args[1]
 	op := n.Op
 	switch op {
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
 		return func(c *bctx) *bvec { return arithVec(l(c), r(c), op, c.n) }, nil
+	case OpLike:
+		return laneWise(args, func(vs []value.Value) (value.Value, error) { return like(vs[0], vs[1]) }), nil
+	case OpConcat:
+		return laneWise(args, func(vs []value.Value) (value.Value, error) { return value.Concat(vs[0], vs[1]) }), nil
 	}
-	return nil, ErrNotVectorizable
+	return errLanes, nil // Eval's unknown-operator error
 }
 
 // compileBatchPred compiles a predicate to native truth lanes. Non-predicate
@@ -535,6 +677,12 @@ func compileBatchPred(e Expr, resolve BatchResolver) (batchPredFn, error) {
 			}
 			op := n.Op
 			return func(c *bctx) *truthVec { return cmpTruth(l(c), r(c), op, c.n) }, nil
+		case OpLike:
+			args, err := compileBatchArgs([]Expr{n.L, n.R}, resolve)
+			if err != nil {
+				return nil, err
+			}
+			return func(c *bctx) *truthVec { return likeTruth(args[0](c), args[1](c), c.n) }, nil
 		}
 	case *IsNull:
 		x, err := compileBatch(n.X, resolve)
@@ -570,7 +718,7 @@ func compileBatchPred(e Expr, resolve BatchResolver) (batchPredFn, error) {
 		negate := n.Negate
 		return func(c *bctx) *truthVec {
 			xv := x(c)
-			// The row path computes both bounds before combining (no short
+			// The interpreter computes both bounds before combining (no short
 			// circuit), so both compares' errors count unconditionally.
 			ge := cmpTruth(xv, lo(c), OpGe, c.n)
 			le := cmpTruth(xv, hi(c), OpLe, c.n)
@@ -622,8 +770,8 @@ func compileBatchIn(n *InList, resolve BatchResolver) (batchPredFn, error) {
 			}
 		}
 		// Items run in list order; a lane already found (or erred) skips the
-		// remaining items, exactly like the row loop's break — including the
-		// suppression of later items' errors.
+		// remaining items, exactly like the interpreter loop's break —
+		// including the suppression of later items' errors.
 		for _, itf := range items {
 			iv := itf(c)
 			cmp := cmpTruth(xv, iv, OpEq, nn)
@@ -894,7 +1042,7 @@ func toTruth(v *bvec, n int) *truthVec {
 		}
 	default:
 		// A statically non-boolean vector: NULL lanes are Unknown, the rest
-		// would fail TruthOf on the row path.
+		// would fail TruthOf in the interpreter.
 		for k := 0; k < n; k++ {
 			if relation.BitGet(tv.errs, k) {
 				continue
@@ -924,7 +1072,7 @@ func fromTruth(tv *truthVec, n int) *bvec {
 	return out
 }
 
-// andOrTruth combines two truth vectors with the row path's exact
+// andOrTruth combines two truth vectors with the interpreter's exact
 // short-circuit discipline: a left lane that decides the result suppresses
 // the right side's value and error on that lane.
 func andOrTruth(lt, rt *truthVec, isAnd bool, n int) *truthVec {
@@ -989,7 +1137,7 @@ func cmpWant(op BinaryOp) (lt, eq, gt bool) {
 	return false, false, false
 }
 
-// cmpTruth compares two vectors lane-wise under the row path's compare(),
+// cmpTruth compares two vectors lane-wise under the interpreter's compare(),
 // straight to truth lanes: NULL lanes yield Unknown; comparable static kinds
 // run typed loops; statically incomparable kinds err on every
 // double-non-NULL lane; dynamic operands compare boxed.

@@ -1,6 +1,8 @@
 package expr
 
 import (
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -11,12 +13,12 @@ import (
 )
 
 // Property tests for the vectorized backend's core contract: bit-identity
-// with the per-row Program. Random expression trees drawn from the
-// vectorizer's full coverage run over random typed columns seeded with the
-// adversarial values (-0, NaN, infinities, MinInt64, big ints past 2^53,
-// NULLs everywhere), through both backends, and every lane must agree —
-// same kind, same payload bits (floats compared via Float64bits), and the
-// same error outcome per window.
+// with the interpreter. Random expression trees drawn from the vectorizer's
+// full coverage run over random typed columns seeded with the adversarial
+// values (-0, NaN, infinities, MinInt64, big ints past 2^53, NULLs
+// everywhere), through both evaluators, and every lane must agree — same
+// kind, same payload bits (floats compared via Float64bits), and the same
+// first erring row, whose re-run yields the interpreter's exact error.
 
 // batchPropCols is the test schema: every payload family, plus an
 // all-NULL column.
@@ -63,11 +65,17 @@ func genBatchRel(rng *rand.Rand, n int) *relation.Relation {
 	return r
 }
 
+// batchFuncs is every scalar function of funcs.go plus an unknown name.
+var batchFuncs = []string{"ABS", "ROUND", "FLOOR", "CEIL", "UPPER", "LOWER",
+	"LENGTH", "SUBSTR", "IF", "COALESCE", "TRIM", "REPLACE", "SIGN", "POWER",
+	"YEAR", "MONTH", "DAY", "NOSUCHFN"}
+
 // genBatchExpr draws a random expression tree from the vectorizer's
-// coverage: column refs and literals under comparisons, arithmetic,
-// AND/OR/NOT, negation, IS [NOT] NULL, [NOT] IN and [NOT] BETWEEN. Type
-// mismatches, division by zero and overflow are all in-distribution — they
-// exercise the error-parity contract.
+// coverage: column refs (resolvable or not) and literals under
+// comparisons, arithmetic, AND/OR/NOT, negation, IS [NOT] NULL, [NOT] IN,
+// [NOT] BETWEEN, LIKE, || and scalar calls of every arity. Type mismatches,
+// arity errors, division by zero and overflow are all in-distribution —
+// they exercise the error-parity contract.
 func genBatchExpr(rng *rand.Rand, depth int) Expr {
 	lits := []value.Value{
 		value.NewInt(0), value.NewInt(1), value.NewInt(-1), value.NewInt(7),
@@ -76,8 +84,16 @@ func genBatchExpr(rng *rand.Rand, depth int) Expr {
 		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(1.5),
 		value.NewString(""), value.NewString("a"), value.NewString("Good"),
 		value.NewBool(true), value.NewBool(false), value.Null,
+		value.NewDateDays(12000),
 	}
+	patterns := []string{"%", "a%", "%d", "_", "G__d", "%oo%", "a_", "", "Excellent"}
 	leaf := func() Expr {
+		switch rng.Intn(20) {
+		case 0:
+			return &ColumnRef{Name: "Ghost"} // never resolves
+		case 1:
+			return &Literal{Val: value.NewString(patterns[rng.Intn(len(patterns))])}
+		}
 		if rng.Intn(2) == 0 {
 			return &ColumnRef{Name: batchPropCols[rng.Intn(len(batchPropCols))].Name}
 		}
@@ -87,7 +103,7 @@ func genBatchExpr(rng *rand.Rand, depth int) Expr {
 		return leaf()
 	}
 	sub := func() Expr { return genBatchExpr(rng, depth-1) }
-	switch rng.Intn(8) {
+	switch rng.Intn(11) {
 	case 0:
 		ops := []BinaryOp{OpEq, OpNe, OpLt, OpLe, OpGt, OpGe}
 		return &Binary{Op: ops[rng.Intn(len(ops))], L: sub(), R: sub()}
@@ -109,6 +125,22 @@ func genBatchExpr(rng *rand.Rand, depth int) Expr {
 			items[i] = sub()
 		}
 		return &InList{X: sub(), Items: items, Negate: rng.Intn(2) == 0}
+	case 7:
+		// LIKE: mostly a string column against a %/_ pattern, sometimes
+		// arbitrary (non-string, NULL, erring) operands.
+		if rng.Intn(2) == 0 {
+			return &Binary{Op: OpLike, L: &ColumnRef{Name: "S"},
+				R: &Literal{Val: value.NewString(patterns[rng.Intn(len(patterns))])}}
+		}
+		return &Binary{Op: OpLike, L: sub(), R: sub()}
+	case 8:
+		return &Binary{Op: OpConcat, L: sub(), R: sub()}
+	case 9:
+		args := make([]Expr, rng.Intn(4)) // 0..3 arguments: arity errors included
+		for i := range args {
+			args[i] = sub()
+		}
+		return &FuncCall{Name: batchFuncs[rng.Intn(len(batchFuncs))], Args: args}
 	default:
 		return &Between{X: sub(), Lo: sub(), Hi: sub(), Negate: rng.Intn(2) == 0}
 	}
@@ -154,14 +186,46 @@ func batchPropResolvers(r *relation.Relation) (BatchResolver, Resolver) {
 	return batch, row
 }
 
+// firstRowErr runs the interpreter over rows in order (through idx when
+// non-nil) and returns the position and error of the first erring row, or
+// -1 and nil.
+func firstRowErr(rows []relation.Tuple, idx []int32, lo, hi int, eval func(row []value.Value) error) (int, error) {
+	for k := lo; k < hi; k++ {
+		ri := k
+		if idx != nil {
+			ri = int(idx[k])
+		}
+		if err := eval(rows[ri]); err != nil {
+			return k, err
+		}
+	}
+	return -1, nil
+}
+
+// checkBadLane asserts the batch entry point flagged exactly the
+// interpreter's first erring row, and that re-running that row — what every
+// caller does — yields the interpreter's error string.
+func checkBadLane(t *testing.T, what string, bad, wantBad int, wantErr error, rerun func(int) error) {
+	t.Helper()
+	if bad != wantBad {
+		t.Fatalf("%s: batch flagged lane %d, interpreter first errs at %d (%v)", what, bad, wantBad, wantErr)
+	}
+	if bad < 0 {
+		return
+	}
+	if got := rerun(bad); got == nil || got.Error() != wantErr.Error() {
+		t.Fatalf("%s: re-run of lane %d gives %v, interpreter %v", what, bad, got, wantErr)
+	}
+}
+
 // TestBatchBitIdentityProperty is the main property: for random expressions
-// and random data, EvalPos and SelectInto agree with the row program on
+// and random data, EvalPos and SelectInto agree with the interpreter on
 // every lane — identical values (including float bit patterns and NULL
-// tri-state) when no row errs, and a reported failure whenever any row
-// would err.
+// tri-state) before the first erring row, and that row reported as the
+// first erring lane.
 func TestBatchBitIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		n := 1 + rng.Intn(70)
 		r := genBatchRel(rng, n)
 		rows := r.TupleRows()
@@ -174,83 +238,82 @@ func TestBatchBitIdentityProperty(t *testing.T) {
 		}
 		rp, err := Compile(e, rowRes)
 		if err != nil {
-			t.Fatalf("trial %d: row compile of %s: %v", trial, e.SQL(), err)
+			t.Fatalf("trial %d: bind %s: %v", trial, e.SQL(), err)
 		}
+		what := fmt.Sprintf("trial %d: %s", trial, e.SQL())
 
-		// Row-path reference over the full window.
+		// Interpreter reference over the full window.
 		want := make([]value.Value, n)
-		rowErr := false
-		for i, row := range rows {
-			v, err := rp.Eval(row)
-			if err != nil {
-				rowErr = true
-				break
-			}
-			want[i] = v
+		wantBad, wantErr := firstRowErr(rows, nil, 0, n, func(row []value.Value) error {
+			_, err := rp.Eval(row)
+			return err
+		})
+		for i := 0; i < n && (wantBad < 0 || i < wantBad); i++ {
+			want[i], _ = rp.Eval(rows[i])
 		}
 
 		out := make([]value.Value, n)
-		ok := bp.EvalPos(nil, 0, n, value.KindInt, out)
-		if rowErr {
-			if ok {
-				t.Fatalf("trial %d: %s: row path errs but batch reported ok", trial, e.SQL())
-			}
-		} else {
-			if !ok {
-				t.Fatalf("trial %d: %s: batch reported error but no row errs", trial, e.SQL())
-			}
-			for i := range want {
-				if !bitIdentical(want[i], out[i]) {
-					t.Fatalf("trial %d: %s: lane %d diverges: row %s (%v) vs batch %s (%v)",
-						trial, e.SQL(), i, want[i], want[i].Kind(), out[i], out[i].Kind())
-				}
+		bad := bp.EvalPos(nil, 0, n, value.KindInt, out)
+		checkBadLane(t, what, bad, wantBad, wantErr, func(i int) error {
+			_, err := Eval(e, rowMap(r, i))
+			return err
+		})
+		for i := 0; i < n && (bad < 0 || i < bad); i++ {
+			if !bitIdentical(want[i], out[i]) {
+				t.Fatalf("%s: lane %d diverges: interpreter %s (%v) vs batch %s (%v)",
+					what, i, want[i], want[i].Kind(), out[i], out[i].Kind())
 			}
 		}
 
 		// Predicate parity: the surviving-row set of SelectInto matches
-		// per-row EvalBool, with the same any-error failure contract.
+		// per-row EvalBool, and the first erring lane is EvalBool's.
 		var survivors []int32
-		selErr := false
-		for i, row := range rows {
-			keep, err := rp.EvalBool(row)
-			if err != nil {
-				selErr = true
-				break
-			}
-			if keep {
+		selBad, selErr := firstRowErr(rows, nil, 0, n, func(row []value.Value) error {
+			_, err := rp.EvalBool(row)
+			return err
+		})
+		for i := 0; i < n && selBad < 0; i++ {
+			if keep, _ := rp.EvalBool(rows[i]); keep {
 				survivors = append(survivors, int32(i))
 			}
 		}
 		dst := make([]int32, n)
-		w, ok := bp.SelectInto(nil, 0, n, dst)
-		if selErr {
-			if ok {
-				t.Fatalf("trial %d: %s: predicate row path errs but batch ok", trial, e.SQL())
-			}
-		} else {
-			if !ok {
-				t.Fatalf("trial %d: %s: batch select failed but no row errs", trial, e.SQL())
-			}
-			if w != len(survivors) {
-				t.Fatalf("trial %d: %s: %d survivors, row path kept %d", trial, e.SQL(), w, len(survivors))
-			}
-			for i := range survivors {
-				if dst[i] != survivors[i] {
-					t.Fatalf("trial %d: %s: survivor %d = row %d, row path kept %d",
-						trial, e.SQL(), i, dst[i], survivors[i])
-				}
+		w, bad := bp.SelectInto(nil, 0, n, dst)
+		checkBadLane(t, what+" (predicate)", bad, selBad, selErr, func(i int) error {
+			_, err := EvalBool(e, rowMap(r, i))
+			return err
+		})
+		if bad >= 0 {
+			continue
+		}
+		if w != len(survivors) {
+			t.Fatalf("%s: %d survivors, interpreter kept %d", what, w, len(survivors))
+		}
+		for i := range survivors {
+			if dst[i] != survivors[i] {
+				t.Fatalf("%s: survivor %d = row %d, interpreter kept %d", what, i, dst[i], survivors[i])
 			}
 		}
 	}
 }
 
+// rowMap is row i of r as a by-name Env: the interpreter with no binding.
+func rowMap(r *relation.Relation, i int) MapEnv {
+	m := MapEnv{}
+	for j, c := range r.Schema {
+		m[c.Name] = r.TupleRows()[i][j]
+	}
+	return m
+}
+
 // TestBatchBitIdentityWindowed pins the indexed-window form: evaluating a
 // sub-window of a shuffled (and duplicating) index vector must agree lane
-// for lane with the row program applied to the indexed rows, and EvalInto's
-// KindFloat widening must match the row path's coerce rule.
+// for lane with the interpreter applied to the indexed rows, EvalInto's
+// KindFloat widening must match the coerce rule, and EvalIntoCol must fill
+// the same cells (or report the same first erring lane).
 func TestBatchBitIdentityWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 300; trial++ {
 		n := 2 + rng.Intn(60)
 		r := genBatchRel(rng, n)
 		rows := r.TupleRows()
@@ -262,8 +325,9 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 		}
 		rp, err := Compile(e, rowRes)
 		if err != nil {
-			t.Fatalf("trial %d: row compile: %v", trial, err)
+			t.Fatalf("trial %d: bind: %v", trial, err)
 		}
+		what := fmt.Sprintf("trial %d: %s", trial, e.SQL())
 
 		m := 1 + rng.Intn(2*n)
 		idx := make([]int32, m)
@@ -273,58 +337,66 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 		lo := rng.Intn(m)
 		hi := lo + 1 + rng.Intn(m-lo)
 
-		want := make([]value.Value, m)
-		rowErr := false
+		wantBad, wantErr := firstRowErr(rows, idx, lo, hi, func(row []value.Value) error {
+			_, err := rp.Eval(row)
+			return err
+		})
+		rerun := func(k int) error {
+			_, err := Eval(e, rowMap(r, int(idx[k])))
+			return err
+		}
+		out := make([]value.Value, m)
+		bad := bp.EvalPos(idx, lo, hi, value.KindFloat, out)
+		checkBadLane(t, what, bad, wantBad, wantErr, rerun)
+		checkBadLane(t, what+" (EvalInto)", bp.EvalInto(idx, lo, hi, value.KindFloat, make([]value.Value, n)),
+			wantBad, wantErr, rerun)
+		col := &relation.Col{Kind: value.KindFloat, Floats: make([]float64, n)}
+		colBad, _ := bp.EvalIntoCol(idx, lo, hi, col, make([]uint8, n))
+		checkBadLane(t, what+" (EvalIntoCol)", colBad, wantBad, wantErr, rerun)
+		if bad >= 0 {
+			continue
+		}
 		for k := lo; k < hi; k++ {
-			v, err := rp.Eval(rows[idx[k]])
-			if err != nil {
-				rowErr = true
-				break
-			}
+			v, _ := rp.Eval(rows[idx[k]])
 			if v.Kind() == value.KindInt { // EvalPos(KindFloat) widens; mirror coerce
 				v = value.NewFloat(float64(v.Int()))
 			}
-			want[k] = v
-		}
-
-		out := make([]value.Value, m)
-		ok := bp.EvalPos(idx, lo, hi, value.KindFloat, out)
-		if rowErr {
-			if ok {
-				t.Fatalf("trial %d: %s: window errs on row path but batch ok", trial, e.SQL())
-			}
-			continue
-		}
-		if !ok {
-			t.Fatalf("trial %d: %s: batch window failed but no row errs", trial, e.SQL())
-		}
-		for k := lo; k < hi; k++ {
-			if !bitIdentical(want[k], out[k]) {
-				t.Fatalf("trial %d: %s: window lane %d diverges: %s vs %s",
-					trial, e.SQL(), k, want[k], out[k])
+			if !bitIdentical(v, out[k]) {
+				t.Fatalf("%s: window lane %d diverges: %s vs %s", what, k, v, out[k])
 			}
 		}
 	}
 }
 
-// TestCompileBatchDeclines pins the fallback boundary: coverage gaps
-// decline with ErrNotVectorizable instead of compiling wrong programs.
+// TestCompileBatchDeclines pins the coverage boundary: only subqueries
+// decline; LIKE, ||, scalar calls, unresolvable names and row-context
+// aggregate/window calls all compile (the latter to erring lanes).
 func TestCompileBatchDeclines(t *testing.T) {
 	r := genBatchRel(rand.New(rand.NewSource(1)), 4)
 	batchRes, _ := batchPropResolvers(r)
-	for _, src := range []string{
-		"S LIKE 'a%'",             // LIKE
-		"S || 'x' = 'ax'",         // concatenation
-		"UPPER(S) = 'A'",          // scalar function
-		"Missing = 1",             // unresolvable column
-		"I + 1 > 2 AND Q IS NULL", // unresolvable inside a conjunct
+	sub := &Subquery{Text: "SELECT 1"}
+	for _, e := range []Expr{
+		sub,
+		&Exists{Sub: sub},
+		&InSubquery{X: &ColumnRef{Name: "I"}, Sub: sub},
+		&Binary{Op: OpAnd, L: MustParse("I > 1"), R: &Exists{Sub: sub}},
+		&FuncCall{Name: "UPPER", Args: []Expr{sub}},
 	} {
-		e, err := Parse(src)
-		if err != nil {
-			t.Fatal(err)
+		if _, err := CompileBatch(e, batchRes); !errors.Is(err, ErrNotVectorizable) {
+			t.Errorf("%s: err = %v, want ErrNotVectorizable", e.SQL(), err)
 		}
-		if _, err := CompileBatch(e, batchRes); err == nil {
-			t.Errorf("%s: expected decline, compiled", src)
+	}
+	for _, src := range []string{
+		"S LIKE 'a%'",
+		"S || 'x' = 'ax'",
+		"UPPER(S) = 'A'",
+		"Missing = 1",
+		"I + 1 > 2 AND Q IS NULL",
+		"SUM(I) > 1",
+		"RANK() OVER (ORDER BY I) = 1",
+	} {
+		if _, err := CompileBatch(MustParse(src), batchRes); err != nil {
+			t.Errorf("%s: declined: %v", src, err)
 		}
 	}
 }
@@ -354,35 +426,58 @@ func TestBatchWindowBoundedAllocs(t *testing.T) {
 	}
 }
 
-// TestBatchDeclineFallsBackIdentically is the end-to-end fallback story in
-// miniature: an expression the vectorizer declines still evaluates through
-// the row path with the same results the batch-covered equivalent produces.
+// subRowEnv is a row Env with the subquery capability: every subquery
+// yields the fixed relation.
+type subRowEnv struct {
+	schema relation.Schema
+	row    []value.Value
+	res    *relation.Relation
+}
+
+func (e subRowEnv) Lookup(name string) (value.Value, bool) {
+	if i := e.schema.IndexOf(name); i >= 0 {
+		return e.row[i], true
+	}
+	return value.Null, false
+}
+
+func (e subRowEnv) EvalSubquery(*Subquery) (*relation.Relation, error) { return e.res, nil }
+
+// TestBatchDeclineFallsBackIdentically is the decline story in miniature:
+// the one shape the vectorizer declines, a subquery, evaluates through the
+// interpreter with the same results the batch-covered equivalent produces.
 func TestBatchDeclineFallsBackIdentically(t *testing.T) {
 	r := genBatchRel(rand.New(rand.NewSource(7)), 50)
 	rows := r.TupleRows()
-	_, rowRes := batchPropResolvers(r)
-	covered, err := Parse("S = 'a' OR S = 'b'")
+	batchRes, _ := batchPropResolvers(r)
+	inner := relation.New("sub", relation.Schema{{Name: "v", Kind: value.KindString}})
+	inner.MustAppend(value.NewString("a"))
+	inner.MustAppend(value.NewString("b"))
+	declined := &InSubquery{X: &ColumnRef{Name: "S"}, Sub: &Subquery{Text: "SELECT v FROM sub"}}
+	if _, err := CompileBatch(declined, batchRes); !errors.Is(err, ErrNotVectorizable) {
+		t.Fatalf("subquery compiled: %v", err)
+	}
+	bp, err := CompileBatch(MustParse("S IN ('a', 'b')"), batchRes)
 	if err != nil {
 		t.Fatal(err)
 	}
-	declined, err := Parse("S LIKE 'a' OR S LIKE 'b'")
-	if err != nil {
-		t.Fatal(err)
+	dst := make([]int32, len(rows))
+	w, bad := bp.SelectInto(nil, 0, len(rows), dst)
+	if bad >= 0 {
+		t.Fatalf("covered predicate errs at lane %d", bad)
 	}
-	cp, err := Compile(covered, rowRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dp, err := Compile(declined, rowRes)
-	if err != nil {
-		t.Fatal(err)
-	}
+	var kept []int32
 	for i, row := range rows {
-		a, errA := cp.EvalBool(row)
-		b, errB := dp.EvalBool(row)
-		if (errA == nil) != (errB == nil) || a != b {
-			t.Fatalf("row %d: covered (%v,%v) vs declined (%v,%v)", i, a, errA, b, errB)
+		ok, err := EvalBool(declined, subRowEnv{r.Schema, row, inner})
+		if err != nil {
+			t.Fatalf("row %d: %v", i, err)
 		}
+		if ok {
+			kept = append(kept, int32(i))
+		}
+	}
+	if fmt.Sprint(kept) != fmt.Sprint(dst[:w]) {
+		t.Fatalf("interpreted subquery kept %v, batch IN kept %v", kept, dst[:w])
 	}
 	if !strings.Contains(ErrNotVectorizable.Error(), "not vectorizable") {
 		t.Fatalf("sentinel error text changed: %v", ErrNotVectorizable)

@@ -1,400 +1,73 @@
 package expr
 
 import (
-	"errors"
 	"fmt"
 
-	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/value"
 )
 
-// This file implements expression compilation: turning a parsed tree into a
-// Program whose column references are resolved to row positions exactly
-// once. Evaluation then indexes straight into a positional row instead of
-// performing a name lookup per reference per row, which is what makes the
-// replay loop of core.Evaluate (and the SQL executor's WHERE/HAVING paths)
-// scale to large working tables.
+// This file binds an expression to a positional row layout: every column
+// reference resolves to its row slot exactly once, and evaluation then runs
+// the interpreter (Eval) against the positional row with no per-row name
+// search. The interpreter stays the single row-at-a-time evaluator; binding
+// only removes its name lookups.
 
 // Resolver maps a column name to its index in the row layout a Program will
-// be evaluated against. It is consulted only at compile time.
+// be evaluated against. It is consulted only at bind time.
 type Resolver func(name string) (int, bool)
 
-// ErrNotCompilable marks expressions the compiler declines: anything
-// nesting a subquery, whose evaluation needs the Env's SubqueryEvaluator
-// capability and a per-statement cache. Callers fall back to the
-// tree-walking Eval.
-var ErrNotCompilable = errors.New("expr: expression is not compilable")
-
-// progFn evaluates one compiled node against a positional row. Programs
-// hold no mutable state, so one Program may be evaluated from many
-// goroutines concurrently.
-type progFn func(row []value.Value) (value.Value, error)
-
-// Program is a compiled expression bound to a fixed row layout. The
-// structural fingerprint and the referenced-column set are computed once at
-// compile time: Programs are shared across goroutines and both values are
-// consulted on every pipeline build, so caching them beside the code avoids
-// a tree walk per consultation without introducing mutable state.
+// Program is an expression bound to a fixed row layout. It holds no mutable
+// state, so one Program may be evaluated from many goroutines concurrently.
 type Program struct {
-	src  Expr
-	fn   progFn
-	fp   uint64
-	deps []string
+	src   Expr
+	slots map[string]int // reference spelling → row slot; -1 = unresolved
 }
 
 // Compile resolves every column reference of e through resolve and returns
 // a Program evaluated directly against a positional row. Names that do not
-// resolve compile into a node that reproduces Eval's unknown-column error
-// at evaluation time (so an unused dangling reference over zero rows stays
-// silent, exactly as in the interpreted path). Subqueries are refused with
-// ErrNotCompilable.
+// resolve keep Eval's unknown-column error at evaluation time (so an unused
+// dangling reference over zero rows stays silent). Subqueries are refused:
+// a positional row carries no statement to run them in.
 func Compile(e Expr, resolve Resolver) (*Program, error) {
-	fn, err := compile(e, resolve)
-	if err != nil {
-		if errors.Is(err, ErrNotCompilable) {
-			compileDeclined.Inc()
-		}
-		return nil, err
+	if ContainsSubquery(e) {
+		return nil, fmt.Errorf("expr: %s nests a subquery and cannot bind to a row", e.SQL())
 	}
-	compileOK.Inc()
-	return &Program{src: e, fn: fn, fp: Fingerprint(e), deps: Deps(e)}, nil
+	slots := map[string]int{}
+	e.walk(func(n Expr) {
+		if c, ok := n.(*ColumnRef); ok {
+			if _, done := slots[c.Name]; !done {
+				i, ok := resolve(c.Name)
+				if !ok {
+					i = -1
+				}
+				slots[c.Name] = i
+			}
+		}
+	})
+	return &Program{src: e, slots: slots}, nil
 }
 
-// Compile outcome counters: compileDeclined counts ErrNotCompilable
-// declines (subqueries falling back to the tree-walking interpreter), the
-// fast-path miss the metrics endpoint surfaces as expr.compile.declined.
-var (
-	compileOK       = obs.Default.Counter("expr.compile.ok")
-	compileDeclined = obs.Default.Counter("expr.compile.declined")
-)
+// slotRow is the Env of one bound evaluation.
+type slotRow struct {
+	slots map[string]int
+	row   []value.Value
+}
 
-// Source returns the expression the program was compiled from.
-func (p *Program) Source() Expr { return p.src }
+func (r slotRow) Lookup(name string) (value.Value, bool) {
+	if i, ok := r.slots[name]; ok && i >= 0 {
+		return r.row[i], true
+	}
+	return value.Null, false
+}
 
 // Eval evaluates the program against a positional row, with the same SQL
 // three-valued NULL semantics as Eval.
 func (p *Program) Eval(row []value.Value) (value.Value, error) {
-	return p.fn(row)
+	return Eval(p.src, slotRow{p.slots, row})
 }
 
 // EvalBool evaluates the program as a predicate; NULL (unknown) counts as
 // false, matching SQL WHERE semantics and EvalBool.
 func (p *Program) EvalBool(row []value.Value) (bool, error) {
-	v, err := p.fn(row)
-	if err != nil {
-		return false, err
-	}
-	t, err := value.TruthOf(v)
-	if err != nil {
-		return false, fmt.Errorf("expr: predicate %s is not boolean: %w", p.src.SQL(), err)
-	}
-	return t == value.True, nil
-}
-
-func compile(e Expr, resolve Resolver) (progFn, error) {
-	switch n := e.(type) {
-	case *Literal:
-		v := n.Val
-		return func([]value.Value) (value.Value, error) { return v, nil }, nil
-	case *ColumnRef:
-		i, ok := resolve(n.Name)
-		if !ok {
-			name := n.Name
-			return func([]value.Value) (value.Value, error) {
-				return value.Null, fmt.Errorf("expr: unknown column %q", name)
-			}, nil
-		}
-		return func(row []value.Value) (value.Value, error) { return row[i], nil }, nil
-	case *Star:
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: * is only valid inside COUNT(*)")
-		}, nil
-	case *Unary:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
-		}
-		if n.Op == OpNeg {
-			return func(row []value.Value) (value.Value, error) {
-				v, err := x(row)
-				if err != nil {
-					return value.Null, err
-				}
-				return value.Neg(v)
-			}, nil
-		}
-		return func(row []value.Value) (value.Value, error) {
-			v, err := x(row)
-			if err != nil {
-				return value.Null, err
-			}
-			t, err := value.TruthOf(v)
-			if err != nil {
-				return value.Null, err
-			}
-			return t.Not().Value(), nil
-		}, nil
-	case *Binary:
-		return compileBinary(n, resolve)
-	case *IsNull:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
-		}
-		negate := n.Negate
-		return func(row []value.Value) (value.Value, error) {
-			v, err := x(row)
-			if err != nil {
-				return value.Null, err
-			}
-			res := v.IsNull()
-			if negate {
-				res = !res
-			}
-			return value.NewBool(res), nil
-		}, nil
-	case *InList:
-		return compileIn(n, resolve)
-	case *Between:
-		x, err := compile(n.X, resolve)
-		if err != nil {
-			return nil, err
-		}
-		lo, err := compile(n.Lo, resolve)
-		if err != nil {
-			return nil, err
-		}
-		hi, err := compile(n.Hi, resolve)
-		if err != nil {
-			return nil, err
-		}
-		negate := n.Negate
-		return func(row []value.Value) (value.Value, error) {
-			xv, err := x(row)
-			if err != nil {
-				return value.Null, err
-			}
-			lov, err := lo(row)
-			if err != nil {
-				return value.Null, err
-			}
-			hiv, err := hi(row)
-			if err != nil {
-				return value.Null, err
-			}
-			ge, err := compare(xv, lov, OpGe)
-			if err != nil {
-				return value.Null, err
-			}
-			le, err := compare(xv, hiv, OpLe)
-			if err != nil {
-				return value.Null, err
-			}
-			t := ge.And(le)
-			if negate {
-				t = t.Not()
-			}
-			return t.Value(), nil
-		}, nil
-	case *FuncCall:
-		return compileFunc(n, resolve)
-	case *WindowCall:
-		fn := n.Func
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: window function %s not allowed in a row context", fn)
-		}, nil
-	case *Subquery, *Exists, *InSubquery:
-		return nil, ErrNotCompilable
-	}
-	return nil, fmt.Errorf("expr: cannot compile %T", e)
-}
-
-func compileBinary(n *Binary, resolve Resolver) (progFn, error) {
-	l, err := compile(n.L, resolve)
-	if err != nil {
-		return nil, err
-	}
-	r, err := compile(n.R, resolve)
-	if err != nil {
-		return nil, err
-	}
-	switch n.Op {
-	case OpAnd, OpOr:
-		isAnd := n.Op == OpAnd
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null, err
-			}
-			lt, err := value.TruthOf(lv)
-			if err != nil {
-				return value.Null, err
-			}
-			// Short circuit when the left side decides.
-			if isAnd && lt == value.False {
-				return value.NewBool(false), nil
-			}
-			if !isAnd && lt == value.True {
-				return value.NewBool(true), nil
-			}
-			rv, err := r(row)
-			if err != nil {
-				return value.Null, err
-			}
-			rt, err := value.TruthOf(rv)
-			if err != nil {
-				return value.Null, err
-			}
-			if isAnd {
-				return lt.And(rt).Value(), nil
-			}
-			return lt.Or(rt).Value(), nil
-		}, nil
-	case OpAdd, OpSub, OpMul, OpDiv, OpMod, OpConcat:
-		var arith func(a, b value.Value) (value.Value, error)
-		switch n.Op {
-		case OpAdd:
-			arith = value.Add
-		case OpSub:
-			arith = value.Sub
-		case OpMul:
-			arith = value.Mul
-		case OpDiv:
-			arith = value.Div
-		case OpMod:
-			arith = value.Mod
-		case OpConcat:
-			arith = value.Concat
-		}
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return value.Null, err
-			}
-			return arith(lv, rv)
-		}, nil
-	case OpLike:
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return value.Null, err
-			}
-			if lv.IsNull() || rv.IsNull() {
-				return value.Null, nil
-			}
-			if lv.Kind() != value.KindString || rv.Kind() != value.KindString {
-				return value.Null, fmt.Errorf("expr: LIKE requires strings, got %s and %s", lv.Kind(), rv.Kind())
-			}
-			return value.NewBool(likeMatch(lv.Str(), rv.Str())), nil
-		}, nil
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
-		op := n.Op
-		return func(row []value.Value) (value.Value, error) {
-			lv, err := l(row)
-			if err != nil {
-				return value.Null, err
-			}
-			rv, err := r(row)
-			if err != nil {
-				return value.Null, err
-			}
-			t, err := compare(lv, rv, op)
-			if err != nil {
-				return value.Null, err
-			}
-			return t.Value(), nil
-		}, nil
-	}
-	return nil, fmt.Errorf("expr: unknown operator %q", n.Op)
-}
-
-func compileIn(n *InList, resolve Resolver) (progFn, error) {
-	x, err := compile(n.X, resolve)
-	if err != nil {
-		return nil, err
-	}
-	items := make([]progFn, len(n.Items))
-	for i, it := range n.Items {
-		items[i], err = compile(it, resolve)
-		if err != nil {
-			return nil, err
-		}
-	}
-	negate := n.Negate
-	return func(row []value.Value) (value.Value, error) {
-		xv, err := x(row)
-		if err != nil {
-			return value.Null, err
-		}
-		sawNull := xv.IsNull()
-		found := false
-		for _, it := range items {
-			v, err := it(row)
-			if err != nil {
-				return value.Null, err
-			}
-			if v.IsNull() || xv.IsNull() {
-				sawNull = true
-				continue
-			}
-			t, err := compare(xv, v, OpEq)
-			if err != nil {
-				return value.Null, err
-			}
-			if t == value.True {
-				found = true
-				break
-			}
-		}
-		var t value.Truth
-		switch {
-		case found:
-			t = value.True
-		case sawNull:
-			t = value.Unknown
-		default:
-			t = value.False
-		}
-		if negate {
-			t = t.Not()
-		}
-		return t.Value(), nil
-	}, nil
-}
-
-func compileFunc(n *FuncCall, resolve Resolver) (progFn, error) {
-	if AggregateNames[n.Name] {
-		name := n.Name
-		return func([]value.Value) (value.Value, error) {
-			return value.Null, fmt.Errorf("expr: aggregate %s not allowed in a row context", name)
-		}, nil
-	}
-	args := make([]progFn, len(n.Args))
-	var err error
-	for i, a := range n.Args {
-		args[i], err = compile(a, resolve)
-		if err != nil {
-			return nil, err
-		}
-	}
-	name := n.Name
-	return func(row []value.Value) (value.Value, error) {
-		vals := make([]value.Value, len(args))
-		for i, a := range args {
-			v, err := a(row)
-			if err != nil {
-				return value.Null, err
-			}
-			vals[i] = v
-		}
-		return CallScalar(name, vals)
-	}, nil
+	return EvalBool(p.src, slotRow{p.slots, row})
 }

@@ -7,8 +7,8 @@ import (
 	"sheetmusiq/internal/value"
 )
 
-// compileRow is the positional layout the compiled-vs-interpreted tests
-// share with env(): same names, same values.
+// compileCols is the positional layout the bound-vs-by-name tests share
+// with env(): same names, same values.
 var compileCols = []string{"Price", "Year", "Model", "Mileage", "Condition", "Ratio", "Sold", "When", "Note"}
 
 func compileEnvRow() []value.Value {
@@ -31,9 +31,9 @@ func compileResolver() Resolver {
 	}
 }
 
-// TestCompileMatchesEval runs a broad set of expressions through both the
-// tree-walking evaluator and the compiled program and insists on identical
-// values and identical error-ness.
+// TestCompileMatchesEval runs a broad set of expressions through the
+// interpreter both by name and bound to row slots and insists on identical
+// values and identical errors.
 func TestCompileMatchesEval(t *testing.T) {
 	srcs := []string{
 		"1 + 2 * 3",
@@ -62,10 +62,10 @@ func TestCompileMatchesEval(t *testing.T) {
 		"SUBSTR(Model, 2, 3)",
 		"YEAR(When) = Year",
 		"CEIL(Ratio) * FLOOR(Ratio)",
-		"Price / 0",     // errors in both paths
-		"Model + 1",     // type error in both paths
-		"NoSuchCol = 1", // unknown column errors at eval time in both paths
-		"SUM(Price)",    // aggregate rejected in a row context in both paths
+		"Price / 0",     // errors either way
+		"Model + 1",     // type error either way
+		"NoSuchCol = 1", // unknown column errors at eval time either way
+		"SUM(Price)",    // aggregate rejected in a row context either way
 	}
 	row := compileEnvRow()
 	for _, src := range srcs {
@@ -79,8 +79,8 @@ func TestCompileMatchesEval(t *testing.T) {
 			t.Fatalf("compile %q: %v", src, err)
 		}
 		got, gotErr := prog.Eval(row)
-		if (wantErr == nil) != (gotErr == nil) {
-			t.Fatalf("%s: eval err %v, compiled err %v", src, wantErr, gotErr)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("%s: eval err %v, bound err %v", src, wantErr, gotErr)
 		}
 		if wantErr != nil {
 			continue
@@ -92,7 +92,7 @@ func TestCompileMatchesEval(t *testing.T) {
 }
 
 // TestCompileBoolMatchesEvalBool pins predicate semantics (NULL counts as
-// false) through the compiled path.
+// false) through a bound program.
 func TestCompileBoolMatchesEvalBool(t *testing.T) {
 	srcs := []string{
 		"Price < 20000",
@@ -127,13 +127,13 @@ func TestCompileBoolMatchesEvalBool(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := prog.EvalBool(row); err == nil || !strings.Contains(err.Error(), "not boolean") {
-		t.Fatalf("compiled EvalBool error = %v, want a not-boolean error", err)
+		t.Fatalf("bound EvalBool error = %v, want a not-boolean error", err)
 	}
 }
 
-// TestCompileShortCircuit verifies AND/OR skip the right operand exactly
-// like the interpreter: an erroring right side is never reached when the
-// left side decides.
+// TestCompileShortCircuit verifies AND/OR skip the right operand through a
+// bound program: an erroring right side is never reached when the left side
+// decides.
 func TestCompileShortCircuit(t *testing.T) {
 	for _, src := range []string{
 		"1 = 2 AND (1 / 0) = 1",
@@ -149,8 +149,9 @@ func TestCompileShortCircuit(t *testing.T) {
 	}
 }
 
-// TestCompileRejectsSubqueries pins the compilation boundary: anything
-// nesting a subquery falls back to the tree-walking evaluator.
+// TestCompileRejectsSubqueries pins the binding boundary: a positional row
+// has no statement to run a subquery in, so anything nesting one is refused
+// and stays with an Env that carries the subquery capability.
 func TestCompileRejectsSubqueries(t *testing.T) {
 	sub := &Subquery{Text: "SELECT 1"}
 	for _, e := range []Expr{
@@ -159,14 +160,14 @@ func TestCompileRejectsSubqueries(t *testing.T) {
 		&InSubquery{X: &Literal{Val: value.NewInt(1)}, Sub: sub},
 		&Binary{Op: OpAnd, L: &Literal{Val: value.NewBool(true)}, R: &Exists{Sub: sub}},
 	} {
-		if _, err := Compile(e, compileResolver()); err != ErrNotCompilable {
-			t.Errorf("%s: Compile err = %v, want ErrNotCompilable", e.SQL(), err)
+		if _, err := Compile(e, compileResolver()); err == nil {
+			t.Errorf("%s: Compile bound a subquery", e.SQL())
 		}
 	}
 }
 
-// TestCompileUnknownColumnDeferred: a dangling reference compiles but
-// errors only when evaluated, matching the interpreted path over zero rows.
+// TestCompileUnknownColumnDeferred: a dangling reference binds but errors
+// only when evaluated, so zero rows stay silent.
 func TestCompileUnknownColumnDeferred(t *testing.T) {
 	prog, err := Compile(MustParse("Ghost > 1"), compileResolver())
 	if err != nil {

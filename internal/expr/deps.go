@@ -31,10 +31,3 @@ func Deps(e Expr) []string {
 	sort.Strings(out)
 	return out
 }
-
-// Deps returns the program's referenced-column set, computed once at compile
-// time (beside the cached Fingerprint) — Programs are evaluated from many
-// goroutines, so both are derived eagerly rather than memoised lazily.
-func (p *Program) Deps() []string {
-	return append([]string(nil), p.deps...)
-}

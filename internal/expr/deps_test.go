@@ -29,24 +29,3 @@ func TestDepsCanonicalises(t *testing.T) {
 		}
 	}
 }
-
-func TestProgramDepsMatchesSource(t *testing.T) {
-	e, err := Parse("Price - Mileage / 10")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(e, func(string) (int, bool) { return 0, true })
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Deps(e)
-	got := p.Deps()
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("Program.Deps = %v, want %v", got, want)
-	}
-	// The returned slice is a copy: mutating it must not corrupt the program.
-	got[0] = "clobbered"
-	if again := p.Deps(); !reflect.DeepEqual(again, want) {
-		t.Fatalf("Program.Deps leaked internal state: %v", again)
-	}
-}

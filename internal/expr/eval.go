@@ -178,13 +178,7 @@ func evalBinary(n *Binary, env Env) (value.Value, error) {
 	case OpConcat:
 		return value.Concat(l, r)
 	case OpLike:
-		if l.IsNull() || r.IsNull() {
-			return value.Null, nil
-		}
-		if l.Kind() != value.KindString || r.Kind() != value.KindString {
-			return value.Null, fmt.Errorf("expr: LIKE requires strings, got %s and %s", l.Kind(), r.Kind())
-		}
-		return value.NewBool(likeMatch(l.Str(), r.Str())), nil
+		return like(l, r)
 	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
 		t, err := compare(l, r, n.Op)
 		if err != nil {
@@ -262,6 +256,18 @@ func evalIn(n *InList, env Env) (value.Value, error) {
 		t = t.Not()
 	}
 	return t.Value(), nil
+}
+
+// like applies SQL LIKE to two evaluated operands: NULL yields NULL, any
+// other non-string operand errs.
+func like(l, r value.Value) (value.Value, error) {
+	if l.IsNull() || r.IsNull() {
+		return value.Null, nil
+	}
+	if l.Kind() != value.KindString || r.Kind() != value.KindString {
+		return value.Null, fmt.Errorf("expr: LIKE requires strings, got %s and %s", l.Kind(), r.Kind())
+	}
+	return value.NewBool(likeMatch(l.Str(), r.Str())), nil
 }
 
 // likeMatch implements SQL LIKE with % (any run) and _ (any single char),

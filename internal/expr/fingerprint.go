@@ -107,12 +107,6 @@ func Fingerprint(e Expr) uint64 {
 	return h
 }
 
-// Fingerprint returns the structural fingerprint of the program's source
-// expression, computed once at compile time. Programs are compiled
-// deterministically from their source, so equal fingerprints mean
-// behaviourally identical programs over the same column resolution.
-func (p *Program) Fingerprint() uint64 { return p.fp }
-
 // FingerprintCombine chains an already-computed fingerprint (an upstream
 // pipeline stage's, a definition hash) into h. Exposed so stage fingerprints
 // can chain without re-deriving the mixing discipline.

@@ -85,25 +85,3 @@ func TestFingerprintChaining(t *testing.T) {
 		t.Fatal("FingerprintString must depend on the incoming hash")
 	}
 }
-
-func TestProgramFingerprintMatchesSource(t *testing.T) {
-	e, err := Parse("Price / (Year - 2004)")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := Compile(e, func(name string) (int, bool) {
-		switch name {
-		case "Price":
-			return 0, true
-		case "Year":
-			return 1, true
-		}
-		return 0, false
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Fingerprint() != Fingerprint(e) {
-		t.Fatal("Program.Fingerprint must equal the source expression's fingerprint")
-	}
-}

@@ -173,7 +173,12 @@ func CallScalar(name string, args []value.Value) (value.Value, error) {
 		if err := arity(name, args, 3); err != nil {
 			return value.Null, err
 		}
-		if !args[0].IsNull() && args[0].Bool() {
+		switch {
+		case args[0].IsNull():
+			return args[2], nil
+		case args[0].Kind() != value.KindBool:
+			return value.Null, fmt.Errorf("expr: IF condition must be BOOLEAN, got %s", args[0].Kind())
+		case args[0].Bool():
 			return args[1], nil
 		}
 		return args[2], nil

@@ -190,14 +190,17 @@ func (a *Accumulator) Add(v value.Value) error {
 // MergeExact reports whether chunked accumulation merged via Merge is
 // bit-identical to the sequential scan for fn over the given input kind.
 // COUNT, COUNT_DISTINCT, MIN and MAX are order-insensitive for any input;
-// the summing functions re-associate addition, which is exact for integer
-// inputs (the int64 and sub-2^53 float paths) but not for float streams.
-// Callers keep float-stream summing sequential so every parallel result
-// stays deterministic and identical to the sequential one.
+// SUM re-associates addition, which is exact for integer inputs (the
+// wrapping int64 sum) but not for float streams. AVG and STDDEV sum in
+// float64 whatever the input, and integers past 2^53 round there, so they
+// never merge. Callers keep those passes sequential so every parallel
+// result stays deterministic and identical to the sequential one.
 func MergeExact(fn AggFunc, input value.Kind) bool {
 	switch fn {
-	case AggSum, AggAvg, AggStdDev:
+	case AggSum:
 		return input != value.KindFloat
+	case AggAvg, AggStdDev:
+		return false
 	}
 	return true
 }

@@ -121,20 +121,6 @@ func (s *source) resolve(name string) (int, error) {
 	return found, nil
 }
 
-// rowEnv evaluates expressions over one source row. It also carries the
-// database and the enclosing row scope so nested subqueries can execute
-// (correlated names resolve innermost-first, then walk outward), plus the
-// per-statement subquery cache.
-type rowEnv struct {
-	src *source
-	row relation.Tuple
-	// extra binds synthetic columns (precomputed aggregates).
-	extra map[string]value.Value
-	db    *DB
-	outer expr.Env
-	subs  map[*expr.Subquery]*subState
-}
-
 // subState memoises one subquery node for the lifetime of the enclosing
 // statement execution: the materialised FROM sources (correlation is not
 // allowed in FROM, so they never change) and, keyed by the values of the
@@ -148,56 +134,42 @@ type subState struct {
 	disable  bool // nested subqueries inside: correlation keys could span scopes
 }
 
-func (e rowEnv) Lookup(name string) (value.Value, bool) {
-	if e.extra != nil {
-		if v, ok := e.extra[strings.ToLower(name)]; ok {
-			return v, true
-		}
-	}
-	if i, err := e.src.resolve(name); err == nil {
-		return e.row[i], true
-	}
-	if e.outer != nil {
-		return e.outer.Lookup(name)
-	}
-	return value.Null, false
-}
-
 // EvalSubquery implements expr.SubqueryEvaluator: the nested statement runs
 // with this row as its enclosing scope, memoised per distinct correlation
 // key.
-func (e rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
+func (e *rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
 	stmt, ok := sub.Stmt.(*SelectStmt)
 	if !ok {
 		return nil, fmt.Errorf("sql: malformed subquery node")
 	}
-	if e.db == nil {
+	db := e.sc.db
+	if db == nil {
 		return nil, fmt.Errorf("sql: subqueries are not supported in this context")
 	}
-	if e.subs == nil {
-		e.db.subqueryRuns++
-		return e.db.execOuter(stmt, e)
+	if e.sc.subs == nil {
+		db.subqueryRuns++
+		return db.execOuter(stmt, e)
 	}
-	st := e.subs[sub]
+	st := e.sc.subs[sub]
 	if st == nil {
-		src, err := e.db.evalFrom(stmt.From)
+		src, err := db.evalFrom(stmt.From)
 		if err != nil {
 			return nil, err
 		}
 		st = &subState{src: src, cache: map[string]*relation.Relation{}}
 		st.freeVars, st.disable = freeVars(stmt, src)
-		e.subs[sub] = st
+		e.sc.subs[sub] = st
 	}
 	if st.disable {
-		e.db.subqueryRuns++
-		return execOn(e.db, st.src, stmt, e)
+		db.subqueryRuns++
+		return execOn(db, st.src, stmt, e)
 	}
 	var kb strings.Builder
 	for _, name := range st.freeVars {
 		v, ok := e.Lookup(name)
 		if !ok {
 			// Unresolvable name: let execution surface the real error.
-			return execOn(e.db, st.src, stmt, e)
+			return execOn(db, st.src, stmt, e)
 		}
 		kb.WriteString(v.Key())
 		kb.WriteByte('\x1f')
@@ -206,8 +178,8 @@ func (e rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
 	if res, ok := st.cache[key]; ok {
 		return res, nil
 	}
-	e.db.subqueryRuns++
-	res, err := execOn(e.db, st.src, stmt, e)
+	db.subqueryRuns++
+	res, err := execOn(db, st.src, stmt, e)
 	if err != nil {
 		return nil, err
 	}
@@ -342,9 +314,9 @@ func typedCols(rel *relation.Relation) []*relation.Col {
 // joinSources computes left ⋈ right: the equi-hash-join kernel when the ON
 // clause carries equality conjuncts, a scratch-row nested loop otherwise.
 // Either way matched rows land in one flat backing array; the full product
-// row set is never allocated. The ON predicate cannot run subqueries (its
-// row env has no database handle), so it is pure and the kernel's parallel
-// candidate probe is safe.
+// row set is never allocated. The ON predicate binds its names once and
+// cannot run subqueries (its scope has no database handle), so it is pure
+// and the kernel's parallel candidate probe is safe.
 func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	schema := append(left.rel.Schema.Clone(), right.rel.Schema.Clone()...)
 	seen := map[string]bool{}
@@ -357,8 +329,12 @@ func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	}
 	out := relation.New(left.rel.Name+"_"+right.rel.Name, schema)
 	probe := &source{rel: out}
+	sc := (&stmtCtx{src: probe}).bind(0, on)
 	onFn := func(row relation.Tuple) (bool, error) {
-		return evalOn(probe, row, on)
+		if on == nil {
+			return true, nil
+		}
+		return expr.EvalBool(on, sc.env(row))
 	}
 
 	// Try to extract an equality conjunct usable as a hash-join key. Source
@@ -392,13 +368,6 @@ func joinSources(left, right *source, on expr.Expr) (*source, error) {
 	}
 	relation.MaterializePairs(out, left.rel, right.rel, pa, pb)
 	return probe, nil
-}
-
-func evalOn(probe *source, row relation.Tuple, on expr.Expr) (bool, error) {
-	if on == nil {
-		return true, nil
-	}
-	return expr.EvalBool(on, rowEnv{src: probe, row: row})
 }
 
 // hashKeys extracts column-index pairs for top-level AND-ed equality
@@ -450,7 +419,7 @@ func hashKeys(left, right *source, on expr.Expr) (lk, rk []int) {
 // execOn runs the SELECT body against a materialised source.
 func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Relation, error) {
 	// The subquery cache lives for this statement execution.
-	subs := map[*expr.Subquery]*subState{}
+	x := &stmtCtx{db: db, src: src, outer: outer, subs: map[*expr.Subquery]*subState{}}
 	// WHERE. rows starts as the full source row set, aligned with the
 	// source's typed columns; idx tracks the surviving base-row indexes so
 	// downstream batch programs keep reading the typed vectors through the
@@ -465,27 +434,11 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 		if expr.ContainsWindow(stmt.Where) {
 			return nil, fmt.Errorf("sql: window functions are not allowed in WHERE")
 		}
-		if prog := compileOn(src, stmt.Where, outer); prog != nil {
-			kept, keptIdx, err := filterRowsTyped(src, stmt.Where, rows, prog, aligned)
-			if err != nil {
-				return nil, err
-			}
-			rows, idx = kept, keptIdx
-			aligned = aligned && idx != nil
-		} else {
-			kept := make([]relation.Tuple, 0, len(rows))
-			for _, row := range rows {
-				ok, err := expr.EvalBool(stmt.Where, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
-				if err != nil {
-					return nil, err
-				}
-				if ok {
-					kept = append(kept, row)
-				}
-			}
-			rows = kept
-			aligned = false
+		var err error
+		if rows, idx, err = x.filter(stmt.Where, rows, aligned); err != nil {
+			return nil, err
 		}
+		aligned = aligned && idx != nil
 	}
 
 	grouped := len(stmt.GroupBy) > 0 || stmt.Having != nil || hasAggregates(stmt)
@@ -494,7 +447,7 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 			return nil, fmt.Errorf("sql: window functions cannot be combined with GROUP BY, HAVING or aggregates")
 		}
 		var werr error
-		src, rows, stmt, werr = applyWindows(db, src, stmt, rows, outer, subs, idx, aligned)
+		rows, stmt, werr = x.applyWindows(stmt, rows, idx, aligned)
 		if werr != nil {
 			return nil, werr
 		}
@@ -504,9 +457,9 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 	var sortVals [][]value.Value
 	var err error
 	if grouped {
-		out, sortVals, err = execGrouped(db, src, stmt, rows, outer, subs, idx, aligned)
+		out, sortVals, err = x.execGrouped(stmt, rows, idx, aligned)
 	} else {
-		out, sortVals, err = execPlain(db, src, stmt, rows, outer, subs, idx, aligned)
+		out, sortVals, err = x.execPlain(stmt, rows, idx, aligned)
 	}
 	if err != nil {
 		return nil, err
@@ -545,60 +498,18 @@ func hasAggregates(stmt *SelectStmt) bool {
 	return stmt.Having != nil && expr.ContainsAggregate(stmt.Having)
 }
 
-// execPlain projects without grouping. It returns the output relation plus,
-// for each row, the evaluated ORDER BY key values. idx, when aligned, holds
-// the surviving base-row indexes of rows for the typed-column fast path.
-func execPlain(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
-	items, err := expandStars(src, stmt.Items)
-	if err != nil {
-		return nil, nil, err
-	}
-	schema, err := outputSchema(src, items)
-	if err != nil {
-		return nil, nil, err
-	}
-	if out, sortVals, handled, err := compiledPlain(src, stmt, items, schema, rows, outer, idx, aligned); handled {
-		execPlainCompiled.Inc()
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, sortVals, nil
-	}
-	execPlainInterpreted.Inc()
-	out := relation.New("result", schema)
-	sortVals := make([][]value.Value, 0, len(rows))
-	for _, row := range rows {
-		env := rowEnv{src: src, row: row, db: db, outer: outer, subs: subs}
-		tuple := make(relation.Tuple, len(items))
-		for i, it := range items {
-			v, err := expr.Eval(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			tuple[i] = widen(v, schema[i].Kind)
-		}
-		out.Rows = append(out.Rows, tuple)
-		keys, err := orderKeys(stmt.OrderBy, env, out, tuple, items)
-		if err != nil {
-			return nil, nil, err
-		}
-		sortVals = append(sortVals, keys)
-	}
-	return out, sortVals, nil
-}
-
 // execGrouped evaluates GROUP BY / aggregate queries. idx, when aligned,
 // holds the surviving base-row indexes of rows so column-reference aggregate
 // arguments can run the typed grouped-aggregation kernel over the source's
 // column payloads.
-func execGrouped(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+func (x *stmtCtx) execGrouped(stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("sql: * is not allowed with GROUP BY or aggregates")
 		}
 	}
 	// Group rows by the GROUP BY expression values.
-	groups, gr, err := buildRowGroups(db, src, stmt, rows, outer, subs)
+	groups, gr, err := x.buildRowGroups(stmt.GroupBy, rows)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -661,76 +572,11 @@ func execGrouped(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, o
 			return nil, nil, err
 		}
 	}
-	schema, err := groupedSchema(src, stmt, items, aggs)
+	schema, err := groupedSchema(x.src, stmt, items, aggs)
 	if err != nil {
 		return nil, nil, err
 	}
-	if out, sortVals, handled, err := compiledGroupOutput(src, groups, gr, aggs, items, having, orderBy, schema, outer, idx, aligned, len(rows)); handled {
-		execGroupedCompiled.Inc()
-		if err != nil {
-			return nil, nil, err
-		}
-		return out, sortVals, nil
-	}
-	execGroupedInterpreted.Inc()
-	out := relation.New("result", schema)
-	sortVals := make([][]value.Value, 0, len(groups))
-	for _, grp := range groups {
-		extra := map[string]value.Value{}
-		for ai, a := range aggs {
-			acc := relation.NewAccumulator(a.fn)
-			for _, row := range grp.rows {
-				var v value.Value
-				if a.star {
-					v = value.NewInt(1)
-				} else {
-					var err error
-					v, err = expr.Eval(a.arg, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
-					if err != nil {
-						return nil, nil, err
-					}
-				}
-				if err := acc.Add(v); err != nil {
-					return nil, nil, err
-				}
-			}
-			extra[aggPlaceholder(ai)] = acc.Result()
-		}
-		var rep relation.Tuple
-		if len(grp.rows) > 0 {
-			rep = grp.rows[0]
-		} else {
-			rep = make(relation.Tuple, len(src.rel.Schema))
-			for i := range rep {
-				rep[i] = value.Null
-			}
-		}
-		env := rowEnv{src: src, row: rep, extra: extra, db: db, outer: outer, subs: subs}
-		if having != nil {
-			ok, err := expr.EvalBool(having, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			if !ok {
-				continue
-			}
-		}
-		tuple := make(relation.Tuple, len(items))
-		for i, it := range items {
-			v, err := expr.Eval(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
-			}
-			tuple[i] = widen(v, schema[i].Kind)
-		}
-		out.Rows = append(out.Rows, tuple)
-		keys, err := orderKeys(orderBy, env, out, tuple, items)
-		if err != nil {
-			return nil, nil, err
-		}
-		sortVals = append(sortVals, keys)
-	}
-	return out, sortVals, nil
+	return x.groupOutput(groups, gr, aggs, items, having, orderBy, schema, idx, aligned, len(rows))
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.
@@ -994,31 +840,6 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 		schema[i] = relation.Column{Name: name, Kind: k}
 	}
 	return schema, nil
-}
-
-// orderKeys evaluates the ORDER BY expressions for one output row. Keys may
-// reference output aliases (resolved against the produced tuple) or source
-// columns (resolved via env).
-func orderKeys(orderBy []OrderItem, env rowEnv, out *relation.Relation, tuple relation.Tuple, items []SelectItem) ([]value.Value, error) {
-	if len(orderBy) == 0 {
-		return nil, nil
-	}
-	keys := make([]value.Value, len(orderBy))
-	for i, o := range orderBy {
-		// Output-alias reference?
-		if c, ok := o.Expr.(*expr.ColumnRef); ok {
-			if j := out.Schema.IndexOf(c.Name); j >= 0 {
-				keys[i] = tuple[j]
-				continue
-			}
-		}
-		v, err := expr.Eval(o.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
-	}
-	return keys, nil
 }
 
 // sortOutput stably sorts the output rows by the precomputed keys, through

@@ -138,17 +138,10 @@ func applyFilter(db *DB, src *source, preds []expr.Expr, outer expr.Env) error {
 	if len(preds) == 0 {
 		return nil
 	}
-	pred := conjoin(preds)
-	rows := src.rel.TupleRows()
-	kept := make([]relation.Tuple, 0, len(rows))
-	for _, row := range rows {
-		ok, err := expr.EvalBool(pred, rowEnv{src: src, row: row, db: db, outer: outer})
-		if err != nil {
-			return err
-		}
-		if ok {
-			kept = append(kept, row)
-		}
+	x := &stmtCtx{db: db, src: src, outer: outer}
+	kept, _, err := x.filter(conjoin(preds), src.rel.TupleRows(), src.cols != nil)
+	if err != nil {
+		return err
 	}
 	src.rel = &relation.Relation{Name: src.rel.Name, Schema: src.rel.Schema, Rows: kept}
 	src.cols = nil // the vectors no longer align with the filtered rows

@@ -6,10 +6,11 @@ import (
 
 	"sheetmusiq/internal/dataset"
 	"sheetmusiq/internal/relation"
+	"sheetmusiq/internal/value"
 )
 
-// Sequential/parallel equivalence for the SQL executor's compiled fast
-// paths: every query shape must render identically whether the chunked
+// Sequential/parallel equivalence for the SQL executor's chunked row
+// loops: every query shape must render identically whether the chunked
 // stages run in one chunk or in forced-parallel chunks. Run under -race via
 // `make race`, it also proves the chunks share no state.
 
@@ -102,5 +103,59 @@ func TestSQLParallelErrorParity(t *testing.T) {
 	}
 	if seqErr.Error() != parErr.Error() {
 		t.Fatalf("error parity lost:\nsequential: %v\nparallel:   %v", seqErr, parErr)
+	}
+}
+
+// TestSQLChunkBoundaryErrors places the one first-erring row at each chunk
+// boundary of a 4-chunk split (the SHEETMUSIQ_PARALLEL_THRESHOLD=4 setting,
+// forced here) and pins the WHERE, select-item and ORDER BY key error
+// strings, over typed columns (batch programs flag the row) and boxed rows
+// (the interpreter loops) alike. Row bad divides by zero; every later row
+// errs in UPPER, inside a different item, so only a row-major first error
+// reports the division.
+func TestSQLChunkBoundaryErrors(t *testing.T) {
+	oldProcs := runtime.GOMAXPROCS(4)
+	old := relation.ParallelThreshold
+	defer func() {
+		relation.ParallelThreshold = old
+		runtime.GOMAXPROCS(oldProcs)
+	}()
+	const want = "value: division by zero"
+	queries := []string{
+		"SELECT X FROM t WHERE X / D + LENGTH(UPPER(Y)) > 0",
+		"SELECT LENGTH(UPPER(Y)) AS a, X / D AS b FROM t",
+		"SELECT LENGTH(UPPER(Y)) AS a FROM t ORDER BY X / D",
+	}
+	for _, threshold := range []int{4, 1 << 30} {
+		relation.ParallelThreshold = threshold
+		for _, typed := range []bool{true, false} {
+			for _, bad := range []int{0, 3, 4, 7, 8, 11, 12, 15} {
+				rel := relation.New("t", relation.Schema{
+					{Name: "X", Kind: value.KindInt},
+					{Name: "D", Kind: value.KindInt},
+					{Name: "Y", Kind: value.KindInt},
+				})
+				for i := 0; i < 16; i++ {
+					d, y := value.NewInt(1), value.Null
+					if i == bad {
+						d = value.NewInt(0)
+					}
+					if i > bad {
+						y = value.NewInt(7)
+					}
+					rel.MustAppend(value.NewInt(int64(i+1)), d, y)
+				}
+				if typed {
+					rel.Columns()
+				}
+				d := NewDB()
+				d.Register(rel)
+				for _, q := range queries {
+					if _, err := d.Query(q); err == nil || err.Error() != want {
+						t.Errorf("threshold %d, typed %v, bad row %d, %q: err = %v, want %q", threshold, typed, bad, q, err, want)
+					}
+				}
+			}
+		}
 	}
 }

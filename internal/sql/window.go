@@ -72,16 +72,17 @@ func liftWindows(items []SelectItem, orderBy []OrderItem) (wins []*expr.WindowCa
 }
 
 // applyWindows lifts the statement's window calls, computes their vectors
-// over rows, and returns an extended source (original columns plus one
-// __win_N column per call) with the rewritten statement. Output column
-// names keep the original spelling: an unaliased window item is named by
-// its OVER-clause SQL.
-func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) (*source, []relation.Tuple, *SelectStmt, error) {
+// over rows, and replaces the statement's source with an extended one
+// (original columns plus one __win_N column per call), returning its rows
+// with the rewritten statement. Output column names keep the original
+// spelling: an unaliased window item is named by its OVER-clause SQL.
+func (x *stmtCtx) applyWindows(stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) ([]relation.Tuple, *SelectStmt, error) {
+	src := x.src
 	// Expand * against the pre-window schema first so the placeholder
 	// columns never leak into a star expansion.
 	items, err := expandStars(src, stmt.Items)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	// Preserve the user-visible names of unaliased items (Name() of the
 	// rewritten placeholder would read "__win_0").
@@ -92,7 +93,7 @@ func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, 
 	}
 	wins, items, orderBy, err := liftWindows(items, stmt.OrderBy)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 
 	resolve := func(name string) (value.Kind, bool) {
@@ -108,11 +109,11 @@ func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, 
 	for wi, w := range wins {
 		kind, err := expr.Check(w, resolve)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
-		vec, err := evalWindow(db, src, w, rows, outer, subs, idx, aligned)
+		vec, err := x.evalWindow(w, rows, idx, aligned)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		vecs[wi] = vec
 		winSchema = append(winSchema, relation.Column{Name: winPlaceholder(wi), Kind: kind})
@@ -133,26 +134,33 @@ func applyWindows(db *DB, src *source, stmt *SelectStmt, rows []relation.Tuple, 
 	nstmt := *stmt
 	nstmt.Items = items
 	nstmt.OrderBy = orderBy
-	return &source{rel: ext}, ext.Rows, &nstmt, nil
+	x.src = &source{rel: ext}
+	return ext.Rows, &nstmt, nil
 }
 
 // evalWindow computes one window call's value per row. Partition keys, order
 // keys and the argument are arbitrary expressions; when the source carries
-// typed columns and each input compiles to a batch program, the inputs fill
-// vectorized (counted by expr.batch.window), otherwise row by row.
-func evalWindow(db *DB, src *source, w *expr.WindowCall, rows []relation.Tuple, outer expr.Env, subs map[*expr.Subquery]*subState, idx []int32, aligned bool) ([]value.Value, error) {
+// typed columns and no enclosing scope or subquery is involved, each input
+// fills from a batch program (counted by expr.batch.window), otherwise row
+// by row through the interpreter.
+func (x *stmtCtx) evalWindow(w *expr.WindowCall, rows []relation.Tuple, idx []int32, aligned bool) ([]value.Value, error) {
 	n := len(rows)
 	evalVec := func(e expr.Expr) ([]value.Value, bool, error) {
 		out := make([]value.Value, n)
-		if aligned && n > 0 {
-			if bp, cerr := expr.CompileBatch(e, src.batchResolve); cerr == nil {
-				if bp.EvalPos(idx, 0, n, value.KindNull, out) {
-					return out, true, nil
+		sc := x.bind(0, e)
+		env := sc.env(nil)
+		if aligned && sc.parallel && n > 0 {
+			if bp, cerr := expr.CompileBatch(e, x.src.batchResolve); cerr == nil {
+				if bad := bp.EvalPos(idx, 0, n, value.KindNull, out); bad >= 0 {
+					env.row = rows[bad]
+					return nil, false, bp.RowError(env, false)
 				}
+				return out, true, nil
 			}
 		}
 		for i, row := range rows {
-			v, err := expr.Eval(e, rowEnv{src: src, row: row, db: db, outer: outer, subs: subs})
+			env.row = row
+			v, err := expr.Eval(e, env)
 			if err != nil {
 				return nil, false, err
 			}

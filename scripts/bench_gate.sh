@@ -14,8 +14,9 @@
 # generation happens once per test binary, so the repeats only add the
 # query's own runtime.
 #
-# Environment overrides:
-#   BENCH_GATE_PATTERN      -bench regex selecting the tracked workloads
+# Environment:
+#   BENCH_GATE_PATTERN      -bench regex selecting the tracked workloads;
+#                           required, `make bench-gate` passes the Makefile's
 #   BENCH_GATE_BASELINE     baseline history file (default BENCH_eval.json)
 #   BENCH_GATE_THRESHOLD    minimum accepted time ratio (default 0.9)
 #   BENCH_GATE_ALLOC_LIMIT  maximum accepted allocs ratio (default 1.25)
@@ -23,7 +24,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-PATTERN="${BENCH_GATE_PATTERN:-^(BenchmarkSelection100k|BenchmarkFormulaEvaluate100k|BenchmarkAggregate100k|BenchmarkGroupAggregate100k|BenchmarkSort100k|BenchmarkHashJoin1kx1k|BenchmarkWindowRank100k|BenchmarkMovingSum100k|BenchmarkInvalidationPrecision100k|BenchmarkTPCHQ1SF1)$}"
+PATTERN="${BENCH_GATE_PATTERN:?BENCH_GATE_PATTERN is unset; run make bench-gate}"
 BASELINE="${BENCH_GATE_BASELINE:-BENCH_eval.json}"
 THRESHOLD="${BENCH_GATE_THRESHOLD:-0.9}"
 ALLOC_LIMIT="${BENCH_GATE_ALLOC_LIMIT:-1.25}"
