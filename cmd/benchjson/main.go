@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"os"
 	"regexp"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -110,10 +111,12 @@ func parse(lines *bufio.Scanner) (snapshot, error) {
 }
 
 // gate compares a fresh run against the recorded baseline: every benchmark
-// present in both must keep baseline-ns/current-ns at or above threshold,
-// and its allocs/op must not grow past allocLimit times the baseline (boxing
+// on stdin must keep baseline-ns/current-ns at or above threshold, and its
+// allocs/op must not grow past allocLimit times the baseline (boxing
 // creeping back shows up in allocation counts before it shows up in time).
-// Either violation fails the gate.
+// Either violation fails the gate, and so does a benchmark with no baseline
+// entry: the run on stdin is the gated set, so a missing entry means the
+// benchmark is not gated at all.
 func gate(current snapshot, baselineFile string, threshold, allocLimit float64) error {
 	data, err := os.ReadFile(baselineFile)
 	if err != nil {
@@ -127,9 +130,12 @@ func gate(current snapshot, baselineFile string, threshold, allocLimit float64) 
 		return fmt.Errorf("benchjson: %s has no recorded run to gate against", baselineFile)
 	}
 	checked, failed := 0, 0
+	var missing []string
 	for name, cm := range current {
 		bm, ok := h.After[name]
 		if !ok {
+			fmt.Printf("%-44s NO BASELINE in %s\n", name, baselineFile)
+			missing = append(missing, name)
 			continue
 		}
 		base, cur := bm["ns_per_op"], cm["ns_per_op"]
@@ -153,6 +159,10 @@ func gate(current snapshot, baselineFile string, threshold, allocLimit float64) 
 		}
 		fmt.Printf("%-44s baseline %12.0f ns/op  now %12.0f ns/op  ratio %.2fx  %s%s\n",
 			name, base, cur, ratio, status, note)
+	}
+	if len(missing) > 0 {
+		sort.Strings(missing)
+		return fmt.Errorf("benchjson: %s has no baseline for gated %s", baselineFile, strings.Join(missing, ", "))
 	}
 	if checked == 0 {
 		return fmt.Errorf("benchjson: no benchmark on stdin matches the baseline in %s", baselineFile)

@@ -6,16 +6,14 @@ import (
 	"testing"
 
 	"sheetmusiq/internal/dataset"
-	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
 )
 
-// TestSiblingPredicatesStayCached pins the tentpole acceptance criterion:
-// on a warm 100k-row sheet with four same-depth predicates, editing one
-// predicate recomputes only its own σ part, the depth's ∧ conjunction and
-// the downstream ordering — the three sibling predicates are served from
-// cache, where rank-table invalidation would have recomputed the whole
-// depth-0 suffix.
+// TestSiblingPredicatesStayCached pins DAG-keyed fingerprints: on a warm
+// 100k-row sheet with four same-depth predicates, editing one predicate
+// recomputes only its own σ part, the depth's ∧ conjunction and the
+// downstream ordering — the three sibling predicates keep their
+// fingerprints and are served from cache.
 func TestSiblingPredicatesStayCached(t *testing.T) {
 	s := New(dataset.RandomCars(100_000, 42))
 	ids := make([]int, 0, 4)
@@ -50,22 +48,10 @@ func TestSiblingPredicatesStayCached(t *testing.T) {
 		t.Fatalf("combine stage ID = %q, want and:d0", got)
 	}
 
-	exact0 := obs.Default.CounterValue("core.eval.invalidate.exact")
-	saved0 := obs.Default.CounterValue("core.eval.invalidate.coarse_saved")
 	if err := s.ReplaceSelection(ids[1], "Price < 25000"); err != nil {
 		t.Fatal(err)
 	}
-	// Exactly the edited part, the ∧ and the λ carry the sel:2 atom; the
-	// rank table would additionally have staled the three sibling parts.
-	if d := obs.Default.CounterValue("core.eval.invalidate.exact") - exact0; d != 3 {
-		t.Fatalf("invalidate.exact advanced by %d, want 3", d)
-	}
-	if d := obs.Default.CounterValue("core.eval.invalidate.coarse_saved") - saved0; d != 3 {
-		t.Fatalf("invalidate.coarse_saved advanced by %d, want 3 (the sibling σ parts)", d)
-	}
-
 	hits0, rec0 := stageCounters()
-	coarse0 := obs.Default.CounterValue("core.eval.stage_recomputes_coarse")
 	got, err := s.Evaluate()
 	if err != nil {
 		t.Fatal(err)
@@ -76,9 +62,6 @@ func TestSiblingPredicatesStayCached(t *testing.T) {
 	}
 	if d := hits - hits0; d != 4 {
 		t.Fatalf("served %d stages from cache, want 4 (base and the three sibling σ)", d)
-	}
-	if d := obs.Default.CounterValue("core.eval.stage_recomputes_coarse") - coarse0; d != 5 {
-		t.Fatalf("rank-table simulation recomputed %d stages, want 5 (suffix from the edited σ)", d)
 	}
 
 	// The plan agrees: every sibling σ reports a cache hit.
@@ -146,7 +129,7 @@ func TestDepsGraphWellFormed(t *testing.T) {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		s := New(dataset.RandomCars(200, 7+seed))
 		for step := 0; step < 40; step++ {
-			op := randomOp(s, rng)
+			op, _ := randomOp(s, rng)
 			deps, err := s.Deps()
 			if err != nil {
 				// A cyclic or invalid state has no pipeline; the next op

@@ -6,8 +6,8 @@ import (
 )
 
 // The dependency surface: Deps() exposes the evaluation pipeline's exact
-// stage/column dependency graph — the same nodes, IDs and edges the
-// invalidation machinery keys on (plan.go) — as a product API. The engine
+// stage/column dependency graph — the same nodes, IDs and edges the stage
+// fingerprints key on (plan.go) — as a product API. The engine
 // turns it into dependents/dependencies/impact/path queries, the server
 // serves it at /v1/sessions/{id}/deps, and the REPL renders it for the
 // `deps` and `impact` commands.

@@ -16,14 +16,17 @@ import (
 // ordering), so evalReplayOps/evalCount is the mean replay length.
 // evalMergeFallback counts aggregate passes forced sequential because
 // chunked merging would not be bit-identical (relation.MergeExact) — the
-// determinism contract of the parallel pipeline. The stage-cache series
-// (stage_hits, stage_recomputes, snapshot_bytes) live in snapcache.go.
+// determinism contract of the parallel pipeline. evalPlanSec times
+// buildPipeline: stratification, fingerprints and graph edges (expressions
+// compile inside the stage bodies, and only on recompute). The stage-cache
+// series (stage_hits, stage_recomputes, snapshot_bytes) live in
+// snapcache.go.
 var (
 	evalCount         = obs.Default.Counter("core.eval.count")
 	evalCacheHits     = obs.Default.Counter("core.eval.cache_hits")
 	evalReplayOps     = obs.Default.Counter("core.eval.replay_ops")
 	evalMergeFallback = obs.Default.Counter("core.eval.merge_fallback")
-	evalCompileSec    = obs.Default.Histogram("core.eval.compile_seconds")
+	evalPlanSec       = obs.Default.Histogram("core.eval.plan_seconds")
 	evalSec           = obs.Default.Histogram("core.eval.seconds")
 )
 
@@ -120,9 +123,9 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 
 	s.checkBaseGeneration()
 
-	compileStart := obs.StartTimer()
+	planStart := obs.StartTimer()
 	ev, stages, err := s.buildPipeline()
-	evalCompileSec.Since(compileStart)
+	evalPlanSec.Since(planStart)
 	if err != nil {
 		s.lastPlan = nil
 		return nil, err
@@ -137,12 +140,9 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 	// are DAG-keyed (plan.go), so a hit at stage i is independent of
 	// whether earlier stages hit: editing one σ part leaves its siblings'
 	// fingerprints — and artifacts — intact, and only the stages whose
-	// dependency cone contains the edit recompute. firstMiss tracks what
-	// the pre-graph linear chaining would have recomputed (everything from
-	// the first changed stage onward) for the coarse-precision metric.
+	// dependency cone contains the edit recompute.
 	cache := s.snaps()
 	var cur *stageSnap
-	firstMiss := len(stages)
 	for i := range stages {
 		if art := cache.get(stages[i].fp); art != nil {
 			plan[i].Cached = true
@@ -151,28 +151,21 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 			plan[i].Rows = stageRows(cur, art)
 			continue
 		}
-		if i < firstMiss {
-			firstMiss = i
-		}
 		stageStart := time.Now()
 		art, err := stages[i].run(ev, cur)
 		if err != nil {
-			// Linear chaining would have re-run stages firstMiss..i before
-			// aborting at the same error.
-			evalStageRecomputesCoarse.Add(int64(i - firstMiss + 1))
 			s.lastPlan = &EvalPlan{Version: s.version, Stages: plan, Error: err.Error()}
 			return nil, err
 		}
 		evalStageRecomputes.Inc()
 		if art != nil { // σ parts report nil on a swallowed predicate error
 			art.fp = stages[i].fp
-			cache.put(art, stages[i].rank, stages[i].atoms)
+			cache.put(art)
 			cur = stages[i].apply(cur, art)
 			plan[i].Rows = stageRows(cur, art)
 		}
 		plan[i].Duration = time.Since(stageStart)
 	}
-	evalStageRecomputesCoarse.Add(int64(len(stages) - firstMiss))
 	s.lastPlan = &EvalPlan{Version: s.version, Stages: plan}
 
 	// Final assembly from the last snapshot: project the visible schema

@@ -36,14 +36,10 @@ func (s *Spreadsheet) ReplaceSelection(id int, predicate string) error {
 	}
 	for i, sel := range s.state.selections {
 		if sel.ID == id {
-			// The earlier of the old and new predicate's σ stages is the
-			// first whose fingerprint changes.
-			rank := min(s.selRank(sel.Pred), s.selRank(e))
 			before := s.begin()
 			old := s.state.selections[i].Pred.SQL()
 			s.state.selections[i].Pred = e
 			s.commit(before, fmt.Sprintf("modify σ#%d %s → %s", id, old, e.SQL()))
-			s.invalidateAtoms(rank, fmt.Sprintf("sel:%d", id))
 			return nil
 		}
 	}
@@ -54,11 +50,9 @@ func (s *Spreadsheet) ReplaceSelection(id int, predicate string) error {
 func (s *Spreadsheet) RemoveSelection(id int) error {
 	for i, sel := range s.state.selections {
 		if sel.ID == id {
-			rank := s.selRank(sel.Pred)
 			before := s.begin()
 			s.state.selections = append(s.state.selections[:i:i], s.state.selections[i+1:]...)
 			s.commit(before, fmt.Sprintf("remove σ#%d %s", id, sel.Pred.SQL()))
-			s.invalidateAtoms(rank, fmt.Sprintf("sel:%d", id))
 			return nil
 		}
 	}
@@ -118,13 +112,9 @@ func (s *Spreadsheet) RemoveComputed(name string) error {
 	if deps := s.dependents(name); len(deps) > 0 {
 		return fmt.Errorf("core: cannot remove %q: depended on by %s", name, strings.Join(deps, "; "))
 	}
-	// Resolve the column's stage rank while its definition is still in the
-	// state (the depth computation needs it).
-	rank := s.computedRank(s.state.computed[idx])
 	before := s.begin()
 	s.state.computed = append(s.state.computed[:idx:idx], s.state.computed[idx+1:]...)
 	s.commit(before, "remove column "+name)
-	s.invalidateAtoms(rank, "col:"+strings.ToLower(name))
 	return nil
 }
 
@@ -144,7 +134,6 @@ func (s *Spreadsheet) Ungroup() error {
 	before := s.begin()
 	s.state.grouping = s.state.grouping[:len(s.state.grouping)-1]
 	s.commit(before, fmt.Sprintf("ungroup level %d", level))
-	s.invalidateAtoms(rankAgg(1), "order")
 	return nil
 }
 
@@ -163,7 +152,6 @@ func (s *Spreadsheet) ClearGrouping() error {
 	before := s.begin()
 	s.state.grouping = nil
 	s.commit(before, "clear grouping")
-	s.invalidateAtoms(rankAgg(1), "order")
 	return nil
 }
 
@@ -174,7 +162,6 @@ func (s *Spreadsheet) RemoveOrdering(column string) error {
 			before := s.begin()
 			s.state.finest = append(s.state.finest[:i:i], s.state.finest[i+1:]...)
 			s.commit(before, "remove ordering "+column)
-			s.invalidateAtoms(rankOrder, "order")
 			return nil
 		}
 	}
@@ -189,6 +176,5 @@ func (s *Spreadsheet) RemoveDistinct() error {
 	before := s.begin()
 	s.state.distinctOn = nil
 	s.commit(before, "remove distinct")
-	s.invalidateAtoms(rankDistinct(), "distinct")
 	return nil
 }

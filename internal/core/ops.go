@@ -37,8 +37,7 @@ func (s *Spreadsheet) SelectExpr(e expr.Expr) (int, error) {
 	if expr.ContainsWindow(e) {
 		return 0, fmt.Errorf("core: window functions are created with Window, not inline in predicates")
 	}
-	d, err := s.exprDepth(e)
-	if err != nil {
+	if _, err := s.exprDepth(e); err != nil {
 		return 0, err
 	}
 	before := s.begin()
@@ -46,7 +45,6 @@ func (s *Spreadsheet) SelectExpr(e expr.Expr) (int, error) {
 	id := s.state.nextSelID
 	s.state.selections = append(s.state.selections, Selection{ID: id, Pred: e})
 	s.commit(before, "σ "+e.SQL())
-	s.invalidateAtoms(rankSelect(d), fmt.Sprintf("selset:%d", d))
 	return id, nil
 }
 
@@ -91,10 +89,6 @@ func (s *Spreadsheet) GroupBy(dir Dir, attrs ...string) error {
 	}
 	s.state.finest = kept
 	s.commit(before, fmt.Sprintf("τ {%s} %s", strings.Join(attrs, ","), dir))
-	// A new finest level reshapes the presentation order; existing
-	// aggregates keep their cumulative bases (the new level is below every
-	// basis already in use), so only order-dependent artifacts go stale.
-	s.invalidateAtoms(rankAgg(1), "order")
 	return nil
 }
 
@@ -134,7 +128,6 @@ func (s *Spreadsheet) OrderBy(attr string, dir Dir, level int) error {
 			s.state.finest = append(s.state.finest, SortKey{Column: attr, Dir: dir})
 		}
 		s.commit(before, fmt.Sprintf("λ %s %s level %d", attr, dir, level))
-		s.invalidateAtoms(rankOrder, "order")
 		return nil
 	}
 	// Intermediate level: the children's relative basis dictates the
@@ -151,7 +144,6 @@ func (s *Spreadsheet) OrderBy(attr string, dir Dir, level int) error {
 		before := s.begin()
 		s.state.grouping[level-1].Dir = dir
 		s.commit(before, fmt.Sprintf("λ %s %s level %d", attr, dir, level))
-		s.invalidateAtoms(rankOrder, "order")
 		return nil
 	}
 	// Case 1: destroy grouping below level l.
@@ -165,9 +157,6 @@ func (s *Spreadsheet) OrderBy(attr string, dir Dir, level int) error {
 	s.state.grouping = s.state.grouping[:level-1]
 	s.state.finest = []SortKey{{Column: attr, Dir: dir}}
 	s.commit(before, fmt.Sprintf("λ %s %s level %d (grouping below destroyed)", attr, dir, level))
-	// Destroying levels is refused while deeper aggregates exist, so the
-	// surviving aggregates' bases are intact — only the order changes.
-	s.invalidateAtoms(rankAgg(1), "order")
 	return nil
 }
 
@@ -257,7 +246,6 @@ func (s *Spreadsheet) AggregateAs(name string, fn relation.AggFunc, col string, 
 		ResultKind: fn.ResultKind(inKind),
 	})
 	s.commit(before, fmt.Sprintf("η %s(%s) level %d → %s", fn, col, level, name))
-	s.invalidateAtoms(s.computedRank(s.state.computed[len(s.state.computed)-1]), "col:"+strings.ToLower(name))
 	return name, nil
 }
 
@@ -302,7 +290,6 @@ func (s *Spreadsheet) FormulaExpr(name string, e expr.Expr) (string, error) {
 		return "", err
 	}
 	s.commit(before, "θ "+name+" = "+e.SQL())
-	s.invalidateAtoms(s.computedRank(s.state.computed[len(s.state.computed)-1]), "col:"+strings.ToLower(name))
 	return name, nil
 }
 
@@ -475,7 +462,6 @@ func (s *Spreadsheet) windowAs(name string, def *WindowDef) (string, error) {
 		return "", err
 	}
 	s.commit(before, "ω "+name+" = "+def.SQL())
-	s.invalidateAtoms(s.computedRank(s.state.computed[len(s.state.computed)-1]), "col:"+strings.ToLower(name))
 	return name, nil
 }
 
@@ -493,7 +479,6 @@ func (s *Spreadsheet) Distinct() error {
 	before := s.begin()
 	s.state.distinctOn = cols
 	s.commit(before, "δ distinct on ("+strings.Join(cols, ",")+")")
-	s.invalidateAtoms(rankDistinct(), "distinct")
 	return nil
 }
 
@@ -584,9 +569,6 @@ func (s *Spreadsheet) Rename(old, new string) error {
 		}
 	}
 	s.commit(before, fmt.Sprintf("rename %s → %s", old, new))
-	// Renames rewrite definitions wholesale (and may replace the base
-	// relation); every stage fingerprint downstream of the base changes.
-	s.invalidateAtoms(rankBase(), "base")
 	return nil
 }
 

@@ -33,7 +33,6 @@ func (s *Spreadsheet) OrderGroupsBy(level int, column string, dir Dir) error {
 		g.By = ""
 		g.Dir = dir
 		s.commit(before, fmt.Sprintf("λ* level %d restored to basis order %s", level, dir))
-		s.invalidateAtoms(rankOrder, "order")
 		return nil
 	}
 	if !s.hasColumn(column) {
@@ -46,7 +45,6 @@ func (s *Spreadsheet) OrderGroupsBy(level int, column string, dir Dir) error {
 	g.By = column
 	g.Dir = dir
 	s.commit(before, fmt.Sprintf("λ* groups at level %d by %s %s", level, column, dir))
-	s.invalidateAtoms(rankOrder, "order")
 	return nil
 }
 

@@ -25,7 +25,10 @@ import (
 // column stage not referencing it, with intact fingerprints and live cache
 // entries. This is Theorem 2's commutativity made operational — operators
 // that commute share no dependency edge, so neither's artifact keys on the
-// other.
+// other. It is also the whole invalidation model (Theorem 3: editing a
+// stored operator is rewriting the history): mutators only edit the query
+// state, and a stage whose fingerprint did not change reuses its artifact
+// from the plain LRU in snapcache.go.
 //
 // Column fingerprints (colFPs) deliberately exclude the column's *name*:
 // they key the definition's content, so two identically defined columns
@@ -38,7 +41,7 @@ import (
 // "order". Graph-only leaves use "basecol:<name>". Plan() reports the same
 // IDs, so /plan and /deps cross-reference.
 //
-// Selections at one depth split into independent parts: with k ≥ 2
+// Selections at one depth split into independent parts: with k ≥ 1
 // predicates at depth d, each σ filters the depth's entry multiset on its
 // own (its artifact is reusable no matter what its siblings do) and one ∧
 // stage intersects the survivor sets in entry order — bit-identical to
@@ -47,8 +50,7 @@ import (
 // the depth's predicates chained sequentially, reproducing the exact
 // first-error-or-success of the pre-split pipeline (a row that errors under
 // an independent part may be filtered away by an earlier sibling in the
-// chained order). Depths with a single predicate emit a plain σ stage and
-// no ∧.
+// chained order). A one-part ∧ passes its part's index vector through.
 
 // stageKind classifies pipeline nodes.
 type stageKind uint8
@@ -93,8 +95,6 @@ type stageNode struct {
 	id    string   // stable node ID, shared by Plan() and Deps()
 	name  string   // display name, paper glyphs: "η AvgP d1", "σ Year >= 2003"
 	fp    uint64   // DAG-keyed content fingerprint
-	rank  int      // legacy coarse rank (for the coarse_saved metric only)
-	atoms []string // dependency-atom closure (invalidation alphabet)
 	deps  []string // direct dependency node IDs (graph edges point here → id)
 	run   func(ev *evalCtx, cur *stageSnap) (*stageArtifact, error)
 	apply func(cur *stageSnap, art *stageArtifact) *stageSnap
@@ -154,28 +154,6 @@ func fpDir(h uint64, desc bool) uint64 {
 		return fpU(h, 2)
 	}
 	return fpU(h, 1)
-}
-
-// atomUnion merges atom sets, deduplicating while preserving first-seen
-// order. It always returns a fresh slice so callers can keep extending
-// their running sets without aliasing a stage's stored atoms.
-func atomUnion(sets ...[]string) []string {
-	var out []string
-	for _, set := range sets {
-		for _, a := range set {
-			found := false
-			for _, b := range out {
-				if a == b {
-					found = true
-					break
-				}
-			}
-			if !found {
-				out = append(out, a)
-			}
-		}
-	}
-	return out
 }
 
 // selBlock is the per-evaluation scratch tying a depth's σ parts to their ∧
@@ -260,7 +238,8 @@ func applySelPart(blk *selBlock, i int) func(*stageSnap, *stageArtifact) *stageS
 // runSelCombine intersects the block's part artifacts in entry order. Every
 // part index vector is a subsequence of the depth's entry vector, so
 // iterating the smallest part and keeping rows present in all others yields
-// exactly the chained-filter result. A missing part (errored predicate)
+// exactly the chained-filter result; a lone part's vector is the result
+// itself, shared rather than copied. A missing part (errored predicate)
 // routes through the sequential chained replay instead.
 func runSelCombine(blk *selBlock) func(*evalCtx, *stageSnap) (*stageArtifact, error) {
 	return func(ev *evalCtx, cur *stageSnap) (*stageArtifact, error) {
@@ -268,6 +247,9 @@ func runSelCombine(blk *selBlock) func(*evalCtx, *stageSnap) (*stageArtifact, er
 			if a == nil {
 				return runSelChained(ev, cur, blk.sels)
 			}
+		}
+		if len(blk.arts) == 1 {
+			return &stageArtifact{idx: blk.arts[0].idx}, nil
 		}
 		idx := intersectParts(blk.arts, ev.s.base.Len())
 		return &stageArtifact{idx: idx, ownBytes: int64(4 * len(idx))}, nil
@@ -323,8 +305,8 @@ func intersectParts(parts []*stageArtifact, nBase int) []int32 {
 // the evaluation context the stage bodies run against. It performs the
 // same stratification and validation the monolithic replay did (computed
 // columns and predicates keyed by aggregate depth; cycle and unknown-column
-// errors surface here), and assembles per-stage fingerprints, dependency
-// atoms and graph edges as described at the top of this file.
+// errors surface here), and assembles per-stage fingerprints and graph
+// edges as described at the top of this file.
 func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	// Working schema: every base column (hidden ones still participate in
 	// predicates) followed by the computed columns, as before.
@@ -373,11 +355,10 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	// backing data, so artifacts can never be reused across bases.
 	baseFP := fpU(fpU(fpS(0, "base"), s.baseGen), uint64(s.base.Len()))
 
-	// Per-column content fingerprints, dependency-atom closures and graph
-	// node IDs, built incrementally in emission order (a stage can only
-	// reference columns already emitted, or base columns).
+	// Per-column content fingerprints and graph node IDs, built
+	// incrementally in emission order (a stage can only reference columns
+	// already emitted, or base columns).
 	colFPs := make(map[string]uint64, ev.width)
-	colAtoms := map[string][]string{}
 	colNode := map[string]string{}
 	for _, col := range s.base.Schema {
 		colFPs[strings.ToLower(col.Name)] = fpS(fpS(baseFP, "basecol"), col.Name)
@@ -389,15 +370,6 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 		// Unknown references error at stage runtime; the fingerprint just
 		// needs to be deterministic for the dangling name.
 		return fpS(fpS(baseFP, "basecol"), name)
-	}
-	refAtoms := func(refs []string) [][]string {
-		out := make([][]string, 0, len(refs))
-		for _, r := range refs {
-			if a := colAtoms[strings.ToLower(r)]; a != nil {
-				out = append(out, a)
-			}
-		}
-		return out
 	}
 	refNode := func(name string) string {
 		lk := strings.ToLower(name)
@@ -432,20 +404,18 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 		return fp
 	}
 
-	// rowFP / rowAtoms / rowID track the row-stage spine: only stages that
-	// change the surviving multiset (base, σ/∧, δ, λ) advance them. Column
-	// stages hang off the spine at their depth's entry.
+	// rowFP / rowID track the row-stage spine: only stages that change the
+	// surviving multiset (base, ∧, δ, λ) advance them. Column stages and σ
+	// parts hang off the spine at their depth's entry.
 	rowFP := baseFP
-	rowAtoms := []string{"base"}
 	rowID := "base"
 	stages := []stageNode{{
 		kind: stageBase, id: "base", name: "base", fp: baseFP,
-		rank: rankBase(), atoms: rowAtoms,
 		run: rowArtifact(runBase), apply: applyRow,
 	}}
 
 	for d := 0; d <= maxD; d++ {
-		entryFP, entryAtoms, entryID := rowFP, rowAtoms, rowID
+		entryFP, entryID := rowFP, rowID
 		// Aggregate columns of depth d see rows surviving selections < d.
 		for ci, c := range s.state.computed {
 			if c.Kind != KindAggregate || colDepths[ci] != d {
@@ -467,14 +437,12 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			}
 			lk := strings.ToLower(c.Name)
 			id := "col:" + lk
-			atoms := atomUnion(append([][]string{entryAtoms}, append(refAtoms(refs), []string{"col:" + lk})...)...)
-			colFPs[lk], colAtoms[lk], colNode[lk] = fp, atoms, id
+			colFPs[lk], colNode[lk] = fp, id
 			stages = append(stages, stageNode{
-				kind: stageAgg, id: id,
-				name: fmt.Sprintf("η %s d%d", c.Name, d),
-				fp:   fp, rank: rankAgg(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runAggStage(c, colPos[ci])),
+				kind: stageAgg, id: id, fp: fp,
+				name:  fmt.Sprintf("η %s d%d", c.Name, d),
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runAggStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
@@ -511,14 +479,12 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			refs := w.columns()
 			lk := strings.ToLower(c.Name)
 			id := "col:" + lk
-			atoms := atomUnion(append([][]string{entryAtoms}, append(refAtoms(refs), []string{"col:" + lk})...)...)
-			colFPs[lk], colAtoms[lk], colNode[lk] = fp, atoms, id
+			colFPs[lk], colNode[lk] = fp, id
 			stages = append(stages, stageNode{
-				kind: stageWindow, id: id,
-				name: fmt.Sprintf("ω %s d%d", c.Name, d),
-				fp:   fp, rank: rankWindow(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runWindowStage(c, colPos[ci])),
+				kind: stageWindow, id: id, fp: fp,
+				name:  fmt.Sprintf("ω %s d%d", c.Name, d),
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runWindowStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
@@ -537,83 +503,51 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			}
 			lk := strings.ToLower(c.Name)
 			id := "col:" + lk
-			atoms := atomUnion(append([][]string{entryAtoms}, append(refAtoms(refs), []string{"col:" + lk})...)...)
-			colFPs[lk], colAtoms[lk], colNode[lk] = fp, atoms, id
+			colFPs[lk], colNode[lk] = fp, id
 			stages = append(stages, stageNode{
-				kind: stageFormula, id: id,
-				name: fmt.Sprintf("θ %s d%d", c.Name, d),
-				fp:   fp, rank: rankFormula(d), atoms: atoms,
-				deps: depList(entryID, refs),
-				run:  colArtifact(runFormulaStage(c, colPos[ci])),
+				kind: stageFormula, id: id, fp: fp,
+				name:  fmt.Sprintf("θ %s d%d", c.Name, d),
+				deps:  depList(entryID, refs),
+				run:   colArtifact(runFormulaStage(c, colPos[ci])),
 				apply: applyCol(c.Name),
 			})
 		}
-		// Selections of depth d, in state order. One predicate emits a
-		// plain σ; two or more emit independent parts plus a ∧ stage.
+		// Selections of depth d, in state order: one independent σ part
+		// per predicate plus the depth's ∧ stage.
 		var depthSels []Selection
 		for i, sel := range s.state.selections {
 			if selDepth[i] == d {
 				depthSels = append(depthSels, sel)
 			}
 		}
-		selsetAtom := fmt.Sprintf("selset:%d", d)
-		switch {
-		case len(depthSels) == 1:
-			sel := depthSels[0]
-			refs := expr.Deps(sel.Pred)
-			fp := selFP(entryFP, sel.Pred, refs)
-			selAtom := fmt.Sprintf("sel:%d", sel.ID)
-			atoms := atomUnion(append([][]string{entryAtoms}, append(refAtoms(refs), []string{selAtom})...)...)
-			id := selAtom
-			stages = append(stages, stageNode{
-				kind: stageSelect, id: id,
-				name: fmt.Sprintf("σ %s d%d", sel.Pred.SQL(), d),
-				fp:   fp, rank: rankSelect(d), atoms: atoms,
-				deps:  depList(entryID, refs),
-				run:   rowArtifact(runSelectStage(sel)),
-				apply: applyRow,
-			})
-			rowFP, rowAtoms, rowID = fp, atoms, id
-		case len(depthSels) >= 2:
+		if len(depthSels) > 0 {
 			blk := &selBlock{sels: depthSels, arts: make([]*stageArtifact, len(depthSels))}
 			cfp := fpU(entryFP, uint64(stageCombine))
 			cfp = fpU(cfp, uint64(len(depthSels)))
-			partAtomSets := [][]string{entryAtoms}
 			partIDs := make([]string, len(depthSels))
 			for i, sel := range depthSels {
 				refs := expr.Deps(sel.Pred)
 				fp := selFP(entryFP, sel.Pred, refs)
 				cfp = fpU(cfp, fp)
-				selAtom := fmt.Sprintf("sel:%d", sel.ID)
-				atoms := atomUnion(append([][]string{entryAtoms}, append(refAtoms(refs), []string{selAtom})...)...)
-				partIDs[i] = selAtom
-				partAtomSets = append(partAtomSets, atoms)
+				partIDs[i] = fmt.Sprintf("sel:%d", sel.ID)
 				stages = append(stages, stageNode{
-					kind: stageSelect, id: selAtom,
-					name: fmt.Sprintf("σ %s d%d", sel.Pred.SQL(), d),
-					fp:   fp, rank: rankSelect(d), atoms: atoms,
+					kind: stageSelect, id: partIDs[i], fp: fp,
+					name:  fmt.Sprintf("σ %s d%d", sel.Pred.SQL(), d),
 					deps:  depList(entryID, refs),
 					run:   runSelPart(blk, i),
 					apply: applySelPart(blk, i),
 				})
 			}
 			cid := fmt.Sprintf("and:d%d", d)
-			catoms := atomUnion(append(partAtomSets, []string{selsetAtom})...)
 			stages = append(stages, stageNode{
-				kind: stageCombine, id: cid,
-				name: fmt.Sprintf("∧ %dσ d%d", len(depthSels), d),
-				fp:   cfp, rank: rankSelect(d), atoms: catoms,
+				kind: stageCombine, id: cid, fp: cfp,
+				name:  fmt.Sprintf("∧ %dσ d%d", len(depthSels), d),
 				deps:  partIDs,
 				run:   runSelCombine(blk),
 				apply: applyRow,
 			})
-			rowFP, rowAtoms, rowID = cfp, catoms, cid
+			rowFP, rowID = cfp, cid
 		}
-		// Downstream of this depth's σ block, the row multiset depends on
-		// the depth's predicate *set* — adding the first (or another)
-		// predicate at this depth must stale everything deeper, even though
-		// it leaves the existing parts' own artifacts intact.
-		rowAtoms = atomUnion(rowAtoms, []string{selsetAtom})
 		// Duplicate elimination at the end of stage 0 (DESIGN.md §3.2).
 		if d == 0 {
 			if s.state.distinctOn != nil {
@@ -624,20 +558,14 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 					fp = fpS(fp, col)
 					fp = fpU(fp, refFP(col))
 				}
-				atoms := atomUnion(append([][]string{rowAtoms}, append(refAtoms(cols), []string{"distinct"})...)...)
 				stages = append(stages, stageNode{
-					kind: stageDistinct, id: "distinct", name: "δ",
-					fp: fp, rank: rankDistinct(), atoms: atoms,
+					kind: stageDistinct, id: "distinct", name: "δ", fp: fp,
 					deps:  depList(rowID, cols),
 					run:   rowArtifact(runDistinctStage(cols)),
 					apply: applyRow,
 				})
-				rowFP, rowAtoms, rowID = fp, atoms, "distinct"
+				rowFP, rowID = fp, "distinct"
 			}
-			// Whether or not δ is active, everything downstream of its slot
-			// depends on the DE decision: a first-time Distinct() must stale
-			// the deeper stages it will re-shape.
-			rowAtoms = atomUnion(rowAtoms, []string{"distinct"})
 		}
 	}
 
@@ -654,10 +582,8 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			fp = fpU(fp, refFP(k.Column))
 			refs = append(refs, k.Column)
 		}
-		atoms := atomUnion(append([][]string{rowAtoms}, append(refAtoms(refs), []string{"order"})...)...)
 		stages = append(stages, stageNode{
-			kind: stageOrder, id: "order", name: "λ",
-			fp: fp, rank: rankOrder, atoms: atoms,
+			kind: stageOrder, id: "order", name: "λ", fp: fp,
 			deps:  depList(rowID, refs),
 			run:   rowArtifact(runOrderStage(keys)),
 			apply: applyRow,

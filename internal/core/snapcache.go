@@ -1,30 +1,22 @@
 package core
 
 import (
-	"sheetmusiq/internal/expr"
+	"runtime"
+	"sync/atomic"
+
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
 )
 
 // Stage-artifact cache metrics. stage_hits counts pipeline stages served
 // from a cached artifact; stage_recomputes counts stages actually
-// re-executed; stage_recomputes_coarse counts what the pre-graph rank-table
-// scheme would have re-executed for the same evaluation (the suffix from the
-// first miss — linear fingerprint chaining recomputed everything downstream
-// of the first change), so recomputes ≤ recomputes_coarse is the precision
-// win of graph-exact keying. invalidate.exact counts cache entries
-// stale-marked because a mutation touched one of their dependency atoms;
-// invalidate.coarse_saved counts entries the old rank table would have
-// stale-marked but the dependency graph proved unaffected. snapshot_bytes
-// gauges the resident bytes owned by cached artifacts (each artifact is
-// charged only for the storage it allocated itself).
+// re-executed. snapshot_bytes gauges the resident bytes owned by the cached
+// artifacts of every live sheet (each artifact is charged only for the
+// storage it allocated itself).
 var (
-	evalStageHits             = obs.Default.Counter("core.eval.stage_hits")
-	evalStageRecomputes       = obs.Default.Counter("core.eval.stage_recomputes")
-	evalStageRecomputesCoarse = obs.Default.Counter("core.eval.stage_recomputes_coarse")
-	evalInvalidateExact       = obs.Default.Counter("core.eval.invalidate.exact")
-	evalInvalidateCoarseSaved = obs.Default.Counter("core.eval.invalidate.coarse_saved")
-	evalSnapshotBytes         = obs.Default.Gauge("core.eval.snapshot_bytes")
+	evalStageHits       = obs.Default.Counter("core.eval.stage_hits")
+	evalStageRecomputes = obs.Default.Counter("core.eval.stage_recomputes")
+	evalSnapshotBytes   = obs.Default.Gauge("core.eval.snapshot_bytes")
 )
 
 // stageSnap is the running state of one evaluation: the surviving base-row
@@ -70,57 +62,56 @@ type stageArtifact struct {
 	ownBytes int64
 }
 
-const (
-	// snapCacheCap bounds the per-sheet artifact cache. Eviction prefers
-	// stale entries (see invalidate), then least-recently-used. Residency
-	// is purely an optimisation: fingerprints key every lookup, so a miss
-	// costs recomputation, never correctness.
-	snapCacheCap = 64
-)
+// snapCacheCap bounds the per-sheet artifact cache; past it the least
+// recently used entry goes. Residency is purely an optimisation:
+// fingerprints key every lookup, so a miss costs recomputation, never
+// correctness.
+const snapCacheCap = 64
 
-// Stage ranks order pipeline positions the way the pre-graph invalidation
-// scheme did (DESIGN.md §10.3): within depth d the stages run aggregate →
-// window → formula → selection, duplicate elimination follows the depth-0
-// selections, and the final ordering stage outranks every depth. The graph
-// scheme keeps them only to *measure* its own precision: invalidate takes
-// the rank the old table would have used and counts the entries it spares
-// (invalidate.coarse_saved). Ranks live only in memory, so renumbering
-// between releases is safe.
-const rankOrder = 1 << 20
-
-func rankBase() int         { return 0 }
-func rankAgg(d int) int     { return 6*d + 1 }
-func rankWindow(d int) int  { return 6*d + 2 }
-func rankFormula(d int) int { return 6*d + 3 }
-func rankSelect(d int) int  { return 6*d + 4 }
-func rankDistinct() int     { return 5 }
-
-// snapCache is a per-sheet fingerprint-keyed store of stage artifacts.
+// snapCache is a per-sheet fingerprint-keyed LRU of stage artifacts. A
+// mutation never touches it: an edited stage's fingerprint changes, so its
+// old artifact simply stops being asked for and ages out — or is hit again
+// when a later edit restores the definition (Theorem 3 makes reverting a
+// modification as common as applying one).
 type snapCache struct {
-	entries map[uint64]*snapEntry
-	tick    int64
+	entries  map[uint64]*snapEntry
+	tick     int64
+	resident *residentBytes
 }
 
-// snapEntry carries an artifact plus its invalidation metadata: the
-// dependency atoms of the stage that built it (plan.go — the invalidation
-// alphabet mutators speak) and the legacy rank, kept for the coarse_saved
-// comparison. Atoms are advisory — staleness only biases eviction and the
-// metrics; fingerprints alone guarantee correctness.
 type snapEntry struct {
-	art   *stageArtifact
-	rank  int
-	atoms []string
-	used  int64
-	stale bool
+	art  *stageArtifact
+	used int64
+}
+
+// residentBytes is one cache's share of the snapshot_bytes gauge. Sheets
+// dropped by use/open/load/compile or a session close never clear their
+// caches, so a finalizer hands the share back once the cache is garbage. It
+// sits on this small object rather than on the cache or the sheet because a
+// finalized object, and everything it references, survives one extra GC
+// cycle. The gauge pointer also keeps the object out of the runtime's
+// tiny-object batching, under which a finalizer may never run.
+type residentBytes struct {
+	n     atomic.Int64
+	gauge *obs.Gauge
+}
+
+func newResidentBytes() *residentBytes {
+	b := &residentBytes{gauge: evalSnapshotBytes}
+	runtime.SetFinalizer(b, func(b *residentBytes) { b.gauge.Add(-b.n.Load()) })
+	return b
+}
+
+func (b *residentBytes) add(n int64) {
+	b.n.Add(n)
+	b.gauge.Add(n)
 }
 
 func newSnapCache() *snapCache {
-	return &snapCache{entries: map[uint64]*snapEntry{}}
+	return &snapCache{entries: map[uint64]*snapEntry{}, resident: newResidentBytes()}
 }
 
-// get returns the cached artifact for fp, or nil. A hit revives a stale
-// entry: the fingerprint match proves the mutation that staled it has been
-// reverted (or re-applied), so the artifact is live again.
+// get returns the cached artifact for fp, or nil.
 func (c *snapCache) get(fp uint64) *stageArtifact {
 	e := c.entries[fp]
 	if e == nil {
@@ -128,85 +119,36 @@ func (c *snapCache) get(fp uint64) *stageArtifact {
 	}
 	c.tick++
 	e.used = c.tick
-	e.stale = false
 	return e.art
 }
 
-// put inserts a freshly computed artifact, evicting past the cap. An entry
-// already present refreshes its metadata (the same fingerprint can resurface
-// with a different atom spelling after selection IDs are reassigned).
-func (c *snapCache) put(art *stageArtifact, rank int, atoms []string) {
+// put inserts a freshly computed artifact, evicting the least recently used
+// entries past the cap. An entry already present is only refreshed.
+func (c *snapCache) put(art *stageArtifact) {
+	c.tick++
 	if e := c.entries[art.fp]; e != nil {
-		c.tick++
 		e.used = c.tick
-		e.stale = false
-		e.rank = rank
-		e.atoms = atoms
 		return
 	}
-	c.tick++
-	c.entries[art.fp] = &snapEntry{art: art, rank: rank, atoms: atoms, used: c.tick}
-	evalSnapshotBytes.Add(art.ownBytes)
+	c.entries[art.fp] = &snapEntry{art: art, used: c.tick}
+	c.resident.add(art.ownBytes)
 	for len(c.entries) > snapCacheCap {
-		c.evictOne()
-	}
-}
-
-// evictOne drops the best eviction candidate: stale entries first, then the
-// least recently used.
-func (c *snapCache) evictOne() {
-	var victimFP uint64
-	var victim *snapEntry
-	for fp, e := range c.entries {
-		if victim == nil ||
-			(e.stale && !victim.stale) ||
-			(e.stale == victim.stale && e.used < victim.used) {
-			victimFP, victim = fp, e
-		}
-	}
-	if victim != nil {
-		evalSnapshotBytes.Add(-victim.art.ownBytes)
-		delete(c.entries, victimFP)
-	}
-}
-
-// invalidate marks as stale exactly the entries whose dependency-atom set
-// intersects the mutation's atoms — the graph-reachability contract: a
-// stage's atoms are the transitive closure of everything its artifact was
-// derived from, so an entry holding none of the mutation's atoms provably
-// cannot change and stays live. coarseRank is the rank the pre-graph table
-// would have invalidated from; entries it would have staled but the atoms
-// spare are counted as coarse_saved. Stale entries stay resident
-// (preferentially evicted) and revive on a fingerprint hit — Theorem 3
-// makes reverting a modification as common as applying one.
-func (c *snapCache) invalidate(atoms []string, coarseRank int) {
-	for _, e := range c.entries {
-		if atomsIntersect(e.atoms, atoms) {
-			e.stale = true
-			evalInvalidateExact.Inc()
-		} else if e.rank >= coarseRank {
-			evalInvalidateCoarseSaved.Inc()
-		}
-	}
-}
-
-// atomsIntersect reports whether the two atom sets share an element. Sets
-// are tiny (a handful of strings), so nested scanning beats allocating.
-func atomsIntersect(a, b []string) bool {
-	for _, x := range a {
-		for _, y := range b {
-			if x == y {
-				return true
+		var victimFP uint64
+		var victim *snapEntry
+		for fp, e := range c.entries {
+			if victim == nil || e.used < victim.used {
+				victimFP, victim = fp, e
 			}
 		}
+		c.resident.add(-victim.art.ownBytes)
+		delete(c.entries, victimFP)
 	}
-	return false
 }
 
 // clear drops every artifact (the base relation was replaced).
 func (c *snapCache) clear() {
 	for fp, e := range c.entries {
-		evalSnapshotBytes.Add(-e.art.ownBytes)
+		c.resident.add(-e.art.ownBytes)
 		delete(c.entries, fp)
 	}
 }
@@ -217,43 +159,6 @@ func (s *Spreadsheet) snaps() *snapCache {
 		s.snapCache = newSnapCache()
 	}
 	return s.snapCache
-}
-
-// invalidateAtoms records that a mutation changed the definitions behind the
-// given dependency atoms; coarseRank is what the pre-graph rank table would
-// have invalidated from (see DESIGN.md §15 for the operator → atom table).
-func (s *Spreadsheet) invalidateAtoms(coarseRank int, atoms ...string) {
-	if s.snapCache != nil {
-		s.snapCache.invalidate(atoms, coarseRank)
-	}
-}
-
-// selRank is the coarse invalidation rank of a selection predicate: the σ
-// stage of its evaluation depth. A predicate whose depth cannot be resolved
-// (its columns are gone mid-mutation) conservatively ranks at the base.
-func (s *Spreadsheet) selRank(e expr.Expr) int {
-	d, err := s.exprDepth(e)
-	if err != nil {
-		return rankBase()
-	}
-	return rankSelect(d)
-}
-
-// computedRank is the coarse invalidation rank of a computed column's fill
-// stage. Call it while the column is still present in the state (its depth
-// needs the definition).
-func (s *Spreadsheet) computedRank(c *ComputedColumn) int {
-	d, err := s.aggDepth(c.Name, map[string]bool{})
-	if err != nil {
-		return rankBase()
-	}
-	switch c.Kind {
-	case KindAggregate:
-		return rankAgg(d)
-	case KindWindow:
-		return rankWindow(d)
-	}
-	return rankFormula(d)
 }
 
 // checkBaseGeneration starts a new fingerprint generation when the base

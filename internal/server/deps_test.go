@@ -12,8 +12,8 @@ import (
 // multi-depth sheet (an aggregate over a formula over a formula over a base
 // column, with a depth-1 predicate): the full graph carries the reference
 // chain, a focused query reports the impact closure and the path between
-// two nodes, and a subsequent modification advances the exact-invalidation
-// counter visible at /v1/metrics.
+// two nodes, and a subsequent modification recomputes the edited predicate
+// while /plan shows the formula it does not depend on served from cache.
 func TestServerDepsEndpoint(t *testing.T) {
 	_, c := newTestServer(t, Config{})
 	id := c.create("")
@@ -84,22 +84,22 @@ func TestServerDepsEndpoint(t *testing.T) {
 		}
 	}
 
-	// Modifying the predicate stales only its dependency cone; the graph
-	// invalidation counter at /v1/metrics must advance.
-	type metrics struct {
-		Counters map[string]int64 `json:"counters"`
-	}
-	var m0 metrics
-	if code := c.do("GET", "/v1/metrics", nil, &m0); code != http.StatusOK {
-		t.Fatalf("metrics: status %d", code)
-	}
+	// Modifying the predicate changes only its dependency cone: the next
+	// plan recomputes sel:1 and serves col:f1 from cache.
 	c.op(id, engine.Op{Op: "modify", ID: 1, Predicate: "A > 1"})
-	var m1 metrics
-	if code := c.do("GET", "/v1/metrics", nil, &m1); code != http.StatusOK {
-		t.Fatalf("metrics: status %d", code)
+	var plan engine.PlanInfo
+	if code := c.do("GET", "/v1/sessions/"+id+"/plan", nil, &plan); code != http.StatusOK {
+		t.Fatalf("plan: status %d", code)
 	}
-	if d := m1.Counters["core.eval.invalidate.exact"] - m0.Counters["core.eval.invalidate.exact"]; d <= 0 {
-		t.Fatalf("core.eval.invalidate.exact advanced by %d after modify, want > 0", d)
+	cached := map[string]bool{}
+	for _, st := range plan.Stages {
+		cached[st.ID] = st.Cached
+	}
+	if got, ok := cached["sel:1"]; !ok || got {
+		t.Fatalf("after modify, sel:1 must be recomputed: %+v", plan.Stages)
+	}
+	if got, ok := cached["col:f1"]; !ok || !got {
+		t.Fatalf("after modify, col:f1 must be served from cache: %+v", plan.Stages)
 	}
 
 	// Unknown node is a client error; a session without a sheet gets the

@@ -501,20 +501,20 @@ func TestServerPlanEndpoint(t *testing.T) {
 	if code := c.do("GET", "/v1/sessions/"+id+"/plan", nil, &cold); code != http.StatusOK {
 		t.Fatalf("plan: status %d", code)
 	}
-	if cold.Sheet != "cars" || len(cold.Stages) != 3 {
+	if cold.Sheet != "cars" || len(cold.Stages) != 4 {
 		t.Fatalf("cold plan: %+v", cold)
 	}
 	if cold.Stages[0].Name != "base" || cold.Stages[0].Cached {
 		t.Fatalf("cold base stage: %+v", cold.Stages[0])
 	}
 
-	// Flip the sort: base and σ must be served from cache, λ recomputed.
+	// Flip the sort: base, σ and ∧ must be served from cache, λ recomputed.
 	c.op(id, engine.Op{Op: "sort", Column: "Price", Dir: "desc"})
 	var warm engine.PlanInfo
 	if code := c.do("GET", "/v1/sessions/"+id+"/plan", nil, &warm); code != http.StatusOK {
 		t.Fatalf("warm plan: status %d", code)
 	}
-	if len(warm.Stages) != 3 || !warm.Stages[0].Cached || !warm.Stages[1].Cached || warm.Stages[2].Cached {
+	if len(warm.Stages) != 4 || !warm.Stages[0].Cached || !warm.Stages[1].Cached || !warm.Stages[2].Cached || warm.Stages[3].Cached {
 		t.Fatalf("warm plan after sort flip: %+v", warm.Stages)
 	}
 	if warm.Stages[0].Fingerprint != cold.Stages[0].Fingerprint {
