@@ -28,9 +28,14 @@ race:
 vet:
 	$(GO) vet ./...
 
-# lint prefers staticcheck when it is on PATH and falls back to go vet, so
-# `make test` needs no network access or extra tooling to run.
+# lint fails when gofmt would rewrite any file, then prefers staticcheck
+# when it is on PATH and falls back to go vet, so `make test` needs no
+# network access or extra tooling to run.
 lint:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need formatting:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \
 	else \

@@ -17,6 +17,7 @@ import (
 
 	"sheetmusiq/internal/core"
 	"sheetmusiq/internal/dataset"
+	"sheetmusiq/internal/engine"
 	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/server"
 	"sheetmusiq/internal/sql"
@@ -497,6 +498,61 @@ func BenchmarkInvalidationPrecision100k(b *testing.B) {
 			b.Fatal(err)
 		}
 		evaluate(b, s)
+	}
+}
+
+// BenchmarkEditRender100k prices the paper's edit→render loop below the
+// HTTP layer: a warm 100k-row sheet at the Tables I–V walkthrough state,
+// where each iteration applies one edit whose stages are all cache hits —
+// add a σ or undo it, hide a column or undo it, in turn — then renders what
+// the render endpoint returns: the first 50-row page of the grid and the
+// group tree. One warm-up pass over the edit cycle leaves every state's
+// stage artifacts cached, so the loop measures planning, cache probes,
+// final assembly and rendering.
+func BenchmarkEditRender100k(b *testing.B) {
+	cars := dataset.RandomCars(100000, 1)
+	cars.Name = "cars"
+	e := engine.New(nil)
+	e.DB().Register(cars)
+	apply := func(op engine.Op) {
+		if _, err := e.Apply(op); err != nil {
+			b.Fatalf("op %+v: %v", op, err)
+		}
+	}
+	render := func() {
+		if _, err := e.Grid(50); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := e.Tree(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	for _, op := range []engine.Op{
+		{Op: "use", Table: "cars"},
+		{Op: "select", Predicate: "Condition IN ('Good', 'Excellent')"},
+		{Op: "group", Dir: "desc", Columns: []string{"Model"}},
+		{Op: "group", Dir: "asc", Columns: []string{"Year"}},
+		{Op: "sort", Column: "Price", Dir: "asc"},
+		{Op: "agg", Fn: "avg", Column: "Price", Level: 3},
+		{Op: "select", Predicate: "Price < Avg_Price"},
+	} {
+		apply(op)
+	}
+	edits := []engine.Op{
+		{Op: "select", Predicate: "Mileage < 90000"},
+		{Op: "undo"},
+		{Op: "hide", Column: "Mileage"},
+		{Op: "undo"},
+	}
+	for _, op := range edits {
+		apply(op)
+		render()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		apply(edits[i%len(edits)])
+		render()
 	}
 }
 

@@ -168,22 +168,19 @@ func (s *Spreadsheet) evaluate() (*Result, error) {
 	}
 	s.lastPlan = &EvalPlan{Version: s.version, Stages: plan}
 
-	// Final assembly from the last snapshot: project the visible schema
-	// into a fresh table (the one full copy the evaluation makes) and
-	// build the group tree by adjacency over the presentation-ordered
-	// view. Assembly is not snapshot-cached — the whole-Result memo above
-	// covers the unchanged-version case.
+	// Final assembly from the last snapshot: the visible table over the
+	// view (relation.MaterializeView defers the gather, so a page costs
+	// only its rows) and the group tree from the starts the λ stage
+	// recorded. Neither scans the rows. Assembly is not snapshot-cached —
+	// the whole-Result memo above covers the unchanged-version case.
 	view := ev.viewOf(cur)
 	visible := s.VisibleSchema()
 	visPos, err := ev.positions(visible.Names())
 	if err != nil {
 		return nil, err
 	}
-	// The table may be column-built with lazy rows; row consumers
-	// (rendering, paging, export) materialise tuples via TupleRows on
-	// first use.
 	table := relation.MaterializeView(view, visPos, s.name, visible)
-	root, err := ev.buildGroups(view)
+	root, err := ev.groupTree(view, cur.starts)
 	if err != nil {
 		return nil, err
 	}
@@ -211,61 +208,44 @@ func coerce(v value.Value, kind value.Kind) value.Value {
 	return v
 }
 
-// viewEqualOn reports whether two view rows agree on the given key
-// columns — the adjacency probe group building applies to the ordered view.
-// It compares raw payloads (Col.CellEqual — NULL equals NULL, multiset
-// identity, exactly the sort's notion of adjacency).
-func viewEqualOn(v *relation.IndexView, a, b int, cols []*relation.Col) bool {
-	ra, rb := int(v.Idx[a]), int(v.Idx[b])
-	for _, c := range cols {
-		if !c.CellEqual(ra, rb) {
-			return false
-		}
-	}
-	return true
-}
-
-// buildGroups partitions the ordered view rows into the recursive group
-// tree. Each level's relative basis resolves to working positions once, up
-// front; reading through the view keeps hidden basis columns addressable
-// even though they are projected out of the visible table.
-func (ev *evalCtx) buildGroups(view *relation.IndexView) (*Group, error) {
-	levelIdx := make([][]int, len(ev.s.state.grouping))
-	levelCols := make([][]*relation.Col, len(ev.s.state.grouping))
-	for li, g := range ev.s.state.grouping {
-		pos, err := ev.positions(g.Rel)
+// groupTree builds the recursive group tree from the λ stage's group
+// starts in O(groups × basis arity): level li's starts refine level li−1's,
+// so a group's children are the next level's starts inside its row range,
+// and each group ends where the next group of its level starts. Keys read
+// the level's relative basis at the group's first row. Without a λ stage
+// there is no grouping level, and the tree is the root alone.
+func (ev *evalCtx) groupTree(view *relation.IndexView, starts [][]int32) (*Group, error) {
+	n := view.Len()
+	levelPos := make([][]int, len(starts))
+	for li := range starts {
+		pos, err := ev.positions(ev.s.state.grouping[li].Rel)
 		if err != nil {
 			return nil, err
 		}
-		levelIdx[li] = pos
-		levelCols[li] = make([]*relation.Col, len(pos))
-		for k, p := range pos {
-			levelCols[li][k] = view.ColAt(p)
-		}
+		levelPos[li] = pos
 	}
-	root := &Group{Level: 1, Start: 0, End: view.Len()}
+	next := make([]int, len(starts)) // per level, the first start not yet placed
 	var build func(g *Group, li int)
 	build = func(g *Group, li int) {
-		if li >= len(levelIdx) {
+		if li == len(starts) {
 			return
 		}
-		idx := levelIdx[li]
-		i := g.Start
-		for i < g.End {
-			j := i + 1
-			for j < g.End && viewEqualOn(view, j, i, levelCols[li]) {
-				j++
+		st := starts[li]
+		for ; next[li] < len(st) && int(st[next[li]]) < g.End; next[li]++ {
+			k := next[li]
+			end := n
+			if k+1 < len(st) {
+				end = int(st[k+1])
 			}
-			key := make([]value.Value, len(idx))
-			for k, ci := range idx {
-				key[k] = view.At(i, ci)
+			child := &Group{Level: li + 2, Key: make([]value.Value, len(levelPos[li])), Start: int(st[k]), End: end}
+			for j, p := range levelPos[li] {
+				child.Key[j] = view.At(child.Start, p)
 			}
-			child := &Group{Level: li + 2, Key: key, Start: i, End: j}
 			build(child, li+1)
 			g.Children = append(g.Children, child)
-			i = j
 		}
 	}
+	root := &Group{Level: 1, Start: 0, End: n}
 	build(root, 0)
 	return root, nil
 }

@@ -13,11 +13,13 @@ import (
 
 // TestIncrementalMatchesColdReplay is the equivalence property for the
 // incremental pipeline: after every operation in a random sequence, the
-// warm, snapshot-reusing evaluation must be bit-identical — rendered grid
-// and group tree alike — to a cold full replay of the same state
-// (Clone() carries no snapshot cache, so it replays from scratch). Run
-// under -race with SHEETMUSIQ_PARALLEL_THRESHOLD forced low this also
-// exercises the parallel kernels on tiny inputs.
+// warm, snapshot-reusing evaluation must be bit-identical — rendered grid,
+// first pages and every node of the group tree alike — to a cold full
+// replay of the same state (Clone() carries no snapshot cache, so it
+// replays every stage). The pages are read before anything else reads
+// the warm table, so they take the page-only path. Run under -race with
+// SHEETMUSIQ_PARALLEL_THRESHOLD forced low this also exercises the
+// parallel kernels on tiny inputs.
 //
 // The same sequence also pins the precision of the stage cache: after every
 // successful edit of one stored operator (ReplaceSelection, Sort, OrderBy,
@@ -50,15 +52,62 @@ func TestIncrementalMatchesColdReplay(t *testing.T) {
 					}
 					continue
 				}
+				n := want.Table.Len()
+				if got.Table.Len() != n {
+					t.Fatalf("step %d after %s: incremental table has %d rows, cold %d", step, op, got.Table.Len(), n)
+				}
+				wantRows := want.Table.TupleRows()
+				for _, k := range []int{1, 7, n} {
+					k = min(k, n)
+					if d := diffTuples(got.Table.TupleRange(0, k), wantRows[:k]); d != "" {
+						t.Fatalf("step %d after %s: incremental page of %d rows diverged from cold replay: %s", step, op, k, d)
+					}
+				}
 				if got.Render() != want.Render() {
 					t.Fatalf("step %d after %s: incremental grid diverged from cold replay", step, op)
 				}
-				if got.RenderGrouped() != want.RenderGrouped() {
-					t.Fatalf("step %d after %s: incremental group tree diverged from cold replay", step, op)
+				if g, w := treeLines(got.Root), treeLines(want.Root); strings.Join(g, "\n") != strings.Join(w, "\n") {
+					t.Fatalf("step %d after %s: incremental group tree diverged from cold replay\ngot:\n%s\nwant:\n%s",
+						step, op, strings.Join(g, "\n"), strings.Join(w, "\n"))
 				}
 			}
 		})
 	}
+}
+
+// treeLines flattens a group tree depth-first into one line per node:
+// level, key cells (kind and payload) and row range.
+func treeLines(root *Group) []string {
+	var out []string
+	var walk func(g *Group)
+	walk = func(g *Group) {
+		var key strings.Builder
+		for _, v := range g.Key {
+			fmt.Fprintf(&key, " %s:%s", v.Kind(), v.Key())
+		}
+		out = append(out, fmt.Sprintf("%*sL%d [%s ] %d-%d", 2*(g.Level-1), "", g.Level, key.String(), g.Start, g.End))
+		for _, c := range g.Children {
+			walk(c)
+		}
+	}
+	walk(root)
+	return out
+}
+
+// diffTuples names the first cell where two row lists differ in kind or
+// payload, or returns "" when they are identical.
+func diffTuples(got, want []relation.Tuple) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf("%d rows, want %d", len(got), len(want))
+	}
+	for i := range got {
+		for j, v := range got[i] {
+			if w := want[i][j]; v.Kind() != w.Kind() || v.Key() != w.Key() {
+				return fmt.Sprintf("row %d cell %d = %v, want %v", i, j, v, w)
+			}
+		}
+	}
+	return ""
 }
 
 // checkStageReuse checks the warm plan after a successful edit of one
@@ -158,7 +207,7 @@ func randomOp(s *Spreadsheet, rng *rand.Rand) (label, touched string) {
 		}
 		return id
 	}
-	switch rng.Intn(18) {
+	switch rng.Intn(19) {
 	case 0:
 		p := pick(preds)
 		_, _ = s.Select(p)
@@ -172,9 +221,11 @@ func randomOp(s *Spreadsheet, rng *rand.Rand) (label, touched string) {
 		_ = s.RemoveSelection(id)
 		return fmt.Sprintf("drop σ #%d", id), ""
 	case 3:
-		c := pick([]string{"Model", "Year", "Condition"})
-		_ = s.GroupBy(dir, c)
-		return "γ " + c, ""
+		// Multi-column levels put one sort-key list under different level
+		// structures: {Model, Year} against {Model}→{Year}.
+		c := [][]string{{"Model"}, {"Year"}, {"Condition"}, {"Model", "Year"}, {"Year", "Condition"}}[rng.Intn(5)]
+		_ = s.GroupBy(dir, c...)
+		return "γ " + strings.Join(c, ","), ""
 	case 4:
 		_ = s.Ungroup()
 		return "ungroup", ""
@@ -232,6 +283,26 @@ func randomOp(s *Spreadsheet, rng *rand.Rand) (label, touched string) {
 	case 16:
 		_, _ = s.Undo()
 		return "undo", ""
+	case 17:
+		// Split the finest level in two, or merge the two finest levels of
+		// one direction: the sort keys stay the same, the tree does not.
+		gs := s.Grouping()
+		k := len(gs)
+		switch {
+		case k > 0 && len(gs[k-1].Rel) > 1 && gs[k-1].By == "":
+			last := gs[k-1]
+			if s.Ungroup() == nil {
+				_ = s.GroupBy(last.Dir, last.Rel[0])
+				_ = s.GroupBy(last.Dir, last.Rel[1:]...)
+			}
+			return "split finest level", ""
+		case k > 1 && gs[k-2].Dir == gs[k-1].Dir && gs[k-2].By == "" && gs[k-1].By == "":
+			if s.Ungroup() == nil && s.Ungroup() == nil {
+				_ = s.GroupBy(gs[k-1].Dir, append(gs[k-2].Rel, gs[k-1].Rel...)...)
+			}
+			return "merge finest levels", ""
+		}
+		return "restructure (nothing to split or merge)", ""
 	default:
 		_, _ = s.Redo()
 		return "redo", ""

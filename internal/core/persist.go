@@ -278,6 +278,9 @@ func decodeState(s *Spreadsheet, in stateJSON) error {
 		}
 	}
 	for _, g := range st.grouping {
+		if len(g.Rel) == 0 {
+			return fmt.Errorf("core: restore: grouping level with no attribute")
+		}
 		for _, a := range g.Rel {
 			if !s.hasColumn(a) {
 				return fmt.Errorf("core: restore: grouping attribute %q missing", a)

@@ -152,6 +152,7 @@ func TestRestoreRejectsCorruptState(t *testing.T) {
 		"not json":    []byte("{nope"),
 		"bad format":  corrupt(func(m map[string]any) { m["format"] = 99 }),
 		"bad dir":     corrupt(func(m map[string]any) { m["grouping"].([]any)[0].(map[string]any)["dir"] = "SIDEWAYS" }),
+		"empty level": corrupt(func(m map[string]any) { m["grouping"].([]any)[0].(map[string]any)["rel"] = []any{} }),
 		"bad formula": corrupt(func(m map[string]any) { m["computed"].([]any)[1].(map[string]any)["formula"] = "((" }),
 		"bad agg fn":  corrupt(func(m map[string]any) { m["computed"].([]any)[0].(map[string]any)["agg"] = "MEDIAN" }),
 		"bad agg lvl": corrupt(func(m map[string]any) { m["computed"].([]any)[0].(map[string]any)["level"] = 9.0 }),

@@ -166,7 +166,7 @@ type selBlock struct {
 	arts []*stageArtifact
 }
 
-// rowArtifact adapts a row-stage body (σ, δ, λ, base): the artifact owns the
+// rowArtifact adapts a row-stage body (base, δ): the artifact owns the
 // stage's surviving index vector.
 func rowArtifact(inner func(*evalCtx, *stageSnap) (*stageSnap, error)) func(*evalCtx, *stageSnap) (*stageArtifact, error) {
 	return func(ev *evalCtx, cur *stageSnap) (*stageArtifact, error) {
@@ -572,6 +572,8 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	// Presentation order: each grouping level's relative basis in the
 	// level's direction, then the finest-level keys — the Sec. II-A remark
 	// that any recursive grouping can be emulated by one ordering.
+	// Every grouping level contributes at least one key, so a sheet with no
+	// λ stage has no grouping level either.
 	keys := s.sortKeys()
 	if len(keys) > 0 {
 		fp := fpU(rowFP, uint64(stageOrder))
@@ -582,14 +584,33 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 			fp = fpU(fp, refFP(k.Column))
 			refs = append(refs, k.Column)
 		}
+		// The artifact carries the group tree's level boundaries, so the key
+		// folds in how the keys split into levels: one level {Model, Year}
+		// and levels {Model}→{Year} sort identically but group differently.
+		// Each level's arity and its group-order column (OrderGroupsBy, which
+		// leads the level's keys) place every level's basis within the keys.
+		fp = fpU(fp, uint64(len(s.state.grouping)))
+		for _, g := range s.state.grouping {
+			fp = fpU(fp, uint64(len(g.Rel)))
+			fp = fpS(fp, g.By)
+		}
 		stages = append(stages, stageNode{
 			kind: stageOrder, id: "order", name: "λ", fp: fp,
 			deps:  depList(rowID, refs),
-			run:   rowArtifact(runOrderStage(keys)),
-			apply: applyRow,
+			run:   runOrderStage(keys),
+			apply: applyOrder,
 		})
 	}
 	return ev, stages, nil
+}
+
+// applyOrder folds the λ artifact into the running snapshot: the
+// presentation order plus the group starts assembly reads.
+func applyOrder(cur *stageSnap, art *stageArtifact) *stageSnap {
+	next := cur.extend()
+	next.idx = art.idx
+	next.starts = art.starts
+	return next
 }
 
 // sortKeys derives the presentation sort keys from the grouping and

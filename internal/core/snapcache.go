@@ -30,6 +30,7 @@ var (
 type stageSnap struct {
 	idx      []int32
 	cols     []stageCol
+	starts   [][]int32 // per grouping level, set by the λ stage
 	ownBytes int64
 }
 
@@ -50,15 +51,18 @@ func (sn *stageSnap) extend() *stageSnap {
 
 // stageArtifact is the cacheable output of one pipeline stage: row stages
 // (base, σ, ∧, δ, λ) own a surviving-row index vector; column stages (η, ω,
-// θ) own one filled column vector. Artifacts deliberately do not carry the
-// output column's *name*: the fingerprint keys the definition's content, so
-// two identically defined columns under different names share one artifact,
-// and the stage's apply closure supplies its own name — the keying that also
-// lets artifacts be shared across sessions later.
+// θ) own one filled column vector; the λ stage also owns each grouping
+// level's group-start offsets, from which assembly builds the group tree.
+// Artifacts deliberately do not carry the output column's *name*: the
+// fingerprint keys the definition's content, so two identically defined
+// columns under different names share one artifact, and the stage's apply
+// closure supplies its own name — the keying that also lets artifacts be
+// shared across sessions later.
 type stageArtifact struct {
 	fp       uint64
 	idx      []int32       // row stages: surviving base-row indices, nil otherwise
 	col      *relation.Col // column stages: the filled vector, nil otherwise
+	starts   [][]int32     // λ: per grouping level, the view offsets where groups start
 	ownBytes int64
 }
 

@@ -714,9 +714,12 @@ func runDistinctStage(cols []string) func(*evalCtx, *stageSnap) (*stageSnap, err
 	}
 }
 
-// runOrderStage stably sorts the index vector by the presentation keys.
-func runOrderStage(keys []relation.SortKey) func(*evalCtx, *stageSnap) (*stageSnap, error) {
-	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
+// runOrderStage stably sorts the index vector by the presentation keys and,
+// while it holds the sorted view, records where each grouping level's
+// groups start (groupStarts). Assembly builds the group tree from those
+// offsets, so a cached λ artifact serves the tree without a row scan.
+func runOrderStage(keys []relation.SortKey) func(*evalCtx, *stageSnap) (*stageArtifact, error) {
+	return func(ev *evalCtx, in *stageSnap) (*stageArtifact, error) {
 		pos := make([]int, len(keys))
 		desc := make([]bool, len(keys))
 		for i, k := range keys {
@@ -727,12 +730,76 @@ func runOrderStage(keys []relation.SortKey) func(*evalCtx, *stageSnap) (*stageSn
 			pos[i], desc[i] = p, k.Desc
 		}
 		view := ev.viewOf(in)
-		idx := ev.orderedIdx(view, pos, desc)
-		snap := in.extend()
-		snap.idx = idx
-		snap.ownBytes = int64(4 * len(idx))
-		return snap, nil
+		sorted := *view
+		sorted.Idx = ev.orderedIdx(view, pos, desc)
+		starts, err := ev.groupStarts(&sorted)
+		if err != nil {
+			return nil, err
+		}
+		own := int64(4 * len(sorted.Idx))
+		for _, st := range starts {
+			own += int64(4 * len(st))
+		}
+		return &stageArtifact{idx: sorted.Idx, starts: starts, ownBytes: own}, nil
 	}
+}
+
+// groupStarts partitions the presentation-ordered view into the recursive
+// group tree's levels: entry li lists, ascending, the view offsets where a
+// level-(li+2) group starts. A group runs while rows agree with its first
+// row on the level's relative basis (viewEqualOn), and never past its
+// parent's end, so every level's starts include its parent level's. Basis
+// columns are read through the view, which keeps hidden ones addressable.
+func (ev *evalCtx) groupStarts(view *relation.IndexView) ([][]int32, error) {
+	levels := ev.s.state.grouping
+	starts := make([][]int32, len(levels))
+	n := view.Len()
+	parent := []int32{0}
+	if n == 0 {
+		parent = nil
+	}
+	for li, g := range levels {
+		pos, err := ev.positions(g.Rel)
+		if err != nil {
+			return nil, err
+		}
+		cols := make([]*relation.Col, len(pos))
+		for k, p := range pos {
+			cols[k] = view.ColAt(p)
+		}
+		var out []int32
+		for pi, lo := range parent {
+			hi := int32(n)
+			if pi+1 < len(parent) {
+				hi = parent[pi+1]
+			}
+			first := lo
+			out = append(out, first)
+			for i := lo + 1; i < hi; i++ {
+				if !viewEqualOn(view, int(i), int(first), cols) {
+					first = i
+					out = append(out, first)
+				}
+			}
+		}
+		starts[li] = out[:len(out):len(out)]
+		parent = out
+	}
+	return starts, nil
+}
+
+// viewEqualOn reports whether two view rows agree on the given key
+// columns — the adjacency probe groupStarts applies to the ordered view.
+// It compares raw payloads (Col.CellEqual — NULL equals NULL, multiset
+// identity, exactly the sort's notion of adjacency).
+func viewEqualOn(v *relation.IndexView, a, b int, cols []*relation.Col) bool {
+	ra, rb := int(v.Idx[a]), int(v.Idx[b])
+	for _, c := range cols {
+		if !c.CellEqual(ra, rb) {
+			return false
+		}
+	}
+	return true
 }
 
 // orderedIdx sorts the view's rows by the key positions. When an earlier

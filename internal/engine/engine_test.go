@@ -148,6 +148,59 @@ func TestStateAndTree(t *testing.T) {
 	}
 }
 
+// TestGridPageIsPrefixOfFullGrid: a limited grid is the first limit rows
+// of the full grid with the same Total, limits past the end included. The
+// pages render first, while the evaluated table is still unread, so they
+// take the page-only path; one sheet shares base tuples, the other defers
+// its gather behind a computed column.
+func TestGridPageIsPrefixOfFullGrid(t *testing.T) {
+	plain := demoCars(t)
+	must(t, plain, Op{Op: "select", Predicate: "Year >= 2005"})
+	must(t, plain, Op{Op: "sort", Column: "Price", Dir: "desc"})
+	computed := demoCars(t)
+	must(t, computed, Op{Op: "select", Predicate: "Condition = 'Good' OR Condition = 'Excellent'"})
+	must(t, computed, Op{Op: "group", Dir: "desc", Columns: []string{"Model"}})
+	must(t, computed, Op{Op: "sort", Column: "Price", Dir: "asc"})
+	must(t, computed, Op{Op: "agg", Fn: "avg", Column: "Price", Level: 2, Name: "AvgP"})
+	for name, e := range map[string]*Engine{"shared base tuples": plain, "deferred gather": computed} {
+		res, err := e.Evaluate()
+		if err != nil {
+			t.Fatal(err)
+		}
+		total := res.Table.Len()
+		var pages []*Grid
+		limits := []int{1, 2, total - 1, total, total + 5}
+		for _, k := range limits {
+			g, err := e.Grid(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pages = append(pages, g)
+		}
+		full, err := e.Grid(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(full.Rows) != full.Total || full.Total < 3 {
+			t.Fatalf("%s: full grid has %d rows, total %d", name, len(full.Rows), full.Total)
+		}
+		for i, g := range pages {
+			want := min(limits[i], full.Total)
+			if g.Total != full.Total || strings.Join(g.Columns, ",") != strings.Join(full.Columns, ",") {
+				t.Fatalf("%s: Grid(%d) total %d columns %v, want %d %v", name, limits[i], g.Total, g.Columns, full.Total, full.Columns)
+			}
+			if len(g.Rows) != want {
+				t.Fatalf("%s: Grid(%d) has %d rows, want %d", name, limits[i], len(g.Rows), want)
+			}
+			for r := range g.Rows {
+				if strings.Join(g.Rows[r], "|") != strings.Join(full.Rows[r], "|") {
+					t.Fatalf("%s: Grid(%d) row %d = %v, want %v", name, limits[i], r, g.Rows[r], full.Rows[r])
+				}
+			}
+		}
+	}
+}
+
 func TestMenuInfo(t *testing.T) {
 	e := demoCars(t)
 	must(t, e, Op{Op: "select", Predicate: "Price < 16000"})

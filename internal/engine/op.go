@@ -45,14 +45,14 @@ type Op struct {
 // Effect reports what an Op did.
 type Effect struct {
 	Op      string   `json:"op"`
-	Entry   string   `json:"entry,omitempty"`   // history entry or action summary
-	Sheet   string   `json:"sheet,omitempty"`   // current sheet after the op
-	Version int      `json:"version"`           // current sheet version after the op
-	ID      int      `json:"id,omitempty"`      // created selection id
-	Column  string   `json:"column,omitempty"`  // created column name
-	Rows    int      `json:"rows,omitempty"`    // rows written by export
-	Log     []string `json:"log,omitempty"`     // compile / demo step log
-	Mutated bool     `json:"mutated"`           // whether the op changed session state (see Op.Mutates)
+	Entry   string   `json:"entry,omitempty"`  // history entry or action summary
+	Sheet   string   `json:"sheet,omitempty"`  // current sheet after the op
+	Version int      `json:"version"`          // current sheet version after the op
+	ID      int      `json:"id,omitempty"`     // created selection id
+	Column  string   `json:"column,omitempty"` // created column name
+	Rows    int      `json:"rows,omitempty"`   // rows written by export
+	Log     []string `json:"log,omitempty"`    // compile / demo step log
+	Mutated bool     `json:"mutated"`          // whether the op changed session state (see Op.Mutates)
 }
 
 // Mutates reports whether the op kind changes session state — the current
@@ -122,12 +122,12 @@ func (e *Engine) Apply(op Op) (*Effect, error) {
 	}
 	start := obs.StartTimer()
 	eff, err := fn(op)
-	obs.Default.Histogram("engine.op_seconds."+kind).Since(start)
+	obs.Default.Histogram("engine.op_seconds." + kind).Since(start)
 	if err != nil {
-		obs.Default.Counter("engine.op_errors."+kind).Inc()
+		obs.Default.Counter("engine.op_errors." + kind).Inc()
 		return nil, err
 	}
-	obs.Default.Counter("engine.ops."+kind).Inc()
+	obs.Default.Counter("engine.ops." + kind).Inc()
 	eff.Op = op.Op
 	eff.Mutated = op.Mutates()
 	eff.Sheet = e.SheetName()

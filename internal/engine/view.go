@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"sheetmusiq/internal/core"
+	"sheetmusiq/internal/relation"
 )
 
 // This file is the read side of the command surface: structured,
@@ -124,23 +125,26 @@ type Grid struct {
 }
 
 // Grid evaluates the sheet and renders at most limit rows (limit <= 0
-// renders everything).
+// renders everything). A limited grid boxes only the rows it renders.
 func (e *Engine) Grid(limit int) (*Grid, error) {
 	res, err := e.Evaluate()
 	if err != nil {
 		return nil, err
 	}
-	n := res.Table.Len()
-	if limit > 0 && limit < n {
-		n = limit
+	total := res.Table.Len()
+	var rows []relation.Tuple
+	if limit > 0 {
+		rows = res.Table.TupleRange(0, min(limit, total))
+	} else {
+		rows = res.Table.TupleRows()
 	}
 	g := &Grid{
 		Sheet:   e.SheetName(),
 		Columns: res.Table.Schema.Names(),
-		Rows:    make([][]string, 0, n),
-		Total:   res.Table.Len(),
+		Rows:    make([][]string, 0, len(rows)),
+		Total:   total,
 	}
-	for _, row := range res.Table.TupleRows()[:n] {
+	for _, row := range rows {
 		cells := make([]string, len(row))
 		for i, v := range row {
 			cells[i] = v.String()

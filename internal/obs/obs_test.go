@@ -18,11 +18,11 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}{
 		{0, 0},
 		{time.Nanosecond, 0},
-		{time.Microsecond, 0},                  // exactly on the first bound
-		{time.Microsecond + 1, 1},              // just past it
-		{5 * time.Microsecond, 1},              // on the second bound
-		{time.Millisecond, 6},                  // on the 1ms bound
-		{3 * time.Millisecond, 7},              // inside (1ms, 5ms]
+		{time.Microsecond, 0},     // exactly on the first bound
+		{time.Microsecond + 1, 1}, // just past it
+		{5 * time.Microsecond, 1}, // on the second bound
+		{time.Millisecond, 6},     // on the 1ms bound
+		{3 * time.Millisecond, 7}, // inside (1ms, 5ms]
 		{10 * time.Second, len(DefaultBuckets) - 1},
 		{11 * time.Second, len(DefaultBuckets)}, // overflow
 		{time.Hour, len(DefaultBuckets)},
@@ -34,10 +34,10 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 	}
 
 	var h Histogram
-	h.Observe(time.Microsecond)       // bucket 0
-	h.Observe(3 * time.Millisecond)   // bucket 7
-	h.Observe(time.Hour)              // overflow
-	h.Observe(-time.Second)           // clamped to 0 → bucket 0
+	h.Observe(time.Microsecond)     // bucket 0
+	h.Observe(3 * time.Millisecond) // bucket 7
+	h.Observe(time.Hour)            // overflow
+	h.Observe(-time.Second)         // clamped to 0 → bucket 0
 	s := h.Snapshot()
 	if s.Count != 4 {
 		t.Fatalf("count = %d, want 4", s.Count)

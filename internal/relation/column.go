@@ -1,6 +1,7 @@
 package relation
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 
@@ -358,10 +359,18 @@ type colState struct {
 	colBuilt  bool // constructed columnar; Rows is derived
 	nrows     int  // row count for colBuilt relations
 	cols      []*Col
-	colsReady bool // cols valid
-	rowsReady bool // Rows valid for a colBuilt relation
-	fill      func() []*Col // deferred column assembly (FromColumnsLazy)
+	colsReady bool       // cols valid
+	rowsReady bool       // Rows valid for a colBuilt relation
+	gather    *gatherSrc // deferred column assembly (FromColumnsLazy)
 	ix        *NameIndex
+}
+
+// gatherSrc is the deferred gather of a lazily assembled relation, kept as
+// data: column j is cols[j] read through the index vector idx. It is
+// dropped once the columns are built.
+type gatherSrc struct {
+	cols []*Col
+	idx  []int32
 }
 
 // colStateMu guards lazy creation of the per-relation colState pointer, so
@@ -388,27 +397,32 @@ func FromColumns(name string, schema Schema, cols []*Col, n int) *Relation {
 	return r
 }
 
-// FromColumnsLazy constructs a column-built relation whose column vectors
-// assemble on first access — fill runs at most once, the first time a
-// consumer asks for Columns or TupleRows. The evaluation pipeline uses it
-// for final assembly (late materialisation): a replay whose result is never
-// read — or only paged — does not pay a full n×w gather up front.
-func FromColumnsLazy(name string, schema Schema, n int, fill func() []*Col) *Relation {
+// FromColumnsLazy constructs a column-built relation whose column j is
+// src[j] read through the index vector idx, one row per entry. Nothing is
+// copied up front: the columns gather at most once, the first time a
+// consumer asks for Columns, and row reads (TupleRows, TupleRange) box
+// straight from src through idx. The evaluation pipeline uses it for final
+// assembly (late materialisation): a replay whose result is only paged pays
+// for the page, not an n×w gather. src and idx must stay unmodified.
+func FromColumnsLazy(name string, schema Schema, src []*Col, idx []int32) *Relation {
 	r := &Relation{Name: name, Schema: schema}
-	r.col = &colState{colBuilt: true, nrows: n, fill: fill}
+	r.col = &colState{colBuilt: true, nrows: len(idx), gather: &gatherSrc{cols: src, idx: idx}}
 	return r
 }
 
-// ensureColsLocked makes c.cols valid; the caller holds c.mu. Deferred
-// assembly (fill) runs here for lazily built relations; row-built relations
+// ensureColsLocked makes c.cols valid; the caller holds c.mu. The deferred
+// gather runs here for lazily assembled relations; row-built relations
 // columnarize from r.Rows.
 func (r *Relation) ensureColsLocked(c *colState) {
 	if c.colsReady {
 		return
 	}
-	if c.fill != nil {
-		c.cols = c.fill()
-		c.fill = nil
+	if g := c.gather; g != nil {
+		c.cols = make([]*Col, len(g.cols))
+		for j, src := range g.cols {
+			c.cols[j] = src.Gather(g.idx)
+		}
+		c.gather = nil
 	} else {
 		c.cols = columnarize(r.Rows, r.Schema)
 		columnMaterialize.Inc()
@@ -455,21 +469,59 @@ func (r *Relation) TupleRows() []Tuple {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.rowsReady {
-		r.ensureColsLocked(c)
-		n, w := c.nrows, len(r.Schema)
-		flat := make([]value.Value, n*w)
-		rows := make([]Tuple, n)
-		for i := 0; i < n; i++ {
-			row := flat[i*w : (i+1)*w : (i+1)*w]
-			for ci, col := range c.cols {
-				row[ci] = col.Value(i)
-			}
-			rows[i] = row
-		}
-		r.Rows = rows
+		r.Rows = c.boxRowsLocked(0, c.nrows, len(r.Schema))
 		c.rowsReady = true
 	}
 	return r.Rows
+}
+
+// TupleRange returns rows [lo, hi) — TupleRows()[lo:hi] — without
+// materialising the rest, so a page of a column-built relation costs the
+// page, not the table. Row-built relations, and column-built ones whose
+// rows already exist, return the shared rows; otherwise the range is boxed
+// from the columns, or from a lazily assembled relation's gather source
+// through its index vector, building neither columns nor rows. It panics
+// if the range is out of bounds, as slicing does. The rows must be treated
+// as read-only.
+func (r *Relation) TupleRange(lo, hi int) []Tuple {
+	if r.col == nil || !r.col.colBuilt {
+		return r.Rows[lo:hi:hi]
+	}
+	c := r.col
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.rowsReady {
+		return r.Rows[lo:hi:hi]
+	}
+	if lo < 0 || hi < lo || hi > c.nrows {
+		panic(fmt.Sprintf("relation: TupleRange [%d:%d] out of range with length %d", lo, hi, c.nrows))
+	}
+	return c.boxRowsLocked(lo, hi, len(r.Schema))
+}
+
+// boxRowsLocked boxes rows [lo, hi) of a column-built relation into one
+// flat backing array, reading the columns or, while the gather is
+// deferred, its source columns through the index vector; the caller holds
+// c.mu.
+func (c *colState) boxRowsLocked(lo, hi, w int) []Tuple {
+	cols, idx := c.cols, []int32(nil)
+	if g := c.gather; g != nil {
+		cols, idx = g.cols, g.idx
+	}
+	flat := make([]value.Value, (hi-lo)*w)
+	rows := make([]Tuple, hi-lo)
+	for i := range rows {
+		ri := lo + i
+		if idx != nil {
+			ri = int(idx[ri])
+		}
+		row := flat[i*w : (i+1)*w : (i+1)*w]
+		for ci, col := range cols {
+			row[ci] = col.Value(ri)
+		}
+		rows[i] = row
+	}
+	return rows
 }
 
 // invalidateColumns drops the columnar cache after a row mutation (Append,
@@ -485,7 +537,7 @@ func (r *Relation) invalidateColumns() {
 	c.cols = nil
 	c.colsReady = false
 	c.rowsReady = false
-	c.fill = nil
+	c.gather = nil
 	c.ix = nil
 	c.mu.Unlock()
 }

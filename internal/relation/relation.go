@@ -169,11 +169,13 @@ func (r *Relation) Len() int {
 }
 
 // Clone deep-copies the relation. Column-built relations clone their column
-// vectors (rows stay lazy); row-built relations deep-copy the rows.
+// vectors (rows stay lazy; a deferred gather runs first); row-built
+// relations deep-copy the rows.
 func (r *Relation) Clone() *Relation {
 	if r.col != nil && r.col.colBuilt {
 		c := r.col
 		c.mu.Lock()
+		r.ensureColsLocked(c)
 		cols := make([]*Col, len(c.cols))
 		for i, src := range c.cols {
 			cc := &Col{Kind: src.Kind}

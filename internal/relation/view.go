@@ -300,17 +300,19 @@ func identityIdx(idx []int32, n int) bool {
 	return true
 }
 
-// MaterializeView gathers the given working positions of every view row
+// MaterializeView assembles the given working positions of every view row
 // into a fresh relation with the given schema. This is the pipeline's final
-// assembly. Tuples and column vectors are immutable throughout the system,
-// so identity projections share backing storage instead of copying:
+// assembly; the view must carry the backing relation's column vectors
+// (Cols). Tuples and column vectors are immutable throughout the system, so
+// assembly shares storage instead of copying:
 //
 //   - Projecting exactly the base columns in their original order shares the
 //     surviving base tuples — assembly is one pointer per row.
-//   - With column vectors attached the output is column-built; an identity
-//     index vector shares the columns themselves, anything else gathers
-//     typed payloads. Tuple rows materialise only if a row consumer asks.
-//   - The boxed fallback builds flat-backed rows chunk-parallel, as before.
+//   - Otherwise the output is column-built: an identity index vector shares
+//     the columns themselves; anything else keeps the column vectors and the
+//     index vector as its deferred gather source (FromColumnsLazy), so a
+//     page boxes only its own rows and the full gather runs only if a
+//     consumer asks for the columns.
 func MaterializeView(v *IndexView, cols []int, name string, schema Schema) *Relation {
 	n, w := v.Len(), len(cols)
 	if v.Rows != nil && w == v.Split && identityPrefix(cols) {
@@ -320,37 +322,12 @@ func MaterializeView(v *IndexView, cols []int, name string, schema Schema) *Rela
 		}
 		return &Relation{Name: name, Schema: schema, Rows: rows}
 	}
-	if v.Cols != nil {
-		src := make([]*Col, w)
-		for j, c := range cols {
-			src[j] = v.ColAt(c)
-		}
-		if identityIdx(v.Idx, len(v.Rows)) {
-			return FromColumns(name, schema, src, n)
-		}
-		// Late materialisation: the gather is the one full copy assembly
-		// would make, and most replays never read the assembled table (group
-		// building and re-evaluation read the view; rendering pages). Defer
-		// it to first access — the view's index and column vectors are
-		// immutable snapshots, so the closure stays valid.
-		idx := v.Idx
-		return FromColumnsLazy(name, schema, n, func() []*Col {
-			out := make([]*Col, len(src))
-			for j, c := range src {
-				out[j] = c.Gather(idx)
-			}
-			return out
-		})
+	src := make([]*Col, w)
+	for j, c := range cols {
+		src[j] = v.ColAt(c)
 	}
-	flat := make([]value.Value, n*w)
-	rows := make([]Tuple, n)
-	_ = ForChunks(n, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out := flat[i*w : (i+1)*w : (i+1)*w]
-			v.Gather(i, cols, out)
-			rows[i] = out
-		}
-		return nil
-	})
-	return &Relation{Name: name, Schema: schema, Rows: rows}
+	if identityIdx(v.Idx, len(v.Rows)) {
+		return FromColumns(name, schema, src, n)
+	}
+	return FromColumnsLazy(name, schema, src, v.Idx)
 }

@@ -135,7 +135,7 @@ const (
 
 // QueryCoverage is one row of the 22-query matrix.
 type QueryCoverage struct {
-	Query string       // "Q1" .. "Q22"
+	Query string // "Q1" .. "Q22"
 	Mode  CoverageMode
 	Via   string // the task or exemplar name that runs it
 	Why   string // for non-algebra modes, the excluding feature
