@@ -5,8 +5,9 @@ GO ?= go
 build:
 	$(GO) build ./...
 
-# The obs registry, the instrumented server, and the packages with parallel
-# kernels (grouping/join/sort chunk fan-out) are the most
+# The obs registry, the instrumented server, the packages with parallel
+# kernels (grouping/join/sort chunk fan-out) and internal/expr, whose batch
+# programs chunked stages share across goroutines, are the most
 # concurrency-sensitive, so test always re-runs them under the race detector
 # (full-tree race stays available as `make race`). internal/core, relation
 # and sql additionally race with the parallel threshold forced low, so the
@@ -18,7 +19,7 @@ build:
 # in an API the benchmark calls before the benchmark runs.
 test: lint
 	$(GO) test ./...
-	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph
+	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph ./internal/expr
 	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 

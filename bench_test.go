@@ -510,15 +510,7 @@ func BenchmarkInvalidationPrecision100k(b *testing.B) {
 // stage artifacts cached, so the loop measures planning, cache probes,
 // final assembly and rendering.
 func BenchmarkEditRender100k(b *testing.B) {
-	cars := dataset.RandomCars(100000, 1)
-	cars.Name = "cars"
-	e := engine.New(nil)
-	e.DB().Register(cars)
-	apply := func(op engine.Op) {
-		if _, err := e.Apply(op); err != nil {
-			b.Fatalf("op %+v: %v", op, err)
-		}
-	}
+	e, apply := walkthroughEngine100k(b)
 	render := func() {
 		if _, err := e.Grid(50); err != nil {
 			b.Fatal(err)
@@ -526,17 +518,6 @@ func BenchmarkEditRender100k(b *testing.B) {
 		if _, err := e.Tree(); err != nil {
 			b.Fatal(err)
 		}
-	}
-	for _, op := range []engine.Op{
-		{Op: "use", Table: "cars"},
-		{Op: "select", Predicate: "Condition IN ('Good', 'Excellent')"},
-		{Op: "group", Dir: "desc", Columns: []string{"Model"}},
-		{Op: "group", Dir: "asc", Columns: []string{"Year"}},
-		{Op: "sort", Column: "Price", Dir: "asc"},
-		{Op: "agg", Fn: "avg", Column: "Price", Level: 3},
-		{Op: "select", Predicate: "Price < Avg_Price"},
-	} {
-		apply(op)
 	}
 	edits := []engine.Op{
 		{Op: "select", Predicate: "Mileage < 90000"},
@@ -553,6 +534,79 @@ func BenchmarkEditRender100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		apply(edits[i%len(edits)])
 		render()
+	}
+}
+
+// walkthroughEngine100k opens an engine at the Tables I–V walkthrough state
+// over RandomCars(100000, 1) and returns it with an apply helper that fails
+// the benchmark on an op error.
+func walkthroughEngine100k(b *testing.B) (*engine.Engine, func(engine.Op)) {
+	cars := dataset.RandomCars(100000, 1)
+	cars.Name = "cars"
+	e := engine.New(nil)
+	e.DB().Register(cars)
+	apply := func(op engine.Op) {
+		if _, err := e.Apply(op); err != nil {
+			b.Fatalf("op %+v: %v", op, err)
+		}
+	}
+	for _, op := range []engine.Op{
+		{Op: "use", Table: "cars"},
+		{Op: "select", Predicate: "Condition IN ('Good', 'Excellent')"},
+		{Op: "group", Dir: "desc", Columns: []string{"Model"}},
+		{Op: "group", Dir: "asc", Columns: []string{"Year"}},
+		{Op: "sort", Column: "Price", Dir: "asc"},
+		{Op: "agg", Fn: "avg", Column: "Price", Level: 3},
+		{Op: "select", Predicate: "Price < Avg_Price"},
+	} {
+		apply(op)
+	}
+	return e, apply
+}
+
+// BenchmarkFormulaRecompute100k prices the edits whose stages recompute on
+// a warm 100k-row sheet at the Tables I–V state: each iteration adds a θ
+// formula (Score: integer division feeding +; Label: UPPER and a || chain)
+// or a σ with LIKE, with constants no earlier iteration used so the stage
+// cache cannot answer it, renders the first 50-row page, undoes the edit
+// and renders again. The LIKE patterns each match one model; the run of
+// trailing %s only makes the constant fresh.
+func BenchmarkFormulaRecompute100k(b *testing.B) {
+	models := []string{"Je%", "Ci%", "Cor%", "Ac%", "Fo%", "Al%", "Pa%", "Cam%"}
+	for _, bc := range []struct {
+		name string
+		edit func(i int) engine.Op
+	}{
+		{"Score", func(i int) engine.Op {
+			return engine.Op{Op: "formula", Name: "Score",
+				Formula: fmt.Sprintf("Price * %d / 100 + Mileage / %d", 50+i%100, 500+i%1500)}
+		}},
+		{"Label", func(i int) engine.Op {
+			return engine.Op{Op: "formula", Name: "Label",
+				Formula: fmt.Sprintf("UPPER(Model) || '-%d-' || Condition", i%100000)}
+		}},
+		{"Like", func(i int) engine.Op {
+			pattern := models[i%len(models)] + strings.Repeat("%", i/len(models)%10)
+			return engine.Op{Op: "select", Predicate: fmt.Sprintf("Model LIKE '%s'", pattern)}
+		}},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			e, apply := walkthroughEngine100k(b)
+			render := func() {
+				if _, err := e.Grid(50); err != nil {
+					b.Fatal(err)
+				}
+			}
+			render()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				apply(bc.edit(i))
+				render()
+				apply(engine.Op{Op: "undo"})
+				render()
+			}
+		})
 	}
 }
 

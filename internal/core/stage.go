@@ -391,9 +391,9 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 // runFormulaStage computes one θ column row-locally (Def. 12) into a fresh
 // column vector through a batch program over the typed column vectors. Each
 // chunk writes its lanes' payloads straight into the result column — nothing
-// is boxed. When lanes disagree with the inferred kind (a dynamically typed
-// result, such as integer division with remainders) the program refills the
-// column boxed and the column becomes Boxed if its kinds stay mixed. A chunk
+// is boxed. When lanes disagree with the inferred kind (a result whose kinds
+// really mix, such as COALESCE(I, S)) the program refills the column boxed
+// and the column becomes Boxed if its kinds stay mixed. A chunk
 // with an erring lane re-runs that row through the interpreter for the exact
 // error.
 func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {

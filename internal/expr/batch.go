@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"strings"
 
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
@@ -27,13 +28,21 @@ import (
 // erring lane; the caller re-runs just that row through Eval, which yields
 // the exact error — the first one in row order, since the bitmap is exact.
 //
-// LIKE, string concatenation and scalar function calls compile to lane-wise
-// nodes that box their operand lanes and call the interpreter's own
-// operator, so those semantics live in one place. Unresolvable names,
-// aggregate and window calls in row context, and * compile to nodes that
-// err on every lane (zero rows stay silent). Only subqueries decline, with
-// ErrNotVectorizable, counted by the expr.batch.ok/declined pair: they need
-// the statement scope only the interpreter's Env carries.
+// Each node picks its kernel per window from its operand vectors' kinds,
+// which typed columns and literals fix. Over typed lanes nothing is boxed:
+// arithmetic (integer division yields a per-lane INT/FLOAT numeric vector),
+// comparison, IN, a fused a || b || … chain (one backing string per
+// window), UPPER/LOWER and LIKE. A function's per-value rule has one
+// definition that both evaluators call (value.IntArith/FloatArith,
+// appendCase, likeMatch, Value.String for ||); the kernels derive only the
+// NULL and error lanes from the operand kinds. Boxed operands (a Boxed
+// column, kindDynamic) and the other scalar functions go through laneWise,
+// which boxes each lane and calls the interpreter's own function.
+// Unresolvable names, aggregate and window calls in row context, and *
+// compile to nodes that err on every lane (zero rows stay silent). Only
+// subqueries decline, with ErrNotVectorizable, counted by the
+// expr.batch.ok/declined pair: they need the statement scope only the
+// interpreter's Env carries.
 
 // BatchResolver maps a column name to the typed column vector a batch
 // program reads it from. It is consulted only at compile time.
@@ -50,9 +59,15 @@ var (
 )
 
 // kindDynamic marks a lane vector carrying boxed values of per-lane kind —
-// the escape hatch for Boxed columns and operators with value-dependent
-// result kinds (integer division).
+// the escape hatch for Boxed columns and what laneWise builds once its
+// results' kinds mix.
 const kindDynamic value.Kind = 0xFF
+
+// kindNumeric marks a lane vector whose lanes are INT or FLOAT per lane:
+// integer division's result, and arithmetic over it. Lane k's ints slot
+// holds the integer, or the float's bits (math.Float64bits) when bit k of
+// isFloat is set. A vector with no FLOAT lane is built as KindInt instead.
+const kindNumeric value.Kind = 0xFE
 
 // bctx addresses one evaluation window: lanes k in [0,n) map to cell index
 // rows[lo+k] of the base columns, or lo+k when rows is nil.
@@ -63,19 +78,21 @@ type bctx struct {
 }
 
 // bvec is one operand or result vector over a window's lanes. kind selects
-// the payload family (KindNull = every lane NULL, kindDynamic = boxed vals);
-// scalar marks a one-slot payload broadcast to every lane. nulls and errs
-// are lane-indexed bitmaps; payload slots of NULL or erring lanes hold
-// zero values and are never trusted.
+// the payload family (KindNull = every lane NULL, kindDynamic = boxed vals,
+// kindNumeric = ints plus isFloat); scalar marks a one-slot payload
+// broadcast to every lane. nulls, errs and isFloat are lane-indexed
+// bitmaps; payload slots of NULL or erring lanes hold zero values and are
+// never trusted.
 type bvec struct {
-	kind   value.Kind
-	scalar bool
-	ints   []int64
-	floats []float64
-	strs   []string
-	vals   []value.Value
-	nulls  []uint64
-	errs   []uint64
+	kind    value.Kind
+	scalar  bool
+	ints    []int64
+	floats  []float64
+	strs    []string
+	vals    []value.Value
+	nulls   []uint64
+	errs    []uint64
+	isFloat []uint64
 }
 
 // pi maps a lane to its payload slot (0 for scalars).
@@ -110,6 +127,12 @@ func (v *bvec) lane(k int) value.Value {
 	}
 	p := v.pi(k)
 	switch v.kind {
+	case kindNumeric:
+		i, f, isFloat := v.num(k)
+		if isFloat {
+			return value.NewFloat(f)
+		}
+		return value.NewInt(i)
 	case value.KindInt:
 		return value.NewInt(v.ints[p])
 	case value.KindFloat:
@@ -122,6 +145,20 @@ func (v *bvec) lane(k int) value.Value {
 		return value.NewDateDays(v.ints[p])
 	}
 	return value.Null
+}
+
+// num returns lane k of an INT, FLOAT or numeric vector unboxed: the
+// integer (for INT lanes), the lane widened to float64 as AsFloat does, and
+// whether the lane is FLOAT.
+func (v *bvec) num(k int) (i int64, f float64, isFloat bool) {
+	if v.kind == value.KindFloat {
+		return 0, v.floats[v.pi(k)], true
+	}
+	i = v.ints[v.pi(k)]
+	if relation.BitGet(v.isFloat, k) {
+		return 0, math.Float64frombits(uint64(i)), true
+	}
+	return i, float64(i), false
 }
 
 // unionBits ORs the given lane bitmaps into a freshly allocated one (nil
@@ -372,13 +409,13 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 		}
 		return -1, true
 	}
-	if kind == value.KindFloat && v.kind == value.KindInt {
+	if kind == value.KindFloat && (v.kind == value.KindInt || v.kind == kindNumeric) {
 		for k := 0; k < c.n; k++ {
 			if v.null(k) {
 				continue
 			}
 			i := ri(k)
-			out.Floats[i] = float64(v.ints[v.pi(k)])
+			_, out.Floats[i], _ = v.num(k)
 			filled[i] = 1
 		}
 		return -1, true
@@ -475,6 +512,13 @@ func compileBatch(e Expr, resolve BatchResolver) (batchFn, error) {
 			return nil, err
 		}
 		name := n.Name
+		if name == "UPPER" || name == "LOWER" {
+			if len(args) != 1 {
+				return errLanes, nil // CallScalar's arity error, after any argument's
+			}
+			x, upper := args[0], name == "UPPER"
+			return func(c *bctx) *bvec { return caseVec(x(c), upper, c.n) }, nil
+		}
 		return laneWise(args, func(vs []value.Value) (value.Value, error) { return CallScalar(name, vs) }), nil
 	case *WindowCall, *Star:
 		return errLanes, nil // rejected in row context
@@ -497,58 +541,230 @@ func compileBatchArgs(args []Expr, resolve BatchResolver) ([]batchFn, error) {
 	return out, nil
 }
 
-// laneWise compiles an operator whose semantics live in one boxed scalar
-// function of the interpreter (LIKE, ||, scalar calls). Every operand is
-// evaluated first, exactly as Eval does, so a lane errs iff an operand lane
-// errs or fn fails on the boxed operand lanes.
+// laneWise compiles a scalar function call for boxed lanes: every operand
+// is evaluated first, exactly as Eval does, and boxedLanes applies fn.
 func laneWise(args []batchFn, fn func([]value.Value) (value.Value, error)) batchFn {
 	return func(c *bctx) *bvec {
-		n := c.n
 		vecs := make([]*bvec, len(args))
-		errParts := make([][]uint64, len(args))
 		for i, a := range args {
 			vecs[i] = a(c)
-			errParts[i] = vecs[i].errs
 		}
-		out := &bvec{kind: value.KindNull, errs: unionBits(n, errParts...)}
-		lane := make([]value.Value, len(args))
-		for k := 0; k < n; k++ {
-			if relation.BitGet(out.errs, k) {
-				continue
-			}
-			for i, v := range vecs {
-				lane[i] = v.lane(k)
-			}
-			r, err := fn(lane)
-			if err != nil {
-				out.errs = setBit(out.errs, n, k)
-				continue
-			}
-			out.put(k, n, r)
-		}
-		return out
+		return boxedLanes(vecs, c.n, fn)
 	}
 }
 
-// likeTruth applies the interpreter's like lane-wise straight to truth
-// lanes — the predicate form of LIKE's lane-wise value node.
-func likeTruth(l, r *bvec, n int) *truthVec {
-	out := &truthVec{t: make([]uint8, n), errs: unionBits(n, l.errs, r.errs)}
+// boxedLanes applies fn, the interpreter's own function, to the boxed
+// operand lanes one lane at a time: a lane errs iff an operand lane errs or
+// fn fails on it.
+func boxedLanes(vecs []*bvec, n int, fn func([]value.Value) (value.Value, error)) *bvec {
+	errParts := make([][]uint64, len(vecs))
+	for i, v := range vecs {
+		errParts[i] = v.errs
+	}
+	out := &bvec{kind: value.KindNull, errs: unionBits(n, errParts...)}
+	lane := make([]value.Value, len(vecs))
 	for k := 0; k < n; k++ {
 		if relation.BitGet(out.errs, k) {
 			continue
 		}
-		v, err := like(l.lane(k), r.lane(k))
-		switch {
-		case err != nil:
+		for i, v := range vecs {
+			lane[i] = v.lane(k)
+		}
+		r, err := fn(lane)
+		if err != nil {
 			out.errs = setBit(out.errs, n, k)
-		case v.IsNull():
+			continue
+		}
+		out.put(k, n, r)
+	}
+	return out
+}
+
+// likeTruth is LIKE straight to truth lanes. String lanes run likeMatch; a
+// NULL lane is Unknown; where both sides are non-NULL, statically
+// non-string operands err, as like's kind check does; boxed operands go
+// lane by lane through like.
+func likeTruth(l, r *bvec, n int) *truthVec {
+	out := &truthVec{t: make([]uint8, n), errs: unionBits(n, l.errs, r.errs)}
+	switch {
+	case l.kind == value.KindNull || r.kind == value.KindNull:
+		for k := range out.t {
 			out.t[k] = truthU
-		case v.Bool():
-			out.t[k] = truthT
+		}
+	case l.kind == kindDynamic || r.kind == kindDynamic:
+		for k := 0; k < n; k++ {
+			if relation.BitGet(out.errs, k) {
+				continue
+			}
+			v, err := like(l.lane(k), r.lane(k))
+			switch {
+			case err != nil:
+				out.errs = setBit(out.errs, n, k)
+			case v.IsNull():
+				out.t[k] = truthU
+			case v.Bool():
+				out.t[k] = truthT
+			}
+		}
+	case l.kind == value.KindString && r.kind == value.KindString:
+		ls, rs := l.stride(), r.stride()
+		for k := range out.t {
+			if likeMatch(l.strs[k*ls], r.strs[k*rs]) {
+				out.t[k] = truthT
+			}
+		}
+		overlayUnknown(out.t, l.nulls)
+		overlayUnknown(out.t, r.nulls)
+	default:
+		for k := range out.t {
+			if l.null(k) || r.null(k) {
+				out.t[k] = truthU
+			} else if !relation.BitGet(out.errs, k) {
+				out.errs = setBit(out.errs, n, k)
+			}
 		}
 	}
 	return out
+}
+
+// caseVec is UPPER (or LOWER) over one operand vector. String lanes map
+// through appendCase into one backing string per window (a one-operand
+// concatVec); NULL lanes stay NULL; non-NULL lanes of a statically
+// non-string operand err, as CallScalar's kind check does; boxed operands
+// go through CallScalar lane by lane.
+func caseVec(x *bvec, upper bool, n int) *bvec {
+	switch x.kind {
+	case value.KindNull:
+		return &bvec{kind: value.KindNull, errs: x.errs}
+	case kindDynamic:
+		name := "LOWER"
+		if upper {
+			name = "UPPER"
+		}
+		return boxedLanes([]*bvec{x}, n, func(vs []value.Value) (value.Value, error) { return CallScalar(name, vs) })
+	case value.KindString:
+		if x.scalar { // a literal: no NULL or erring lane
+			return &bvec{kind: value.KindString, scalar: true, strs: []string{string(appendCase(nil, x.strs[0], upper))}}
+		}
+		return concatVec([]concatOperand{{bvec: x, fold: true, upper: upper}}, n)
+	}
+	out := &bvec{kind: value.KindNull, errs: unionBits(n, x.errs)}
+	errAllNonNull(out, x, n)
+	return out
+}
+
+// concatOperand is one evaluated operand of a fused || chain. fold marks
+// the string lanes of an UPPER (upper) or LOWER argument, which the chain
+// case-maps as it writes them, so the mapped strings are never built on
+// their own.
+type concatOperand struct {
+	*bvec
+	fold, upper bool
+}
+
+// compileConcat compiles a whole || chain as one node. An operand that is
+// UPPER or LOWER of one argument compiles as that argument, and the node
+// folds its case when the argument's lanes are typed strings; any other
+// argument goes through caseVec first.
+func compileConcat(n *Binary, resolve BatchResolver) (batchFn, error) {
+	exprs := concatParts(n, nil)
+	fns := make([]batchFn, len(exprs))
+	folds := make([]concatOperand, len(exprs))
+	for i, e := range exprs {
+		if f, ok := e.(*FuncCall); ok && (f.Name == "UPPER" || f.Name == "LOWER") && len(f.Args) == 1 {
+			e, folds[i] = f.Args[0], concatOperand{fold: true, upper: f.Name == "UPPER"}
+		}
+		fn, err := compileBatch(e, resolve)
+		if err != nil {
+			return nil, err
+		}
+		fns[i] = fn
+	}
+	return func(c *bctx) *bvec {
+		ops := make([]concatOperand, len(fns))
+		for i, fn := range fns {
+			ops[i] = folds[i]
+			ops[i].bvec = fn(c)
+			if ops[i].fold && (ops[i].kind != value.KindString || ops[i].scalar) {
+				ops[i] = concatOperand{bvec: caseVec(ops[i].bvec, ops[i].upper, c.n)}
+			}
+		}
+		return concatVec(ops, c.n)
+	}, nil
+}
+
+// concatVec is a fused a || b || … chain over its operand vectors in
+// evaluation order. A lane errs iff an operand lane errs and is NULL iff an
+// operand lane is NULL, as chained Concat calls make it; any other lane is
+// its operands' Value.String renderings joined (a string lane renders as
+// itself, case-mapped by appendCase when folded), written into one backing
+// string per window with no intermediate a || b.
+func concatVec(parts []concatOperand, n int) *bvec {
+	errParts := make([][]uint64, len(parts))
+	nullParts := make([][]uint64, len(parts))
+	for i, p := range parts {
+		errParts[i], nullParts[i] = p.errs, p.nulls
+	}
+	errs := unionBits(n, errParts...)
+	nulls := unionBits(n, nullParts...)
+	for _, p := range parts {
+		switch p.kind {
+		case value.KindNull:
+			return &bvec{kind: value.KindNull, errs: errs}
+		case kindDynamic:
+			for k := 0; k < n; k++ {
+				if p.vals[p.pi(k)].IsNull() {
+					nulls = setBit(nulls, n, k)
+				}
+			}
+		}
+	}
+	live := func(k int) bool { return !relation.BitGet(errs, k) && !relation.BitGet(nulls, k) }
+	size := 0
+	for k := 0; k < n; k++ {
+		if live(k) {
+			for _, p := range parts {
+				if p.kind == value.KindString {
+					size += len(p.strs[p.pi(k)])
+				}
+			}
+		}
+	}
+	out := &bvec{kind: value.KindString, strs: make([]string, n), nulls: nulls, errs: errs}
+	// size is exact for ASCII strings. A longer rendering grows b; the
+	// lanes already written keep the old buffer, which b never writes again.
+	var b strings.Builder
+	b.Grow(size)
+	var lane []byte // one lane's operands, joined before one write to b
+	for k := 0; k < n; k++ {
+		if !live(k) {
+			continue
+		}
+		lane = lane[:0]
+		for _, p := range parts {
+			switch {
+			case p.kind != value.KindString:
+				lane = append(lane, p.lane(k).String()...)
+			case p.fold:
+				lane = appendCase(lane, p.strs[p.pi(k)], p.upper)
+			default:
+				lane = append(lane, p.strs[p.pi(k)]...)
+			}
+		}
+		start := b.Len()
+		b.Write(lane)
+		out.strs[k] = b.String()[start:]
+	}
+	return out
+}
+
+// concatParts flattens a || chain into its operands in evaluation order
+// (left to right, however the chain is parenthesised).
+func concatParts(e Expr, parts []Expr) []Expr {
+	if b, ok := e.(*Binary); ok && b.Op == OpConcat {
+		return concatParts(b.R, concatParts(b.L, parts))
+	}
+	return append(parts, e)
 }
 
 // put stores x in lane k of a vector being filled in lane order: a typed
@@ -613,22 +829,20 @@ func predAsValue(e Expr, resolve BatchResolver) (batchFn, error) {
 
 func compileBatchBinary(n *Binary, resolve BatchResolver) (batchFn, error) {
 	switch n.Op {
-	case OpAnd, OpOr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+	case OpAnd, OpOr, OpEq, OpNe, OpLt, OpLe, OpGt, OpGe, OpLike:
 		return predAsValue(n, resolve)
+	case OpConcat:
+		return compileConcat(n, resolve)
 	}
 	args, err := compileBatchArgs([]Expr{n.L, n.R}, resolve)
 	if err != nil {
 		return nil, err
 	}
 	l, r := args[0], args[1]
-	op := n.Op
-	switch op {
+	switch n.Op {
 	case OpAdd, OpSub, OpMul, OpDiv, OpMod:
+		op := n.Op[0] // the operator's one character, as value.IntArith takes it
 		return func(c *bctx) *bvec { return arithVec(l(c), r(c), op, c.n) }, nil
-	case OpLike:
-		return laneWise(args, func(vs []value.Value) (value.Value, error) { return like(vs[0], vs[1]) }), nil
-	case OpConcat:
-		return laneWise(args, func(vs []value.Value) (value.Value, error) { return value.Concat(vs[0], vs[1]) }), nil
 	}
 	return errLanes, nil // Eval's unknown-operator error
 }
@@ -1140,7 +1354,7 @@ func cmpWant(op BinaryOp) (lt, eq, gt bool) {
 // cmpTruth compares two vectors lane-wise under the interpreter's compare(),
 // straight to truth lanes: NULL lanes yield Unknown; comparable static kinds
 // run typed loops; statically incomparable kinds err on every
-// double-non-NULL lane; dynamic operands compare boxed.
+// double-non-NULL lane; dynamic and numeric operands compare boxed.
 func cmpTruth(l, r *bvec, op BinaryOp, n int) *truthVec {
 	if l.kind == value.KindNull || r.kind == value.KindNull {
 		out := &truthVec{t: make([]uint8, n), errs: unionBits(n, l.errs, r.errs)}
@@ -1150,7 +1364,7 @@ func cmpTruth(l, r *bvec, op BinaryOp, n int) *truthVec {
 		return out
 	}
 	out := &truthVec{t: make([]uint8, n), errs: unionBits(n, l.errs, r.errs)}
-	if l.kind == kindDynamic || r.kind == kindDynamic {
+	if l.kind == kindDynamic || r.kind == kindDynamic || l.kind == kindNumeric || r.kind == kindNumeric {
 		for k := 0; k < n; k++ {
 			if relation.BitGet(out.errs, k) {
 				continue
@@ -1308,8 +1522,9 @@ func cmpFloatLanes(dst []uint8, xs, ys []float64, xsc, ysc bool, wlt, weq, wgt b
 	}
 }
 
-// negVec negates a vector under value.Neg: NULL passes through, numeric
-// kinds negate their payloads, anything else errors per non-NULL lane.
+// negVec negates a vector under value.Neg: NULL passes through, INT and
+// FLOAT lanes negate their payloads, anything else errors per non-NULL
+// lane.
 func negVec(x *bvec, n int) *bvec {
 	switch x.kind {
 	case value.KindNull:
@@ -1326,6 +1541,16 @@ func negVec(x *bvec, n int) *bvec {
 		s := x.stride()
 		for k := 0; k < n; k++ {
 			out.floats[k] = -x.floats[k*s]
+		}
+		return out
+	case kindNumeric:
+		out := &bvec{kind: kindNumeric, ints: make([]int64, n), isFloat: x.isFloat, nulls: x.nulls, errs: x.errs}
+		for k := 0; k < n; k++ {
+			if i, f, isFloat := x.num(k); isFloat {
+				out.ints[k] = int64(math.Float64bits(-f))
+			} else {
+				out.ints[k] = -i
+			}
 		}
 		return out
 	case kindDynamic:
@@ -1362,17 +1587,18 @@ func errAllNonNull(out *bvec, x *bvec, n int) {
 	}
 }
 
-// intArithLanes runs one exact integer +, -, or * over every lane, with
-// scalar operands hoisted out of the loop.
-func intArithLanes(dst []int64, xs, ys []int64, xsc, ysc bool, op BinaryOp) {
+// arithLanes runs one +, -, or * over every lane — exact over integers,
+// IEEE over floats, the bare Go operator either way — with scalar operands
+// hoisted out of the loop.
+func arithLanes[T int64 | float64](dst []T, xs, ys []T, xsc, ysc bool, op byte) {
 	n := len(dst)
 	switch {
 	case xsc && ysc:
-		var v int64
+		var v T
 		switch op {
-		case OpAdd:
+		case '+':
 			v = xs[0] + ys[0]
-		case OpSub:
+		case '-':
 			v = xs[0] - ys[0]
 		default:
 			v = xs[0] * ys[0]
@@ -1383,11 +1609,11 @@ func intArithLanes(dst []int64, xs, ys []int64, xsc, ysc bool, op BinaryOp) {
 	case ysc:
 		b := ys[0]
 		switch op {
-		case OpAdd:
+		case '+':
 			for k, a := range xs[:n] {
 				dst[k] = a + b
 			}
-		case OpSub:
+		case '-':
 			for k, a := range xs[:n] {
 				dst[k] = a - b
 			}
@@ -1399,11 +1625,11 @@ func intArithLanes(dst []int64, xs, ys []int64, xsc, ysc bool, op BinaryOp) {
 	case xsc:
 		a := xs[0]
 		switch op {
-		case OpAdd:
+		case '+':
 			for k, b := range ys[:n] {
 				dst[k] = a + b
 			}
-		case OpSub:
+		case '-':
 			for k, b := range ys[:n] {
 				dst[k] = a - b
 			}
@@ -1415,11 +1641,11 @@ func intArithLanes(dst []int64, xs, ys []int64, xsc, ysc bool, op BinaryOp) {
 	default:
 		ys = ys[:n]
 		switch op {
-		case OpAdd:
+		case '+':
 			for k, a := range xs[:n] {
 				dst[k] = a + ys[k]
 			}
-		case OpSub:
+		case '-':
 			for k, a := range xs[:n] {
 				dst[k] = a - ys[k]
 			}
@@ -1431,25 +1657,27 @@ func intArithLanes(dst []int64, xs, ys []int64, xsc, ysc bool, op BinaryOp) {
 	}
 }
 
-// arithVec applies +,-,*,/,% lane-wise under value's arith: NULL operands
-// yield NULL before any kind or zero checks; DATE shifts by integer days and
-// differences to days; integer pairs stay exact (division promoting
-// remainders to float per lane); any float widens both sides; everything
-// else errors per double-non-NULL lane.
-func arithVec(l, r *bvec, op BinaryOp, n int) *bvec {
+// arithVec applies +,-,*,/,% (op is the operator's character) lane-wise
+// under value's arith: NULL operands yield NULL before any kind or zero
+// checks; DATE shifts by integer days and differences to days; INT pairs
+// run value.IntArith, so division promotes remainders to FLOAT per lane;
+// any FLOAT lane widens both sides through value.FloatArith; everything
+// else errors per double-non-NULL lane. + - * over INT and FLOAT vectors,
+// whose per-lane rule is the bare Go operator, run as tight loops.
+func arithVec(l, r *bvec, op byte, n int) *bvec {
 	if l.kind == value.KindNull || r.kind == value.KindNull {
 		return &bvec{kind: value.KindNull, errs: unionBits(n, l.errs, r.errs)}
 	}
 	if l.kind == kindDynamic || r.kind == kindDynamic {
 		var fn func(a, b value.Value) (value.Value, error)
 		switch op {
-		case OpAdd:
+		case '+':
 			fn = value.Add
-		case OpSub:
+		case '-':
 			fn = value.Sub
-		case OpMul:
+		case '*':
 			fn = value.Mul
-		case OpDiv:
+		case '/':
 			fn = value.Div
 		default:
 			fn = value.Mod
@@ -1473,10 +1701,10 @@ func arithVec(l, r *bvec, op BinaryOp, n int) *bvec {
 	nulls := unionBits(n, l.nulls, r.nulls)
 	errs := unionBits(n, l.errs, r.errs)
 	// DATE arithmetic: date ± int shifts days, date - date counts days.
-	if lk == value.KindDate && rk == value.KindInt && (op == OpAdd || op == OpSub) {
+	if lk == value.KindDate && rk == value.KindInt && (op == '+' || op == '-') {
 		out := &bvec{kind: value.KindDate, ints: make([]int64, n), nulls: nulls, errs: errs}
 		for k := 0; k < n; k++ {
-			if op == OpAdd {
+			if op == '+' {
 				out.ints[k] = l.ints[k*ls] + r.ints[k*rs]
 			} else {
 				out.ints[k] = l.ints[k*ls] - r.ints[k*rs]
@@ -1484,16 +1712,16 @@ func arithVec(l, r *bvec, op BinaryOp, n int) *bvec {
 		}
 		return out
 	}
-	if lk == value.KindDate && rk == value.KindDate && op == OpSub {
+	if lk == value.KindDate && rk == value.KindDate && op == '-' {
 		out := &bvec{kind: value.KindInt, ints: make([]int64, n), nulls: nulls, errs: errs}
 		for k := 0; k < n; k++ {
 			out.ints[k] = l.ints[k*ls] - r.ints[k*rs]
 		}
 		return out
 	}
-	numeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat }
+	numeric := func(k value.Kind) bool { return k == value.KindInt || k == value.KindFloat || k == kindNumeric }
 	if !numeric(lk) || !numeric(rk) {
-		out := &bvec{kind: value.KindNull, nulls: nil, errs: errs}
+		out := &bvec{kind: value.KindNull, errs: errs}
 		// NULL lanes bypass the kind error (arith checks NULL first).
 		for k := 0; k < n; k++ {
 			if relation.BitGet(out.errs, k) {
@@ -1505,104 +1733,70 @@ func arithVec(l, r *bvec, op BinaryOp, n int) *bvec {
 		}
 		return out
 	}
-	if lk == value.KindInt && rk == value.KindInt {
-		xs, ys := l.ints, r.ints
-		switch op {
-		case OpAdd, OpSub, OpMul:
-			out := &bvec{kind: value.KindInt, ints: make([]int64, n), nulls: nulls, errs: errs}
-			intArithLanes(out.ints, xs, ys, l.scalar, r.scalar, op)
-			return out
-		case OpDiv:
-			// Integer division's result kind is per-lane (exact stays INT,
-			// remainders promote to FLOAT), so the output is dynamic.
-			out := &bvec{kind: kindDynamic, vals: make([]value.Value, n), errs: errs}
-			for k := 0; k < n; k++ {
-				if relation.BitGet(out.errs, k) {
-					continue
-				}
-				if relation.BitGet(nulls, k) {
-					out.vals[k] = value.Null
-					continue
-				}
-				x, y := xs[k*ls], ys[k*rs]
-				if y == 0 {
-					out.errs = setBit(out.errs, n, k)
-					continue
-				}
-				if x%y == 0 {
-					out.vals[k] = value.NewInt(x / y)
-				} else {
-					out.vals[k] = value.NewFloat(float64(x) / float64(y))
-				}
-			}
-			return out
-		default: // OpMod
-			out := &bvec{kind: value.KindInt, ints: make([]int64, n), nulls: nulls, errs: errs}
-			for k := 0; k < n; k++ {
-				if relation.BitGet(out.errs, k) || relation.BitGet(nulls, k) {
-					continue
-				}
-				y := ys[k*rs]
-				if y == 0 {
-					out.errs = setBit(out.errs, n, k)
-					continue
-				}
-				out.ints[k] = xs[k*ls] % y
-			}
+	bare := op == '+' || op == '-' || op == '*'
+	if lk == value.KindInt && rk == value.KindInt && bare {
+		out := &bvec{kind: value.KindInt, ints: make([]int64, n), nulls: nulls, errs: errs}
+		arithLanes(out.ints, l.ints, r.ints, l.scalar, r.scalar, op)
+		return out
+	}
+	live := func(k int) bool { return !relation.BitGet(errs, k) && !relation.BitGet(nulls, k) }
+	if lk == value.KindFloat || rk == value.KindFloat {
+		// Every lane is FLOAT.
+		out := &bvec{kind: value.KindFloat, floats: make([]float64, n), nulls: nulls, errs: errs}
+		if bare && lk != kindNumeric && rk != kindNumeric {
+			xs, xsc := floatLanes(l, n)
+			ys, ysc := floatLanes(r, n)
+			arithLanes(out.floats, xs, ys, xsc, ysc, op)
 			return out
 		}
-	}
-	// Mixed numeric: widen both sides to float64, as arith's AsFloat does.
-	lf := func(k int) float64 {
-		if lk == value.KindInt {
-			return float64(l.ints[k*ls])
-		}
-		return l.floats[k*ls]
-	}
-	rf := func(k int) float64 {
-		if rk == value.KindInt {
-			return float64(r.ints[k*rs])
-		}
-		return r.floats[k*rs]
-	}
-	out := &bvec{kind: value.KindFloat, floats: make([]float64, n), nulls: nulls, errs: errs}
-	switch op {
-	case OpAdd:
 		for k := 0; k < n; k++ {
-			out.floats[k] = lf(k) + rf(k)
-		}
-	case OpSub:
-		for k := 0; k < n; k++ {
-			out.floats[k] = lf(k) - rf(k)
-		}
-	case OpMul:
-		for k := 0; k < n; k++ {
-			out.floats[k] = lf(k) * rf(k)
-		}
-	case OpDiv:
-		for k := 0; k < n; k++ {
-			if relation.BitGet(out.errs, k) || relation.BitGet(nulls, k) {
+			if !live(k) {
 				continue
 			}
-			y := rf(k)
-			if y == 0 {
+			_, x, _ := l.num(k)
+			_, y, _ := r.num(k)
+			f, err := value.FloatArith(op, x, y)
+			if err != nil {
 				out.errs = setBit(out.errs, n, k)
 				continue
 			}
-			out.floats[k] = lf(k) / y
+			out.floats[k] = f
 		}
-	default: // OpMod
-		for k := 0; k < n; k++ {
-			if relation.BitGet(out.errs, k) || relation.BitGet(nulls, k) {
-				continue
-			}
-			y := rf(k)
-			if y == 0 {
-				out.errs = setBit(out.errs, n, k)
-				continue
-			}
-			out.floats[k] = math.Mod(lf(k), y)
+		return out
+	}
+	// INT and numeric operands: each lane's kinds pick the rule.
+	ints, isFloat := make([]int64, n), relation.NewBitmap(n)
+	anyFloat := false
+	for k := 0; k < n; k++ {
+		if !live(k) {
+			continue
+		}
+		xi, xf, xFloat := l.num(k)
+		yi, yf, yFloat := r.num(k)
+		var (
+			i         int64
+			f         float64
+			laneFloat = true
+			err       error
+		)
+		if xFloat || yFloat {
+			f, err = value.FloatArith(op, xf, yf)
+		} else {
+			i, f, laneFloat, err = value.IntArith(op, xi, yi)
+		}
+		switch {
+		case err != nil:
+			errs = setBit(errs, n, k)
+		case laneFloat:
+			ints[k] = int64(math.Float64bits(f))
+			relation.BitSet(isFloat, k)
+			anyFloat = true
+		default:
+			ints[k] = i
 		}
 	}
-	return out
+	if !anyFloat {
+		return &bvec{kind: value.KindInt, ints: ints, nulls: nulls, errs: errs}
+	}
+	return &bvec{kind: kindNumeric, ints: ints, isFloat: isFloat, nulls: nulls, errs: errs}
 }

@@ -5,7 +5,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"sheetmusiq/internal/relation"
@@ -20,8 +22,9 @@ import (
 // kind, same payload bits (floats compared via Float64bits), and the same
 // first erring row, whose re-run yields the interpreter's exact error.
 
-// batchPropCols is the test schema: every payload family, plus an
-// all-NULL column.
+// batchPropCols is the test schema: every payload family, an all-NULL
+// column, and X, a Boxed column whose cells mix INT, FLOAT, STRING and
+// NULL (its declared kind is never consulted).
 var batchPropCols = relation.Schema{
 	{Name: "I", Kind: value.KindInt},
 	{Name: "J", Kind: value.KindInt},
@@ -31,19 +34,27 @@ var batchPropCols = relation.Schema{
 	{Name: "B", Kind: value.KindBool},
 	{Name: "D", Kind: value.KindDate},
 	{Name: "N", Kind: value.KindInt},
+	{Name: "X", Kind: value.KindFloat},
 }
 
 // genBatchRel builds a random relation over batchPropCols whose cells are
 // drawn from pools of boundary values, with ~1 in 5 cells NULL (column N is
-// always NULL).
+// always NULL). The typed columns come from appended rows; X joins them as
+// a Boxed column, which no appended row can produce.
 func genBatchRel(rng *rand.Rand, n int) *relation.Relation {
 	negZero := math.Copysign(0, -1)
 	ints := []int64{0, 1, -1, 2, 7, 19999, 20000, 1 << 53, (1 << 53) + 1,
 		1 << 62, math.MaxInt64, math.MinInt64}
 	floats := []float64{0, negZero, 1, -1.5, 0.5, 1e300, -1e300,
 		math.NaN(), math.Inf(1), math.Inf(-1), float64(1 << 53)}
-	strs := []string{"", "a", "b", "ab", "Good", "Excellent", "zzz"}
-	r := relation.New("prop", batchPropCols.Clone())
+	// ASCII words plus multibyte, case-changing (ß has no single-rune upper
+	// case, İ lowers to a shorter string, ǅ is title case) and invalid
+	// UTF-8 strings.
+	strs := []string{"", "a", "b", "ab", "Good", "Excellent", "zzz",
+		"ß", "İ", "ǅ", "é", "\xff", "Straße", "aé_"}
+	typed := batchPropCols[:len(batchPropCols)-1]
+	r := relation.New("prop", typed.Clone())
+	mixed := make([]value.Value, n)
 	for i := 0; i < n; i++ {
 		cell := func(mk func() value.Value) value.Value {
 			if rng.Intn(5) == 0 {
@@ -61,8 +72,18 @@ func genBatchRel(rng *rand.Rand, n int) *relation.Relation {
 			cell(func() value.Value { return value.NewDateDays(int64(rng.Intn(40000) - 10000)) }),
 			value.Null,
 		)
+		mixed[i] = cell(func() value.Value {
+			switch rng.Intn(3) {
+			case 0:
+				return value.NewInt(ints[rng.Intn(len(ints))])
+			case 1:
+				return value.NewFloat(floats[rng.Intn(len(floats))])
+			}
+			return value.NewString(strs[rng.Intn(len(strs))])
+		})
 	}
-	return r
+	cols := append(r.Columns(), relation.BoxedCol(mixed))
+	return relation.FromColumns("prop", batchPropCols.Clone(), cols, n)
 }
 
 // batchFuncs is every scalar function of funcs.go plus an unknown name.
@@ -83,10 +104,15 @@ func genBatchExpr(rng *rand.Rand, depth int) Expr {
 		value.NewFloat(0), value.NewFloat(math.Copysign(0, -1)),
 		value.NewFloat(math.NaN()), value.NewFloat(math.Inf(1)), value.NewFloat(1.5),
 		value.NewString(""), value.NewString("a"), value.NewString("Good"),
+		value.NewString("ß"), value.NewString("İ"), value.NewString("ǅ"),
+		value.NewString("é"), value.NewString("\xff"),
 		value.NewBool(true), value.NewBool(false), value.Null,
 		value.NewDateDays(12000),
 	}
-	patterns := []string{"%", "a%", "%d", "_", "G__d", "%oo%", "a_", "", "Excellent"}
+	// LIKE's _ matches one byte, so "_" misses the two-byte "é" and "__"
+	// matches it.
+	patterns := []string{"%", "a%", "%d", "_", "G__d", "%oo%", "a_", "", "Excellent",
+		"__", "%é%", "Stra%e", "\xff%"}
 	leaf := func() Expr {
 		switch rng.Intn(20) {
 		case 0:
@@ -144,6 +170,21 @@ func genBatchExpr(rng *rand.Rand, depth int) Expr {
 	default:
 		return &Between{X: sub(), Lo: sub(), Hi: sub(), Negate: rng.Intn(2) == 0}
 	}
+}
+
+// batchKernelShapes are the typed kernels' shapes — the walkthrough's θ
+// formulas and LIKE σ, and their variants over every payload family and
+// the Boxed column X — which the property tests check on fresh random
+// relations alongside the random trees, so that their coverage does not
+// hang on rare draws of genBatchExpr.
+var batchKernelShapes = []string{
+	"UPPER(S)", "LOWER(S)", "UPPER(X)", "UPPER(I)", "LOWER(N)", "UPPER('ǅß')",
+	"UPPER(S) || '-' || S", "S || LOWER(X) || S", "UPPER(X) || I", "UPPER(I) || S", "X || '-' || S",
+	"S || (LOWER(S) || N)", "(S || F) || (D || B)", "LOWER('Ab') || S",
+	"I * 7 / 100 + J / 3", "I / J", "-(I / J)", "I / J + F", "(I / J) % J",
+	"I / J / J - 1", "X / I", "I % J", "(I / J) * N", "I / J || S", "I / J < 1",
+	"S LIKE 'a%'", "S LIKE X", "X LIKE 'a%'", "LOWER(S) LIKE '%é%'", "S LIKE '__'", "'Good' LIKE S", "S LIKE S",
+	"I LIKE S", "(S LIKE 'a%') = TRUE", "N LIKE S",
 }
 
 // bitIdentical is value identity at the representation level: same kind and
@@ -219,17 +260,21 @@ func checkBadLane(t *testing.T, what string, bad, wantBad int, wantErr error, re
 }
 
 // TestBatchBitIdentityProperty is the main property: for random expressions
-// and random data, EvalPos and SelectInto agree with the interpreter on
+// (and the kernel shapes) and random data, EvalPos and SelectInto agree with the interpreter on
 // every lane — identical values (including float bit patterns and NULL
 // tri-state) before the first erring row, and that row reported as the
 // first erring lane.
 func TestBatchBitIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
-	for trial := 0; trial < 600; trial++ {
+	const random = 600
+	for trial := 0; trial < random+40*len(batchKernelShapes); trial++ {
 		n := 1 + rng.Intn(70)
 		r := genBatchRel(rng, n)
 		rows := r.TupleRows()
 		e := genBatchExpr(rng, 3)
+		if trial >= random {
+			e = MustParse(batchKernelShapes[trial%len(batchKernelShapes)])
+		}
 		batchRes, rowRes := batchPropResolvers(r)
 
 		bp, err := CompileBatch(e, batchRes)
@@ -309,15 +354,21 @@ func rowMap(r *relation.Relation, i int) MapEnv {
 // TestBatchBitIdentityWindowed pins the indexed-window form: evaluating a
 // sub-window of a shuffled (and duplicating) index vector must agree lane
 // for lane with the interpreter applied to the indexed rows, EvalInto's
-// KindFloat widening must match the coerce rule, and EvalIntoCol must fill
-// the same cells (or report the same first erring lane).
+// KindFloat widening must match the coerce rule, and EvalIntoCol must
+// report the same first erring lane and, into a column of the first
+// non-NULL lane's kind, fill exactly the non-NULL cells with the
+// interpreter's payloads — or decline when some lane's kind differs.
 func TestBatchBitIdentityWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
-	for trial := 0; trial < 300; trial++ {
+	const random = 300
+	for trial := 0; trial < random+20*len(batchKernelShapes); trial++ {
 		n := 2 + rng.Intn(60)
 		r := genBatchRel(rng, n)
 		rows := r.TupleRows()
 		e := genBatchExpr(rng, 3)
+		if trial >= random {
+			e = MustParse(batchKernelShapes[trial%len(batchKernelShapes)])
+		}
 		batchRes, rowRes := batchPropResolvers(r)
 		bp, err := CompileBatch(e, batchRes)
 		if err != nil {
@@ -356,7 +407,9 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 		if bad >= 0 {
 			continue
 		}
-		for k := lo; k < hi; k++ {
+		want := make([]value.Value, m)
+		target := value.KindFloat // EvalIntoCol's kind: the first non-NULL lane's
+		for k := hi - 1; k >= lo; k-- {
 			v, _ := rp.Eval(rows[idx[k]])
 			if v.Kind() == value.KindInt { // EvalPos(KindFloat) widens; mirror coerce
 				v = value.NewFloat(float64(v.Int()))
@@ -364,6 +417,31 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 			if !bitIdentical(v, out[k]) {
 				t.Fatalf("%s: window lane %d diverges: %s vs %s", what, k, v, out[k])
 			}
+			if want[k] = v; !v.IsNull() {
+				target = v.Kind()
+			}
+		}
+		col = &relation.Col{Kind: target, Ints: make([]int64, n), Floats: make([]float64, n), Strs: make([]string, n)}
+		filled := make([]uint8, n)
+		if _, ok := bp.EvalIntoCol(idx, lo, hi, col, filled); ok {
+			for k := lo; k < hi; k++ {
+				ri := int(idx[k])
+				if got := col.Value(ri); want[k].IsNull() != (filled[ri] == 0) || (filled[ri] != 0 && !bitIdentical(want[k], got)) {
+					t.Fatalf("%s: EvalIntoCol(%s) lane %d: filled %d, %s (%v), interpreter %s (%v)",
+						what, target, k, filled[ri], got, got.Kind(), want[k], want[k].Kind())
+				}
+			}
+			continue
+		}
+		// A decline needs a lane of another kind, or no non-NULL lane at
+		// all (a typed vector of another kind, every lane NULL).
+		mixed, allNull := false, true
+		for _, v := range want[lo:hi] {
+			mixed = mixed || (!v.IsNull() && v.Kind() != target)
+			allNull = allNull && v.IsNull()
+		}
+		if !mixed && !allNull {
+			t.Fatalf("%s: EvalIntoCol(%s) declined though every non-NULL lane has that kind", what, target)
 		}
 	}
 }
@@ -401,28 +479,123 @@ func TestCompileBatchDeclines(t *testing.T) {
 	}
 }
 
-// TestBatchWindowBoundedAllocs caps the vectorized per-window overhead: one
-// SelectInto call over 10k lanes must allocate a bounded number of vectors
-// (operand and truth lanes), never per-lane boxes.
+// TestBatchWindowBoundedAllocs caps the vectorized per-window overhead: a
+// window allocates a bounded number of vectors (operand, truth and result
+// lanes, one backing string per string result), never per-lane boxes or
+// strings, so the same window shape allocates as often at 1k lanes as at
+// 10k.
 func TestBatchWindowBoundedAllocs(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	r := genBatchRel(rng, 10000)
-	n := r.Len()
+	for _, tc := range []struct {
+		src  string
+		eval func(bp *BatchProgram, n int) func()
+	}{
+		{"I < 20000 AND S IN ('a', 'Good', 'zzz')", func(bp *BatchProgram, n int) func() {
+			dst := make([]int32, n)
+			return func() { bp.SelectInto(nil, 0, n, dst) }
+		}},
+		{"S || '-' || S", func(bp *BatchProgram, n int) func() {
+			col := &relation.Col{Kind: value.KindString, Strs: make([]string, n)}
+			filled := make([]uint8, n)
+			return func() { bp.EvalIntoCol(nil, 0, n, col, filled) }
+		}},
+	} {
+		allocs := map[int]float64{}
+		for _, n := range []int{1000, 10000} {
+			r := genBatchRel(rand.New(rand.NewSource(17)), n)
+			batchRes, _ := batchPropResolvers(r)
+			bp, err := CompileBatch(MustParse(tc.src), batchRes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			allocs[n] = testing.AllocsPerRun(10, tc.eval(bp, n))
+		}
+		if allocs[1000] != allocs[10000] || allocs[10000] > 40 {
+			t.Errorf("%s: a window allocates %.0f times at 1k lanes and %.0f at 10k; per-lane allocation regressed",
+				tc.src, allocs[1000], allocs[10000])
+		}
+	}
+}
+
+// TestBatchProgramConcurrentWindows pins BatchProgram's "no mutable
+// state" contract, which chunked stages rely on when they share one
+// program across goroutines: the walkthrough's formula and selection
+// shapes, evaluated over disjoint windows from several goroutines into one
+// output, give exactly the sequential result. Run it under -race.
+func TestBatchProgramConcurrentWindows(t *testing.T) {
+	const n, window = 4096, 256
+	r := genBatchRel(rand.New(rand.NewSource(23)), n)
 	batchRes, _ := batchPropResolvers(r)
-	e, err := Parse("I < 20000 AND S IN ('a', 'Good', 'zzz')")
-	if err != nil {
-		t.Fatal(err)
+	// forWindows runs fn over every window, one goroutine each when
+	// concurrent, and waits for them.
+	forWindows := func(concurrent bool, fn func(lo, hi int)) {
+		var wg sync.WaitGroup
+		for lo := 0; lo < n; lo += window {
+			if !concurrent {
+				fn(lo, lo+window)
+				continue
+			}
+			wg.Add(1)
+			go func(lo int) {
+				defer wg.Done()
+				fn(lo, lo+window)
+			}(lo)
+		}
+		wg.Wait()
 	}
-	bp, err := CompileBatch(e, batchRes)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := make([]int32, n)
-	allocs := testing.AllocsPerRun(10, func() {
-		bp.SelectInto(nil, 0, n, dst)
-	})
-	if allocs > 40 {
-		t.Fatalf("SelectInto allocates %.0f times per 10k-lane window; per-lane allocation regressed", allocs)
+	for _, tc := range []struct {
+		src  string
+		kind value.Kind
+	}{
+		{"I * 7 / 100 + J / 3", value.KindFloat},
+		{"UPPER(S) || '-' || S", value.KindString},
+		{"LOWER(S) LIKE 'a%' OR S LIKE '%é%'", value.KindBool},
+	} {
+		bp, err := CompileBatch(MustParse(tc.src), batchRes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		type result struct {
+			col    *relation.Col
+			filled []uint8
+			vals   []value.Value
+			sel    []int32
+			counts []int
+		}
+		run := func(concurrent bool) result {
+			res := result{
+				col:    &relation.Col{Kind: tc.kind, Ints: make([]int64, n), Floats: make([]float64, n), Strs: make([]string, n)},
+				filled: make([]uint8, n),
+				vals:   make([]value.Value, n),
+				sel:    make([]int32, n),
+				counts: make([]int, n/window),
+			}
+			forWindows(concurrent, func(lo, hi int) {
+				if bad, ok := bp.EvalIntoCol(nil, lo, hi, res.col, res.filled); bad >= 0 || !ok {
+					t.Errorf("%s: EvalIntoCol [%d,%d): bad %d ok %v", tc.src, lo, hi, bad, ok)
+				}
+				if bad := bp.EvalInto(nil, lo, hi, tc.kind, res.vals); bad >= 0 {
+					t.Errorf("%s: EvalInto [%d,%d): bad %d", tc.src, lo, hi, bad)
+				}
+				if tc.kind == value.KindBool {
+					cnt, bad := bp.SelectInto(nil, lo, hi, res.sel[lo:])
+					if bad >= 0 {
+						t.Errorf("%s: SelectInto [%d,%d): bad %d", tc.src, lo, hi, bad)
+					}
+					res.counts[lo/window] = cnt
+				}
+			})
+			return res
+		}
+		seq, par := run(false), run(true)
+		if !reflect.DeepEqual(seq.filled, par.filled) || !reflect.DeepEqual(seq.col, par.col) ||
+			!reflect.DeepEqual(seq.sel, par.sel) || !reflect.DeepEqual(seq.counts, par.counts) {
+			t.Fatalf("%s: concurrent windows disagree with sequential ones", tc.src)
+		}
+		for i := range seq.vals {
+			if !bitIdentical(seq.vals[i], par.vals[i]) {
+				t.Fatalf("%s: row %d: concurrent %v, sequential %v", tc.src, i, par.vals[i], seq.vals[i])
+			}
+		}
 	}
 }
 

@@ -440,3 +440,23 @@ func TestQuickLikeSelfMatch(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAppendCaseMatchesStrings pins UPPER's and LOWER's one rule to the
+// functions it stands for: appendCase maps ASCII strings itself, and must
+// agree with strings.ToUpper and strings.ToLower bit for bit — on every
+// single byte, mixed-case words, and multibyte, case-changing and invalid
+// UTF-8 strings.
+func TestAppendCaseMatchesStrings(t *testing.T) {
+	inputs := []string{"", "Jetta", "GOOD", "mIxEd 42 ~@[`{", "ß", "İ", "ǅ", "é", "\xff", "Straße", "aé_Z"}
+	for b := 0; b < 256; b++ {
+		inputs = append(inputs, string([]byte{byte(b)}), "a"+string([]byte{byte(b)})+"Z")
+	}
+	for _, s := range inputs {
+		if got, want := string(appendCase([]byte("p"), s, true)), "p"+strings.ToUpper(s); got != want {
+			t.Errorf("upper %q: %q, strings.ToUpper gives %q", s, got, want)
+		}
+		if got, want := string(appendCase([]byte("p"), s, false)), "p"+strings.ToLower(s); got != want {
+			t.Errorf("lower %q: %q, strings.ToLower gives %q", s, got, want)
+		}
+	}
+}

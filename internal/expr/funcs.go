@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unicode/utf8"
 
 	"sheetmusiq/internal/value"
 )
@@ -45,6 +46,34 @@ func evalFunc(f *FuncCall, env Env) (value.Value, error) {
 		args[i] = v
 	}
 	return CallScalar(f.Name, args)
+}
+
+// appendCase appends s to dst upper-cased (or lower-cased): UPPER's and
+// LOWER's per-value rule, which both evaluators call. It is strings.ToUpper
+// or strings.ToLower; an ASCII string is mapped byte by byte in dst, as
+// those functions map it, so a batch window builds no temporary string per
+// lane.
+func appendCase(dst []byte, s string, upper bool) []byte {
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			if upper {
+				return append(dst, strings.ToUpper(s)...)
+			}
+			return append(dst, strings.ToLower(s)...)
+		}
+	}
+	from, to := byte('a'), byte('z')
+	if !upper {
+		from, to = 'A', 'Z'
+	}
+	start := len(dst)
+	dst = append(dst, s...)
+	for i, c := range dst[start:] {
+		if from <= c && c <= to {
+			dst[start+i] = c ^ 0x20 // flips ASCII letter case
+		}
+	}
+	return dst
 }
 
 func arity(name string, args []value.Value, n int) error {
@@ -120,10 +149,8 @@ func CallScalar(name string, args []value.Value) (value.Value, error) {
 		if args[0].Kind() != value.KindString {
 			return value.Null, fmt.Errorf("expr: %s over %s", name, args[0].Kind())
 		}
-		if name == "UPPER" {
-			return value.NewString(strings.ToUpper(args[0].Str())), nil
-		}
-		return value.NewString(strings.ToLower(args[0].Str())), nil
+		var buf [64]byte
+		return value.NewString(string(appendCase(buf[:0], args[0].Str(), name == "UPPER"))), nil
 	case "LENGTH":
 		if err := arity(name, args, 1); err != nil {
 			return value.Null, err

@@ -96,8 +96,8 @@ func NewHandler(m *Manager) http.Handler {
 		var req createRequest
 		// Every createRequest field is optional, so a bodiless POST (plain
 		// `curl -X POST`) creates an anonymous session rather than 400ing.
-		if err := decodeBody(r, &req); err != nil && !errors.Is(err, io.EOF) {
-			writeError(w, r, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &req); err != nil && !errors.Is(err, io.EOF) {
+			writeError(w, r, bodyStatus(err), err)
 			return
 		}
 		s, err := m.Create(req.Name)
@@ -122,8 +122,8 @@ func NewHandler(m *Manager) http.Handler {
 
 	handle("POST /v1/sessions/{id}/op", "op", withSession(m, func(w http.ResponseWriter, r *http.Request, s *Session) {
 		var op engine.Op
-		if err := decodeBody(r, &op); err != nil {
-			writeError(w, r, http.StatusBadRequest, err)
+		if err := decodeBody(w, r, &op); err != nil {
+			writeError(w, r, bodyStatus(err), err)
 			return
 		}
 		if op.TouchesFilesystem() && !m.cfg.AllowFilesystem {
@@ -303,14 +303,36 @@ func opStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-// decodeBody strictly decodes one JSON value.
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
+// maxBodyBytes bounds a request body; a larger one is answered 413. An op
+// is a few hundred bytes, so the bound leaves generous room.
+const maxBodyBytes = 1 << 20
+
+// decodeBody strictly decodes one JSON value: unknown fields, anything but
+// whitespace after the value, and a body over maxBodyBytes are errors. An
+// empty body yields an error wrapping io.EOF.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) error {
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
 	}
+	if _, err := dec.Token(); !errors.Is(err, io.EOF) {
+		if err == nil {
+			err = errors.New("a second JSON value")
+		}
+		return fmt.Errorf("bad request body: trailing data after the JSON value: %w", err)
+	}
 	return nil
+}
+
+// bodyStatus maps a decodeBody error to its status: 413 for an oversized
+// body, 400 otherwise.
+func bodyStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

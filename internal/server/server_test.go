@@ -351,6 +351,82 @@ func TestServerCreateEmptyBody(t *testing.T) {
 	}
 }
 
+// postRaw posts body verbatim to path and returns the status code.
+func (c *client) postRaw(path string, body io.Reader) int {
+	c.t.Helper()
+	resp, err := http.Post(c.base+path, "application/json", body)
+	if err != nil {
+		c.t.Fatal(err)
+	}
+	resp.Body.Close()
+	return resp.StatusCode
+}
+
+// TestServerRejectsTrailingBody checks that an op body is exactly one JSON
+// value: a second value or trailing garbage is a 400 that applies nothing,
+// so a client never sees 200 for a body whose tail was dropped.
+func TestServerRejectsTrailingBody(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	id := c.create("")
+	c.op(id, engine.Op{Op: "demo", Table: "cars"})
+	c.op(id, engine.Op{Op: "select", Predicate: "Year = 2005"})
+	c.op(id, engine.Op{Op: "undo"})
+	var before engine.StateInfo
+	if code := c.do("GET", "/v1/sessions/"+id+"/state", nil, &before); code != http.StatusOK {
+		t.Fatalf("state: status %d", code)
+	}
+	for _, body := range []string{`{"op":"redo"} {"op":"undo"}`, `{"op":"redo"}garbage`, `{"op":"redo"}}`} {
+		if code := c.postRaw("/v1/sessions/"+id+"/op", strings.NewReader(body)); code != http.StatusBadRequest {
+			t.Fatalf("body %q: status %d, want %d", body, code, http.StatusBadRequest)
+		}
+		var after engine.StateInfo
+		c.do("GET", "/v1/sessions/"+id+"/state", nil, &after)
+		if after.Version != before.Version || !reflect.DeepEqual(after.History, before.History) {
+			t.Fatalf("body %q changed the session: version %d → %d, history %v → %v",
+				body, before.Version, after.Version, before.History, after.History)
+		}
+	}
+	// Trailing whitespace is still one value.
+	if code := c.postRaw("/v1/sessions/"+id+"/op", strings.NewReader("{\"op\":\"redo\"}\n\t ")); code != http.StatusOK {
+		t.Fatalf("trailing whitespace: status %d, want %d", code, http.StatusOK)
+	}
+	if code := c.postRaw("/v1/sessions", strings.NewReader(`{} {}`)); code != http.StatusBadRequest {
+		t.Fatalf("create with two values: status %d, want %d", code, http.StatusBadRequest)
+	}
+}
+
+// TestServerBodyTooLarge checks the request body bound: a body over
+// maxBodyBytes is a 413 in the JSON error envelope, on both decoding
+// routes, and the session is left unchanged.
+func TestServerBodyTooLarge(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	id := c.create("")
+	c.op(id, engine.Op{Op: "demo", Table: "cars"})
+	huge := `{"op":"select","predicate":"Model = '` + strings.Repeat("x", maxBodyBytes) + `'"}`
+	resp, err := http.Post(c.base+"/v1/sessions/"+id+"/op", "application/json", strings.NewReader(huge))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var eb errorBody
+	if err := json.NewDecoder(resp.Body).Decode(&eb); err != nil {
+		t.Fatalf("413 body is not the JSON error envelope: %v", err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || eb.Error == "" {
+		t.Fatalf("oversized op: status %d body %+v, want %d", resp.StatusCode, eb, http.StatusRequestEntityTooLarge)
+	}
+	var st engine.StateInfo
+	c.do("GET", "/v1/sessions/"+id+"/state", nil, &st)
+	if len(st.Selections) != 0 {
+		t.Fatalf("oversized op was applied: %+v", st.Selections)
+	}
+	// A valid value followed by over a MiB of padding is oversized too.
+	padded := `{"name":"x"}` + strings.Repeat(" ", maxBodyBytes)
+	if code := c.postRaw("/v1/sessions", strings.NewReader(padded)); code != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized create: status %d, want %d", code, http.StatusRequestEntityTooLarge)
+	}
+}
+
 // TestManagerCloseDoesNotBlockOnBusySession pins the non-blocking close
 // contract: closing (or evicting) a session whose engine is mid-op must not
 // wait for the op — otherwise one slow query would hold the manager mutex

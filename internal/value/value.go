@@ -314,87 +314,114 @@ func Equal(a, b Value) bool { return MustCompare(a, b) == 0 }
 // Arithmetic errors.
 var errDivZero = fmt.Errorf("value: division by zero")
 
-func arith(op string, a, b Value) (Value, error) {
+func arith(op byte, a, b Value) (Value, error) {
 	if a.IsNull() || b.IsNull() {
 		return Null, nil
 	}
 	// Date +/- integer days.
 	if a.kind == KindDate && b.kind == KindInt {
 		switch op {
-		case "+":
+		case '+':
 			return NewDateDays(a.i + b.i), nil
-		case "-":
+		case '-':
 			return NewDateDays(a.i - b.i), nil
 		}
 	}
-	if a.kind == KindDate && b.kind == KindDate && op == "-" {
+	if a.kind == KindDate && b.kind == KindDate && op == '-' {
 		return NewInt(a.i - b.i), nil
 	}
 	if !a.kind.Numeric() || !b.kind.Numeric() {
-		return Null, fmt.Errorf("value: %s not defined on %s and %s", op, a.kind, b.kind)
+		return Null, fmt.Errorf("value: %c not defined on %s and %s", op, a.kind, b.kind)
 	}
 	if a.kind == KindInt && b.kind == KindInt {
-		x, y := a.i, b.i
-		switch op {
-		case "+":
-			return NewInt(x + y), nil
-		case "-":
-			return NewInt(x - y), nil
-		case "*":
-			return NewInt(x * y), nil
-		case "/":
-			if y == 0 {
-				return Null, errDivZero
-			}
-			if x%y == 0 {
-				return NewInt(x / y), nil
-			}
-			return NewFloat(float64(x) / float64(y)), nil
-		case "%":
-			if y == 0 {
-				return Null, errDivZero
-			}
-			return NewInt(x % y), nil
+		i, f, isFloat, err := IntArith(op, a.i, b.i)
+		switch {
+		case err != nil:
+			return Null, err
+		case isFloat:
+			return NewFloat(f), nil
 		}
+		return NewInt(i), nil
 	}
 	x, _ := a.AsFloat()
 	y, _ := b.AsFloat()
-	switch op {
-	case "+":
-		return NewFloat(x + y), nil
-	case "-":
-		return NewFloat(x - y), nil
-	case "*":
-		return NewFloat(x * y), nil
-	case "/":
-		if y == 0 {
-			return Null, errDivZero
-		}
-		return NewFloat(x / y), nil
-	case "%":
-		if y == 0 {
-			return Null, errDivZero
-		}
-		return NewFloat(math.Mod(x, y)), nil
+	f, err := FloatArith(op, x, y)
+	if err != nil {
+		return Null, err
 	}
-	return Null, fmt.Errorf("value: unknown operator %q", op)
+	return NewFloat(f), nil
+}
+
+// IntArith applies op ('+', '-', '*', '/' or '%') to two INT operands under
+// the arithmetic rule: results stay exact, except that a division with a
+// remainder promotes to FLOAT, returned in f with isFloat set. Division and
+// modulo by zero fail. It is the rule's one definition: Add through Mod and
+// the batch evaluator's per-lane kernels all call it.
+func IntArith(op byte, x, y int64) (i int64, f float64, isFloat bool, err error) {
+	switch op {
+	case '+':
+		return x + y, 0, false, nil
+	case '-':
+		return x - y, 0, false, nil
+	case '*':
+		return x * y, 0, false, nil
+	case '/':
+		if y == 0 {
+			return 0, 0, false, errDivZero
+		}
+		if x%y == 0 {
+			return x / y, 0, false, nil
+		}
+		return 0, float64(x) / float64(y), true, nil
+	case '%':
+		if y == 0 {
+			return 0, 0, false, errDivZero
+		}
+		return x % y, 0, false, nil
+	}
+	return 0, 0, false, fmt.Errorf("value: unknown operator %q", string(op))
+}
+
+// FloatArith applies op to two operands of which at least one is FLOAT,
+// both widened to float64 as AsFloat does. Division and modulo by zero
+// fail. Like IntArith, it is the one definition both evaluators call.
+func FloatArith(op byte, x, y float64) (float64, error) {
+	switch op {
+	case '+':
+		return x + y, nil
+	case '-':
+		return x - y, nil
+	case '*':
+		return x * y, nil
+	case '/':
+		if y == 0 {
+			return 0, errDivZero
+		}
+		return x / y, nil
+	case '%':
+		if y == 0 {
+			return 0, errDivZero
+		}
+		return math.Mod(x, y), nil
+	}
+	return 0, fmt.Errorf("value: unknown operator %q", string(op))
 }
 
 // Add returns a + b with numeric coercion; date + int adds days.
-func Add(a, b Value) (Value, error) { return arith("+", a, b) }
+func Add(a, b Value) (Value, error) { return arith('+', a, b) }
 
 // Sub returns a - b; date - date yields day count, date - int shifts days.
-func Sub(a, b Value) (Value, error) { return arith("-", a, b) }
+func Sub(a, b Value) (Value, error) { return arith('-', a, b) }
 
 // Mul returns a * b.
-func Mul(a, b Value) (Value, error) { return arith("*", a, b) }
+func Mul(a, b Value) (Value, error) { return arith('*', a, b) }
 
 // Div returns a / b. Integer division producing a remainder promotes to
 // float so that spreadsheet formulas behave as users expect.
-func Div(a, b Value) (Value, error) { return arith("/", a, b) }
+func Div(a, b Value) (Value, error) { return arith('/', a, b) }
 
 // Mod returns a % b.
-func Mod(a, b Value) (Value, error) { return arith("%", a, b) }
+func Mod(a, b Value) (Value, error) { return arith('%', a, b) }
 
 // Neg returns -a.
 func Neg(a Value) (Value, error) {
