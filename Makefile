@@ -9,10 +9,11 @@ build:
 # kernels (grouping/join/sort chunk fan-out) and internal/expr, whose batch
 # programs chunked stages share across goroutines, are the most
 # concurrency-sensitive, so test always re-runs them under the race detector
-# (full-tree race stays available as `make race`). internal/core, relation
-# and sql additionally race with the parallel threshold forced low, so the
-# chunk fan-out in every evaluation stage and executor loop fires even on
-# the small test relations; -count=1 because the threshold is read at
+# (full-tree race stays available as `make race`). internal/core, relation,
+# sql and tpch additionally race with the parallel threshold forced low, so
+# the chunk fan-out in every evaluation stage, executor loop and join gather
+# fires even on the small test relations (tpch builds the study views
+# against the golden answers and the algebra ≡ SQL differential); -count=1 because the threshold is read at
 # package init, which the test cache does not see, so a cached result of the
 # plain race run would stand in for it. perfbench is its own module, which the root
 # `go test ./...` never reaches; vetting and testing it here catches a break
@@ -20,7 +21,7 @@ build:
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph ./internal/expr
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/tpch
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:

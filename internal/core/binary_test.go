@@ -169,26 +169,27 @@ func TestEquiPairsExtraction(t *testing.T) {
 		{Name: "y", Kind: value.KindInt},
 	}
 	cases := []struct {
-		cond  string
-		wantL []int
-		wantR []int
+		cond     string
+		wantL    []int
+		wantR    []int
+		keysOnly bool
 	}{
-		{"a = x", []int{0}, []int{0}},
-		{"x = a", []int{0}, []int{0}},                 // orientation-insensitive
-		{"a = x AND b = y", []int{0, 1}, []int{0, 1}}, // both conjuncts
-		{"a = x AND b > y", []int{0}, []int{0}},       // residual theta kept out
-		{"a = b", nil, nil},                           // same-side equality
-		{"a = x OR b = y", nil, nil},                  // OR is not conjunctive
-		{"a + 1 = x", nil, nil},                       // not a bare column ref
+		{"a = x", []int{0}, []int{0}, true},
+		{"x = a", []int{0}, []int{0}, true},                 // orientation-insensitive
+		{"a = x AND b = y", []int{0, 1}, []int{0, 1}, true}, // both conjuncts
+		{"a = x AND b > y", []int{0}, []int{0}, false},      // residual theta kept out
+		{"a = b", nil, nil, false},                          // same-side equality
+		{"a = x OR b = y", nil, nil, false},                 // OR is not conjunctive
+		{"a + 1 = x", nil, nil, false},                      // not a bare column ref
 	}
 	for _, c := range cases {
 		e, err := expr.Parse(c.cond)
 		if err != nil {
 			t.Fatal(err)
 		}
-		l, r := equiPairs(e, schema, 2)
-		if fmt.Sprint(l) != fmt.Sprint(c.wantL) || fmt.Sprint(r) != fmt.Sprint(c.wantR) {
-			t.Fatalf("equiPairs(%q) = %v,%v want %v,%v", c.cond, l, r, c.wantL, c.wantR)
+		l, r, keysOnly := equiPairs(e, schema, 2)
+		if fmt.Sprint(l) != fmt.Sprint(c.wantL) || fmt.Sprint(r) != fmt.Sprint(c.wantR) || keysOnly != c.keysOnly {
+			t.Fatalf("equiPairs(%q) = %v,%v,%v want %v,%v,%v", c.cond, l, r, keysOnly, c.wantL, c.wantR, c.keysOnly)
 		}
 	}
 }

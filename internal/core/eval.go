@@ -4,7 +4,6 @@ import (
 	"strings"
 	"time"
 
-	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/value"
@@ -65,18 +64,6 @@ func (e rowEnv) Lookup(name string) (value.Value, bool) {
 		return e.row[i], true
 	}
 	return value.Null, false
-}
-
-// schemaResolver resolves column names to row positions for binding an
-// expression (expr.Compile), once per expression instead of once per
-// reference per row.
-func schemaResolver(schema relation.Schema) expr.Resolver {
-	return func(name string) (int, bool) {
-		if i := schema.IndexOf(name); i >= 0 {
-			return i, true
-		}
-		return 0, false
-	}
 }
 
 // Evaluate replays the query state against the base relation and returns

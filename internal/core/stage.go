@@ -11,9 +11,9 @@ import (
 )
 
 // Stage bodies. Every stage consumes and produces a stageSnap and reads
-// rows through a relation.IndexView — base tuples plus computed-column
-// vectors behind a surviving-row index vector — instead of materialised
-// working tuples. Stage bodies run data-parallel over contiguous row chunks
+// rows through a relation.IndexView — base and computed-column vectors
+// behind a surviving-row index vector — instead of materialised working
+// tuples. Stage bodies run data-parallel over contiguous row chunks
 // above relation.ParallelThreshold with chunk-local results concatenated
 // (or merged) in chunk order, so the output is bit-identical to the
 // sequential scan — the same determinism contract the monolithic replay
@@ -64,10 +64,7 @@ func (ev *evalCtx) batchResolver(view *relation.IndexView) expr.BatchResolver {
 		if p < 0 {
 			return nil, false
 		}
-		if c := view.ColAt(p); c != nil {
-			return c, true
-		}
-		return nil, false
+		return view.ColAt(p), true
 	}
 }
 
@@ -131,8 +128,8 @@ func (ev *evalCtx) viewOf(snap *stageSnap) *relation.IndexView {
 		}
 	}
 	return &relation.IndexView{
-		Rows:  ev.s.base.TupleRows(),
 		Cols:  ev.cols,
+		Base:  ev.s.base.Len(),
 		Idx:   snap.idx,
 		Over:  over,
 		Split: ev.nBase,
@@ -328,17 +325,15 @@ func scatterGroups(results []value.Value, gids, idx []int32, nBase, n int) *rela
 // inputs (computed-column vectors). Both paths feed cells in ascending view
 // order and merge partials in chunk order, so they produce identical bits.
 func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inPos int, gids []int32, ng, n int) ([]value.Value, error) {
-	if in := view.ColAt(inPos); in != nil {
-		results, seqFallback, err := relation.GroupAggregate(c.Agg, in, gids, view.Idx, n, ng)
-		if err == nil {
-			if seqFallback {
-				evalMergeFallback.Inc()
-			}
-			return results, nil
+	results, seqFallback, err := relation.GroupAggregate(c.Agg, view.ColAt(inPos), gids, view.Idx, n, ng)
+	if err == nil {
+		if seqFallback {
+			evalMergeFallback.Inc()
 		}
-		if !errors.Is(err, relation.ErrNotVectorizable) {
-			return nil, fmt.Errorf("core: aggregate %s: %w", c.Name, err)
-		}
+		return results, nil
+	}
+	if !errors.Is(err, relation.ErrNotVectorizable) {
+		return nil, fmt.Errorf("core: aggregate %s: %w", c.Name, err)
 	}
 	bounds := relation.Chunks(n)
 	if len(bounds) > 1 && !relation.MergeExact(c.Agg, ev.work[inPos].Kind) {
@@ -348,7 +343,7 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 		bounds = [][2]int{{0, n}}
 	}
 	parts := make([][]*relation.Accumulator, len(bounds))
-	err := relation.RunChunks(bounds, func(ch, lo, hi int) error {
+	err = relation.RunChunks(bounds, func(ch, lo, hi int) error {
 		accs := make([]*relation.Accumulator, ng)
 		for i := lo; i < hi; i++ {
 			acc := accs[gids[i]]
@@ -381,7 +376,7 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 	}
 	// Finalise once per group, not once per row. Every group has at
 	// least one row, so every merged accumulator is non-nil.
-	results := make([]value.Value, ng)
+	results = make([]value.Value, ng)
 	for g, acc := range accs {
 		results[g] = acc.Result()
 	}
@@ -414,8 +409,9 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 		}
 		out := relation.AllNullCol()
 		if n > 0 {
-			if out, err = runFormulaTyped(bp, view.Idx, n, nBase, c.ResultKind, fail); err != nil {
-				return nil, err
+			var bad int
+			if out, bad = bp.EvalCol(view.Idx, n, nBase, c.ResultKind, false, true); bad >= 0 {
+				return nil, fail(bad)
 			}
 		}
 		if out == nil {
@@ -440,46 +436,6 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 // errMixedKinds aborts a typed conversion pass when a filled cell disagrees
 // with the column's detected kind.
 var errMixedKinds = errors.New("core: mixed cell kinds")
-
-// runFormulaTyped fills a formula column straight from the batch program's
-// typed lanes (EvalIntoCol) — no boxing, no conversion pass. It returns a
-// nil column when the inferred kind has no payload lane or some chunk's
-// lanes disagree with it; the caller then refills boxed. An erring lane
-// ends the fill with fail's error: chunks report in order, so the first
-// chunk to fail either errs first in row order or leaves the boxed refill
-// to find the first error.
-func runFormulaTyped(bp *expr.BatchProgram, idx []int32, n, nBase int, kind value.Kind, fail func(bad int) error) (*relation.Col, error) {
-	out := &relation.Col{Kind: kind}
-	switch kind {
-	case value.KindInt, value.KindBool, value.KindDate:
-		out.Ints = make([]int64, nBase)
-	case value.KindFloat:
-		out.Floats = make([]float64, nBase)
-	case value.KindString:
-		out.Strs = make([]string, nBase)
-	default:
-		return nil, nil
-	}
-	filled := make([]uint8, nBase)
-	err := relation.ForChunks(n, func(_, lo, hi int) error {
-		bad, ok := bp.EvalIntoCol(idx, lo, hi, out, filled)
-		if bad >= 0 {
-			return fail(bad)
-		}
-		if !ok {
-			return errMixedKinds
-		}
-		return nil
-	})
-	if err == errMixedKinds {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, err
-	}
-	out.Nulls = relation.NullsFromFilled(filled)
-	return out, nil
-}
 
 // typedFromVals converts a freshly filled base-row-indexed boxed vector into
 // a typed column; idx lists the filled positions (other rows are NULL
@@ -616,8 +572,7 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 			}
 			// Typed lanes: the kernel reads order keys and the argument
 			// straight off the column vectors through the index vector — no
-			// boxed gather at all. ColAt never returns nil (viewOf always
-			// attaches the base columns; computed columns wrap their vectors).
+			// boxed gather at all.
 			if k := len(opos); k > 0 {
 				win.KeyCols = make([]*relation.Col, k)
 				for j, p := range opos {
@@ -647,12 +602,10 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 }
 
 // runSelectStage filters the input snapshot's index vector by one σ
-// predicate through a batch program: each chunk compacts its survivors into
-// its own prefix of a fresh index vector and the chunk-local kept runs
-// concatenate in chunk order, so the surviving multiset order — and, per
-// RunChunks, the first error — are identical to the sequential scan. A chunk
-// with an erring lane re-runs that row through the interpreter for the
-// exact error.
+// predicate through a batch program (BatchProgram.Select): chunks compact
+// their survivors in chunk order, so the surviving multiset order — and the
+// first erring lane — are identical to the sequential scan. An erring lane
+// re-runs that row through the interpreter for the exact error.
 func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		view := ev.viewOf(in)
@@ -660,33 +613,13 @@ func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error
 		if err != nil {
 			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)
 		}
-		n := view.Len()
-		dst := make([]int32, n)
-		bounds := relation.Chunks(n)
-		counts := make([]int, len(bounds))
-		err = relation.RunChunks(bounds, func(c, lo, hi int) error {
-			cnt, bad := bp.SelectInto(view.Idx, lo, hi, dst[lo:])
-			if bad >= 0 {
-				return fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), ev.rowError(bp, view, bad, true))
-			}
-			counts[c] = cnt
-			return nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		w := 0
-		if len(bounds) > 0 {
-			w = counts[0]
-			for c := 1; c < len(bounds); c++ {
-				lo := bounds[c][0]
-				copy(dst[w:], dst[lo:lo+counts[c]])
-				w += counts[c]
-			}
+		kept, bad := bp.Select(view.Idx, view.Len())
+		if bad >= 0 {
+			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), ev.rowError(bp, view, bad, true))
 		}
 		snap := in.extend()
-		snap.idx = dst[:w:w]
-		snap.ownBytes = int64(4 * w)
+		snap.idx = kept
+		snap.ownBytes = int64(4 * len(kept))
 		return snap, nil
 	}
 }

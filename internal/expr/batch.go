@@ -315,6 +315,31 @@ func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (count, 
 	return w, -1
 }
 
+// Select evaluates the program as a predicate over the n lanes of idx (nil
+// = identity) in parallel chunks (relation.Chunks) and returns the
+// surviving base-row indexes in lane order. bad is the lane of the first
+// row that errs under EvalBool — the first in lane order, since each chunk
+// stops at its own first — or -1; kept is nil when a lane errs.
+func (p *BatchProgram) Select(idx []int32, n int) (kept []int32, bad int) {
+	dst := make([]int32, n)
+	bounds := relation.Chunks(n)
+	counts := make([]int, len(bounds))
+	bads := make([]int, len(bounds))
+	_ = relation.RunChunks(bounds, func(c, lo, hi int) error {
+		counts[c], bads[c] = p.SelectInto(idx, lo, hi, dst[lo:])
+		return nil
+	})
+	w := 0
+	for c, b := range bounds {
+		if bads[c] >= 0 {
+			return nil, bads[c]
+		}
+		copy(dst[w:], dst[b[0]:b[0]+counts[c]])
+		w += counts[c]
+	}
+	return dst[:w:w], -1
+}
+
 // EvalInto evaluates the program over window [lo,hi) of idx (nil =
 // identity), writing each lane's value to out at its base-row index, widened
 // to kind under the consumer's coercion rule (KindFloat widens integer
@@ -355,6 +380,55 @@ func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []
 // the caller then refills through EvalInto, which yields the dynamically
 // typed column.
 func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8) (bad int, ok bool) {
+	return p.evalIntoCol(idx, lo, hi, out, filled, false, true)
+}
+
+// EvalCol evaluates the program over the n lanes of idx (nil = identity),
+// in parallel chunks, into a fresh column of kind covering size cells —
+// EvalIntoCol over every window. Lane k lands at cell k when pos is set
+// (EvalPos's layout), else at its base-row index; widen lets INT lanes fill
+// a FLOAT column, as EvalInto's coercion does. bad is the first erring
+// lane, or -1. col is nil when a lane errs, when kind has no payload
+// family, or when a non-NULL lane's kind disagrees with it; the caller then
+// takes the boxed route (EvalInto or EvalPos), which reports the exact
+// error or yields the mixed-kind values. Chunks report in order, so the
+// first chunk to fail either errs first in lane order or leaves the boxed
+// route to find the first error.
+func (p *BatchProgram) EvalCol(idx []int32, n, size int, kind value.Kind, pos, widen bool) (col *relation.Col, bad int) {
+	col = &relation.Col{Kind: kind}
+	switch kind {
+	case value.KindInt, value.KindBool, value.KindDate:
+		col.Ints = make([]int64, size)
+	case value.KindFloat:
+		col.Floats = make([]float64, size)
+	case value.KindString:
+		col.Strs = make([]string, size)
+	default:
+		return nil, -1
+	}
+	filled := make([]uint8, size)
+	bounds := relation.Chunks(n)
+	bads := make([]int, len(bounds))
+	oks := make([]bool, len(bounds))
+	_ = relation.RunChunks(bounds, func(c, lo, hi int) error {
+		bads[c], oks[c] = p.evalIntoCol(idx, lo, hi, col, filled, pos, widen)
+		return nil
+	})
+	for c := range bounds {
+		if bads[c] >= 0 {
+			return nil, bads[c]
+		}
+		if !oks[c] {
+			return nil, -1
+		}
+	}
+	col.Nulls = relation.NullsFromFilled(filled)
+	return col, -1
+}
+
+// evalIntoCol is EvalIntoCol with the output layout (pos: lane k at cell
+// lo+k) and the INT-to-FLOAT widening chosen by the caller.
+func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8, pos, widen bool) (bad int, ok bool) {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
 	v := p.fn(c)
@@ -362,12 +436,13 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 		return lo + k, false
 	}
 	ri := func(k int) int {
-		if idx != nil {
+		if idx != nil && !pos {
 			return int(idx[lo+k])
 		}
 		return lo + k
 	}
 	kind := out.Kind
+	widen = widen && kind == value.KindFloat
 	if v.kind == value.KindNull {
 		return -1, true
 	}
@@ -379,7 +454,7 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			}
 			vk := val.Kind()
 			i := ri(k)
-			if kind == value.KindFloat && vk == value.KindInt {
+			if widen && vk == value.KindInt {
 				out.Floats[i] = float64(val.Int())
 				filled[i] = 1
 				continue
@@ -409,7 +484,7 @@ func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 		}
 		return -1, true
 	}
-	if kind == value.KindFloat && (v.kind == value.KindInt || v.kind == kindNumeric) {
+	if widen && (v.kind == value.KindInt || v.kind == kindNumeric) {
 		for k := 0; k < c.n; k++ {
 			if v.null(k) {
 				continue

@@ -97,7 +97,7 @@ func evalScalarSubquery(sub *Subquery, env Env) (value.Value, error) {
 	case 0:
 		return value.Null, nil
 	case 1:
-		return rel.Rows[0][0], nil
+		return rel.TupleRange(0, 1)[0][0], nil
 	default:
 		return value.Null, fmt.Errorf("expr: scalar subquery returned %d rows", rel.Len())
 	}
@@ -132,7 +132,7 @@ func evalInSubquery(n *InSubquery, env Env) (value.Value, error) {
 	}
 	sawNull := x.IsNull()
 	found := false
-	for _, row := range rel.Rows {
+	for _, row := range rel.TupleRows() {
 		v := row[0]
 		if v.IsNull() || x.IsNull() {
 			sawNull = true

@@ -29,15 +29,11 @@ import (
 
 var columnMaterialize = obs.Default.Counter("relation.column.materialize")
 
-// ColumnarThreshold is autoColumnarThreshold for consumers outside the
-// package (the SQL executor applies the same worthwhileness rule).
-const ColumnarThreshold = autoColumnarThreshold
-
-// autoColumnarThreshold is the row count at or above which the hot kernels
-// (Aggregate, HashJoin, the SQL WHERE path) columnarize a row-built relation
-// on first use rather than scanning boxed tuples. Below it the one-off
-// conversion would cost more than it saves. Kernels always use columns that
-// already exist regardless of size.
+// autoColumnarThreshold is the row count at or above which Aggregate and
+// SortedClone columnarize a row-built relation on first use rather than
+// scanning boxed tuples. Below it the one-off conversion would cost more
+// than it saves. Kernels always use columns that already exist regardless
+// of size.
 const autoColumnarThreshold = 256
 
 // Col is one typed column vector. Exactly one payload family is populated:
@@ -291,6 +287,19 @@ func (c *Col) Gather(rows []int32) *Col {
 			out.Ints[i] = c.Ints[ri]
 		}
 	}
+	return out
+}
+
+// GatherCols gathers every column at rows (Col.Gather), chunked across
+// columns.
+func GatherCols(cols []*Col, rows []int32) []*Col {
+	out := make([]*Col, len(cols))
+	_ = ForChunks(len(cols), func(_, lo, hi int) error {
+		for j := lo; j < hi; j++ {
+			out[j] = cols[j].Gather(rows)
+		}
+		return nil
+	})
 	return out
 }
 
@@ -548,13 +557,21 @@ func (r *Relation) invalidateColumns() {
 func columnarize(rows []Tuple, schema Schema) []*Col {
 	cols := make([]*Col, len(schema))
 	for ci, sc := range schema {
-		cols[ci] = buildCol(rows, ci, sc.Kind)
+		cols[ci] = buildCol(len(rows), sc.Kind, func(i int) value.Value { return rows[i][ci] })
 	}
 	return cols
 }
 
-func buildCol(rows []Tuple, ci int, kind value.Kind) *Col {
-	n := len(rows)
+// ColOf builds a column of the given kind from a value vector; a value of
+// another kind demotes it to Boxed, exactly as columnarize treats a
+// row-built relation's cells.
+func ColOf(kind value.Kind, vals []value.Value) *Col {
+	return buildCol(len(vals), kind, func(i int) value.Value { return vals[i] })
+}
+
+// buildCol builds an n-cell column of the given kind from cell(i), or a
+// Boxed column of the cells when some non-NULL cell is of another kind.
+func buildCol(n int, kind value.Kind, cell func(i int) value.Value) *Col {
 	c := &Col{Kind: kind}
 	switch kind {
 	case value.KindInt, value.KindBool, value.KindDate:
@@ -564,10 +581,10 @@ func buildCol(rows []Tuple, ci int, kind value.Kind) *Col {
 	case value.KindString:
 		c.Strs = make([]string, n)
 	default:
-		return boxedFromRows(rows, ci)
+		return boxedCells(n, cell)
 	}
-	for i, t := range rows {
-		v := t[ci]
+	for i := 0; i < n; i++ {
+		v := cell(i)
 		if v.IsNull() {
 			if c.Nulls == nil {
 				c.Nulls = NewBitmap(n)
@@ -576,7 +593,7 @@ func buildCol(rows []Tuple, ci int, kind value.Kind) *Col {
 			continue
 		}
 		if v.Kind() != kind {
-			return boxedFromRows(rows, ci)
+			return boxedCells(n, cell)
 		}
 		switch kind {
 		case value.KindInt:
@@ -596,10 +613,10 @@ func buildCol(rows []Tuple, ci int, kind value.Kind) *Col {
 	return c
 }
 
-func boxedFromRows(rows []Tuple, ci int) *Col {
-	vals := make([]value.Value, len(rows))
-	for i, t := range rows {
-		vals[i] = t[ci]
+func boxedCells(n int, cell func(i int) value.Value) *Col {
+	vals := make([]value.Value, n)
+	for i := range vals {
+		vals[i] = cell(i)
 	}
 	return &Col{Boxed: vals}
 }

@@ -17,7 +17,7 @@ func (r *Relation) WriteCSV(w io.Writer) error {
 		return err
 	}
 	rec := make([]string, len(r.Schema))
-	for _, t := range r.Rows {
+	for _, t := range r.TupleRange(0, r.Len()) {
 		for i, v := range t {
 			if v.IsNull() {
 				rec[i] = ""

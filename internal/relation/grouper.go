@@ -78,10 +78,10 @@ func hashRow(t Tuple, cols []int) uint64 {
 	return h
 }
 
-// equalRows reports whether a (restricted to acols) equals b (restricted to
-// bcols) under value.Equal. nil column sets mean the whole tuple.
-func equalRows(a Tuple, acols []int, b Tuple, bcols []int) bool {
-	if acols == nil && bcols == nil {
+// equalRows reports whether a and b, restricted to cols, are equal under
+// value.Equal. A nil column set means the whole tuple.
+func equalRows(a, b Tuple, cols []int) bool {
+	if cols == nil {
 		if len(a) != len(b) {
 			return false
 		}
@@ -92,8 +92,8 @@ func equalRows(a Tuple, acols []int, b Tuple, bcols []int) bool {
 		}
 		return true
 	}
-	for i := range acols {
-		if !value.Equal(a[acols[i]], b[bcols[i]]) {
+	for _, c := range cols {
+		if !value.Equal(a[c], b[c]) {
 			return false
 		}
 	}
@@ -114,7 +114,7 @@ func (g *Grouper) addHashed(t Tuple, h uint64) (int32, bool) {
 			break
 		}
 		gid := s - 1
-		if g.hash[gid] == h && equalRows(g.reps[gid], g.cols, t, g.cols) {
+		if g.hash[gid] == h && equalRows(g.reps[gid], t, g.cols) {
 			return gid, false
 		}
 		grouperCollisions.Inc()
@@ -132,14 +132,7 @@ func (g *Grouper) addHashed(t Tuple, h uint64) (int32, bool) {
 
 // Find returns the group ID of t's key, or -1 when absent.
 func (g *Grouper) Find(t Tuple) int32 {
-	return g.FindOn(t, g.cols)
-}
-
-// FindOn probes with t's key taken from cols — which may differ from the
-// table's own column set (the hash-join probe side) but must have the same
-// length. It returns the group ID or -1.
-func (g *Grouper) FindOn(t Tuple, cols []int) int32 {
-	h := hashRow(t, cols)
+	h := hashRow(t, g.cols)
 	i := h & g.mask
 	for {
 		s := g.slots[i]
@@ -147,7 +140,7 @@ func (g *Grouper) FindOn(t Tuple, cols []int) int32 {
 			return -1
 		}
 		gid := s - 1
-		if g.hash[gid] == h && equalRows(g.reps[gid], g.cols, t, cols) {
+		if g.hash[gid] == h && equalRows(g.reps[gid], t, g.cols) {
 			return gid
 		}
 		grouperCollisions.Inc()

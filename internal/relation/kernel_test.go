@@ -107,32 +107,16 @@ func TestGroupRowsOnParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestGrouperFindOnCrossLayout: FindOn with probe-side columns must locate
-// groups built from build-side columns (the hash-join probe).
-func TestGrouperFindOnCrossLayout(t *testing.T) {
-	g := NewGrouper([]int{1}, 4)
-	b1, _ := g.Add(Tuple{value.NewString("x"), value.NewInt(7)})
-	b2, _ := g.Add(Tuple{value.NewString("y"), value.NewInt(8)})
-	if got := g.FindOn(Tuple{value.NewFloat(7), value.NewString("z")}, []int{0}); got != b1 {
-		t.Fatalf("FindOn(float 7) = %d, want %d (int/float coincidence)", got, b1)
-	}
-	if got := g.FindOn(Tuple{value.NewInt(8), value.Null}, []int{0}); got != b2 {
-		t.Fatalf("FindOn(8) = %d, want %d", got, b2)
-	}
-	if got := g.FindOn(Tuple{value.NewInt(9)}, []int{0}); got != -1 {
-		t.Fatalf("FindOn(9) = %d, want -1", got)
-	}
-}
-
 // relEqual compares two relations row by row under bit-identity (kind and
 // payload via MustCompare==0 plus same kind).
 func relEqual(a, b *Relation) bool {
-	if len(a.Rows) != len(b.Rows) || len(a.Schema) != len(b.Schema) {
+	ar, br := a.TupleRows(), b.TupleRows()
+	if len(ar) != len(br) || len(a.Schema) != len(b.Schema) {
 		return false
 	}
-	for i := range a.Rows {
-		for j := range a.Rows[i] {
-			x, y := a.Rows[i][j], b.Rows[i][j]
+	for i := range ar {
+		for j := range ar[i] {
+			x, y := ar[i][j], br[i][j]
 			if x.Kind() != y.Kind() || !value.Equal(x, y) {
 				return false
 			}
@@ -147,36 +131,83 @@ func makeRel(name string, rows []Tuple) *Relation {
 	return r
 }
 
-// TestHashJoinMatchesThetaJoin: for a predicate carrying an equality
-// conjunct plus a residual theta condition, the hash kernel must produce
+// rowFilter adapts a row predicate to a PairFilter over the candidates'
+// boxed rows, stopping at the first error — the reference the typed
+// callers' batch filters must match.
+func rowFilter(pred func(Tuple) (bool, error)) PairFilter {
+	return func(cand *Relation) ([]int32, error) {
+		keep := []int32{}
+		for k, t := range cand.TupleRows() {
+			ok, err := pred(t)
+			if err != nil {
+				return nil, err
+			}
+			if ok {
+				keep = append(keep, int32(k))
+			}
+		}
+		return keep, nil
+	}
+}
+
+// TestHashJoinMatchesThetaJoin: for a predicate carrying key equalities,
+// with or without a residual theta condition, the hash kernel must produce
 // exactly the product-filter result — same rows, same order — on both the
-// build-left and build-right side choices.
+// build-left and build-right side choices. Keys cover the INT column b, the
+// mixed column a (INT, FLOAT, STRING and NULL cells, so a Boxed column whose
+// INT 3 meets FLOAT 3.0 and whose NULLs never match), the pair (a, b), and
+// an empty side.
 func TestHashJoinMatchesThetaJoin(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(17))
-	on := func(tp Tuple) (bool, error) {
-		// r.b = s.b AND r.c < s.c over the product layout (r: 0..2, s: 3..5).
-		if !value.Equal(tp[1], tp[4]) || tp[1].IsNull() || tp[4].IsNull() {
-			return false, nil
-		}
-		return value.MustCompare(tp[2], tp[5]) < 0, nil
-	}
 	for trial := 0; trial < 30; trial++ {
-		left := makeRel("l", genRows(rng, rng.Intn(120)))
-		right := makeRel("r", genRows(rng, rng.Intn(240)))
-		want, err := left.Join(right, on)
-		if err != nil {
-			t.Fatal(err)
+		nl, nr := rng.Intn(120), rng.Intn(240)
+		switch trial {
+		case 0:
+			nl = 0
+		case 1:
+			nr = 0
 		}
-		got, err := left.HashJoin(right, []int{1}, []int{1}, on)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !relEqual(want, got) {
-			t.Fatalf("trial %d: hash join (%d rows) != theta join (%d rows)", trial, got.Len(), want.Len())
-		}
-		if !got.Schema.Equal(want.Schema) {
-			t.Fatalf("trial %d: schema mismatch", trial)
+		left := makeRel("l", genRows(rng, nl))
+		right := makeRel("r", genRows(rng, nr))
+		for _, keys := range [][]int{{1}, {0}, {0, 1}} {
+			// Product layout: r at 0..2, s at 3..5. SQL `=` on each key.
+			keysEqual := func(tp Tuple) bool {
+				for _, c := range keys {
+					x, y := tp[c], tp[3+c]
+					if x.IsNull() || y.IsNull() || !value.Equal(x, y) {
+						return false
+					}
+				}
+				return true
+			}
+			on := func(tp Tuple) (bool, error) {
+				return keysEqual(tp) && value.MustCompare(tp[2], tp[5]) < 0, nil
+			}
+			onKeys := func(tp Tuple) (bool, error) { return keysEqual(tp), nil }
+			for _, c := range []struct {
+				name     string
+				pred     func(Tuple) (bool, error)
+				residual PairFilter
+			}{
+				{"keys and residual", on, rowFilter(on)},
+				{"keys only", onKeys, nil},
+			} {
+				want, err := left.Join(right, rowFilter(c.pred))
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := left.HashJoin(right, keys, keys, c.residual)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !relEqual(want, got) {
+					t.Fatalf("trial %d keys %v %s: hash join (%d rows) != theta join (%d rows)", trial, keys, c.name, got.Len(), want.Len())
+				}
+				if !got.Schema.Equal(want.Schema) {
+					t.Fatalf("trial %d keys %v %s: schema mismatch", trial, keys, c.name)
+				}
+			}
 		}
 	}
 }
@@ -188,12 +219,12 @@ func TestHashJoinErrorParity(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
 	left := makeRel("l", genRows(rng, 300))
 	right := makeRel("r", genRows(rng, 300))
-	boom := func(tp Tuple) (bool, error) {
+	boom := rowFilter(func(tp Tuple) (bool, error) {
 		if value.Equal(tp[1], tp[4]) {
 			return false, errBoom{}
 		}
 		return false, nil
-	}
+	})
 	_, errTheta := left.Join(right, boom)
 	_, errHash := left.HashJoin(right, []int{1}, []int{1}, boom)
 	if errTheta == nil || errHash == nil {
@@ -287,7 +318,7 @@ func TestSortedCloneColumnarMatchesRowSort(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(31))
 	keys := []SortKey{{Column: "b"}, {Column: "a", Desc: true}}
-	for _, n := range []int{ColumnarThreshold, 3000} {
+	for _, n := range []int{autoColumnarThreshold, 3000} {
 		rows := genRows(rng, n)
 		want := makeRel("w", rows).Clone()
 		if err := want.Sort(keys); err != nil {

@@ -43,7 +43,7 @@ func assemblyView(n int, idx []int32) (*IndexView, Schema) {
 		}
 	}
 	work := append(schema.Clone(), Column{Name: "o1", Kind: value.KindInt}, Column{Name: "o2", Kind: value.KindInt})
-	return &IndexView{Rows: rows, Cols: base.Columns(), Idx: idx, Over: []*Col{filled, nil}, Split: len(schema)}, work
+	return &IndexView{Cols: base.Columns(), Base: n, Idx: idx, Over: []*Col{filled, nil}, Split: len(schema)}, work
 }
 
 // assemblyForms builds, for each form final assembly can take, a fresh
@@ -68,7 +68,7 @@ func assemblyForms(n int) map[string]func() *Relation {
 	}
 	mixed := []int{4, 0, 5, 6, 2}
 	return map[string]func() *Relation{
-		"shared base tuples":        func() *Relation { return project(gapped, []int{0, 1, 2, 3, 4}) },
+		"base columns in order":     func() *Relation { return project(gapped, []int{0, 1, 2, 3, 4}) },
 		"identity index":            func() *Relation { return project(identity, mixed) },
 		"deferred gather":           func() *Relation { return project(gapped, mixed) },
 		"deferred gather, gathered": func() *Relation { r := project(gapped, mixed); r.Columns(); return r },

@@ -241,7 +241,10 @@ func (r *Relation) Select(pred func(Tuple) (bool, error)) (*Relation, error) {
 }
 
 // Project keeps exactly the named columns, in the given order, without
-// duplicate elimination (multiset semantics).
+// duplicate elimination (multiset semantics). A column-built relation
+// projects its columns — shared, not copied, and still deferred when its
+// gather is — so projection boxes nothing; a row-built one projects its
+// tuples.
 func (r *Relation) Project(names []string) (*Relation, error) {
 	idx, err := r.ColumnIndexes(names)
 	if err != nil {
@@ -250,6 +253,22 @@ func (r *Relation) Project(names []string) (*Relation, error) {
 	schema := make(Schema, len(idx))
 	for i, j := range idx {
 		schema[i] = r.Schema[j]
+	}
+	if c := r.col; c != nil && c.colBuilt {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		src := c.cols
+		if c.gather != nil {
+			src = c.gather.cols
+		}
+		cols := make([]*Col, len(idx))
+		for i, j := range idx {
+			cols[i] = src[j]
+		}
+		if c.gather != nil {
+			return FromColumnsLazy(r.Name, schema, cols, c.gather.idx), nil
+		}
+		return FromColumns(r.Name, schema, cols, c.nrows), nil
 	}
 	out := New(r.Name, schema)
 	// One flat backing array for the projected rows instead of one
@@ -266,6 +285,21 @@ func (r *Relation) Project(names []string) (*Relation, error) {
 		out.Rows[ri] = row
 	}
 	return out, nil
+}
+
+// Pick returns the relation of r's rows at positions pos, in order: a typed
+// gather of the columns when r has them, the shared tuples otherwise.
+func (r *Relation) Pick(pos []int32) *Relation {
+	if cols := r.CachedColumns(); cols != nil {
+		return FromColumns(r.Name, r.Schema, GatherCols(cols, pos), len(pos))
+	}
+	rows := r.TupleRows()
+	out := New(r.Name, r.Schema)
+	out.Rows = make([]Tuple, len(pos))
+	for i, p := range pos {
+		out.Rows[i] = rows[p]
+	}
+	return out
 }
 
 // productSchema is the concatenated schema of r × s. Columns whose names
@@ -290,32 +324,6 @@ func productSchema(r, s *Relation) Schema {
 		schema = append(schema, Column{Name: name, Kind: c.Kind})
 	}
 	return schema
-}
-
-// Product returns the Cartesian product r × s with productSchema naming.
-func (r *Relation) Product(s *Relation) *Relation {
-	out := New(r.Name+"_x_"+s.Name, productSchema(r, s))
-	rrows, srows := r.TupleRows(), s.TupleRows()
-	n := len(rrows) * len(srows)
-	if n == 0 {
-		return out
-	}
-	// One flat backing array for all output rows instead of one allocation
-	// per row; the product is the largest materialisation in the system.
-	w, wl := len(out.Schema), len(r.Schema)
-	flat := make([]value.Value, n*w)
-	out.Rows = make([]Tuple, n)
-	k := 0
-	for _, a := range rrows {
-		for _, b := range srows {
-			row := flat[k*w : (k+1)*w : (k+1)*w]
-			copy(row, a)
-			copy(row[wl:], b)
-			out.Rows[k] = row
-			k++
-		}
-	}
-	return out
 }
 
 // Union returns the multiset union r ⊎ s. Schemas must be equal.
@@ -391,61 +399,6 @@ func (r *Relation) distinctKept(gr *Grouping) *Relation {
 		out.Rows[g] = row
 	}
 	return out
-}
-
-// Join computes the theta-join of r and s using on as the join predicate
-// over the product row layout (r's columns then s's, disambiguated as in
-// Product). A nil predicate degenerates to the product. Candidate pairs are
-// enumerated with a scratch row — the full product is never materialised —
-// and matches land in one flat backing array, in product order.
-func (r *Relation) Join(s *Relation, on func(Tuple) (bool, error)) (*Relation, error) {
-	if on == nil {
-		return r.Product(s), nil
-	}
-	joinFallback.Inc()
-	out := New(r.Name+"_x_"+s.Name, productSchema(r, s))
-	w, wl := len(out.Schema), len(r.Schema)
-	scratch := make(Tuple, w)
-	var pa, pb []int32
-	srows := s.TupleRows()
-	for a, ta := range r.TupleRows() {
-		copy(scratch, ta)
-		for b, tb := range srows {
-			copy(scratch[wl:], tb)
-			ok, err := on(scratch)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				pa = append(pa, int32(a))
-				pb = append(pb, int32(b))
-			}
-		}
-	}
-	MaterializePairs(out, r, s, pa, pb)
-	return out, nil
-}
-
-// MaterializePairs fills out with the concatenation of r's and s's rows for
-// each (a, b) index pair, in pair order, backed by a single flat array. out
-// must have the product-layout schema (r's columns then s's).
-func MaterializePairs(out *Relation, r, s *Relation, pa, pb []int32) {
-	n, w, wl := len(pa), len(out.Schema), len(r.Schema)
-	if n == 0 {
-		return
-	}
-	rrows, srows := r.TupleRows(), s.TupleRows()
-	flat := make([]value.Value, n*w)
-	out.Rows = make([]Tuple, n)
-	_ = ForChunks(n, func(_, lo, hi int) error {
-		for k := lo; k < hi; k++ {
-			row := flat[k*w : (k+1)*w : (k+1)*w]
-			copy(row, rrows[pa[k]])
-			copy(row[wl:], srows[pb[k]])
-			out.Rows[k] = row
-		}
-		return nil
-	})
 }
 
 // String renders the relation as an aligned text table (for debugging and

@@ -175,14 +175,14 @@ func TestJoin(t *testing.T) {
 	b := New("b", Schema{{Name: "ref", Kind: value.KindInt}, {Name: "v", Kind: value.KindString}})
 	b.MustAppend(value.NewInt(2), value.NewString("two"))
 	b.MustAppend(value.NewInt(3), value.NewString("three"))
-	j, err := a.Join(b, func(t Tuple) (bool, error) {
+	j, err := a.Join(b, rowFilter(func(t Tuple) (bool, error) {
 		return value.Equal(t[0], t[1]), nil
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if j.Len() != 1 || j.Rows[0][2].Str() != "two" {
-		t.Errorf("join result = %v", j.Rows)
+	if j.Len() != 1 || j.TupleRows()[0][2].Str() != "two" {
+		t.Errorf("join result = %v", j.TupleRows())
 	}
 }
 

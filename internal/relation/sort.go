@@ -394,7 +394,7 @@ func (r *Relation) Sort(keys []SortKey) error {
 // lazily through TupleRows.
 func (r *Relation) SortedClone(keys []SortKey) (*Relation, error) {
 	n := r.Len()
-	if n >= ColumnarThreshold && len(keys) > 0 {
+	if n >= autoColumnarThreshold && len(keys) > 0 {
 		idx, desc, err := r.sortPlan(keys)
 		if err != nil {
 			return nil, err
@@ -405,14 +405,7 @@ func (r *Relation) SortedClone(keys []SortKey) (*Relation, error) {
 			keyCols[i] = cols[j]
 		}
 		perm := SortPermCols(keyCols, nil, n, desc)
-		sorted := make([]*Col, len(cols))
-		_ = ForChunks(len(cols), func(_, lo, hi int) error {
-			for ci := lo; ci < hi; ci++ {
-				sorted[ci] = cols[ci].Gather(perm)
-			}
-			return nil
-		})
-		return FromColumns(r.Name, r.Schema, sorted, n), nil
+		return FromColumns(r.Name, r.Schema, GatherCols(cols, perm), n), nil
 	}
 	out := r.Clone()
 	if err := out.Sort(keys); err != nil {

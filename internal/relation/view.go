@@ -17,20 +17,16 @@ import (
 // vectors are attached (Cols), they hash, compare and gather raw payloads
 // without boxing a single cell.
 
-// IndexView is a read-only view of surviving rows over a backing row set:
-// view row i is backing row Idx[i]. Column positions below Split read from
-// the backing tuples; position Split+j reads the computed-column vector
-// Over[j], a typed column indexed by the backing-row index. A nil column
-// reads as NULL — the column exists in the working schema but has not been
-// filled by any upstream stage, exactly the zero-Value cell of a freshly
-// materialised working row.
-//
-// Cols, when non-nil, carries the backing relation's typed column vectors
-// (aligned with positions below Split); the group/sort/materialise kernels
-// then run their columnar fast paths. Rows remains valid either way.
+// IndexView is a read-only view of surviving rows over a backing relation
+// of Base rows: view row i is backing row Idx[i]. Column positions below
+// Split read the backing relation's typed column vectors Cols; position
+// Split+j reads the computed-column vector Over[j], a typed column indexed
+// by the backing-row index. A nil Over column reads as NULL — the column
+// exists in the working schema but has not been filled by any upstream
+// stage, exactly the zero-Value cell of a freshly materialised working row.
 type IndexView struct {
-	Rows  []Tuple
 	Cols  []*Col
+	Base  int
 	Idx   []int32
 	Over  []*Col
 	Split int
@@ -41,46 +37,22 @@ func (v *IndexView) Len() int { return len(v.Idx) }
 
 // At returns the cell at view row i, working-schema position col.
 func (v *IndexView) At(i, col int) value.Value {
-	ri := v.Idx[i]
-	if col < v.Split {
-		return v.Rows[ri][col]
-	}
-	vec := v.Over[col-v.Split]
-	if vec == nil {
-		return value.Null
-	}
-	return vec.Value(int(ri))
-}
-
-// Gather fills out with view row i's cells at the given working positions.
-func (v *IndexView) Gather(i int, cols []int, out []value.Value) {
-	for j, c := range cols {
-		out[j] = v.At(i, c)
-	}
+	return v.ColAt(col).Value(int(v.Idx[i]))
 }
 
 // GatherRow fills out (length Split+len(Over)) with view row i's full
-// working row: the backing tuple followed by every computed-column cell.
+// working row: the backing cells followed by every computed-column cell.
 func (v *IndexView) GatherRow(i int, out []value.Value) {
-	ri := v.Idx[i]
-	copy(out[:v.Split], v.Rows[ri])
-	for j, vec := range v.Over {
-		if vec == nil {
-			out[v.Split+j] = value.Null
-		} else {
-			out[v.Split+j] = vec.Value(int(ri))
-		}
+	for j := range out {
+		out[j] = v.At(i, j)
 	}
 }
 
 // ColAt returns working position col as a typed column indexed by
-// backing-row index, or nil when the view has no column vectors attached.
-// Computed columns are typed columns already — the backing-row indexing
-// lines up because Over vectors are indexed the same way.
+// backing-row index. Computed columns are typed columns already — the
+// backing-row indexing lines up because Over vectors are indexed the same
+// way.
 func (v *IndexView) ColAt(col int) *Col {
-	if v.Cols == nil {
-		return nil
-	}
 	if col < v.Split {
 		return v.Cols[col]
 	}
@@ -91,28 +63,20 @@ func (v *IndexView) ColAt(col int) *Col {
 	return vec
 }
 
-// keyCols resolves every working position to a typed column, or nil if any
-// position has none.
+// keyCols resolves every working position to its typed column.
 func (v *IndexView) keyCols(cols []int) []*Col {
 	out := make([]*Col, len(cols))
 	for i, c := range cols {
-		kc := v.ColAt(c)
-		if kc == nil {
-			return nil
-		}
-		out[i] = kc
+		out[i] = v.ColAt(c)
 	}
 	return out
 }
 
 // GroupView partitions the view's rows by the key columns (working-schema
 // positions), assigning dense group IDs in first-occurrence view order —
-// GroupRowsOn through the index indirection. An empty column set yields one
-// group holding every row (level-1 aggregation). With column vectors
-// attached the typed kernel hashes payload arrays directly; otherwise the
-// key cells are gathered once, chunk-parallel, into a flat array and grouped
-// boxed. Both kernels share hash and equality semantics, so numbering is
-// identical.
+// GroupRowsOn through the index indirection, hashing the typed payload
+// arrays directly. An empty column set yields one group holding every row
+// (level-1 aggregation).
 func GroupView(v *IndexView, cols []int) *Grouping {
 	n := v.Len()
 	if n == 0 {
@@ -121,27 +85,13 @@ func GroupView(v *IndexView, cols []int) *Grouping {
 	if len(cols) == 0 {
 		return &Grouping{IDs: make([]int32, n), First: []int32{0}}
 	}
-	if kc := v.keyCols(cols); kc != nil {
-		return GroupCols(kc, v.Idx, n)
-	}
-	k := len(cols)
-	flat := make([]value.Value, n*k)
-	keyRows := make([]Tuple, n)
-	_ = ForChunks(n, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			out := flat[i*k : (i+1)*k : (i+1)*k]
-			v.Gather(i, cols, out)
-			keyRows[i] = out
-		}
-		return nil
-	})
-	return GroupRowsOn(keyRows, nil)
+	return GroupCols(v.keyCols(cols), v.Idx, n)
 }
 
 // SortView stably orders the view's rows by the key columns and returns the
 // reordered index vector as a new slice; the view is not modified. With no
-// keys the result is a copy of Idx. With column vectors attached the typed
-// comparator runs on raw payloads; the boxed fallback extracts keys first.
+// keys the result is a copy of Idx. The typed comparator runs on raw
+// payloads.
 func SortView(v *IndexView, cols []int, desc []bool) []int32 {
 	n := v.Len()
 	out := make([]int32, n)
@@ -149,20 +99,7 @@ func SortView(v *IndexView, cols []int, desc []bool) []int32 {
 		copy(out, v.Idx)
 		return out
 	}
-	var perm []int32
-	if kc := v.keyCols(cols); kc != nil {
-		perm = SortPermCols(kc, v.Idx, n, desc)
-	} else {
-		k := len(cols)
-		flat := make([]value.Value, n*k)
-		_ = ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				v.Gather(i, cols, flat[i*k:(i+1)*k])
-			}
-			return nil
-		})
-		perm = SortPermByKeys(flat, k, desc)
-	}
+	perm := SortPermCols(v.keyCols(cols), v.Idx, n, desc)
 	_ = ForChunks(n, func(_, lo, hi int) error {
 		for i := lo; i < hi; i++ {
 			out[i] = v.Idx[perm[i]]
@@ -277,16 +214,6 @@ func SortViewByGrouping(v *IndexView, keyCols []*Col, desc []bool, gr *Grouping)
 	return out
 }
 
-// identityPrefix reports whether cols is exactly [0, 1, ..., len(cols)).
-func identityPrefix(cols []int) bool {
-	for j, c := range cols {
-		if c != j {
-			return false
-		}
-	}
-	return true
-}
-
 // identityIdx reports whether idx is the identity over all n backing rows.
 func identityIdx(idx []int32, n int) bool {
 	if len(idx) != n {
@@ -301,33 +228,17 @@ func identityIdx(idx []int32, n int) bool {
 }
 
 // MaterializeView assembles the given working positions of every view row
-// into a fresh relation with the given schema. This is the pipeline's final
-// assembly; the view must carry the backing relation's column vectors
-// (Cols). Tuples and column vectors are immutable throughout the system, so
-// assembly shares storage instead of copying:
-//
-//   - Projecting exactly the base columns in their original order shares the
-//     surviving base tuples — assembly is one pointer per row.
-//   - Otherwise the output is column-built: an identity index vector shares
-//     the columns themselves; anything else keeps the column vectors and the
-//     index vector as its deferred gather source (FromColumnsLazy), so a
-//     page boxes only its own rows and the full gather runs only if a
-//     consumer asks for the columns.
+// into a fresh column-built relation with the given schema. This is the
+// pipeline's final assembly. Column vectors are immutable throughout the
+// system, so assembly shares storage instead of copying: an identity index
+// vector shares the columns themselves; anything else keeps the column
+// vectors and the index vector as its deferred gather source
+// (FromColumnsLazy), so a page boxes only its own rows and the full gather
+// runs only if a consumer asks for the columns.
 func MaterializeView(v *IndexView, cols []int, name string, schema Schema) *Relation {
-	n, w := v.Len(), len(cols)
-	if v.Rows != nil && w == v.Split && identityPrefix(cols) {
-		rows := make([]Tuple, n)
-		for i, ri := range v.Idx {
-			rows[i] = v.Rows[ri]
-		}
-		return &Relation{Name: name, Schema: schema, Rows: rows}
-	}
-	src := make([]*Col, w)
-	for j, c := range cols {
-		src[j] = v.ColAt(c)
-	}
-	if identityIdx(v.Idx, len(v.Rows)) {
-		return FromColumns(name, schema, src, n)
+	src := v.keyCols(cols)
+	if identityIdx(v.Idx, v.Base) {
+		return FromColumns(name, schema, src, v.Len())
 	}
 	return FromColumnsLazy(name, schema, src, v.Idx)
 }

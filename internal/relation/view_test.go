@@ -64,7 +64,7 @@ func TestSortViewByGroupingMatchesSortView(t *testing.T) {
 		for i := range idx {
 			idx[i] = int32(rng.Intn(n))
 		}
-		v := &IndexView{Rows: rows, Cols: cols, Idx: idx, Split: len(schema)}
+		v := &IndexView{Cols: cols, Base: n, Idx: idx, Split: len(schema)}
 
 		nk := 1 + rng.Intn(3)
 		pos := make([]int, nk)

@@ -18,7 +18,7 @@ func Example() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.TupleRows() {
 		fmt.Printf("%v: %v cars, cheapest %v\n", row[0], row[1], row[2])
 	}
 	// Output:
@@ -37,7 +37,7 @@ func Example_correlatedSubquery() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.TupleRows() {
 		fmt.Println(row[0])
 	}
 	// Output:

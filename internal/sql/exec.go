@@ -76,27 +76,52 @@ func (db *DB) execOuter(stmt *SelectStmt, outer expr.Env) (*relation.Relation, e
 	return execOn(db, src, stmt, outer)
 }
 
-// source is the FROM result: a relation whose columns carry fully qualified
-// names ("alias.col"); lookups resolve bare names by unique suffix match.
-// cols, when non-nil, are the backing table's typed column vectors, aligned
-// with rel's rows — the WHERE and select-item fast paths evaluate batch
-// programs against them. Any in-place row filtering drops them.
+// source is the FROM result: a column-built relation whose columns carry
+// fully qualified names ("alias.col"); lookups resolve bare names by unique
+// suffix match. cols are rel's typed column vectors: every row loop and
+// batch program reads cells from them, by base-row index.
 type source struct {
 	rel  *relation.Relation
 	cols []*relation.Col
 }
 
+// newSource wraps a column-built relation.
+func newSource(rel *relation.Relation) *source {
+	return &source{rel: rel, cols: rel.Columns()}
+}
+
 // batchResolve exposes the source's typed columns to the vectorized
 // expression compiler under the source's name-resolution rules.
 func (s *source) batchResolve(name string) (*relation.Col, bool) {
-	if s.cols == nil {
-		return nil, false
-	}
 	i, err := s.resolve(name)
 	if err != nil {
 		return nil, false
 	}
 	return s.cols[i], true
+}
+
+// kind resolves a name to its column's kind, the resolver expr.Check takes.
+func (s *source) kind(name string) (value.Kind, bool) {
+	i, err := s.resolve(name)
+	if err != nil {
+		return value.KindNull, false
+	}
+	return s.rel.Schema[i].Kind, true
+}
+
+// plainCol returns the typed column e names when e is a plain column
+// reference whose cells already are the output column of the given kind —
+// so the output can share or gather it — and nil otherwise.
+func (s *source) plainCol(e expr.Expr, kind value.Kind) *relation.Col {
+	ref, ok := e.(*expr.ColumnRef)
+	if !ok {
+		return nil
+	}
+	col, ok := s.batchResolve(ref.Name)
+	if !ok || col.Boxed != nil || col.Kind != kind {
+		return nil
+	}
+	return col
 }
 
 // resolve maps a (possibly qualified) name to a column index, insisting on
@@ -282,7 +307,8 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr, outer
 	return nil, fmt.Errorf("sql: unsupported FROM item %T", f)
 }
 
-// qualify copies rel with every column renamed to "alias.col".
+// qualify renames every column of rel to "alias.col", sharing rel's typed
+// columns (a row-built rel columnarizes once, and caches them).
 func qualify(rel *relation.Relation, alias string) *source {
 	schema := make(relation.Schema, len(rel.Schema))
 	for i, c := range rel.Schema {
@@ -292,141 +318,101 @@ func qualify(rel *relation.Relation, alias string) *source {
 		}
 		schema[i] = relation.Column{Name: alias + "." + name, Kind: c.Kind}
 	}
-	out := relation.New(alias, schema)
-	out.Rows = rel.TupleRows() // rows are read-only downstream
-	return &source{rel: out, cols: typedCols(rel)}
+	return newSource(relation.FromColumns(alias, schema, rel.Columns(), rel.Len()))
 }
 
-// typedCols returns the relation's typed columns when the columnar path is
-// worthwhile: already built, or large enough to amortise the conversion.
-// Renaming does not disturb the vectors, so qualified sources share the
-// backing table's cache.
-func typedCols(rel *relation.Relation) []*relation.Col {
-	if cols := rel.CachedColumns(); cols != nil {
-		return cols
-	}
-	if rel.Len() >= relation.ColumnarThreshold {
-		return rel.Columns()
-	}
-	return nil
-}
-
-// joinSources computes left ⋈ right: the equi-hash-join kernel when the ON
-// clause carries equality conjuncts, a scratch-row nested loop otherwise.
-// Either way matched rows land in one flat backing array; the full product
-// row set is never allocated. The ON predicate binds its names once and
-// cannot run subqueries (its scope has no database handle), so it is pure
-// and the kernel's parallel candidate probe is safe.
+// joinSources computes left ⋈ right over typed columns: the equi-hash-join
+// kernel when the ON clause carries equality conjuncts, the theta-join's
+// filtered product otherwise. Whatever of ON the kernel's key match does
+// not cover filters the candidate pairs as a batch program (onFilter).
+// Source names never collide (checked here), so the kernels' product
+// layout is exactly the concatenated schema.
 func joinSources(left, right *source, on expr.Expr) (*source, error) {
-	schema := append(left.rel.Schema.Clone(), right.rel.Schema.Clone()...)
 	seen := map[string]bool{}
-	for _, c := range schema {
+	for _, c := range append(left.rel.Schema.Clone(), right.rel.Schema...) {
 		k := strings.ToLower(c.Name)
 		if seen[k] {
 			return nil, fmt.Errorf("sql: duplicate source name %q; alias the tables", c.Name)
 		}
 		seen[k] = true
 	}
-	out := relation.New(left.rel.Name+"_"+right.rel.Name, schema)
-	probe := &source{rel: out}
-	sc := (&stmtCtx{src: probe}).bind(0, on)
-	onFn := func(row relation.Tuple) (bool, error) {
-		if on == nil {
-			return true, nil
-		}
-		return expr.EvalBool(on, sc.env(row))
+	var filter relation.PairFilter
+	if on != nil {
+		filter = onFilter(on)
 	}
+	var j *relation.Relation
+	var err error
+	if lk, rk, keysOnly := hashKeys(left, right, on); len(lk) > 0 {
+		if keysOnly {
+			filter = nil // the kernel's key match is the whole ON clause
+		}
+		j, err = left.rel.HashJoin(right.rel, lk, rk, filter)
+	} else {
+		j, err = left.rel.Join(right.rel, filter)
+	}
+	if err != nil {
+		return nil, err
+	}
+	j.Name = left.rel.Name + "_" + right.rel.Name
+	return newSource(j), nil
+}
 
-	// Try to extract an equality conjunct usable as a hash-join key. Source
-	// names never collide (checked above), so the kernel's product layout is
-	// exactly this concatenated schema and its rows drop straight in.
-	if lk, rk := hashKeys(left, right, on); len(lk) > 0 {
-		j, err := left.rel.HashJoin(right.rel, lk, rk, onFn)
-		if err != nil {
-			return nil, err
-		}
-		out.Rows = j.TupleRows()
-		return probe, nil
+// onFilter runs an ON clause over a join's candidate pairs. It binds its
+// names once and cannot run subqueries (its scope has no database handle),
+// so it is pure, and its batch program runs chunk-parallel.
+func onFilter(on expr.Expr) relation.PairFilter {
+	return func(cand *relation.Relation) ([]int32, error) {
+		return (&stmtCtx{src: newSource(cand)}).filter(on, nil)
 	}
-	wl := len(left.rel.Schema)
-	scratch := make(relation.Tuple, len(schema))
-	var pa, pb []int32
-	rrows := right.rel.TupleRows()
-	for a, lt := range left.rel.TupleRows() {
-		copy(scratch, lt)
-		for b, rt := range rrows {
-			copy(scratch[wl:], rt)
-			ok, err := onFn(scratch)
-			if err != nil {
-				return nil, err
-			}
-			if ok {
-				pa = append(pa, int32(a))
-				pb = append(pb, int32(b))
-			}
-		}
-	}
-	relation.MaterializePairs(out, left.rel, right.rel, pa, pb)
-	return probe, nil
 }
 
 // hashKeys extracts column-index pairs for top-level AND-ed equality
-// conjuncts of the form leftCol = rightCol.
-func hashKeys(left, right *source, on expr.Expr) (lk, rk []int) {
-	var conjuncts func(e expr.Expr)
-	var pairs [][2]int
-	conjuncts = func(e expr.Expr) {
-		b, ok := e.(*expr.Binary)
-		if !ok {
-			return
-		}
-		if b.Op == expr.OpAnd {
-			conjuncts(b.L)
-			conjuncts(b.R)
-			return
-		}
-		if b.Op != expr.OpEq {
-			return
-		}
-		lc, lok := b.L.(*expr.ColumnRef)
-		rc, rok := b.R.(*expr.ColumnRef)
-		if !lok || !rok {
-			return
-		}
-		li, lerr := left.resolve(lc.Name)
-		ri, rerr := right.resolve(rc.Name)
-		if lerr == nil && rerr == nil {
-			pairs = append(pairs, [2]int{li, ri})
-			return
-		}
-		// Reversed orientation: right = left.
-		li, lerr = left.resolve(rc.Name)
-		ri, rerr = right.resolve(lc.Name)
-		if lerr == nil && rerr == nil {
-			pairs = append(pairs, [2]int{li, ri})
+// conjuncts of the form leftCol = rightCol. keysOnly reports that they are
+// every conjunct of on.
+func hashKeys(left, right *source, on expr.Expr) (lk, rk []int, keysOnly bool) {
+	if on == nil {
+		return nil, nil, false
+	}
+	keysOnly = true
+	for _, c := range conjuncts(on) {
+		if li, ri, ok := keyPair(left, right, c); ok {
+			lk, rk = append(lk, li), append(rk, ri)
+		} else {
+			keysOnly = false
 		}
 	}
-	if on != nil {
-		conjuncts(on)
-	}
-	for _, p := range pairs {
-		lk = append(lk, p[0])
-		rk = append(rk, p[1])
-	}
-	return lk, rk
+	return lk, rk, keysOnly
 }
 
-// execOn runs the SELECT body against a materialised source.
+// keyPair resolves an equality conjunct `a = b` to a left and a right
+// column, in either orientation.
+func keyPair(left, right *source, e expr.Expr) (li, ri int, ok bool) {
+	b, isBin := e.(*expr.Binary)
+	if !isBin || b.Op != expr.OpEq {
+		return 0, 0, false
+	}
+	lc, lok := b.L.(*expr.ColumnRef)
+	rc, rok := b.R.(*expr.ColumnRef)
+	if !lok || !rok {
+		return 0, 0, false
+	}
+	for _, p := range [2][2]string{{lc.Name, rc.Name}, {rc.Name, lc.Name}} {
+		li, lerr := left.resolve(p[0])
+		ri, rerr := right.resolve(p[1])
+		if lerr == nil && rerr == nil {
+			return li, ri, true
+		}
+	}
+	return 0, 0, false
+}
+
+// execOn runs the SELECT body against a materialised source. idx tracks the
+// surviving rows by base-row index (nil = every source row); every stage
+// reads their cells from the source's typed columns through it.
 func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Relation, error) {
 	// The subquery cache lives for this statement execution.
 	x := &stmtCtx{db: db, src: src, outer: outer, subs: map[*expr.Subquery]*subState{}}
-	// WHERE. rows starts as the full source row set, aligned with the
-	// source's typed columns; idx tracks the surviving base-row indexes so
-	// downstream batch programs keep reading the typed vectors through the
-	// indirection. aligned turns false once rows stop mapping to src.cols.
-	rows := src.rel.TupleRows()
 	var idx []int32
-	aligned := src.cols != nil
 	if stmt.Where != nil {
 		if expr.ContainsAggregate(stmt.Where) {
 			return nil, fmt.Errorf("sql: aggregates are not allowed in WHERE")
@@ -435,10 +421,9 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 			return nil, fmt.Errorf("sql: window functions are not allowed in WHERE")
 		}
 		var err error
-		if rows, idx, err = x.filter(stmt.Where, rows, aligned); err != nil {
+		if idx, err = x.filter(stmt.Where, nil); err != nil {
 			return nil, err
 		}
-		aligned = aligned && idx != nil
 	}
 
 	grouped := len(stmt.GroupBy) > 0 || stmt.Having != nil || hasAggregates(stmt)
@@ -447,19 +432,17 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 			return nil, fmt.Errorf("sql: window functions cannot be combined with GROUP BY, HAVING or aggregates")
 		}
 		var werr error
-		rows, stmt, werr = x.applyWindows(stmt, rows, idx, aligned)
-		if werr != nil {
+		if stmt, werr = x.applyWindows(stmt, idx); werr != nil {
 			return nil, werr
 		}
-		idx, aligned = nil, false
 	}
 	var out *relation.Relation
 	var sortVals [][]value.Value
 	var err error
 	if grouped {
-		out, sortVals, err = x.execGrouped(stmt, rows, idx, aligned)
+		out, sortVals, err = x.execGrouped(stmt, idx)
 	} else {
-		out, sortVals, err = x.execPlain(stmt, rows, idx, aligned)
+		out, sortVals, err = x.execPlain(stmt, idx)
 	}
 	if err != nil {
 		return nil, err
@@ -469,17 +452,19 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 		out, sortVals = distinctRows(out, sortVals)
 	}
 	if len(stmt.OrderBy) > 0 {
-		sortOutput(out, sortVals, stmt.OrderBy)
+		out = sortOutput(out, sortVals, stmt.OrderBy)
 	}
-	if stmt.Offset > 0 {
-		if stmt.Offset >= out.Len() {
-			out.Rows = nil
-		} else {
-			out.Rows = out.Rows[stmt.Offset:]
+	if n := out.Len(); stmt.Offset > 0 || (stmt.Limit >= 0 && stmt.Limit < n) {
+		lo := min(stmt.Offset, n)
+		hi := n
+		if stmt.Limit >= 0 {
+			hi = min(lo+stmt.Limit, n)
 		}
-	}
-	if stmt.Limit >= 0 && stmt.Limit < out.Len() {
-		out.Rows = out.Rows[:stmt.Limit]
+		keep := make([]int32, hi-lo)
+		for i := range keep {
+			keep[i] = int32(lo + i)
+		}
+		out = out.Pick(keep)
 	}
 	return out, nil
 }
@@ -498,18 +483,17 @@ func hasAggregates(stmt *SelectStmt) bool {
 	return stmt.Having != nil && expr.ContainsAggregate(stmt.Having)
 }
 
-// execGrouped evaluates GROUP BY / aggregate queries. idx, when aligned,
-// holds the surviving base-row indexes of rows so column-reference aggregate
-// arguments can run the typed grouped-aggregation kernel over the source's
-// column payloads.
-func (x *stmtCtx) execGrouped(stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) (*relation.Relation, [][]value.Value, error) {
+// execGrouped evaluates GROUP BY / aggregate queries over the surviving rows
+// idx (nil = every source row); column-reference aggregate arguments run
+// the typed grouped-aggregation kernel over the source's column payloads.
+func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation, [][]value.Value, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("sql: * is not allowed with GROUP BY or aggregates")
 		}
 	}
 	// Group rows by the GROUP BY expression values.
-	groups, gr, err := x.buildRowGroups(stmt.GroupBy, rows)
+	groups, gr, err := x.buildRowGroups(stmt.GroupBy, idx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -576,7 +560,7 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, rows []relation.Tuple, idx []int
 	if err != nil {
 		return nil, nil, err
 	}
-	return x.groupOutput(groups, gr, aggs, items, having, orderBy, schema, idx, aligned, len(rows))
+	return x.groupOutput(groups, gr, aggs, items, having, orderBy, schema, idx)
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.
@@ -771,16 +755,9 @@ func expandStars(src *source, items []SelectItem) ([]SelectItem, error) {
 
 // outputSchema infers result column kinds for ungrouped projections.
 func outputSchema(src *source, items []SelectItem) (relation.Schema, error) {
-	resolve := func(name string) (value.Kind, bool) {
-		i, err := src.resolve(name)
-		if err != nil {
-			return value.KindNull, false
-		}
-		return src.rel.Schema[i].Kind, true
-	}
 	schema := make(relation.Schema, len(items))
 	for i, it := range items {
-		k, err := expr.Check(it.Expr, resolve)
+		k, err := expr.Check(it.Expr, src.kind)
 		if err != nil {
 			return nil, err
 		}
@@ -803,13 +780,7 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 				a := aggs[i]
 				in := value.KindInt
 				if a.arg != nil {
-					k, err := expr.Check(a.arg, func(n string) (value.Kind, bool) {
-						j, err := src.resolve(n)
-						if err != nil {
-							return value.KindNull, false
-						}
-						return src.rel.Schema[j].Kind, true
-					})
+					k, err := expr.Check(a.arg, src.kind)
 					if err == nil {
 						in = k
 					}
@@ -817,11 +788,7 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 				return a.fn.ResultKind(in), true
 			}
 		}
-		j, err := src.resolve(name)
-		if err != nil {
-			return value.KindNull, false
-		}
-		return src.rel.Schema[j].Kind, true
+		return src.kind(name)
 	}
 	schema := make(relation.Schema, len(items))
 	origNames := stmt.Items
@@ -844,10 +811,10 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 
 // sortOutput stably sorts the output rows by the precomputed keys, through
 // the relation layer's keyed parallel sort kernel.
-func sortOutput(out *relation.Relation, sortVals [][]value.Value, orderBy []OrderItem) {
-	n, k := len(out.Rows), len(orderBy)
+func sortOutput(out *relation.Relation, sortVals [][]value.Value, orderBy []OrderItem) *relation.Relation {
+	n, k := out.Len(), len(orderBy)
 	if n < 2 || k == 0 {
-		return
+		return out
 	}
 	flat := make([]value.Value, n*k)
 	desc := make([]bool, k)
@@ -857,30 +824,20 @@ func sortOutput(out *relation.Relation, sortVals [][]value.Value, orderBy []Orde
 	for i, keys := range sortVals {
 		copy(flat[i*k:(i+1)*k], keys)
 	}
-	perm := relation.SortPermByKeys(flat, k, desc)
-	rows := make([]relation.Tuple, n)
-	for i, p := range perm {
-		rows[i] = out.Rows[p]
-	}
-	out.Rows = rows
+	return out.Pick(relation.SortPermByKeys(flat, k, desc))
 }
 
 // distinctRows dedupes output rows, keeping the parallel sort keys aligned.
 func distinctRows(out *relation.Relation, sortVals [][]value.Value) (*relation.Relation, [][]value.Value) {
-	gr := relation.GroupRowsOn(out.Rows, nil)
-	res := relation.New(out.Name, out.Schema)
-	res.Rows = make([]relation.Tuple, gr.NumGroups())
+	gr := relation.GroupRowsOn(out.TupleRows(), nil)
 	var keys [][]value.Value
 	if sortVals != nil {
 		keys = make([][]value.Value, gr.NumGroups())
-	}
-	for g, ri := range gr.First {
-		res.Rows[g] = out.Rows[ri]
-		if sortVals != nil {
+		for g, ri := range gr.First {
 			keys[g] = sortVals[ri]
 		}
 	}
-	return res, keys
+	return out.Pick(gr.First), keys
 }
 
 // widen coerces exact-integer results into float-typed output columns.

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"sheetmusiq/internal/expr"
-	"sheetmusiq/internal/relation"
 )
 
 // This file implements predicate pushdown: WHERE conjuncts whose columns
@@ -133,17 +132,17 @@ func (db *DB) pushdown(stmt *SelectStmt) (filters map[string][]expr.Expr, residu
 	return filters, conjoin(rest)
 }
 
-// applyFilter filters a freshly materialised source in place.
+// applyFilter filters a freshly materialised source in place, gathering
+// the surviving rows' columns.
 func applyFilter(db *DB, src *source, preds []expr.Expr, outer expr.Env) error {
 	if len(preds) == 0 {
 		return nil
 	}
 	x := &stmtCtx{db: db, src: src, outer: outer}
-	kept, _, err := x.filter(conjoin(preds), src.rel.TupleRows(), src.cols != nil)
+	kept, err := x.filter(conjoin(preds), nil)
 	if err != nil {
 		return err
 	}
-	src.rel = &relation.Relation{Name: src.rel.Name, Schema: src.rel.Schema, Rows: kept}
-	src.cols = nil // the vectors no longer align with the filtered rows
+	*src = *newSource(src.rel.Pick(kept))
 	return nil
 }

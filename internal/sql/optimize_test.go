@@ -116,10 +116,10 @@ func TestQuickPushdownEquivalence(t *testing.T) {
 		if r1.Len() != r2.Len() {
 			t.Fatalf("trial %d: %d vs %d rows for %q", trial, r1.Len(), r2.Len(), query)
 		}
-		for i := range r1.Rows {
-			for j := range r1.Rows[i] {
-				if !value.Equal(r1.Rows[i][j], r2.Rows[i][j]) {
-					t.Fatalf("trial %d row %d: %v vs %v", trial, i, r1.Rows[i], r2.Rows[i])
+		for i := range r1.TupleRows() {
+			for j := range r1.TupleRows()[i] {
+				if !value.Equal(r1.TupleRows()[i][j], r2.TupleRows()[i][j]) {
+					t.Fatalf("trial %d row %d: %v vs %v", trial, i, r1.TupleRows()[i], r2.TupleRows()[i])
 				}
 			}
 		}

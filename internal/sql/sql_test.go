@@ -59,7 +59,7 @@ func TestExpressionsAndAliases(t *testing.T) {
 	if r.Schema[1].Name != "kprice" {
 		t.Fatalf("alias lost: %v", r.Schema.Names())
 	}
-	if got := r.Rows[0][1].Float(); got != 14.5 {
+	if got := r.TupleRows()[0][1].Float(); got != 14.5 {
 		t.Fatalf("kprice = %v", got)
 	}
 }
@@ -78,16 +78,16 @@ func TestOrderByLimit(t *testing.T) {
 	}
 	want := []int64{725, 723, 423}
 	for i, w := range want {
-		if r.Rows[i][0].Int() != w {
-			t.Fatalf("row %d = %v, want %d", i, r.Rows[i], w)
+		if r.TupleRows()[i][0].Int() != w {
+			t.Fatalf("row %d = %v, want %d", i, r.TupleRows()[i], w)
 		}
 	}
 }
 
 func TestOrderByOutputAlias(t *testing.T) {
 	r := q(t, "SELECT ID, Price * 2 AS dbl FROM cars ORDER BY dbl LIMIT 1")
-	if r.Rows[0][0].Int() != 132 {
-		t.Fatalf("cheapest car = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Int() != 132 {
+		t.Fatalf("cheapest car = %v", r.TupleRows()[0])
 	}
 }
 
@@ -103,8 +103,51 @@ func TestJoinHash(t *testing.T) {
 	if r.Len() != 9 {
 		t.Fatalf("join rows = %d", r.Len())
 	}
-	if r.Rows[0][0].Int() != 132 || r.Rows[0][1].Str() != "MotorCity" {
-		t.Fatalf("first row = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Int() != 132 || r.TupleRows()[0][1].Str() != "MotorCity" {
+		t.Fatalf("first row = %v", r.TupleRows()[0])
+	}
+}
+
+// TestJoinNullAndCrossKindKeys: `l JOIN r ON k = f` with an INT key k, a
+// FLOAT key f and NULLs on both sides gives the hash path exactly the rows
+// of the nested-loop path (the same ON made non-conjunctive), in the same
+// order: INT 3 meets FLOAT 3.0, and a NULL key never matches. 3 and 300
+// rows sit on either side of the size below which sources once stayed
+// boxed.
+func TestJoinNullAndCrossKindKeys(t *testing.T) {
+	for _, n := range []int{3, 300} {
+		l := relation.New("l", relation.Schema{{Name: "id", Kind: value.KindInt}, {Name: "k", Kind: value.KindInt}})
+		r := relation.New("r", relation.Schema{{Name: "id", Kind: value.KindInt}, {Name: "f", Kind: value.KindFloat}})
+		for i := 0; i < n; i++ {
+			k, f := value.NewInt(int64(i%5)), value.NewFloat(float64(i%4))
+			if i%7 == 1 {
+				k = value.Null
+			}
+			if i%11 == 2 {
+				f = value.Null
+			}
+			l.MustAppend(value.NewInt(int64(i)), k)
+			r.MustAppend(value.NewInt(int64(i)), f)
+		}
+		d := NewDB()
+		d.Register(l)
+		d.Register(r)
+		hash, err := d.Query("SELECT l.id, k, r.id, f FROM l JOIN r ON k = f")
+		if err != nil {
+			t.Fatal(err)
+		}
+		loop, err := d.Query("SELECT l.id, k, r.id, f FROM l JOIN r ON k = f OR 1 = 2")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if hash.Len() == 0 || hash.String() != loop.String() {
+			t.Fatalf("n=%d: hash join (%d rows) != nested loop (%d rows)", n, hash.Len(), loop.Len())
+		}
+		for _, row := range hash.TupleRows() {
+			if row[1].IsNull() || row[3].IsNull() || float64(row[1].Int()) != row[3].Float() {
+				t.Fatalf("n=%d: joined row %v has a NULL or unequal key", n, row)
+			}
+		}
 	}
 }
 
@@ -140,12 +183,12 @@ func TestGroupByAggregate(t *testing.T) {
 		t.Fatalf("groups = %d", r.Len())
 	}
 	// Civic first (ordered).
-	if r.Rows[0][0].Str() != "Civic" || r.Rows[0][2].Int() != 3 {
-		t.Fatalf("civic row = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Str() != "Civic" || r.TupleRows()[0][2].Int() != 3 {
+		t.Fatalf("civic row = %v", r.TupleRows()[0])
 	}
 	wantCivic := (13500.0 + 15000 + 16000) / 3
-	if r.Rows[0][1].Float() != wantCivic {
-		t.Fatalf("civic avg = %v, want %v", r.Rows[0][1], wantCivic)
+	if r.TupleRows()[0][1].Float() != wantCivic {
+		t.Fatalf("civic avg = %v, want %v", r.TupleRows()[0][1], wantCivic)
 	}
 }
 
@@ -154,43 +197,43 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	if r.Len() != 4 {
 		t.Fatalf("groups = %d, want 4", r.Len())
 	}
-	if r.Rows[0][0].Str() != "Civic" || r.Rows[0][1].Int() != 2005 || r.Rows[0][2].Int() != 13500 {
-		t.Fatalf("first group = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Str() != "Civic" || r.TupleRows()[0][1].Int() != 2005 || r.TupleRows()[0][2].Int() != 13500 {
+		t.Fatalf("first group = %v", r.TupleRows()[0])
 	}
 }
 
 func TestHaving(t *testing.T) {
 	r := q(t, "SELECT Model, AVG(Price) AS ap FROM cars GROUP BY Model HAVING AVG(Price) > 15500 ORDER BY Model")
-	if r.Len() != 1 || r.Rows[0][0].Str() != "Jetta" {
-		t.Fatalf("having result = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Str() != "Jetta" {
+		t.Fatalf("having result = %v", r.TupleRows())
 	}
 }
 
 func TestAggregateOverExpression(t *testing.T) {
 	r := q(t, "SELECT SUM(Price * 2) AS s FROM cars WHERE Model = 'Civic'")
-	if r.Rows[0][0].Int() != 2*(13500+15000+16000) {
-		t.Fatalf("sum = %v", r.Rows[0][0])
+	if r.TupleRows()[0][0].Int() != 2*(13500+15000+16000) {
+		t.Fatalf("sum = %v", r.TupleRows()[0][0])
 	}
 }
 
 func TestExpressionOverAggregates(t *testing.T) {
 	r := q(t, "SELECT SUM(Price) / COUNT(*) AS manual_avg, AVG(Price) AS built_in FROM cars")
-	if r.Rows[0][0].Float() != r.Rows[0][1].Float() {
-		t.Fatalf("manual %v != builtin %v", r.Rows[0][0], r.Rows[0][1])
+	if r.TupleRows()[0][0].Float() != r.TupleRows()[0][1].Float() {
+		t.Fatalf("manual %v != builtin %v", r.TupleRows()[0][0], r.TupleRows()[0][1])
 	}
 }
 
 func TestCountVariants(t *testing.T) {
 	r := q(t, "SELECT COUNT(*) AS all_rows, COUNT(Model) AS models, COUNT(DISTINCT Model) AS uniq FROM cars")
-	if r.Rows[0][0].Int() != 9 || r.Rows[0][1].Int() != 9 || r.Rows[0][2].Int() != 2 {
-		t.Fatalf("counts = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Int() != 9 || r.TupleRows()[0][1].Int() != 9 || r.TupleRows()[0][2].Int() != 2 {
+		t.Fatalf("counts = %v", r.TupleRows()[0])
 	}
 }
 
 func TestAggregateEmptyInput(t *testing.T) {
 	r := q(t, "SELECT COUNT(*) AS n, SUM(Price) AS s FROM cars WHERE Price > 99999")
-	if r.Len() != 1 || r.Rows[0][0].Int() != 0 || !r.Rows[0][1].IsNull() {
-		t.Fatalf("empty aggregate = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Int() != 0 || !r.TupleRows()[0][1].IsNull() {
+		t.Fatalf("empty aggregate = %v", r.TupleRows())
 	}
 }
 
@@ -199,15 +242,15 @@ func TestGroupByExpression(t *testing.T) {
 	if r.Len() != 2 {
 		t.Fatalf("parity groups = %d", r.Len())
 	}
-	if r.Rows[0][0].Int() != 0 || r.Rows[0][1].Int() != 5 {
-		t.Fatalf("even-year group = %v, want [0 5] (five 2006 cars)", r.Rows[0])
+	if r.TupleRows()[0][0].Int() != 0 || r.TupleRows()[0][1].Int() != 5 {
+		t.Fatalf("even-year group = %v, want [0 5] (five 2006 cars)", r.TupleRows()[0])
 	}
 }
 
 func TestSubqueryInFrom(t *testing.T) {
 	r := q(t, `SELECT m, n FROM (SELECT Model AS m, COUNT(*) AS n FROM cars GROUP BY Model) AS g WHERE n > 4`)
-	if r.Len() != 1 || r.Rows[0][0].Str() != "Jetta" {
-		t.Fatalf("subquery result = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Str() != "Jetta" {
+		t.Fatalf("subquery result = %v", r.TupleRows())
 	}
 }
 
@@ -217,19 +260,19 @@ func TestNestedSubqueryJoin(t *testing.T) {
 	// 901; Civic avg 14833.33 → 132.
 	want := []int64{132, 304, 872, 901}
 	if r.Len() != len(want) {
-		t.Fatalf("rows = %d: %v", r.Len(), r.Rows)
+		t.Fatalf("rows = %d: %v", r.Len(), r.TupleRows())
 	}
 	for i, w := range want {
-		if r.Rows[i][0].Int() != w {
-			t.Fatalf("row %d = %v, want %d", i, r.Rows[i], w)
+		if r.TupleRows()[i][0].Int() != w {
+			t.Fatalf("row %d = %v, want %d", i, r.TupleRows()[i], w)
 		}
 	}
 }
 
 func TestOrderByAggregate(t *testing.T) {
 	r := q(t, "SELECT Model FROM cars GROUP BY Model ORDER BY SUM(Price) DESC")
-	if r.Rows[0][0].Str() != "Jetta" {
-		t.Fatalf("order by aggregate = %v", r.Rows)
+	if r.TupleRows()[0][0].Str() != "Jetta" {
+		t.Fatalf("order by aggregate = %v", r.TupleRows())
 	}
 }
 
@@ -313,25 +356,25 @@ func TestAgainstRelationalBaseline(t *testing.T) {
 	if got.Len() != want.Len() {
 		t.Fatalf("rows %d vs %d", got.Len(), want.Len())
 	}
-	for i := range got.Rows {
-		if got.Rows[i][0].Str() != want.Rows[i][0].Str() ||
-			got.Rows[i][1].Float() != want.Rows[i][1].Float() {
-			t.Fatalf("row %d: %v vs %v", i, got.Rows[i], want.Rows[i])
+	for i := range got.TupleRows() {
+		if got.TupleRows()[i][0].Str() != want.TupleRows()[i][0].Str() ||
+			got.TupleRows()[i][1].Float() != want.TupleRows()[i][1].Float() {
+			t.Fatalf("row %d: %v vs %v", i, got.TupleRows()[i], want.TupleRows()[i])
 		}
 	}
 }
 
 func TestScalarFunctionsInSQL(t *testing.T) {
 	r := q(t, "SELECT UPPER(Model) AS m FROM cars WHERE ID = 304")
-	if r.Rows[0][0].Str() != "JETTA" {
-		t.Fatalf("UPPER = %v", r.Rows[0][0])
+	if r.TupleRows()[0][0].Str() != "JETTA" {
+		t.Fatalf("UPPER = %v", r.TupleRows()[0][0])
 	}
 }
 
 func TestQualifiedStarColumns(t *testing.T) {
 	r := q(t, "SELECT c.Model FROM cars c WHERE c.Price = 13500")
-	if r.Len() != 1 || r.Rows[0][0].Str() != "Civic" {
-		t.Fatalf("qualified ref = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Str() != "Civic" {
+		t.Fatalf("qualified ref = %v", r.TupleRows())
 	}
 	if r.Schema[0].Name != "Model" {
 		t.Fatalf("output name should drop qualifier: %v", r.Schema.Names())
@@ -345,8 +388,8 @@ func TestLimitOffset(t *testing.T) {
 	if r.Len() != 3 {
 		t.Fatalf("rows = %d", r.Len())
 	}
-	if r.Rows[0][0].Int() != 872 {
-		t.Fatalf("first row after offset = %v", r.Rows[0])
+	if r.TupleRows()[0][0].Int() != 872 {
+		t.Fatalf("first row after offset = %v", r.TupleRows()[0])
 	}
 	// Offset beyond the result is empty, not an error.
 	r = q(t, "SELECT ID FROM cars LIMIT 5 OFFSET 100")

@@ -9,8 +9,8 @@ import (
 
 func TestScalarSubquery(t *testing.T) {
 	r := q(t, "SELECT ID FROM cars WHERE Price = (SELECT MIN(Price) FROM cars)")
-	if r.Len() != 1 || r.Rows[0][0].Int() != 132 {
-		t.Fatalf("cheapest car = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Int() != 132 {
+		t.Fatalf("cheapest car = %v", r.TupleRows())
 	}
 }
 
@@ -20,7 +20,7 @@ func TestScalarSubqueryInSelectList(t *testing.T) {
 		t.Fatal("want one row")
 	}
 	wantAvg := (14500.0 + 15000 + 16000 + 17000 + 17500 + 18000 + 13500 + 15000 + 16000) / 9
-	if got := r.Rows[0][1].Float(); got != 14500-wantAvg {
+	if got := r.TupleRows()[0][1].Float(); got != 14500-wantAvg {
 		t.Fatalf("dev = %v, want %v", got, 14500-wantAvg)
 	}
 }
@@ -46,9 +46,9 @@ func TestExistsCorrelated(t *testing.T) {
 		"(SELECT b.ID FROM cars b WHERE b.Model = c.Model AND b.Price < c.Price) ORDER BY c.ID")
 	// Everything except the cheapest per model (304 for Jetta, 132 Civic).
 	if r.Len() != 7 {
-		t.Fatalf("rows = %d, want 7: %v", r.Len(), r.Rows)
+		t.Fatalf("rows = %d, want 7: %v", r.Len(), r.TupleRows())
 	}
-	for _, row := range r.Rows {
+	for _, row := range r.TupleRows() {
 		if id := row[0].Int(); id == 304 || id == 132 {
 			t.Fatalf("model-cheapest car %d should not qualify", id)
 		}
@@ -59,8 +59,8 @@ func TestNotExistsCorrelated(t *testing.T) {
 	// The classic Q4-style shape: the cheapest car per model.
 	r := q(t, "SELECT c.ID FROM cars c WHERE NOT EXISTS "+
 		"(SELECT b.ID FROM cars b WHERE b.Model = c.Model AND b.Price < c.Price) ORDER BY c.ID")
-	if r.Len() != 2 || r.Rows[0][0].Int() != 132 || r.Rows[1][0].Int() != 304 {
-		t.Fatalf("cheapest per model = %v", r.Rows)
+	if r.Len() != 2 || r.TupleRows()[0][0].Int() != 132 || r.TupleRows()[1][0].Int() != 304 {
+		t.Fatalf("cheapest per model = %v", r.TupleRows())
 	}
 }
 
@@ -72,11 +72,11 @@ func TestCorrelatedScalarSubquery(t *testing.T) {
 		"(SELECT AVG(b.Price) FROM cars b WHERE b.Model = c.Model) ORDER BY c.ID")
 	want := []int64{132, 304, 872, 901}
 	if r.Len() != len(want) {
-		t.Fatalf("rows = %v", r.Rows)
+		t.Fatalf("rows = %v", r.TupleRows())
 	}
 	for i, w := range want {
-		if r.Rows[i][0].Int() != w {
-			t.Fatalf("row %d = %v, want %d", i, r.Rows[i], w)
+		if r.TupleRows()[i][0].Int() != w {
+			t.Fatalf("row %d = %v, want %d", i, r.TupleRows()[i], w)
 		}
 	}
 }
@@ -84,8 +84,8 @@ func TestCorrelatedScalarSubquery(t *testing.T) {
 func TestSubqueryInHaving(t *testing.T) {
 	r := q(t, "SELECT Model FROM cars GROUP BY Model "+
 		"HAVING AVG(Price) > (SELECT AVG(Price) FROM cars) ORDER BY Model")
-	if r.Len() != 1 || r.Rows[0][0].Str() != "Jetta" {
-		t.Fatalf("above-average models = %v", r.Rows)
+	if r.Len() != 1 || r.TupleRows()[0][0].Str() != "Jetta" {
+		t.Fatalf("above-average models = %v", r.TupleRows())
 	}
 }
 

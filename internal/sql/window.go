@@ -72,17 +72,18 @@ func liftWindows(items []SelectItem, orderBy []OrderItem) (wins []*expr.WindowCa
 }
 
 // applyWindows lifts the statement's window calls, computes their vectors
-// over rows, and replaces the statement's source with an extended one
-// (original columns plus one __win_N column per call), returning its rows
-// with the rewritten statement. Output column names keep the original
+// over the surviving rows idx (nil = every source row), and replaces the
+// statement's source with an extended one (original columns plus one
+// __win_N column per call, indexed by base row like the originals),
+// returning the rewritten statement. Output column names keep the original
 // spelling: an unaliased window item is named by its OVER-clause SQL.
-func (x *stmtCtx) applyWindows(stmt *SelectStmt, rows []relation.Tuple, idx []int32, aligned bool) ([]relation.Tuple, *SelectStmt, error) {
+func (x *stmtCtx) applyWindows(stmt *SelectStmt, idx []int32) (*SelectStmt, error) {
 	src := x.src
 	// Expand * against the pre-window schema first so the placeholder
 	// columns never leak into a star expansion.
 	items, err := expandStars(src, stmt.Items)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	// Preserve the user-visible names of unaliased items (Name() of the
 	// rewritten placeholder would read "__win_0").
@@ -93,73 +94,57 @@ func (x *stmtCtx) applyWindows(stmt *SelectStmt, rows []relation.Tuple, idx []in
 	}
 	wins, items, orderBy, err := liftWindows(items, stmt.OrderBy)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
-	resolve := func(name string) (value.Kind, bool) {
-		i, err := src.resolve(name)
-		if err != nil {
-			return value.KindNull, false
-		}
-		return src.rel.Schema[i].Kind, true
-	}
-	n := len(rows)
+	nBase := src.rel.Len()
 	winSchema := src.rel.Schema.Clone()
-	vecs := make([][]value.Value, len(wins))
+	winCols := append([]*relation.Col(nil), src.cols...)
 	for wi, w := range wins {
-		kind, err := expr.Check(w, resolve)
+		kind, err := expr.Check(w, src.kind)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		vec, err := x.evalWindow(w, rows, idx, aligned)
+		vec, err := x.evalWindow(w, idx)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		vecs[wi] = vec
+		vals := make([]value.Value, nBase)
+		for i, v := range vec {
+			vals[rowAt(idx, i)] = v
+		}
 		winSchema = append(winSchema, relation.Column{Name: winPlaceholder(wi), Kind: kind})
-	}
-
-	ext := relation.New(src.rel.Name, winSchema)
-	ext.Rows = make([]relation.Tuple, n)
-	w0 := len(src.rel.Schema)
-	for i, row := range rows {
-		t := make(relation.Tuple, len(winSchema))
-		copy(t, row)
-		for wi := range wins {
-			t[w0+wi] = vecs[wi][i]
-		}
-		ext.Rows[i] = t
+		winCols = append(winCols, relation.BoxedCol(vals))
 	}
 
 	nstmt := *stmt
 	nstmt.Items = items
 	nstmt.OrderBy = orderBy
-	x.src = &source{rel: ext}
-	return ext.Rows, &nstmt, nil
+	x.src = newSource(relation.FromColumns(src.rel.Name, winSchema, winCols, nBase))
+	return &nstmt, nil
 }
 
-// evalWindow computes one window call's value per row. Partition keys, order
-// keys and the argument are arbitrary expressions; when the source carries
-// typed columns and no enclosing scope or subquery is involved, each input
-// fills from a batch program (counted by expr.batch.window), otherwise row
-// by row through the interpreter.
-func (x *stmtCtx) evalWindow(w *expr.WindowCall, rows []relation.Tuple, idx []int32, aligned bool) ([]value.Value, error) {
-	n := len(rows)
+// evalWindow computes one window call's value per surviving row. Partition
+// keys, order keys and the argument are arbitrary expressions; when no
+// enclosing scope or subquery is involved, each input fills from a batch
+// program over the source's typed columns (counted by expr.batch.window),
+// otherwise row by row through the interpreter.
+func (x *stmtCtx) evalWindow(w *expr.WindowCall, idx []int32) ([]value.Value, error) {
+	n := x.lanes(idx)
 	evalVec := func(e expr.Expr) ([]value.Value, bool, error) {
 		out := make([]value.Value, n)
 		sc := x.bind(0, e)
-		env := sc.env(nil)
-		if aligned && sc.parallel && n > 0 {
+		if sc.parallel && n > 0 {
 			if bp, cerr := expr.CompileBatch(e, x.src.batchResolve); cerr == nil {
 				if bad := bp.EvalPos(idx, 0, n, value.KindNull, out); bad >= 0 {
-					env.row = rows[bad]
-					return nil, false, bp.RowError(env, false)
+					return nil, false, bp.RowError(sc.env(rowAt(idx, bad)), false)
 				}
 				return out, true, nil
 			}
 		}
-		for i, row := range rows {
-			env.row = row
+		env := sc.env(0)
+		for i := range out {
+			env.ri = rowAt(idx, i)
 			v, err := expr.Eval(e, env)
 			if err != nil {
 				return nil, false, err
@@ -211,7 +196,7 @@ func (x *stmtCtx) evalWindow(w *expr.WindowCall, rows []relation.Tuple, idx []in
 		batched = batched && vb
 		in.Arg = vec
 	}
-	if batched && aligned && n > 0 {
+	if batched && n > 0 {
 		expr.NoteWindowBatch()
 	}
 	return relation.WindowEval(relation.WindowSpec{Func: w.Func, Frame: w.Frame}, in)

@@ -147,10 +147,10 @@ func TestSQLWindowErrors(t *testing.T) {
 }
 
 func TestSQLWindowBatchCounterAndParity(t *testing.T) {
-	// On a columnar-sized table the window inputs come off typed vectors
-	// (expr.batch.window increments) and the result is bit-identical to the
-	// row path over the same rows (a sub-threshold copy of the table, whose
-	// source carries no typed columns).
+	// Window inputs come off typed vectors (expr.batch.window increments)
+	// and the result is bit-identical to the row path over the same rows
+	// (the same statement with every window input reading a scalar
+	// subquery, which keeps it on the interpreter).
 	big := dataset.RandomCars(4096, 11)
 	d := NewDB()
 	d.Register(big)
@@ -173,26 +173,25 @@ func TestSQLWindowBatchCounterAndParity(t *testing.T) {
 		t.Fatal("warm run differs from cold run")
 	}
 
-	// Row-path reference: the identical rows in a relation too small for
-	// the columnar fast path must produce byte-identical output. Limit both
-	// to the same 64-row prefix via a matching base table.
-	small := relation.New("cars", dataset.CarSchema())
-	small.Rows = big.TupleRows()[:64]
-	ds := NewDB()
-	ds.Register(small)
+	// Row-path reference: the same 64 rows, every window input adding a
+	// scalar subquery's 0 (or '') so no input compiles to a batch program;
+	// the output must be byte-identical to the batch path's.
+	const zero = "(SELECT 0 FROM cars LIMIT 1)"
+	const rowSrc = `SELECT ID, RANK() OVER (PARTITION BY Model || (SELECT '' FROM cars LIMIT 1) ORDER BY Price + ` + zero + `, ID + ` + zero + `) AS rnk,
+		SUM(Mileage + ` + zero + `) OVER (PARTITION BY Model || (SELECT '' FROM cars LIMIT 1) ORDER BY Price + ` + zero + `, ID + ` + zero + ` ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS mov
+		FROM cars WHERE Price > 9000 ORDER BY Model, rnk`
+	big64 := relation.New("cars", dataset.CarSchema())
+	big64.Rows = big.TupleRows()[:64]
+	db2 := NewDB()
+	db2.Register(big64)
 	before = obs.Default.CounterValue("expr.batch.window")
-	rowRes, err := ds.Query(src)
+	rowRes, err := db2.Query(rowSrc)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := obs.Default.CounterValue("expr.batch.window") - before; got != 0 {
-		t.Fatalf("sub-threshold source advanced expr.batch.window by %d", got)
+		t.Fatalf("interpreted window inputs advanced expr.batch.window by %d", got)
 	}
-	big64 := relation.New("cars", dataset.CarSchema())
-	big64.Rows = big.TupleRows()[:64]
-	big64.Columns() // force typed columns → batch path despite the small size
-	db2 := NewDB()
-	db2.Register(big64)
 	batchRes, err := db2.Query(src)
 	if err != nil {
 		t.Fatal(err)

@@ -438,12 +438,12 @@ func (p *Program) Collapse() (*relation.Relation, error) {
 		return proj, nil
 	}
 	// One row per finest group: the group tree gives the boundaries.
-	out := relation.New(proj.Name, proj.Schema)
+	var firsts []int32
 	var walk func(g *core.Group)
 	walk = func(g *core.Group) {
 		if len(g.Children) == 0 {
 			if g.Rows() > 0 {
-				out.Rows = append(out.Rows, proj.Rows[g.Start].Clone())
+				firsts = append(firsts, int32(g.Start))
 			}
 			return
 		}
@@ -452,7 +452,7 @@ func (p *Program) Collapse() (*relation.Relation, error) {
 		}
 	}
 	walk(res.Root)
-	return out, nil
+	return proj.Pick(firsts), nil
 }
 
 func (p *Program) hasAggregates() bool {

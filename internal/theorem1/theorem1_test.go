@@ -58,11 +58,11 @@ func verify(t *testing.T, query string) *Program {
 		}
 		want = wc
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if !value.Equal(got.Rows[i][j], want.Rows[i][j]) {
+	for i := range got.TupleRows() {
+		for j := range got.TupleRows()[i] {
+			if !value.Equal(got.TupleRows()[i][j], want.TupleRows()[i][j]) {
 				t.Fatalf("%q row %d col %d: algebra %v vs SQL %v\nalgebra:\n%s\nsql:\n%s",
-					query, i, j, got.Rows[i][j], want.Rows[i][j], got.String(), want.String())
+					query, i, j, got.TupleRows()[i][j], want.TupleRows()[i][j], got.String(), want.String())
 			}
 		}
 	}
@@ -112,8 +112,8 @@ func TestTheorem1OrderByAggregate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Rows[0][0].Str() != "Jetta" {
-		t.Fatalf("highest-revenue model first, got %v", res.Rows[0])
+	if res.TupleRows()[0][0].Str() != "Jetta" {
+		t.Fatalf("highest-revenue model first, got %v", res.TupleRows()[0])
 	}
 }
 
@@ -173,9 +173,9 @@ func TestTheorem1ProgramIsModifiable(t *testing.T) {
 	}
 	// 2006: 3 Jettas + 2 Civics.
 	if res.Len() != 2 {
-		t.Fatalf("rows = %v", res.Rows)
+		t.Fatalf("rows = %v", res.TupleRows())
 	}
-	for _, row := range res.Rows {
+	for _, row := range res.TupleRows() {
 		want := int64(3)
 		if row[0].Str() == "Civic" {
 			want = 2
@@ -221,10 +221,10 @@ func TestTheorem1StudyTasks(t *testing.T) {
 			}
 			// The task queries all ORDER BY their group columns (or are
 			// single-row), so positions align.
-			for i := range got.Rows {
-				for j := range got.Rows[i] {
-					if !value.Equal(got.Rows[i][j], want.Rows[i][j]) {
-						t.Fatalf("row %d col %d: %v vs %v", i, j, got.Rows[i][j], want.Rows[i][j])
+			for i := range got.TupleRows() {
+				for j := range got.TupleRows()[i] {
+					if !value.Equal(got.TupleRows()[i][j], want.TupleRows()[i][j]) {
+						t.Fatalf("row %d col %d: %v vs %v", i, j, got.TupleRows()[i][j], want.TupleRows()[i][j])
 					}
 				}
 			}
@@ -291,11 +291,11 @@ func TestTheorem1Randomized(t *testing.T) {
 				if got.Len() != want.Len() {
 					t.Fatalf("%q: algebra %d rows vs SQL %d", query, got.Len(), want.Len())
 				}
-				for i := range got.Rows {
-					for j := range got.Rows[i] {
-						if !value.Equal(got.Rows[i][j], want.Rows[i][j]) {
+				for i := range got.TupleRows() {
+					for j := range got.TupleRows()[i] {
+						if !value.Equal(got.TupleRows()[i][j], want.TupleRows()[i][j]) {
 							t.Fatalf("%q row %d col %d: %v vs %v\nalgebra:\n%s\nsql:\n%s",
-								query, i, j, got.Rows[i][j], want.Rows[i][j], got.String(), want.String())
+								query, i, j, got.TupleRows()[i][j], want.TupleRows()[i][j], got.String(), want.String())
 						}
 					}
 				}

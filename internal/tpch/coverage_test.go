@@ -86,9 +86,9 @@ func TestQ12ConditionalCountsSumToTotal(t *testing.T) {
 	if got.Len() == 0 || got.Len() != totals.Len() {
 		t.Fatalf("Q12 rows = %d, reference rows = %d", got.Len(), totals.Len())
 	}
-	for i, row := range got.Rows {
-		if sum := row[1].Int() + row[2].Int(); sum != totals.Rows[i][1].Int() {
-			t.Fatalf("%v: high %v + low %v != total %v", row[0], row[1], row[2], totals.Rows[i][1])
+	for i, row := range got.TupleRows() {
+		if sum := row[1].Int() + row[2].Int(); sum != totals.TupleRows()[i][1].Int() {
+			t.Fatalf("%v: high %v + low %v != total %v", row[0], row[1], row[2], totals.TupleRows()[i][1])
 		}
 	}
 }
@@ -104,7 +104,7 @@ func TestQ13DistributionCoversAllCustomers(t *testing.T) {
 	}
 	customer, _ := db.Table("customer")
 	var total int64
-	for _, row := range got.Rows {
+	for _, row := range got.TupleRows() {
 		total += row[1].Int()
 	}
 	// An inner-join formulation would lose zero-order customers; the
@@ -126,7 +126,7 @@ func TestQ14PromoShareBounded(t *testing.T) {
 	if got.Len() != 1 {
 		t.Fatalf("Q14 rows = %d, want 1", got.Len())
 	}
-	share := got.Rows[0][0].Float()
+	share := got.TupleRows()[0][0].Float()
 	if math.IsNaN(share) || share < 0 || share > 100 {
 		t.Fatalf("promo_revenue = %v, want within [0, 100]", share)
 	}
@@ -143,7 +143,7 @@ func TestQ2MinimumCostIsMinimum(t *testing.T) {
 		t.Fatal(err)
 	}
 	minCost := map[int64]float64{}
-	for _, row := range full.Rows {
+	for _, row := range full.TupleRows() {
 		k, c := row[0].Int(), row[1].Float()
 		if prev, ok := minCost[k]; !ok || c < prev {
 			minCost[k] = c
@@ -166,7 +166,7 @@ func TestQ2MinimumCostIsMinimum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, row := range check.Rows {
+	for _, row := range check.TupleRows() {
 		if row[1].Float() != minCost[row[0].Int()] {
 			t.Fatalf("part %v cost %v is not the regional minimum %v",
 				row[0], row[1], minCost[row[0].Int()])
@@ -184,7 +184,7 @@ func TestQ8MarketShareBounded(t *testing.T) {
 	if got.Len() == 0 {
 		t.Fatal("Q8 returned no years at the default scale")
 	}
-	for _, row := range got.Rows {
+	for _, row := range got.TupleRows() {
 		s := row[1].Float()
 		if math.IsNaN(s) || s < 0 || s > 1 {
 			t.Fatalf("year %v market share %v out of [0, 1]", row[0], s)

@@ -54,7 +54,7 @@ func TestExcludedQ4AgainstManualCheck(t *testing.T) {
 		}
 	}
 	total := int64(0)
-	for _, row := range got.Rows {
+	for _, row := range got.TupleRows() {
 		pr := row[0].Str()
 		if row[1].Int() != want[pr] {
 			t.Fatalf("priority %s count = %v, want %d", pr, row[1], want[pr])
@@ -82,13 +82,13 @@ func TestExcludedQ18AgreesWithFlattenedTask(t *testing.T) {
 		return row[r.Schema.IndexOf("o_orderkey")].Key()
 	}
 	flatKeys := map[string]bool{}
-	for _, row := range flat.Rows {
+	for _, row := range flat.TupleRows() {
 		flatKeys[keyOf(flat, row)] = true
 	}
 	// The original query carries TPC-H's LIMIT 100; every order it returns
 	// must qualify in the flattened version, and when it returns fewer than
 	// the limit the sets must coincide.
-	for _, row := range nested.Rows {
+	for _, row := range nested.TupleRows() {
 		if !flatKeys[keyOf(nested, row)] {
 			t.Fatalf("nested order %v missing from the flattened result", row)
 		}
@@ -111,8 +111,8 @@ func TestExcludedQ11AgainstManualThreshold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	threshold := totalRel.Rows[0][0].Float() * 0.05
-	for _, row := range rows.Rows {
+	threshold := totalRel.TupleRows()[0][0].Float() * 0.05
+	for _, row := range rows.TupleRows() {
 		if row[1].Float() <= threshold {
 			t.Fatalf("row %v under the threshold %v", row, threshold)
 		}

@@ -99,11 +99,11 @@ func diffTaskAgainstSQL(t *testing.T, db *sql.DB, task Task) {
 	if got.Len() != wantSorted.Len() {
 		t.Fatalf("algebra %d rows vs SQL %d rows", got.Len(), wantSorted.Len())
 	}
-	for i := range got.Rows {
-		for j := range got.Rows[i] {
-			if !value.Equal(got.Rows[i][j], wantSorted.Rows[i][j]) {
+	for i := range got.TupleRows() {
+		for j := range got.TupleRows()[i] {
+			if !value.Equal(got.TupleRows()[i][j], wantSorted.TupleRows()[i][j]) {
 				t.Fatalf("row %d col %d: algebra %v vs SQL %v", i, j,
-					got.Rows[i][j], wantSorted.Rows[i][j])
+					got.TupleRows()[i][j], wantSorted.TupleRows()[i][j])
 			}
 		}
 	}

@@ -203,11 +203,11 @@ func TestTasksAlgebraMatchesSQL(t *testing.T) {
 				t.Fatalf("algebra %d rows vs SQL %d rows\nalgebra:\n%s\nsql:\n%s",
 					got.Len(), wantSorted.Len(), got.String(), wantSorted.String())
 			}
-			for i := range got.Rows {
-				for j := range got.Rows[i] {
-					if !value.Equal(got.Rows[i][j], wantSorted.Rows[i][j]) {
+			for i := range got.TupleRows() {
+				for j := range got.TupleRows()[i] {
+					if !value.Equal(got.TupleRows()[i][j], wantSorted.TupleRows()[i][j]) {
 						t.Fatalf("row %d col %d: algebra %v vs SQL %v", i, j,
-							got.Rows[i][j], wantSorted.Rows[i][j])
+							got.TupleRows()[i][j], wantSorted.TupleRows()[i][j])
 					}
 				}
 			}
