@@ -10,18 +10,21 @@ build:
 # programs chunked stages share across goroutines, are the most
 # concurrency-sensitive, so test always re-runs them under the race detector
 # (full-tree race stays available as `make race`). internal/core, relation,
-# sql and tpch additionally race with the parallel threshold forced low, so
-# the chunk fan-out in every evaluation stage, executor loop and join gather
-# fires even on the small test relations (tpch builds the study views
-# against the golden answers and the algebra ≡ SQL differential); -count=1 because the threshold is read at
-# package init, which the test cache does not see, so a cached result of the
-# plain race run would stand in for it. perfbench is its own module, which the root
+# sql, tpch, sqlgen and engine additionally race with the parallel threshold
+# forced low, so the chunk fan-out in every evaluation stage, executor loop,
+# join gather and grouping pass fires even on the small test relations (tpch
+# builds the study views against the golden answers and the algebra ≡ SQL
+# differential; sqlgen's algebra ≡ SQL differential and engine's ∪/−/δ tests
+# drive SQL's column-emitting DISTINCT, ORDER BY, GROUP BY and window paths);
+# -count=1 because the threshold is read at package init, which the test
+# cache does not see, so a cached result of the plain race run would stand
+# in for it. perfbench is its own module, which the root
 # `go test ./...` never reaches; vetting and testing it here catches a break
 # in an API the benchmark calls before the benchmark runs.
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph ./internal/expr
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/tpch
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/tpch ./internal/sqlgen ./internal/engine
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:

@@ -25,10 +25,7 @@ func numericSheet(t *testing.T, n int, k value.Kind) *Spreadsheet {
 		} else {
 			x = value.NewInt(int64(i))
 		}
-		rel.Rows = append(rel.Rows, relation.Tuple{
-			value.NewString(fmt.Sprintf("g%d", i%4)),
-			x,
-		})
+		rel.MustAppend(value.NewString(fmt.Sprintf("g%d", i%4)), x)
 	}
 	return New(rel)
 }

@@ -499,11 +499,10 @@ func (s *Spreadsheet) Rename(old, new string) error {
 	before := s.begin()
 	if i := s.base.Schema.IndexOf(old); i >= 0 {
 		// The base relation is shared with stored sheets; rename on a copy
-		// of the schema only (rows are positional).
-		nb := *s.base
-		nb.Schema = s.base.Schema.Clone()
-		nb.Schema[i].Name = new
-		s.base = &nb
+		// of the schema only (its columns are shared).
+		schema := s.base.Schema.Clone()
+		schema[i].Name = new
+		s.base = s.base.WithSchema(schema)
 	}
 	rewrite := func(e expr.Expr) {
 		expr.Walk(e, func(n expr.Expr) {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestStudyTaskLeavesBaseUnboxed: a sheet over a column-built base runs a
-// study task and renders a page without materialising any of the base's
-// rows — evaluation reads the base's columns, and the page boxes only its
-// own cells.
+// study task and renders a page while the base keeps its typed columns —
+// evaluation reads them in place and replaces none, and the page boxes only
+// its own cells.
 func TestStudyTaskLeavesBaseUnboxed(t *testing.T) {
 	e := New(nil)
 	must(t, e, Op{Op: "demo", Table: "tpch"})
@@ -27,8 +27,10 @@ func TestStudyTaskLeavesBaseUnboxed(t *testing.T) {
 		if _, err := e.Grid(50); err != nil {
 			t.Fatalf("task %d: %v", task.ID, err)
 		}
-		if base.Rows != nil {
-			t.Fatalf("task %d: running it boxed all %d rows of %s", task.ID, len(base.Rows), task.ViewName)
+		for j, c := range base.Columns() {
+			if c != view.Columns()[j] || c.Boxed != nil {
+				t.Fatalf("task %d: column %s of %s was replaced or boxed", task.ID, base.Schema[j].Name, task.ViewName)
+			}
 		}
 	}
 }

@@ -97,7 +97,7 @@ func evalScalarSubquery(sub *Subquery, env Env) (value.Value, error) {
 	case 0:
 		return value.Null, nil
 	case 1:
-		return rel.TupleRange(0, 1)[0][0], nil
+		return rel.Columns()[0].Value(0), nil
 	default:
 		return value.Null, fmt.Errorf("expr: scalar subquery returned %d rows", rel.Len())
 	}
@@ -117,7 +117,8 @@ func evalExists(e *Exists, env Env) (value.Value, error) {
 }
 
 // evalInSubquery implements X [NOT] IN (SELECT ...) with SQL three-valued
-// membership over the subquery's single output column.
+// membership over the subquery's single output column, read cell by cell
+// in place. An empty result makes IN false and NOT IN true, whatever X is.
 func evalInSubquery(n *InSubquery, env Env) (value.Value, error) {
 	x, err := Eval(n.X, env)
 	if err != nil {
@@ -130,10 +131,11 @@ func evalInSubquery(n *InSubquery, env Env) (value.Value, error) {
 	if len(rel.Schema) != 1 {
 		return value.Null, fmt.Errorf("expr: IN subquery returns %d columns", len(rel.Schema))
 	}
-	sawNull := x.IsNull()
+	sawNull := false
 	found := false
-	for _, row := range rel.TupleRows() {
-		v := row[0]
+	col := rel.Columns()[0]
+	for i, n := 0, rel.Len(); i < n; i++ {
+		v := col.Value(i)
 		if v.IsNull() || x.IsNull() {
 			sawNull = true
 			continue

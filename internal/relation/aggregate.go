@@ -279,44 +279,12 @@ func sqrt(x float64) float64 {
 	return z
 }
 
-// GroupBy partitions rows by the named columns (in order) and returns, for
-// each group in first-appearance order, the group key values and the row
-// indexes belonging to it.
-func (r *Relation) GroupBy(cols []string) (keys [][]value.Value, groups [][]int, err error) {
-	idx, err := r.ColumnIndexes(cols)
-	if err != nil {
-		return nil, nil, err
-	}
-	rows := r.TupleRows()
-	gr := GroupRowsOn(rows, idx)
-	n := gr.NumGroups()
-	if n == 0 {
-		return nil, nil, nil
-	}
-	counts := make([]int, n)
-	for _, gid := range gr.IDs {
-		counts[gid]++
-	}
-	keys = make([][]value.Value, n)
-	groups = make([][]int, n)
-	for g, ri := range gr.First {
-		t := rows[ri]
-		kv := make([]value.Value, len(idx))
-		for i, j := range idx {
-			kv[i] = t[j]
-		}
-		keys[g] = kv
-		groups[g] = make([]int, 0, counts[g])
-	}
-	for ri, gid := range gr.IDs {
-		groups[gid] = append(groups[gid], ri)
-	}
-	return keys, groups, nil
-}
-
 // Aggregate computes fn over the named column for every group defined by
-// groupCols, returning one row per group: the group key columns followed by
-// the aggregate result. Empty groupCols aggregates the whole relation.
+// groupCols, returning one row per group in first-appearance order: the
+// group key columns followed by the aggregate result. Empty groupCols
+// aggregates the whole relation, which yields one row even when it is
+// empty. Grouping, accumulation and key extraction run over the typed
+// columns (GroupCols, GroupAggregate), and the result is column-built.
 func (r *Relation) Aggregate(groupCols []string, fn AggFunc, col string) (*Relation, error) {
 	var ci = -1
 	if col != "" {
@@ -327,80 +295,19 @@ func (r *Relation) Aggregate(groupCols []string, fn AggFunc, col string) (*Relat
 	} else if fn != AggCount {
 		return nil, fmt.Errorf("aggregate: %s requires a column", fn)
 	}
-	// Columnar fast path: when column vectors already exist (or the relation
-	// is large enough that building them pays for itself) the whole pass —
-	// grouping, accumulation, key extraction — runs over typed payloads.
-	if r.Len() > 0 {
-		cols := r.CachedColumns()
-		if cols == nil && r.Len() >= autoColumnarThreshold {
-			cols = r.Columns()
-		}
-		if cols != nil {
-			return r.aggregateCols(cols, groupCols, fn, col, ci)
-		}
-	}
-	keys, groups, err := r.GroupBy(groupCols)
-	if err != nil {
-		return nil, err
-	}
-	if len(groupCols) == 0 && len(groups) == 0 {
-		// Aggregate over an empty, ungrouped relation still yields one row.
-		keys = [][]value.Value{{}}
-		groups = [][]int{{}}
-	}
-	inKind := value.KindFloat
-	if ci >= 0 {
-		inKind = r.Schema[ci].Kind
-	}
-	schema := make(Schema, 0, len(groupCols)+1)
-	gidx, _ := r.ColumnIndexes(groupCols)
-	for _, j := range gidx {
-		schema = append(schema, r.Schema[j])
-	}
-	outName := string(fn) + "_" + col
-	if col == "" {
-		outName = string(fn)
-	}
-	schema = append(schema, Column{Name: outName, Kind: fn.ResultKind(inKind)})
-	out := New(r.Name, schema)
-	srcRows := r.TupleRows()
-	for g, rows := range groups {
-		acc := NewAccumulator(fn)
-		for _, ri := range rows {
-			var v value.Value
-			if ci >= 0 {
-				v = srcRows[ri][ci]
-			} else {
-				v = value.NewInt(1)
-			}
-			if err := acc.Add(v); err != nil {
-				return nil, err
-			}
-		}
-		row := make(Tuple, 0, len(schema))
-		row = append(row, keys[g]...)
-		row = append(row, acc.Result())
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
-}
-
-// aggregateCols is Aggregate over the columnar representation: typed
-// grouping (GroupCols), typed accumulation loops for the numeric and
-// ordered-kind functions, and a per-group boxed Accumulator fed in ascending
-// row order for the rest — the same accumulation order as the row path, so
-// float sums and first-seen tie-breaks are bit-identical.
-func (r *Relation) aggregateCols(cols []*Col, groupCols []string, fn AggFunc, col string, ci int) (*Relation, error) {
 	gidx, err := r.ColumnIndexes(groupCols)
 	if err != nil {
 		return nil, err
 	}
-	n := r.Len()
+	cols, n := r.Columns(), r.n
 	keyCols := make([]*Col, len(gidx))
 	for i, j := range gidx {
 		keyCols[i] = cols[j]
 	}
 	gr := GroupCols(keyCols, nil, n)
+	if len(gidx) == 0 && n == 0 {
+		gr.First = []int32{0} // the empty relation's single group
+	}
 	ng := gr.NumGroups()
 
 	inKind := value.KindFloat
@@ -425,17 +332,8 @@ func (r *Relation) aggregateCols(cols []*Col, groupCols []string, fn AggFunc, co
 	if err != nil {
 		return nil, err
 	}
-	out := New(r.Name, schema)
-	for g := 0; g < ng; g++ {
-		row := make(Tuple, 0, len(schema))
-		ri := int(gr.First[g])
-		for _, j := range gidx {
-			row = append(row, cols[j].Value(ri))
-		}
-		row = append(row, results[g])
-		out.Rows = append(out.Rows, row)
-	}
-	return out, nil
+	out := append(GatherCols(keyCols, gr.First), ColOf(schema[len(gidx)].Kind, results))
+	return FromColumns(r.Name, schema, out, ng), nil
 }
 
 // aggregateColumn computes fn over the input column for every group,

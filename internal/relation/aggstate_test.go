@@ -348,8 +348,9 @@ func TestGroupedAggStateUpdateAllocs(t *testing.T) {
 }
 
 // TestWindowEvalTypedLanesMatchBoxed: feeding WindowEval typed argument and
-// key columns (ArgCol/KeyCols, with and without a lane indirection) must be
-// bit-identical to the boxed flat Arg/Keys encoding of the same cells.
+// key columns (with and without a lane indirection) must be bit-identical
+// to feeding it Boxed columns of the same cells, one per lane, which run the
+// boxed comparator and the Accumulator fallback.
 func TestWindowEvalTypedLanesMatchBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	argKinds := []value.Kind{value.KindInt, value.KindFloat}
@@ -388,12 +389,16 @@ func TestWindowEvalTypedLanesMatchBoxed(t *testing.T) {
 
 		typed := WindowInput{N: n, K: k, Rows: rows, ArgCol: argCol, KeyCols: keyCols}
 		boxed := WindowInput{N: n, K: k}
-		boxed.Arg = make([]value.Value, n)
-		for i := 0; i < n; i++ {
-			boxed.Arg[i] = argCol.Value(cell(i))
+		boxedOf := func(c *Col) *Col {
+			vals := make([]value.Value, n)
+			for i := range vals {
+				vals[i] = c.Value(cell(i))
+			}
+			return BoxedCol(vals)
 		}
+		boxed.ArgCol = boxedOf(argCol)
 		if fn == WinCount && rng.Intn(2) == 0 {
-			typed.ArgCol, boxed.Arg = nil, nil // COUNT(*)
+			typed.ArgCol, boxed.ArgCol = nil, nil // COUNT(*)
 		}
 		if k > 0 {
 			typed.Desc = make([]bool, k)
@@ -401,11 +406,9 @@ func TestWindowEvalTypedLanesMatchBoxed(t *testing.T) {
 				typed.Desc[j] = rng.Intn(2) == 0
 			}
 			boxed.Desc = typed.Desc
-			boxed.Keys = make([]value.Value, n*k)
-			for i := 0; i < n; i++ {
-				for j := 0; j < k; j++ {
-					boxed.Keys[i*k+j] = keyCols[j].Value(cell(i))
-				}
+			boxed.KeyCols = make([]*Col, k)
+			for j, c := range keyCols {
+				boxed.KeyCols[j] = boxedOf(c)
 			}
 		}
 		if rng.Intn(2) == 0 && n > 0 {

@@ -1,18 +1,45 @@
 package relation
 
-// Typed columnar grouping. GroupCols is GroupRowsOn for column vectors: the
-// same open-addressing/dense-ID discipline, but hashing typed payload arrays
-// (Col.HashInto replicates value.HashCombine bit for bit) and checking
-// collisions with Col.CellEqual instead of boxing each cell. Group numbering
-// is therefore identical to the boxed path — same buckets, same
-// first-occurrence order — which the aggregate and distinct kernels rely on
-// when they switch representation mid-pipeline.
+import "sheetmusiq/internal/obs"
 
-// hashSeed is the row-hash seed shared by hashRow and the columnar hash pass.
+// Hash-grouping kernel. Every replay of the spreadsheet algebra partitions
+// rows — aggregation (η), duplicate elimination (δ), ∪/−, SQL GROUP BY,
+// DISTINCT and window partitions — and GroupCols is the one kernel that
+// does it: a 64-bit hash of each row's key cells (Col.HashInto replicates
+// value.HashCombine bit for bit, so a Boxed column hashes as its typed
+// twin would), an open-addressing table probed linearly, and collision
+// checks with Col.CellEqual against the group's first-occurrence row. Group
+// IDs are dense int32s in first-occurrence order, so consumers index flat
+// arrays instead of maps.
+//
+// Equality is value.Equal — the same notion the sort and the group-tree
+// adjacency probe use — so -0 and +0 (and numerically equal int/float
+// cells of a Boxed column) group together, NULL groups with NULL, and NaN
+// hashes to one canonical bucket and groups with itself.
+
+// Grouping metrics: table builds (one per logical grouping pass) and
+// linear-probe collisions (occupied slots stepped over — a hash-quality
+// signal, normally a tiny fraction of rows).
+var (
+	grouperBuilds     = obs.Default.Counter("relation.grouper.builds")
+	grouperCollisions = obs.Default.Counter("relation.grouper.collisions")
+)
+
+// hashSeed is the seed of every row hash.
 const hashSeed = uint64(0x51_7c_c1_b7_27_22_0a_95)
 
-// colGrouper is the typed counterpart of Grouper: group representatives are
-// cell indexes into the key columns rather than tuples.
+// Grouping is the result of GroupCols: each lane's dense group ID and, per
+// group in first-occurrence order, the lane of its first row.
+type Grouping struct {
+	IDs   []int32
+	First []int32
+}
+
+// NumGroups returns the number of distinct groups.
+func (gr *Grouping) NumGroups() int { return len(gr.First) }
+
+// colGrouper is the hash table of one grouping pass: group representatives
+// are cell indexes into the key columns.
 type colGrouper struct {
 	cols  []*Col
 	slots []int32 // gid+1; 0 marks an empty slot
@@ -70,23 +97,6 @@ func (g *colGrouper) add(cell int, h uint64) (int32, bool) {
 	return gid, true
 }
 
-// find returns the group ID of the key at cell index, or -1 when absent.
-func (g *colGrouper) find(cell int, h uint64) int32 {
-	i := h & g.mask
-	for {
-		s := g.slots[i]
-		if s == 0 {
-			return -1
-		}
-		gid := s - 1
-		if g.hash[gid] == h && g.cellsEqual(int(g.reps[gid]), cell) {
-			return gid
-		}
-		grouperCollisions.Inc()
-		i = (i + 1) & g.mask
-	}
-}
-
 // grow doubles the table and reinserts from the stored group hashes.
 func (g *colGrouper) grow() {
 	slots := make([]int32, 2*len(g.slots))
@@ -102,8 +112,8 @@ func (g *colGrouper) grow() {
 	g.mask = mask
 }
 
-// hashLanes fills hs[k] for k in [0,n) with the row hash of lane k's key —
-// seeded and combined exactly like hashRow, chunk-parallel.
+// hashLanes fills hs[k] for k in [0,n) with the row hash of lane k's key,
+// chunk-parallel.
 func hashLanes(keyCols []*Col, rows []int32, n int) []uint64 {
 	hs := make([]uint64, n)
 	_ = ForChunks(n, func(_, lo, hi int) error {
@@ -121,9 +131,11 @@ func hashLanes(keyCols []*Col, rows []int32, n int) []uint64 {
 // GroupCols partitions n lanes by the typed key columns, assigning dense
 // group IDs in first-occurrence order. rows maps lanes to cell indexes (nil =
 // identity), so a view's index vector groups without materializing. IDs and
-// First are in lane space. An empty key column set yields one group, exactly
-// as GroupRowsOn treats an empty (non-nil) column list. The parallel build
-// merges chunk tables in chunk order, matching the sequential numbering.
+// First are in lane space. An empty key column set yields one group. Above
+// ParallelThreshold the build fans out: row hashes and chunk-local tables
+// are computed concurrently, and the chunk tables merge in chunk order, so
+// the numbering is identical to the sequential build (a group first seen
+// in chunk c cannot have appeared in any earlier chunk).
 func GroupCols(keyCols []*Col, rows []int32, n int) *Grouping {
 	gr := &Grouping{}
 	if n == 0 {
@@ -156,7 +168,9 @@ func GroupCols(keyCols []*Col, rows []int32, n int) *Grouping {
 		return gr
 	}
 	// Parallel build: chunk-local tables with chunk-local IDs, merged into a
-	// global numbering in chunk order (see GroupRowsOn).
+	// global numbering in chunk order: local groups map to global IDs
+	// through a remap table, appended in local first-occurrence order, which
+	// is global first-occurrence order for unseen groups.
 	type part struct {
 		g     *colGrouper
 		first []int32 // lane of first occurrence per local group

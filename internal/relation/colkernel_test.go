@@ -8,13 +8,13 @@ import (
 )
 
 // Tests for the typed column kernels: grouping and hashing over payload
-// arrays must be indistinguishable from the boxed row path (same dense IDs,
+// arrays must be indistinguishable from the boxed reference (same dense IDs,
 // same first-occurrence order, same hash bits), and must allocate per
 // group or per window — never per row.
 
 // TestGroupColsMatchesBoxed: typed grouping over column vectors assigns
-// exactly the IDs and first-occurrence lanes the boxed grouper does, with
-// and without a row-index indirection.
+// exactly the IDs and first-occurrence lanes the string-key reference over
+// the boxed rows does, with and without a row-index indirection.
 func TestGroupColsMatchesBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(53))
 	for trial := 0; trial < 60; trial++ {
@@ -23,10 +23,10 @@ func TestGroupColsMatchesBoxed(t *testing.T) {
 		cols := r.Columns()
 		keyPos := []int{0, 1}
 		keyCols := []*Col{cols[0], cols[1]}
-		want := GroupRowsOn(rows, keyPos)
+		wantIDs, wantFirst := refGroupIDs(rows, keyPos)
 
 		got := GroupCols(keyCols, nil, len(rows))
-		if !eqInt32(want.IDs, got.IDs) || !eqInt32(want.First, got.First) {
+		if !eqInt32(wantIDs, got.IDs) || !eqInt32(wantFirst, got.First) {
 			t.Fatalf("trial %d: GroupCols diverges from boxed grouping", trial)
 		}
 
@@ -38,9 +38,9 @@ func TestGroupColsMatchesBoxed(t *testing.T) {
 			idx[i] = int32(rng.Intn(len(rows)))
 			sub[i] = rows[idx[i]]
 		}
-		want = GroupRowsOn(sub, keyPos)
+		wantIDs, wantFirst = refGroupIDs(sub, keyPos)
 		got = GroupCols(keyCols, idx, m)
-		if !eqInt32(want.IDs, got.IDs) || !eqInt32(want.First, got.First) {
+		if !eqInt32(wantIDs, got.IDs) || !eqInt32(wantFirst, got.First) {
 			t.Fatalf("trial %d: indexed GroupCols diverges from boxed grouping", trial)
 		}
 	}

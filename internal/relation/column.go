@@ -2,39 +2,25 @@ package relation
 
 import (
 	"fmt"
+	"slices"
 	"strings"
-	"sync"
 
-	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/value"
 )
 
-// Columnar substrate. The primary large-relation representation is a set of
-// typed column vectors — int64/float64/string payload arrays plus a null
-// bitmap per column — attached to the Relation behind its existing row API.
-// Row-built relations columnarize lazily (and cache the result) the first
-// time a vectorized kernel asks; column-built relations (FromColumns)
-// materialize tuple rows lazily the first time a row consumer asks. Both
-// conversions happen at most once per relation and are counted by
-// relation.column.materialize (the row→column direction, the one that walks
-// every boxed cell).
+// Columnar substrate. A relation is stored as typed column vectors —
+// int64/float64/string payload arrays plus a null bitmap per column — and
+// nothing else: producers append into them (Relation.Append), every
+// operator reads them, and rows are boxed only at the edges (TupleRange,
+// TupleRows), per call, never cached.
 //
 // Layout: Int, Bool and Date columns share the Ints payload array (Bool as
 // 0/1, Date as days since epoch — exactly the value.Value payload), Float
-// uses Floats, String uses Strs. Cells whose runtime kind does not match the
-// schema kind (possible only through hand-built fixtures) fall back to a
-// Boxed column of whole values, which the vectorized kernels treat as
-// dynamically typed. NULLs are a per-column bitmap; payload slots of NULL
-// cells are zero and must not be read.
-
-var columnMaterialize = obs.Default.Counter("relation.column.materialize")
-
-// autoColumnarThreshold is the row count at or above which Aggregate and
-// SortedClone columnarize a row-built relation on first use rather than
-// scanning boxed tuples. Below it the one-off conversion would cost more
-// than it saves. Kernels always use columns that already exist regardless
-// of size.
-const autoColumnarThreshold = 256
+// uses Floats, String uses Strs. A column whose cells are not all of one
+// kind (computed columns, mixed fixtures) is a Boxed column of whole
+// values, which the vectorized kernels treat as dynamically typed. NULLs
+// are a per-column bitmap; payload slots of NULL cells are zero and must
+// not be read, and no bit at or beyond the column's cell count is ever set.
 
 // Col is one typed column vector. Exactly one payload family is populated:
 // Ints (Int/Bool/Date), Floats (Float), Strs (String), or Boxed (cells of
@@ -133,9 +119,8 @@ func (c *Col) CellEqual(i, j int) bool {
 
 // HashInto folds cell hashes into the running row hashes hs[lo:hi]:
 // hs[k] = mix64(hs[k] ^ Hash(cell at rows[k])) — the value.HashCombine
-// discipline, so typed grouping lands in the same buckets (and therefore the
-// same first-occurrence numbering) as the boxed hashRow path. rows maps the
-// hash lane to the cell index; nil means identity.
+// discipline, so a typed column and a Boxed column of the same cells hash
+// alike. rows maps the hash lane to the cell index; nil means identity.
 func (c *Col) HashInto(hs []uint64, rows []int32, lo, hi int) {
 	row := func(k int) int {
 		if rows == nil {
@@ -358,165 +343,50 @@ func (c *Col) MemBytes() int64 {
 // vectorized expression kernels.
 func BoxedCol(vals []value.Value) *Col { return &Col{Boxed: vals} }
 
-// colState is the Relation's lazily attached columnar cache. colBuilt marks
-// relations constructed from columns (FromColumns): their columns are the
-// source of truth and Rows materializes lazily; for row-built relations the
-// inverse holds. Both flags and conversions are guarded by mu; colBuilt and
-// nrows are written once at construction and safe to read unlocked.
-type colState struct {
-	mu        sync.Mutex
-	colBuilt  bool // constructed columnar; Rows is derived
-	nrows     int  // row count for colBuilt relations
-	cols      []*Col
-	colsReady bool       // cols valid
-	rowsReady bool       // Rows valid for a colBuilt relation
-	gather    *gatherSrc // deferred column assembly (FromColumnsLazy)
-	ix        *NameIndex
-}
-
-// gatherSrc is the deferred gather of a lazily assembled relation, kept as
-// data: column j is cols[j] read through the index vector idx. It is
-// dropped once the columns are built.
-type gatherSrc struct {
-	cols []*Col
-	idx  []int32
-}
-
-// colStateMu guards lazy creation of the per-relation colState pointer, so
-// concurrent kernels may columnarize a shared relation safely.
-var colStateMu sync.Mutex
-
-func (r *Relation) colState() *colState {
-	colStateMu.Lock()
-	c := r.col
-	if c == nil {
-		c = &colState{}
-		r.col = c
+// run gathers every source column through the index vector.
+func (g *gatherSrc) run() []*Col {
+	cols := make([]*Col, len(g.cols))
+	for j, src := range g.cols {
+		cols[j] = src.Gather(g.idx)
 	}
-	colStateMu.Unlock()
-	return c
+	return cols
 }
 
-// FromColumns constructs a relation directly from typed column vectors; rows
-// materialize lazily on first TupleRows call. cols must align with schema
-// and every column must cover n cells.
-func FromColumns(name string, schema Schema, cols []*Col, n int) *Relation {
-	r := &Relation{Name: name, Schema: schema}
-	r.col = &colState{colBuilt: true, nrows: n, cols: cols, colsReady: true}
-	return r
-}
-
-// FromColumnsLazy constructs a column-built relation whose column j is
-// src[j] read through the index vector idx, one row per entry. Nothing is
-// copied up front: the columns gather at most once, the first time a
-// consumer asks for Columns, and row reads (TupleRows, TupleRange) box
-// straight from src through idx. The evaluation pipeline uses it for final
-// assembly (late materialisation): a replay whose result is only paged pays
-// for the page, not an n×w gather. src and idx must stay unmodified.
-func FromColumnsLazy(name string, schema Schema, src []*Col, idx []int32) *Relation {
-	r := &Relation{Name: name, Schema: schema}
-	r.col = &colState{colBuilt: true, nrows: len(idx), gather: &gatherSrc{cols: src, idx: idx}}
-	return r
-}
-
-// ensureColsLocked makes c.cols valid; the caller holds c.mu. The deferred
-// gather runs here for lazily assembled relations; row-built relations
-// columnarize from r.Rows.
-func (r *Relation) ensureColsLocked(c *colState) {
-	if c.colsReady {
-		return
-	}
-	if g := c.gather; g != nil {
-		c.cols = make([]*Col, len(g.cols))
-		for j, src := range g.cols {
-			c.cols[j] = src.Gather(g.idx)
-		}
-		c.gather = nil
-	} else {
-		c.cols = columnarize(r.Rows, r.Schema)
-		columnMaterialize.Inc()
-	}
-	c.colsReady = true
-}
-
-// Columns returns the relation's typed column vectors, building and caching
-// them from the rows (or running the deferred assembly) on first call. The
-// returned columns are shared and must be treated as read-only.
+// Columns returns the relation's typed column vectors, running the deferred
+// gather of a lazily assembled relation on first call. The columns are
+// shared and must be treated as read-only; r's next Append copies them
+// first.
 func (r *Relation) Columns() []*Col {
-	c := r.colState()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	r.ensureColsLocked(c)
-	return c.cols
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.gather != nil {
+		r.cols = r.gather.run()
+		r.gather = nil
+	}
+	r.shared = true
+	return r.cols
 }
 
-// CachedColumns returns the column vectors if they are already built, nil
-// otherwise; it never triggers a conversion. Kernels use it together with
-// autoColumnarThreshold to decide whether columnarizing pays off.
-func (r *Relation) CachedColumns() []*Col {
-	if r.col == nil {
-		return nil
-	}
-	c := r.col
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.colsReady {
-		return c.cols
-	}
-	return nil
-}
+// TupleRows boxes every row. It caches nothing: each call allocates the
+// whole table, so a reader that needs a page uses TupleRange.
+func (r *Relation) TupleRows() []Tuple { return r.TupleRange(0, r.n) }
 
-// TupleRows returns the relation's rows, materializing them from the column
-// vectors on first call for column-built relations. Row-built relations
-// return Rows directly. All relation operators read rows through this
-// accessor so columnar relations flow through the whole API unchanged.
-func (r *Relation) TupleRows() []Tuple {
-	if r.col == nil || !r.col.colBuilt {
-		return r.Rows
-	}
-	c := r.col
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !c.rowsReady {
-		r.Rows = c.boxRowsLocked(0, c.nrows, len(r.Schema))
-		c.rowsReady = true
-	}
-	return r.Rows
-}
-
-// TupleRange returns rows [lo, hi) — TupleRows()[lo:hi] — without
-// materialising the rest, so a page of a column-built relation costs the
-// page, not the table. Row-built relations, and column-built ones whose
-// rows already exist, return the shared rows; otherwise the range is boxed
-// from the columns, or from a lazily assembled relation's gather source
-// through its index vector, building neither columns nor rows. It panics
-// if the range is out of bounds, as slicing does. The rows must be treated
-// as read-only.
+// TupleRange boxes rows [lo, hi) into one flat backing array, reading the
+// columns or, while the gather is deferred, its source columns through the
+// index vector, so a page of a lazily assembled relation builds no columns.
+// It panics if the range is out of bounds, as slicing does. The rows are
+// the caller's.
 func (r *Relation) TupleRange(lo, hi int) []Tuple {
-	if r.col == nil || !r.col.colBuilt {
-		return r.Rows[lo:hi:hi]
+	if lo < 0 || hi < lo || hi > r.n {
+		panic(fmt.Sprintf("relation: TupleRange [%d:%d] out of range with length %d", lo, hi, r.n))
 	}
-	c := r.col
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.rowsReady {
-		return r.Rows[lo:hi:hi]
-	}
-	if lo < 0 || hi < lo || hi > c.nrows {
-		panic(fmt.Sprintf("relation: TupleRange [%d:%d] out of range with length %d", lo, hi, c.nrows))
-	}
-	return c.boxRowsLocked(lo, hi, len(r.Schema))
-}
-
-// boxRowsLocked boxes rows [lo, hi) of a column-built relation into one
-// flat backing array, reading the columns or, while the gather is
-// deferred, its source columns through the index vector; the caller holds
-// c.mu.
-func (c *colState) boxRowsLocked(lo, hi, w int) []Tuple {
-	cols, idx := c.cols, []int32(nil)
-	if g := c.gather; g != nil {
+	r.mu.Lock()
+	cols, idx := r.cols, []int32(nil)
+	if g := r.gather; g != nil {
 		cols, idx = g.cols, g.idx
 	}
+	r.mu.Unlock()
+	w := len(r.Schema)
 	flat := make([]value.Value, (hi-lo)*w)
 	rows := make([]Tuple, hi-lo)
 	for i := range rows {
@@ -533,38 +403,150 @@ func (c *colState) boxRowsLocked(lo, hi, w int) []Tuple {
 	return rows
 }
 
-// invalidateColumns drops the columnar cache after a row mutation (Append,
-// Sort). For column-built relations the caller must have materialized rows
-// first; ownership then flips to the row representation.
-func (r *Relation) invalidateColumns() {
-	if r.col == nil {
+// clone deep-copies the column.
+func (c *Col) clone() *Col {
+	out := &Col{Kind: c.Kind}
+	if c.Ints != nil {
+		out.Ints = append([]int64(nil), c.Ints...)
+	}
+	if c.Floats != nil {
+		out.Floats = append([]float64(nil), c.Floats...)
+	}
+	if c.Strs != nil {
+		out.Strs = append([]string(nil), c.Strs...)
+	}
+	if c.Boxed != nil {
+		out.Boxed = append([]value.Value(nil), c.Boxed...)
+	}
+	if c.Nulls != nil {
+		out.Nulls = append([]uint64(nil), c.Nulls...)
+	}
+	return out
+}
+
+// appendCell appends v as cell i, the column's current length. v is NULL
+// or of the schema kind (or an INT for a FLOAT column, which widens). The
+// common case, a typed column of that kind, appends the payload and, for a
+// NULL, sets its bit; appendOther takes the rest.
+func (c *Col) appendCell(i int, kind value.Kind, v *value.Value) {
+	k := v.Kind()
+	if c.Boxed != nil || c.Kind == value.KindNull ||
+		(k != c.Kind && k != value.KindNull && (k != value.KindInt || c.Kind != value.KindFloat)) {
+		c.appendOther(i, kind, *v)
 		return
 	}
-	c := r.col
-	c.mu.Lock()
-	c.colBuilt = false
-	c.cols = nil
-	c.colsReady = false
-	c.rowsReady = false
-	c.gather = nil
-	c.ix = nil
-	c.mu.Unlock()
-}
-
-// columnarize builds typed column vectors from materialized rows. A cell
-// whose kind disagrees with the schema (hand-built fixtures) demotes its
-// column to Boxed.
-func columnarize(rows []Tuple, schema Schema) []*Col {
-	cols := make([]*Col, len(schema))
-	for ci, sc := range schema {
-		cols[ci] = buildCol(len(rows), sc.Kind, func(i int) value.Value { return rows[i][ci] })
+	if c.Nulls != nil && i>>6 == len(c.Nulls) {
+		c.Nulls = push(c.Nulls, 0)
 	}
-	return cols
+	switch c.Kind {
+	case value.KindFloat:
+		var f float64
+		switch k {
+		case value.KindFloat:
+			f = v.Float()
+		case value.KindInt:
+			f = float64(v.Int())
+		}
+		c.Floats = push(c.Floats, f)
+	case value.KindString:
+		var s string
+		if k == value.KindString {
+			s = v.Str()
+		}
+		c.Strs = push(c.Strs, s)
+	default: // Int, Bool and Date share the Ints payload
+		var x int64
+		switch k {
+		case value.KindInt:
+			x = v.Int()
+		case value.KindDate:
+			x = v.DateDays()
+		case value.KindBool:
+			if v.Bool() {
+				x = 1
+			}
+		}
+		c.Ints = push(c.Ints, x)
+	}
+	if k == value.KindNull {
+		if c.Nulls == nil {
+			c.Nulls = NewBitmap(i + 1)
+		}
+		BitSet(c.Nulls, i)
+	}
 }
 
-// ColOf builds a column of the given kind from a value vector; a value of
-// another kind demotes it to Boxed, exactly as columnarize treats a
-// row-built relation's cells.
+// appendOther is appendCell's uncommon case: a Boxed column appends the
+// (widened) value, an all-NULL column takes a NULL as is and turns typed at
+// its first value, and a typed column meeting a value of another kind
+// (possible only in hand-built columns) turns Boxed.
+func (c *Col) appendOther(i int, kind value.Kind, v value.Value) {
+	if kind == value.KindFloat && v.Kind() == value.KindInt {
+		v = value.NewFloat(float64(v.Int()))
+	}
+	switch {
+	case c.Boxed != nil:
+	case c.Kind == value.KindNull && v.IsNull():
+		return
+	case c.Kind == value.KindNull && v.Kind() == kind:
+		*c = *buildCol(i, kind, func(int) value.Value { return value.Null })
+		c.appendCell(i, kind, &v)
+		return
+	default:
+		*c = *boxedCells(i, c.Value)
+	}
+	c.Boxed = push(c.Boxed, v)
+}
+
+// push appends x to s, doubling the capacity when s is full: append's own
+// policy grows a large slice by about a quarter, so a long run of appends
+// allocates about five times the final size, where doubling allocates two.
+func push[T any](s []T, x T) []T {
+	if len(s) == cap(s) {
+		s = slices.Grow(s, len(s)+8)
+	}
+	return append(s, x)
+}
+
+// concatCols returns a's n cells followed by b's m cells as a new column.
+// Two typed columns of one kind concatenate their payloads and bitmaps; any
+// other pairing (a Boxed or all-NULL side, or kinds that differ) rebuilds
+// the cells under the schema kind as ColOf does, so the result holds exactly
+// the cells of the concatenated rows.
+func concatCols(a *Col, n int, b *Col, m int, kind value.Kind) *Col {
+	if a.Boxed != nil || b.Boxed != nil || a.Kind != b.Kind {
+		return buildCol(n+m, kind, func(i int) value.Value {
+			if i < n {
+				return a.Value(i)
+			}
+			return b.Value(i - n)
+		})
+	}
+	out := &Col{Kind: a.Kind}
+	switch a.Kind {
+	case value.KindNull:
+		return out
+	case value.KindFloat:
+		out.Floats = append(append(make([]float64, 0, n+m), a.Floats[:n]...), b.Floats[:m]...)
+	case value.KindString:
+		out.Strs = append(append(make([]string, 0, n+m), a.Strs[:n]...), b.Strs[:m]...)
+	default:
+		out.Ints = append(append(make([]int64, 0, n+m), a.Ints[:n]...), b.Ints[:m]...)
+	}
+	if a.Nulls != nil || b.Nulls != nil {
+		out.Nulls = NewBitmap(n + m)
+		copy(out.Nulls, a.Nulls)
+		for i := 0; i < m; i++ {
+			if BitGet(b.Nulls, i) {
+				BitSet(out.Nulls, n+i)
+			}
+		}
+	}
+	return out
+}
+
+// ColOf builds a column of the given kind from a value vector; a non-NULL
+// value of another kind demotes it to Boxed.
 func ColOf(kind value.Kind, vals []value.Value) *Col {
 	return buildCol(len(vals), kind, func(i int) value.Value { return vals[i] })
 }
@@ -632,8 +614,8 @@ type NameIndex struct {
 }
 
 // Index builds a NameIndex for the schema. Callers cache it for as long as
-// the schema is unchanged (relations invalidate theirs on Append/Sort along
-// with the columnar cache; evaluation contexts rebuild per evaluation).
+// the schema is unchanged (a relation's never changes; evaluation contexts
+// rebuild per evaluation).
 func (s Schema) Index() *NameIndex {
 	ix := &NameIndex{
 		exact:  make(map[string]int, len(s)),
@@ -666,15 +648,14 @@ func (ix *NameIndex) IndexOf(name string) int {
 }
 
 // nameIndex returns the relation's cached NameIndex, building it on first
-// use; Append and Sort invalidate it together with the columnar cache.
+// use. A relation's schema never changes, so neither does its index.
 func (r *Relation) nameIndex() *NameIndex {
-	c := r.colState()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.ix == nil {
-		c.ix = r.Schema.Index()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.ix == nil {
+		r.ix = r.Schema.Index()
 	}
-	return c.ix
+	return r.ix
 }
 
 // ColumnIndex resolves a column name through the cached NameIndex.

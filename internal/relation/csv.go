@@ -77,11 +77,11 @@ func ReadCSV(name string, rd io.Reader, schema Schema) (*Relation, error) {
 		return nil, fmt.Errorf("csv %s: header arity %d != schema arity %d", name, len(header), len(schema))
 	}
 	rel := New(name, schema)
+	row := make(Tuple, len(schema)) // Append copies the cells, so one row serves every record
 	for ln, rec := range records {
 		if len(rec) != len(schema) {
 			return nil, fmt.Errorf("csv %s: row %d arity %d != %d", name, ln+2, len(rec), len(schema))
 		}
-		row := make(Tuple, len(schema))
 		for i, field := range rec {
 			v, err := value.Parse(field, schema[i].Kind)
 			if err != nil {
@@ -89,7 +89,9 @@ func ReadCSV(name string, rd io.Reader, schema Schema) (*Relation, error) {
 			}
 			row[i] = v
 		}
-		rel.Rows = append(rel.Rows, row)
+		if err := rel.Append(row); err != nil {
+			return nil, fmt.Errorf("csv %s row %d: %w", name, ln+2, err)
+		}
 	}
 	return rel, nil
 }

@@ -69,23 +69,26 @@ func eqInt32(a, b []int32) bool {
 	return true
 }
 
-// TestGroupRowsOnMatchesStringKeys: the hash grouping must reproduce the
-// string-key grouping exactly — same dense IDs, same first-occurrence
-// order — for values where the two equality notions agree (the generator
-// avoids -0, whose string key diverged from Compare; see DESIGN.md §9).
+// TestGroupRowsOnMatchesStringKeys: hash grouping over columns must
+// reproduce the string-key grouping exactly — same dense IDs, same
+// first-occurrence order — on single, composite and whole-row keys, for
+// values where the two equality notions agree (the generator avoids -0,
+// whose string key diverged from Compare; see DESIGN.md §9). The "a" column
+// mixes kinds, so it is a Boxed column.
 func TestGroupRowsOnMatchesStringKeys(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 50; trial++ {
 		rows := genRows(rng, 1+rng.Intn(400))
-		for _, cols := range [][]int{{0}, {0, 1}, {1, 2}, nil} {
-			gr := GroupRowsOn(rows, cols)
-			refCols := cols
-			if refCols == nil {
-				refCols = []int{0, 1, 2}
+		cols := makeRel("g", rows).Columns()
+		for _, pos := range [][]int{{0}, {0, 1}, {1, 2}, {0, 1, 2}} {
+			keyCols := make([]*Col, len(pos))
+			for i, p := range pos {
+				keyCols[i] = cols[p]
 			}
-			wantIDs, wantFirst := refGroupIDs(rows, refCols)
+			gr := GroupCols(keyCols, nil, len(rows))
+			wantIDs, wantFirst := refGroupIDs(rows, pos)
 			if !eqInt32(gr.IDs, wantIDs) || !eqInt32(gr.First, wantFirst) {
-				t.Fatalf("cols %v: grouper IDs/First diverge from string-key reference", cols)
+				t.Fatalf("cols %v: grouping IDs/First diverge from string-key reference", pos)
 			}
 		}
 	}
@@ -96,12 +99,13 @@ func TestGroupRowsOnMatchesStringKeys(t *testing.T) {
 func TestGroupRowsOnParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	rows := genRows(rng, 5000)
+	keyCols := makeRel("p", rows).Columns()[:2]
 	old := ParallelThreshold
 	ParallelThreshold = 1 << 30
-	seq := GroupRowsOn(rows, []int{0, 1})
+	seq := GroupCols(keyCols, nil, len(rows))
 	ParallelThreshold = old
 	forceParallel(t)
-	par := GroupRowsOn(rows, []int{0, 1})
+	par := GroupCols(keyCols, nil, len(rows))
 	if !eqInt32(seq.IDs, par.IDs) || !eqInt32(seq.First, par.First) {
 		t.Fatalf("parallel grouping diverges from sequential")
 	}
@@ -125,11 +129,46 @@ func relEqual(a, b *Relation) bool {
 	return true
 }
 
+// makeRel builds a genSchema relation of rows. Its "a" column mixes kinds,
+// so it is built from ColOf columns (a Boxed column) rather than appended.
 func makeRel(name string, rows []Tuple) *Relation {
-	r := New(name, genSchema())
-	r.Rows = rows
-	return r
+	schema := genSchema()
+	cols := make([]*Col, len(schema))
+	for j, c := range schema {
+		vals := make([]value.Value, len(rows))
+		for i, t := range rows {
+			vals[i] = t[j]
+		}
+		cols[j] = ColOf(c.Kind, vals)
+	}
+	return FromColumns(name, schema, cols, len(rows))
 }
+
+// refSort is the sort reference: sort.SliceStable over a copy of rows,
+// comparing key cells with value.MustCompare.
+func refSort(rows []Tuple, schema Schema, keys []SortKey) []Tuple {
+	out := append([]Tuple(nil), rows...)
+	sort.SliceStable(out, func(a, b int) bool {
+		for _, k := range keys {
+			j := schema.IndexOf(k.Column)
+			c := value.MustCompare(out[a][j], out[b][j])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+	return out
+}
+
+// sortSizes are the row counts the sort tests always cover: the trivial
+// sizes and both sides of 256, where a row-count threshold once switched
+// representations.
+var sortSizes = []int{0, 1, 2, 255, 256, 3000}
 
 // rowFilter adapts a row predicate to a PairFilter over the candidates'
 // boxed rows, stopping at the first error — the reference the typed
@@ -236,34 +275,24 @@ type errBoom struct{}
 
 func (errBoom) Error() string { return "boom" }
 
-// TestSortMatchesSliceStableReference: the keyed merge sort must reproduce
+// TestSortMatchesSliceStableReference: the typed merge sort must reproduce
 // the stable closure sort bit-identically, sequentially and in parallel.
 func TestSortMatchesSliceStableReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	keys := []SortKey{{Column: "b"}, {Column: "c", Desc: true}}
+	sizes := append([]int(nil), sortSizes...)
 	for trial := 0; trial < 20; trial++ {
-		rows := genRows(rng, 1+rng.Intn(3000))
-		want := makeRel("w", rows).Clone()
-		idx := []int{1, 2}
-		sort.SliceStable(want.Rows, func(a, b int) bool {
-			for ki, j := range idx {
-				c := value.MustCompare(want.Rows[a][j], want.Rows[b][j])
-				if c == 0 {
-					continue
-				}
-				if keys[ki].Desc {
-					return c > 0
-				}
-				return c < 0
-			}
-			return false
-		})
+		sizes = append(sizes, 1+rng.Intn(3000))
+	}
+	for trial, n := range sizes {
+		rows := genRows(rng, n)
+		want := makeRel("w", refSort(rows, genSchema(), keys))
 		got := makeRel("g", rows).Clone()
 		if err := got.Sort(keys); err != nil {
 			t.Fatal(err)
 		}
 		if !relEqual(want, got) {
-			t.Fatalf("trial %d: keyed sort diverges from SliceStable reference", trial)
+			t.Fatalf("trial %d (%d rows): sort diverges from SliceStable reference", trial, n)
 		}
 	}
 }
@@ -300,7 +329,7 @@ func TestSortStability(t *testing.T) {
 		t.Fatal(err)
 	}
 	last := map[int64]float64{0: -1, 1: -1, 2: -1}
-	for _, row := range r.Rows {
+	for _, row := range r.TupleRows() {
 		b, c := row[1].Int(), row[2].Float()
 		if c <= last[b] {
 			t.Fatalf("stability violated within key %d: %v after %v", b, c, last[b])
@@ -309,42 +338,34 @@ func TestSortStability(t *testing.T) {
 	}
 }
 
-// TestSortedCloneColumnarMatchesRowSort: above the columnar threshold
-// SortedClone builds its copy column-wise through SortPermCols; the result
-// must match the row-path sort bit for bit (the "a" column is mixed-kind and
-// stays boxed, covering the boxed comparator arm), stay stable, and leave
-// the receiver untouched.
+// TestSortedCloneColumnarMatchesRowSort: SortedClone, and Sort in place,
+// must match the SliceStable reference bit for bit at every size (the "a"
+// column is mixed-kind and stays Boxed, covering the boxed comparator arm),
+// stay stable, and SortedClone must leave the receiver untouched.
 func TestSortedCloneColumnarMatchesRowSort(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(31))
 	keys := []SortKey{{Column: "b"}, {Column: "a", Desc: true}}
-	for _, n := range []int{autoColumnarThreshold, 3000} {
+	for _, n := range sortSizes {
 		rows := genRows(rng, n)
-		want := makeRel("w", rows).Clone()
-		if err := want.Sort(keys); err != nil {
-			t.Fatal(err)
-		}
+		want := makeRel("w", refSort(rows, genSchema(), keys))
 		src := makeRel("g", rows)
-		before := src.Rows[0]
 		got, err := src.SortedClone(keys)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got.TupleRows() // materialize Rows for relEqual
 		if !relEqual(want, got) {
-			t.Fatalf("n=%d: columnar SortedClone diverges from row sort", n)
+			t.Fatalf("n=%d: SortedClone diverges from the reference sort", n)
 		}
-		// Sort with cached columns takes the SortPermCols permutation path.
-		cached := makeRel("c", rows)
-		cached.Columns()
-		if err := cached.Sort(keys); err != nil {
+		inPlace := makeRel("c", rows)
+		if err := inPlace.Sort(keys); err != nil {
 			t.Fatal(err)
 		}
-		if !relEqual(want, cached) {
-			t.Fatalf("n=%d: cached-columns Sort diverges from row sort", n)
+		if !relEqual(want, inPlace) {
+			t.Fatalf("n=%d: Sort diverges from the reference sort", n)
 		}
-		if &src.Rows[0][0] != &before[0] {
-			t.Fatalf("n=%d: SortedClone mutated the receiver", n)
+		if d := sameTuples(src.TupleRows(), rows); d != "" {
+			t.Fatalf("n=%d: SortedClone mutated the receiver: %s", n, d)
 		}
 		// Stability: within equal (b, a) keys the payload column c must keep
 		// the original relative order genRows produced.
@@ -352,8 +373,9 @@ func TestSortedCloneColumnarMatchesRowSort(t *testing.T) {
 		for i, row := range rows {
 			srcPos[row[2].Float()] = i
 		}
+		sorted := got.TupleRows()
 		for i := 1; i < n; i++ {
-			x, y := got.Rows[i-1], got.Rows[i]
+			x, y := sorted[i-1], sorted[i]
 			if value.Equal(x[1], y[1]) && x[0].Kind() == y[0].Kind() && value.Equal(x[0], y[0]) {
 				if srcPos[x[2].Float()] > srcPos[y[2].Float()] {
 					t.Fatalf("n=%d: stability violated at sorted row %d", n, i)
@@ -368,43 +390,42 @@ func TestSortedCloneColumnarMatchesRowSort(t *testing.T) {
 func TestDistinctMatchesStringKeyReference(t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 20; trial++ {
-		r := makeRel("d", genRows(rng, 1+rng.Intn(500)))
-		_, first := refGroupIDs(r.Rows, []int{0, 1, 2})
-		want := New(r.Name, r.Schema)
-		for _, ri := range first {
-			want.Rows = append(want.Rows, r.Rows[ri])
+	pick := func(rows []Tuple, at []int32) *Relation {
+		kept := make([]Tuple, len(at))
+		for i, ri := range at {
+			kept[i] = rows[ri]
 		}
-		if got := r.Distinct(); !relEqual(want, got) {
+		return makeRel("d", kept)
+	}
+	for trial := 0; trial < 20; trial++ {
+		rows := genRows(rng, 1+rng.Intn(500))
+		r := makeRel("d", rows)
+		_, first := refGroupIDs(rows, []int{0, 1, 2})
+		if got := r.Distinct(); !relEqual(pick(rows, first), got) {
 			t.Fatalf("trial %d: Distinct diverges from string-key reference", trial)
 		}
-		_, firstOn := refGroupIDs(r.Rows, []int{1})
-		wantOn := New(r.Name, r.Schema)
-		for _, ri := range firstOn {
-			wantOn.Rows = append(wantOn.Rows, r.Rows[ri])
-		}
-		if got := r.DistinctOn([]int{1}); !relEqual(wantOn, got) {
+		_, firstOn := refGroupIDs(rows, []int{1})
+		if got := r.DistinctOn([]int{1}); !relEqual(pick(rows, firstOn), got) {
 			t.Fatalf("trial %d: DistinctOn diverges from string-key reference", trial)
 		}
 	}
 }
 
-// TestGroupRowsOnNoPerRowAllocs pins the headline win: grouping 10k rows
-// performs a bounded number of allocations (table, ID arrays, growth
-// doublings) — not one string per row. The string-key path allocated ≥1
-// per row (30k+ here).
+// TestGroupRowsOnNoPerRowAllocs pins the headline win: grouping 10k rows on
+// whole-row keys (a Boxed, an int and a float column) performs a bounded
+// number of allocations (table, ID arrays, growth doublings) — not one
+// string per row. The string-key path allocated ≥1 per row (30k+ here).
 func TestGroupRowsOnNoPerRowAllocs(t *testing.T) {
 	old := ParallelThreshold
 	ParallelThreshold = 1 << 30 // sequential: goroutine machinery allocates
 	defer func() { ParallelThreshold = old }()
 	rng := rand.New(rand.NewSource(37))
-	rows := genRows(rng, 10000)
-	cols := []int{0, 1}
+	cols := makeRel("a", genRows(rng, 10000)).Columns()
 	allocs := testing.AllocsPerRun(5, func() {
-		GroupRowsOn(rows, cols)
+		GroupCols(cols, nil, 10000)
 	})
 	if allocs > 100 {
-		t.Fatalf("GroupRowsOn allocates %.0f times for 10k rows; per-row allocation regressed", allocs)
+		t.Fatalf("GroupCols allocates %.0f times for 10k rows; per-row allocation regressed", allocs)
 	}
 }
 
@@ -444,7 +465,7 @@ func TestDistinctBoundedAllocs(t *testing.T) {
 	}
 }
 
-// TestDifferenceMatchesMultisetSemantics: the grouper-backed difference
+// TestDifferenceMatchesMultisetSemantics: the grouping-backed difference
 // keeps multiset multiplicities: {t,t} − {t} = {t}.
 func TestDifferenceMatchesMultisetSemantics(t *testing.T) {
 	r := New("r", genSchema())
@@ -461,8 +482,8 @@ func TestDifferenceMatchesMultisetSemantics(t *testing.T) {
 	if d.Len() != 2 {
 		t.Fatalf("difference kept %d rows, want 2", d.Len())
 	}
-	if d.Rows[0][0].Str() != "x" || d.Rows[1][0].Str() != "y" {
-		t.Fatalf("difference rows wrong: %v", d.Rows)
+	if rows := d.TupleRows(); rows[0][0].Str() != "x" || rows[1][0].Str() != "y" {
+		t.Fatalf("difference rows wrong: %v", rows)
 	}
 }
 

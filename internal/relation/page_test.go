@@ -34,7 +34,9 @@ func sameTuples(got, want []Tuple) string {
 func assemblyView(n int, idx []int32) (*IndexView, Schema) {
 	rows, schema := genKeyRows(rand.New(rand.NewSource(int64(n))), n)
 	base := New("base", schema)
-	base.Rows = rows
+	for _, row := range rows {
+		base.MustAppend(row...)
+	}
 	filled := &Col{Kind: value.KindInt, Ints: make([]int64, n), Nulls: NewBitmap(n)}
 	for i := range filled.Ints {
 		filled.Ints[i] = int64(i * 7)
@@ -97,16 +99,14 @@ func TestTupleRangeMatchesTupleRows(t *testing.T) {
 // builds neither its columns nor its rows.
 func TestTupleRangeLeavesGatherDeferred(t *testing.T) {
 	r := assemblyForms(40)["deferred gather"]()
-	if r.col == nil || r.col.gather == nil {
+	if r.gather == nil {
 		t.Fatalf("final assembly over a gapped index should defer its gather")
 	}
 	if got := len(r.TupleRange(2, 9)); got != 7 {
 		t.Fatalf("TupleRange(2, 9) returned %d rows", got)
 	}
-	c := r.col
-	if c.gather == nil || c.colsReady || c.cols != nil || c.rowsReady || r.Rows != nil {
-		t.Fatalf("a paged read materialised the relation: gather=%v colsReady=%v rowsReady=%v rows=%d",
-			c.gather != nil, c.colsReady, c.rowsReady, len(r.Rows))
+	if r.gather == nil || r.cols != nil {
+		t.Fatalf("a paged read materialised the relation: gather=%v cols=%d", r.gather != nil, len(r.cols))
 	}
 }
 
@@ -144,7 +144,7 @@ func TestLazyRelationConcurrentReads(t *testing.T) {
 
 // TestCloneOfUnreadLazyRelation: cloning a lazily assembled relation that
 // nothing has read yet runs its gather first, so the clone carries the
-// rows, and a small sorted clone (which goes through Clone) sorts them.
+// rows, and a sorted clone of one sorts them.
 func TestCloneOfUnreadLazyRelation(t *testing.T) {
 	build := assemblyForms(40)["deferred gather"]
 	want := build().TupleRows()
@@ -153,8 +153,9 @@ func TestCloneOfUnreadLazyRelation(t *testing.T) {
 	}
 	keys := []SortKey{{Column: "o1"}, {Column: "s", Desc: true}}
 	ref := New("ref", build().Schema)
-	ref.Rows = want
-	ref = ref.Clone()
+	for _, row := range want {
+		ref.MustAppend(row...)
+	}
 	if err := ref.Sort(keys); err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestCloneOfUnreadLazyRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := sameTuples(got.TupleRows(), ref.Rows); d != "" {
+	if d := sameTuples(got.TupleRows(), ref.TupleRows()); d != "" {
 		t.Fatalf("sorted clone of an unread lazy relation: %s", d)
 	}
 }

@@ -109,17 +109,3 @@ func RunChunks(bounds [][2]int, fn func(chunk, lo, hi int) error) error {
 func ForChunks(n int, fn func(chunk, lo, hi int) error) error {
 	return RunChunks(Chunks(n), fn)
 }
-
-// RowKeys computes KeyOn(cols) for every row, in parallel above the
-// threshold. Grouping and duplicate-elimination passes compute these keys
-// once and reuse them across their accumulate and write-back phases.
-func RowKeys(rows []Tuple, cols []int) []string {
-	keys := make([]string, len(rows))
-	_ = ForChunks(len(rows), func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			keys[i] = rows[i].KeyOn(cols)
-		}
-		return nil
-	})
-	return keys
-}

@@ -74,22 +74,6 @@ func TestRunChunksFirstErrorInChunkOrder(t *testing.T) {
 	}
 }
 
-func TestRowKeysMatchSequential(t *testing.T) {
-	forceParallel(t)
-	r := New("t", Schema{{Name: "a", Kind: value.KindInt}, {Name: "b", Kind: value.KindString}})
-	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 1000; i++ {
-		r.MustAppend(value.NewInt(int64(rng.Intn(7))), value.NewString(fmt.Sprintf("s%d", rng.Intn(5))))
-	}
-	idx := []int{1, 0}
-	keys := RowKeys(r.Rows, idx)
-	for i, row := range r.Rows {
-		if keys[i] != row.KeyOn(idx) {
-			t.Fatalf("row %d key mismatch", i)
-		}
-	}
-}
-
 // TestAccumulatorMergeEquivalence: feeding a value stream into one
 // accumulator must equal splitting it into chunks, accumulating each, and
 // merging the partials in chunk order — for every aggregate function.

@@ -3,6 +3,11 @@
 // textbook relational-algebra primitives (selection, projection, product,
 // multiset union/difference, join, sorting, grouping with aggregation).
 //
+// A relation is stored only as typed column vectors (column.go), and every
+// operator runs over them through one grouping kernel (GroupCols) and one
+// sort kernel (SortPermCols). Tuples are the edge format: they are boxed on
+// demand for rendering, export and tests, and never stored.
+//
 // The spreadsheet algebra of internal/core is defined over relations from
 // this package; the SQL engine of internal/sql executes against them; and the
 // relational operators here double as the independent baseline that property
@@ -12,6 +17,7 @@ package relation
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"sheetmusiq/internal/value"
 )
@@ -108,52 +114,109 @@ func (t Tuple) KeyOn(cols []int) string {
 	return b.String()
 }
 
-// Relation is a named multiset of tuples over a schema. Large relations
-// additionally carry typed column vectors (column.go): row-built relations
-// grow them lazily on first kernel use, column-built relations (FromColumns)
-// materialize Rows lazily instead. Code outside this package must read rows
-// through TupleRows(), never the Rows field, so both representations flow
-// through the same API.
+// Relation is a named multiset of tuples over a schema, stored as one typed
+// column vector per attribute (column.go). Tuples are only an edge format:
+// TupleRange and TupleRows box rows on demand for rendering, export and
+// tests, and nothing stores them.
+//
+// A relation is built by appending rows (New, Append) or from columns
+// (FromColumns, FromColumnsLazy). It may be read by many goroutines at
+// once; Append and Sort mutate it and must not race with any other use.
 type Relation struct {
 	Name   string
 	Schema Schema
-	Rows   []Tuple
-	col    *colState // lazily attached columnar cache; nil until first use
+
+	n      int        // row count
+	mu     sync.Mutex // guards the lazily built state below against concurrent first reads
+	cols   []*Col     // nil while the gather is deferred
+	gather *gatherSrc // deferred column assembly (FromColumnsLazy)
+	ix     *NameIndex // built on first name lookup
+	// shared marks columns another relation may read (handed out by
+	// Columns, Project or WithSchema, or received by FromColumns): the next
+	// Append copies them before writing.
+	shared bool
+}
+
+// gatherSrc is the deferred gather of a lazily assembled relation, kept as
+// data: column j is cols[j] read through the index vector idx. It is
+// dropped once the columns are built.
+type gatherSrc struct {
+	cols []*Col
+	idx  []int32
 }
 
 // New creates an empty relation with the given name and schema.
 func New(name string, schema Schema) *Relation {
-	return &Relation{Name: name, Schema: schema.Clone()}
+	schema = schema.Clone()
+	cols := make([]*Col, len(schema))
+	for i, c := range schema {
+		cols[i] = &Col{Kind: c.Kind}
+	}
+	return &Relation{Name: name, Schema: schema, cols: cols}
 }
 
-// Append adds a row after checking arity and kinds (NULL matches any kind).
-// Columnar relations materialize their rows first; the (now stale) column
-// cache is dropped and rebuilds lazily on next kernel use.
+// FromColumns constructs a relation directly from typed column vectors.
+// cols must align with schema and every column must cover n cells. The
+// columns are shared, not copied; a later Append copies them first.
+func FromColumns(name string, schema Schema, cols []*Col, n int) *Relation {
+	return &Relation{Name: name, Schema: schema, n: n, cols: cols, shared: true}
+}
+
+// FromColumnsLazy constructs a relation whose column j is src[j] read
+// through the index vector idx, one row per entry. Nothing is copied up
+// front: the columns gather at most once, the first time a consumer asks
+// for Columns, and row reads (TupleRows, TupleRange) box straight from src
+// through idx. The evaluation pipeline uses it for final assembly (late
+// materialisation): a replay whose result is only paged pays for the page,
+// not an n×w gather. src and idx must stay unmodified.
+func FromColumnsLazy(name string, schema Schema, src []*Col, idx []int32) *Relation {
+	return &Relation{Name: name, Schema: schema, n: len(idx), gather: &gatherSrc{cols: src, idx: idx}}
+}
+
+// Append adds a row after checking arity and kinds: NULL fits any column,
+// an INT widens into a FLOAT column, and any other mismatch is an error
+// that leaves the relation unchanged. The row's cells are copied into the
+// column builders; t itself is neither kept nor modified.
 func (r *Relation) Append(t Tuple) error {
 	if len(t) != len(r.Schema) {
 		return fmt.Errorf("relation %s: row arity %d != schema arity %d", r.Name, len(t), len(r.Schema))
 	}
 	for i, v := range t {
-		if v.IsNull() {
+		k := r.Schema[i].Kind
+		if v.IsNull() || v.Kind() == k || (k == value.KindFloat && v.Kind() == value.KindInt) {
 			continue
 		}
-		if v.Kind() != r.Schema[i].Kind {
-			// Permit int into float columns; everything else is an error.
-			if r.Schema[i].Kind == value.KindFloat && v.Kind() == value.KindInt {
-				t[i] = value.NewFloat(float64(v.Int()))
-				continue
-			}
-			return fmt.Errorf("relation %s: column %s expects %s, got %s",
-				r.Name, r.Schema[i].Name, r.Schema[i].Kind, v.Kind())
-		}
+		return fmt.Errorf("relation %s: column %s expects %s, got %s",
+			r.Name, r.Schema[i].Name, k, v.Kind())
 	}
-	rows := r.TupleRows()
-	r.invalidateColumns()
-	r.Rows = append(rows, t)
+	r.own()
+	for i := range t {
+		r.cols[i].appendCell(r.n, r.Schema[i].Kind, &t[i])
+	}
+	r.n++
 	return nil
 }
 
-// MustAppend appends and panics on schema mismatch; for test fixtures.
+// own makes the columns private to r before Append writes into them: a
+// deferred gather runs into fresh columns, and columns another relation may
+// read are copied, so Append never writes storage anyone else can see.
+func (r *Relation) own() {
+	switch {
+	case r.gather != nil:
+		r.cols = r.gather.run()
+		r.gather = nil
+	case r.shared:
+		cols := make([]*Col, len(r.cols)) // the handed-out slice is shared too
+		for i, c := range r.cols {
+			cols[i] = c.clone()
+		}
+		r.cols = cols
+	}
+	r.shared = false
+}
+
+// MustAppend appends and panics on schema mismatch; for fixtures and
+// generators.
 func (r *Relation) MustAppend(vals ...value.Value) {
 	if err := r.Append(Tuple(vals)); err != nil {
 		panic(err)
@@ -161,57 +224,21 @@ func (r *Relation) MustAppend(vals ...value.Value) {
 }
 
 // Len returns the number of rows.
-func (r *Relation) Len() int {
-	if r.col != nil && r.col.colBuilt {
-		return r.col.nrows
-	}
-	return len(r.Rows)
-}
+func (r *Relation) Len() int { return r.n }
 
-// Clone deep-copies the relation. Column-built relations clone their column
-// vectors (rows stay lazy; a deferred gather runs first); row-built
-// relations deep-copy the rows.
+// Clone deep-copies the relation's columns (running a deferred gather
+// first).
 func (r *Relation) Clone() *Relation {
-	if r.col != nil && r.col.colBuilt {
-		c := r.col
-		c.mu.Lock()
-		r.ensureColsLocked(c)
-		cols := make([]*Col, len(c.cols))
-		for i, src := range c.cols {
-			cc := &Col{Kind: src.Kind}
-			if src.Ints != nil {
-				cc.Ints = append([]int64(nil), src.Ints...)
-			}
-			if src.Floats != nil {
-				cc.Floats = append([]float64(nil), src.Floats...)
-			}
-			if src.Strs != nil {
-				cc.Strs = append([]string(nil), src.Strs...)
-			}
-			if src.Boxed != nil {
-				cc.Boxed = append([]value.Value(nil), src.Boxed...)
-			}
-			if src.Nulls != nil {
-				cc.Nulls = append([]uint64(nil), src.Nulls...)
-			}
-			cols[i] = cc
-		}
-		n := c.nrows
-		c.mu.Unlock()
-		return FromColumns(r.Name, r.Schema.Clone(), cols, n)
+	src := r.Columns()
+	cols := make([]*Col, len(src))
+	for i, c := range src {
+		cols[i] = c.clone()
 	}
-	out := New(r.Name, r.Schema)
-	out.Rows = make([]Tuple, len(r.Rows))
-	for i, t := range r.Rows {
-		out.Rows[i] = t.Clone()
-	}
-	return out
+	return &Relation{Name: r.Name, Schema: r.Schema.Clone(), n: r.n, cols: cols}
 }
 
 // ColumnIndexes resolves names to positions, erroring on the first miss.
 func (r *Relation) ColumnIndexes(names []string) ([]int, error) {
-	// The result is non-nil even for zero names: GroupRowsOn distinguishes
-	// an empty column set (one group) from nil (whole-tuple keys).
 	ix := r.nameIndex()
 	idx := make([]int, len(names))
 	for i, n := range names {
@@ -227,24 +254,22 @@ func (r *Relation) ColumnIndexes(names []string) ([]int, error) {
 // Select returns the rows for which pred returns true. Errors from pred
 // abort the scan.
 func (r *Relation) Select(pred func(Tuple) (bool, error)) (*Relation, error) {
-	out := New(r.Name, r.Schema)
-	for _, t := range r.TupleRows() {
+	var keep []int32
+	for i, t := range r.TupleRows() {
 		ok, err := pred(t)
 		if err != nil {
 			return nil, err
 		}
 		if ok {
-			out.Rows = append(out.Rows, t.Clone())
+			keep = append(keep, int32(i))
 		}
 	}
-	return out, nil
+	return r.Pick(keep), nil
 }
 
 // Project keeps exactly the named columns, in the given order, without
-// duplicate elimination (multiset semantics). A column-built relation
-// projects its columns — shared, not copied, and still deferred when its
-// gather is — so projection boxes nothing; a row-built one projects its
-// tuples.
+// duplicate elimination (multiset semantics). The columns are shared, not
+// copied, and stay deferred when r's gather is.
 func (r *Relation) Project(names []string) (*Relation, error) {
 	idx, err := r.ColumnIndexes(names)
 	if err != nil {
@@ -254,52 +279,56 @@ func (r *Relation) Project(names []string) (*Relation, error) {
 	for i, j := range idx {
 		schema[i] = r.Schema[j]
 	}
-	if c := r.col; c != nil && c.colBuilt {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		src := c.cols
-		if c.gather != nil {
-			src = c.gather.cols
-		}
-		cols := make([]*Col, len(idx))
-		for i, j := range idx {
-			cols[i] = src[j]
-		}
-		if c.gather != nil {
-			return FromColumnsLazy(r.Name, schema, cols, c.gather.idx), nil
-		}
-		return FromColumns(r.Name, schema, cols, c.nrows), nil
-	}
-	out := New(r.Name, schema)
-	// One flat backing array for the projected rows instead of one
-	// allocation per row; large projections dominate evaluation output.
-	rows := r.TupleRows()
-	w := len(idx)
-	flat := make([]value.Value, len(rows)*w)
-	out.Rows = make([]Tuple, len(rows))
-	for ri, t := range rows {
-		row := flat[ri*w : (ri+1)*w : (ri+1)*w]
-		for i, j := range idx {
-			row[i] = t[j]
-		}
-		out.Rows[ri] = row
-	}
-	return out, nil
+	return r.share(idx, schema), nil
 }
 
-// Pick returns the relation of r's rows at positions pos, in order: a typed
-// gather of the columns when r has them, the shared tuples otherwise.
+// WithSchema returns r's rows under another schema of the same arity and
+// kinds — a rename — sharing r's columns, or its deferred gather.
+func (r *Relation) WithSchema(schema Schema) *Relation {
+	pos := make([]int, len(schema))
+	for i := range pos {
+		pos[i] = i
+	}
+	return r.share(pos, schema)
+}
+
+// share returns the relation of r's columns at positions pos under schema,
+// sharing the columns, or composing with r's deferred gather.
+func (r *Relation) share(pos []int, schema Schema) *Relation {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	src := r.cols
+	if r.gather != nil {
+		src = r.gather.cols
+	} else {
+		r.shared = true
+	}
+	cols := make([]*Col, len(pos))
+	for i, j := range pos {
+		cols[i] = src[j]
+	}
+	if r.gather != nil {
+		return FromColumnsLazy(r.Name, schema, cols, r.gather.idx)
+	}
+	return FromColumns(r.Name, schema, cols, r.n)
+}
+
+// Pick returns the relation of r's rows at positions pos, in order, as a
+// typed gather of the columns. A deferred gather composes with pos and
+// stays deferred.
 func (r *Relation) Pick(pos []int32) *Relation {
-	if cols := r.CachedColumns(); cols != nil {
-		return FromColumns(r.Name, r.Schema, GatherCols(cols, pos), len(pos))
+	schema := r.Schema.Clone()
+	r.mu.Lock()
+	g := r.gather
+	r.mu.Unlock()
+	if g != nil {
+		idx := make([]int32, len(pos))
+		for i, p := range pos {
+			idx[i] = g.idx[p]
+		}
+		return FromColumnsLazy(r.Name, schema, g.cols, idx)
 	}
-	rows := r.TupleRows()
-	out := New(r.Name, r.Schema)
-	out.Rows = make([]Tuple, len(pos))
-	for i, p := range pos {
-		out.Rows[i] = rows[p]
-	}
-	return out
+	return &Relation{Name: r.Name, Schema: schema, n: len(pos), cols: GatherCols(r.Columns(), pos)}
 }
 
 // productSchema is the concatenated schema of r × s. Columns whose names
@@ -326,79 +355,59 @@ func productSchema(r, s *Relation) Schema {
 	return schema
 }
 
-// Union returns the multiset union r ⊎ s. Schemas must be equal.
+// Union returns the multiset union r ⊎ s: r's rows, then s's. Schemas must
+// be equal.
 func (r *Relation) Union(s *Relation) (*Relation, error) {
 	if !r.Schema.Equal(s.Schema) {
 		return nil, fmt.Errorf("union: incompatible schemas [%s] vs [%s]", r.Schema, s.Schema)
 	}
-	srows := s.TupleRows()
-	out := New(r.Name, r.Schema)
-	rrows := r.TupleRows()
-	out.Rows = make([]Tuple, 0, len(rrows)+len(srows))
-	for _, t := range rrows {
-		out.Rows = append(out.Rows, t.Clone())
+	rc, sc := r.Columns(), s.Columns()
+	cols := make([]*Col, len(rc))
+	for j := range cols {
+		cols[j] = concatCols(rc[j], r.n, sc[j], s.n, r.Schema[j].Kind)
 	}
-	for _, t := range srows {
-		out.Rows = append(out.Rows, t.Clone())
-	}
-	return out, nil
+	return &Relation{Name: r.Name, Schema: r.Schema.Clone(), n: r.n + s.n, cols: cols}, nil
 }
 
 // Difference returns the multiset difference r − s: each tuple's
-// multiplicity is max(0, count_r − count_s). Schemas must be equal.
+// multiplicity is max(0, count_r − count_s) — r's rows in order, less the
+// first count_s occurrences of each tuple. Schemas must be equal. Tuples
+// group as GroupCols groups them, so NULL equals NULL (multiset identity).
 func (r *Relation) Difference(s *Relation) (*Relation, error) {
 	if !r.Schema.Equal(s.Schema) {
 		return nil, fmt.Errorf("difference: incompatible schemas [%s] vs [%s]", r.Schema, s.Schema)
 	}
-	srows := s.TupleRows()
-	g := NewGrouper(nil, len(srows))
-	counts := make([]int, 0, len(srows))
-	for _, t := range srows {
-		gid, fresh := g.Add(t)
-		if fresh {
-			counts = append(counts, 0)
-		}
-		counts[gid]++
+	u, _ := r.Union(s)
+	gr := GroupCols(u.cols, nil, u.n)
+	counts := make([]int, gr.NumGroups())
+	for _, g := range gr.IDs[r.n:] {
+		counts[g]++
 	}
-	out := New(r.Name, r.Schema)
-	for _, t := range r.TupleRows() {
-		if gid := g.Find(t); gid >= 0 && counts[gid] > 0 {
-			counts[gid]--
+	keep := make([]int32, 0, r.n)
+	for i, g := range gr.IDs[:r.n] {
+		if counts[g] > 0 {
+			counts[g]--
 			continue
 		}
-		out.Rows = append(out.Rows, t.Clone())
+		keep = append(keep, int32(i))
 	}
-	return out, nil
+	return r.Pick(keep), nil
 }
 
 // Distinct removes duplicate tuples, keeping first occurrences in order.
 func (r *Relation) Distinct() *Relation {
-	return r.distinctKept(GroupRowsOn(r.TupleRows(), nil))
+	return r.Pick(GroupCols(r.Columns(), nil, r.n).First)
 }
 
 // DistinctOn removes rows that duplicate an earlier row on the given
 // columns, keeping first occurrences.
 func (r *Relation) DistinctOn(cols []int) *Relation {
-	return r.distinctKept(GroupRowsOn(r.TupleRows(), cols))
-}
-
-// distinctKept materialises each group's first-occurrence row, in order,
-// into one flat backing array.
-func (r *Relation) distinctKept(gr *Grouping) *Relation {
-	out := New(r.Name, r.Schema)
-	n, w := gr.NumGroups(), len(r.Schema)
-	if n == 0 {
-		return out
+	all := r.Columns()
+	keys := make([]*Col, len(cols))
+	for i, j := range cols {
+		keys[i] = all[j]
 	}
-	rows := r.TupleRows()
-	flat := make([]value.Value, n*w)
-	out.Rows = make([]Tuple, n)
-	for g, ri := range gr.First {
-		row := flat[g*w : (g+1)*w : (g+1)*w]
-		copy(row, rows[ri])
-		out.Rows[g] = row
-	}
-	return out
+	return r.Pick(GroupCols(keys, nil, r.n).First)
 }
 
 // String renders the relation as an aligned text table (for debugging and

@@ -67,7 +67,7 @@ func TestAppendPromotesIntToFloat(t *testing.T) {
 	if err := r.Append(Tuple{value.NewInt(3)}); err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0].Kind() != value.KindFloat {
+	if r.TupleRows()[0][0].Kind() != value.KindFloat {
 		t.Error("int should be promoted to float on append")
 	}
 }
@@ -112,8 +112,8 @@ func TestDistinct(t *testing.T) {
 		t.Errorf("distinct models = %d, want 2", d.Len())
 	}
 	// First-appearance order: Jetta then Civic.
-	if d.Rows[0][0].Str() != "Jetta" || d.Rows[1][0].Str() != "Civic" {
-		t.Errorf("distinct order = %v", d.Rows)
+	if d.TupleRows()[0][0].Str() != "Jetta" || d.TupleRows()[1][0].Str() != "Civic" {
+		t.Errorf("distinct order = %v", d.TupleRows())
 	}
 }
 
@@ -192,11 +192,11 @@ func TestSortStableMultiKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Jettas first (desc model), cheapest Jetta first.
-	if r.Rows[0][1].Str() != "Jetta" || r.Rows[0][0].Int() != 304 {
-		t.Errorf("first row = %v", r.Rows[0])
+	if r.TupleRows()[0][1].Str() != "Jetta" || r.TupleRows()[0][0].Int() != 304 {
+		t.Errorf("first row = %v", r.TupleRows()[0])
 	}
-	if r.Rows[6][1].Str() != "Civic" || r.Rows[6][2].Int() != 13500 {
-		t.Errorf("first civic = %v", r.Rows[6])
+	if r.TupleRows()[6][1].Str() != "Civic" || r.TupleRows()[6][2].Int() != 13500 {
+		t.Errorf("first civic = %v", r.TupleRows()[6])
 	}
 }
 
@@ -213,22 +213,8 @@ func TestSortNullsFirst(t *testing.T) {
 	if err := r.Sort([]SortKey{{Column: "a"}}); err != nil {
 		t.Fatal(err)
 	}
-	if !r.Rows[0][0].IsNull() {
+	if !r.TupleRows()[0][0].IsNull() {
 		t.Error("NULL must sort first ascending")
-	}
-}
-
-func TestGroupBy(t *testing.T) {
-	keys, groups, err := cars().GroupBy([]string{"Model", "Year"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(groups) != 4 {
-		t.Fatalf("groups = %d, want 4", len(groups))
-	}
-	// First group in appearance order is (Jetta, 2005) with 3 rows.
-	if keys[0][0].Str() != "Jetta" || keys[0][1].Int() != 2005 || len(groups[0]) != 3 {
-		t.Errorf("first group = %v with %d rows", keys[0], len(groups[0]))
 	}
 }
 
@@ -247,7 +233,7 @@ func TestAggregateAvgPerGroup(t *testing.T) {
 	if got.Len() != 4 {
 		t.Fatalf("rows = %d", got.Len())
 	}
-	for _, row := range got.Rows {
+	for _, row := range got.TupleRows() {
 		k := row[0].Str() + "|" + row[1].String()
 		if row[2].Float() != want[k] {
 			t.Errorf("avg %s = %v, want %v", k, row[2], want[k])
@@ -260,20 +246,20 @@ func TestAggregateWholeRelation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Len() != 1 || got.Rows[0][0].Int() != 9 {
-		t.Errorf("count = %v", got.Rows)
+	if got.Len() != 1 || got.TupleRows()[0][0].Int() != 9 {
+		t.Errorf("count = %v", got.TupleRows())
 	}
 }
 
 func TestAggregateEmptyRelation(t *testing.T) {
 	empty := New("e", carSchema())
 	got, err := empty.Aggregate(nil, AggCount, "ID")
-	if err != nil || got.Len() != 1 || got.Rows[0][0].Int() != 0 {
+	if err != nil || got.Len() != 1 || got.TupleRows()[0][0].Int() != 0 {
 		t.Errorf("count over empty = %v, %v", got, err)
 	}
 	s, err := empty.Aggregate(nil, AggSum, "Price")
-	if err != nil || !s.Rows[0][0].IsNull() {
-		t.Errorf("sum over empty must be NULL, got %v", s.Rows[0])
+	if err != nil || !s.TupleRows()[0][0].IsNull() {
+		t.Errorf("sum over empty must be NULL, got %v", s.TupleRows()[0])
 	}
 }
 
@@ -288,7 +274,7 @@ func TestAggregateFunctions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", fn, err)
 		}
-		g := got.Rows[0][0]
+		g := got.TupleRows()[0][0]
 		if fn == AggStdDev {
 			if diff := g.Float() - want.Float(); diff > 1e-9 || diff < -1e-9 {
 				t.Errorf("%s = %v, want %v", fn, g, want)
@@ -313,11 +299,11 @@ func TestAggregateNullHandling(t *testing.T) {
 	r.MustAppend(value.NewInt(10))
 	r.MustAppend(value.Null)
 	c, _ := r.Aggregate(nil, AggCount, "v")
-	if c.Rows[0][0].Int() != 2 {
+	if c.TupleRows()[0][0].Int() != 2 {
 		t.Error("COUNT counts tuples including NULL (COUNT(*) semantics)")
 	}
 	a, _ := r.Aggregate(nil, AggAvg, "v")
-	if a.Rows[0][0].Float() != 10 {
+	if a.TupleRows()[0][0].Float() != 10 {
 		t.Error("AVG must skip NULLs")
 	}
 }
@@ -350,9 +336,9 @@ func TestCSVRoundTrip(t *testing.T) {
 	if back.Len() != r.Len() {
 		t.Fatalf("round trip rows = %d", back.Len())
 	}
-	for i := range r.Rows {
-		if r.Rows[i].Key() != back.Rows[i].Key() {
-			t.Errorf("row %d mismatch: %v vs %v", i, r.Rows[i], back.Rows[i])
+	for i := range r.TupleRows() {
+		if r.TupleRows()[i].Key() != back.TupleRows()[i].Key() {
+			t.Errorf("row %d mismatch: %v vs %v", i, r.TupleRows()[i], back.TupleRows()[i])
 		}
 	}
 }
@@ -413,11 +399,11 @@ func TestQuickUnionDifference(t *testing.T) {
 		}
 		// Same multiset: compare sorted keys.
 		ks1 := make([]string, 0, x.Len())
-		for _, t := range x.Rows {
+		for _, t := range x.TupleRows() {
 			ks1 = append(ks1, t.Key())
 		}
 		ks2 := make([]string, 0, d.Len())
-		for _, t := range d.Rows {
+		for _, t := range d.TupleRows() {
 			ks2 = append(ks2, t.Key())
 		}
 		m := map[string]int{}
@@ -469,7 +455,7 @@ func TestQuickSortPreservesRows(t *testing.T) {
 			return false
 		}
 		for i := 1; i < sorted.Len(); i++ {
-			if value.MustCompare(sorted.Rows[i-1][0], sorted.Rows[i][0]) > 0 {
+			if value.MustCompare(sorted.TupleRows()[i-1][0], sorted.TupleRows()[i][0]) > 0 {
 				return false
 			}
 		}
@@ -491,8 +477,8 @@ func TestDistinctOn(t *testing.T) {
 		t.Fatalf("distinct (Model, Year) rows = %d, want 4", d.Len())
 	}
 	// First occurrence wins: the (Jetta, 2005) survivor is ID 304.
-	if d.Rows[0][0].Int() != 304 {
-		t.Fatalf("first survivor = %v", d.Rows[0])
+	if d.TupleRows()[0][0].Int() != 304 {
+		t.Fatalf("first survivor = %v", d.TupleRows()[0])
 	}
 	// Schema is unchanged (unlike Project).
 	if len(d.Schema) != 6 {
@@ -502,16 +488,16 @@ func TestDistinctOn(t *testing.T) {
 
 func TestSortedCloneLeavesOriginal(t *testing.T) {
 	r := cars()
-	firstBefore := r.Rows[0][0].Int()
+	firstBefore := r.TupleRows()[0][0].Int()
 	sorted, err := r.SortedClone([]SortKey{{Column: "Price", Desc: true}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Rows[0][0].Int() != firstBefore {
+	if r.TupleRows()[0][0].Int() != firstBefore {
 		t.Fatal("SortedClone mutated the receiver")
 	}
-	if sorted.Rows[0][2].Int() != 18000 {
-		t.Fatalf("sorted first price = %v", sorted.Rows[0][2])
+	if sorted.TupleRows()[0][2].Int() != 18000 {
+		t.Fatalf("sorted first price = %v", sorted.TupleRows()[0][2])
 	}
 }
 
@@ -560,10 +546,10 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 func TestTupleKeyOn(t *testing.T) {
 	r := cars()
 	idx, _ := r.ColumnIndexes([]string{"Model"})
-	if r.Rows[0].KeyOn(idx) != r.Rows[1].KeyOn(idx) {
+	if r.TupleRows()[0].KeyOn(idx) != r.TupleRows()[1].KeyOn(idx) {
 		t.Fatal("two Jettas must share the Model key")
 	}
-	if r.Rows[0].KeyOn(idx) == r.Rows[6].KeyOn(idx) {
+	if r.TupleRows()[0].KeyOn(idx) == r.TupleRows()[6].KeyOn(idx) {
 		t.Fatal("Jetta and Civic must not share the Model key")
 	}
 }

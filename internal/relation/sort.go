@@ -15,51 +15,25 @@ type SortKey struct {
 	Desc   bool
 }
 
-// Presentation-sort kernel. The ordering operator λ runs on every replay, so
-// the sort used to pay closure + interface dispatch per comparison through
-// sort.SliceStable, re-indexing the key columns out of each row every time.
-// The keyed sort extracts the sort columns once into a flat array, orders an
-// int32 index permutation with a typed stable merge sort, and applies the
-// permutation in one pass. SortPermCols is the columnar variant: it compares
-// typed column payloads directly, with no boxed key extraction at all. Above
-// ParallelThreshold the permutation is chunk-sorted concurrently and the
-// sorted runs merge pairwise; every merge prefers the left (lower original
-// index) run on ties, so the result is stable and bit-identical to the
-// sequential sort.
+// Presentation-sort kernel. The ordering operator λ runs on every replay,
+// and SQL ORDER BY, Sort and SortedClone share it: SortPermCols orders an
+// int32 lane permutation with a stable merge sort that compares typed column
+// payloads directly (colCompare), and callers apply the permutation in one
+// gather. Above ParallelThreshold the permutation is chunk-sorted
+// concurrently and the sorted runs merge pairwise; every merge prefers the
+// left (lower original index) run on ties, so the result is stable and
+// bit-identical to the sequential sort.
 var (
 	sortKeyed    = obs.Default.Counter("relation.sort.keyed")
 	sortParallel = obs.Default.Counter("relation.sort.parallel")
 )
 
 // permSorter stably orders an int32 permutation under an arbitrary strict
-// less. Both the boxed keyed sort and the typed columnar sort run through
-// it, so their stability and parallel-merge determinism are identical.
+// less. The column sort and the window kernel's (partition, keys) sort both
+// run through it, so their stability and parallel-merge determinism are
+// identical.
 type permSorter struct {
 	less func(a, b int32) bool
-}
-
-// keyedSorter orders row indexes by precomputed key columns. keys holds k
-// values per row, row-major; desc flips the direction per key position.
-type keyedSorter struct {
-	keys []value.Value
-	k    int
-	desc []bool
-}
-
-func (s *keyedSorter) less(a, b int32) bool {
-	ka := s.keys[int(a)*s.k : int(a)*s.k+s.k]
-	kb := s.keys[int(b)*s.k : int(b)*s.k+s.k]
-	for i := 0; i < s.k; i++ {
-		c := value.MustCompare(ka[i], kb[i])
-		if c == 0 {
-			continue
-		}
-		if s.desc[i] {
-			return c > 0
-		}
-		return c < 0
-	}
-	return false
 }
 
 // sortRunCutoff is the run length below which the merge sort switches to
@@ -155,26 +129,6 @@ func (s *permSorter) sort(perm []int32) {
 	if &src[0] != &perm[0] {
 		copy(perm, src)
 	}
-}
-
-// SortPermByKeys stably orders row indexes 0..n-1 by precomputed keys — k
-// values per row, row-major, with desc flipping the direction per key
-// position — and returns the permutation. Relation.Sort is this kernel
-// applied to extracted column values; the SQL executor feeds it computed
-// ORDER BY expression results.
-func SortPermByKeys(keys []value.Value, k int, desc []bool) []int32 {
-	n := len(keys) / k
-	perm := make([]int32, n)
-	for i := range perm {
-		perm[i] = int32(i)
-	}
-	if n < 2 {
-		return perm
-	}
-	sortKeyed.Inc()
-	s := &keyedSorter{keys: keys, k: k, desc: desc}
-	(&permSorter{less: s.less}).sort(perm)
-	return perm
 }
 
 // colCompare builds a three-way comparator over one key column's cells,
@@ -290,7 +244,7 @@ func colCompare(c *Col, rows []int32) func(a, b int32) int {
 
 // SortPermCols stably orders sort lanes 0..n-1 by the typed key columns,
 // reading cell indexes through rows (nil = identity), and returns the
-// permutation — SortPermByKeys without the boxed key extraction.
+// permutation.
 func SortPermCols(keyCols []*Col, rows []int32, n int, desc []bool) []int32 {
 	perm := make([]int32, n)
 	for i := range perm {
@@ -337,79 +291,41 @@ func (r *Relation) sortPlan(keys []SortKey) (idx []int, desc []bool, err error) 
 	return idx, desc, nil
 }
 
-// Sort stably orders the relation's rows by the given keys, NULLs first
-// within ascending order. The receiver is modified in place (Rows is
-// replaced with a newly ordered slice; a columnar cache is invalidated).
-// When the column vectors are already built the permutation orders through
-// the typed lane comparators (SortPermCols) with no boxed key extraction;
-// otherwise the keys extract once into a flat boxed array.
-func (r *Relation) Sort(keys []SortKey) error {
+// sortPerm resolves keys and returns r's columns and the stable order of
+// its rows.
+func (r *Relation) sortPerm(keys []SortKey) ([]*Col, []int32, error) {
 	idx, desc, err := r.sortPlan(keys)
 	if err != nil {
+		return nil, nil, err
+	}
+	cols := r.Columns()
+	keyCols := make([]*Col, len(idx))
+	for i, j := range idx {
+		keyCols[i] = cols[j]
+	}
+	return cols, SortPermCols(keyCols, nil, r.n, desc), nil
+}
+
+// Sort stably orders the relation's rows by the given keys, NULLs first
+// within ascending order. The receiver is modified in place: its columns
+// are replaced by new ones gathered through the permutation, so relations
+// sharing the old columns are unaffected.
+func (r *Relation) Sort(keys []SortKey) error {
+	cols, perm, err := r.sortPerm(keys)
+	if err != nil || r.n < 2 || len(keys) == 0 {
 		return err
 	}
-	src := r.TupleRows()
-	n := len(src)
-	if n < 2 || len(keys) == 0 {
-		return nil
-	}
-	var perm []int32
-	if cols := r.CachedColumns(); cols != nil {
-		keyCols := make([]*Col, len(idx))
-		for i, j := range idx {
-			keyCols[i] = cols[j]
-		}
-		perm = SortPermCols(keyCols, nil, n, desc)
-	} else {
-		k := len(idx)
-		flat := make([]value.Value, n*k)
-		_ = ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				row, out := src[i], flat[i*k:(i+1)*k]
-				for j, c := range idx {
-					out[j] = row[c]
-				}
-			}
-			return nil
-		})
-		perm = SortPermByKeys(flat, k, desc)
-	}
-	rows := make([]Tuple, n)
-	_ = ForChunks(n, func(_, lo, hi int) error {
-		for i := lo; i < hi; i++ {
-			rows[i] = src[perm[i]]
-		}
-		return nil
-	})
-	r.invalidateColumns()
-	r.Rows = rows
+	r.cols = GatherCols(cols, perm)
+	r.shared = false
 	return nil
 }
 
-// SortedClone returns a sorted copy, leaving the receiver untouched. Above
-// the columnar threshold the copy is built column-wise: the permutation
-// orders typed lanes (SortPermCols) and each column gathers through it, so
-// the whole operation allocates O(columns), not O(rows) — no boxed sort key
-// and no per-row clone. The result is column-built; its rows materialize
-// lazily through TupleRows.
+// SortedClone returns a sorted copy, leaving the receiver untouched: each
+// column gathers through the permutation, so no cell is boxed.
 func (r *Relation) SortedClone(keys []SortKey) (*Relation, error) {
-	n := r.Len()
-	if n >= autoColumnarThreshold && len(keys) > 0 {
-		idx, desc, err := r.sortPlan(keys)
-		if err != nil {
-			return nil, err
-		}
-		cols := r.Columns()
-		keyCols := make([]*Col, len(idx))
-		for i, j := range idx {
-			keyCols[i] = cols[j]
-		}
-		perm := SortPermCols(keyCols, nil, n, desc)
-		return FromColumns(r.Name, r.Schema, GatherCols(cols, perm), n), nil
-	}
-	out := r.Clone()
-	if err := out.Sort(keys); err != nil {
+	cols, perm, err := r.sortPerm(keys)
+	if err != nil {
 		return nil, err
 	}
-	return out, nil
+	return &Relation{Name: r.Name, Schema: r.Schema.Clone(), n: r.n, cols: GatherCols(cols, perm)}, nil
 }

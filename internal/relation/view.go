@@ -74,9 +74,8 @@ func (v *IndexView) keyCols(cols []int) []*Col {
 
 // GroupView partitions the view's rows by the key columns (working-schema
 // positions), assigning dense group IDs in first-occurrence view order —
-// GroupRowsOn through the index indirection, hashing the typed payload
-// arrays directly. An empty column set yields one group holding every row
-// (level-1 aggregation).
+// GroupCols through the index indirection. An empty column set yields one
+// group holding every row (level-1 aggregation).
 func GroupView(v *IndexView, cols []int) *Grouping {
 	n := v.Len()
 	if n == 0 {

@@ -55,7 +55,9 @@ func TestSortViewByGroupingMatchesSortView(t *testing.T) {
 		n := 1 + rng.Intn(400)
 		rows, schema := genKeyRows(rng, n)
 		r := New("cs", schema)
-		r.Rows = rows
+		for _, row := range rows {
+			r.MustAppend(row...)
+		}
 		cols := r.Columns()
 
 		// A shuffled, duplicating, gapped subset of the backing rows.
@@ -99,7 +101,9 @@ func TestCountingSortableExclusions(t *testing.T) {
 	rng := rand.New(rand.NewSource(73))
 	rows, schema := genKeyRows(rng, 50)
 	r := New("ex", schema)
-	r.Rows = rows
+	for _, row := range rows {
+		r.MustAppend(row...)
+	}
 	cols := r.Columns()
 	if CountingSortable(cols[4]) {
 		t.Fatalf("float column must not be counting-sortable")

@@ -183,25 +183,22 @@ type WindowSpec struct {
 	Frame *Frame
 }
 
-// WindowInput carries the lane-aligned input vectors of one evaluation.
-// Lanes are the caller's row order (the order ROW_NUMBER falls back to on
-// full ties). Keys holds K order-key values per lane, row-major; Desc flips
-// per key position. Parts assigns each lane its partition (nil = a single
-// partition). Arg is the aggregate argument per lane; nil means COUNT(*).
+// WindowInput carries the lane-aligned inputs of one evaluation. Lanes are
+// the caller's row order (the order ROW_NUMBER falls back to on full ties).
+// KeyCols holds the K order-key columns, Desc flipping per key position, and
+// ArgCol the aggregate argument (nil means COUNT(*)); both read lane k at
+// cell Rows[k] (nil Rows = identity). Parts assigns each lane its partition
+// (nil = a single partition).
 //
-// The typed alternative: KeyCols carries the K order-key columns and ArgCol
-// the argument column, both cell-indexed through Rows (lane k reads cell
-// Rows[k]; nil = identity). When set they replace Keys/Arg — comparisons run
-// on raw payloads and the aggregate paths accumulate through typed scalar
-// state instead of boxed Accumulators. Results are bit-identical: the typed
-// comparators are value.MustCompare on payloads, and winAgg reproduces
-// Accumulator's operation order exactly.
+// Comparisons run on raw payloads (colCompare, value.MustCompare on the
+// cells). A typed argument accumulates through typed scalar state (winAgg,
+// which reproduces Accumulator's operation order exactly); a Boxed one, or a
+// non-numeric one under SUM or AVG, goes through the boxed Accumulator, so
+// its error text and erring position are the Accumulator's.
 type WindowInput struct {
 	N       int
-	Arg     []value.Value
 	ArgCol  *Col
 	Parts   *Grouping
-	Keys    []value.Value
 	KeyCols []*Col
 	Rows    []int32
 	K       int
@@ -377,7 +374,7 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			return nil, err
 		}
 	}
-	if in.Arg == nil && in.ArgCol == nil && spec.Func.NeedsArg() {
+	if in.ArgCol == nil && spec.Func.NeedsArg() {
 		return nil, fmt.Errorf("relation: %s window requires an argument column", spec.Func)
 	}
 	windowEvals.Inc()
@@ -387,25 +384,11 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		return res, nil
 	}
 
-	// keyCmp is the per-key three-way comparator over lanes. Typed key
-	// columns compare raw payloads (colCompare — exactly MustCompare on the
-	// boxed cells, Boxed columns included); the flat Keys vector compares
-	// boxed. Both orderings coincide, so typed and boxed callers agree.
-	var keyCmp []func(a, b int32) int
-	if in.KeyCols != nil {
-		keyCmp = make([]func(a, b int32) int, len(in.KeyCols))
-		for j, c := range in.KeyCols {
-			keyCmp[j] = colCompare(c, in.Rows)
-		}
-	} else if in.K > 0 {
-		keyCmp = make([]func(a, b int32) int, in.K)
-		k := in.K
-		for j := 0; j < k; j++ {
-			j := j
-			keyCmp[j] = func(a, b int32) int {
-				return value.MustCompare(in.Keys[int(a)*k+j], in.Keys[int(b)*k+j])
-			}
-		}
+	// keyCmp is the per-key three-way comparator over lanes: colCompare,
+	// exactly MustCompare on the boxed cells, Boxed columns included.
+	keyCmp := make([]func(a, b int32) int, len(in.KeyCols))
+	for j, c := range in.KeyCols {
+		keyCmp[j] = colCompare(c, in.Rows)
 	}
 
 	// Stable sort of lanes by (partition, order keys): partitions become
@@ -468,15 +451,9 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		}
 		return int(in.Rows[l])
 	}
-	argAt := func(l int32) value.Value {
-		if in.Arg != nil {
-			return in.Arg[l]
-		}
-		if in.ArgCol != nil {
-			return in.ArgCol.Value(cellOf(l))
-		}
-		return value.NewInt(1)
-	}
+	// argAt boxes the argument cell of a lane, for the Accumulator fallback
+	// (reached only with an argument column; COUNT(*) always runs typed).
+	argAt := func(l int32) value.Value { return in.ArgCol.Value(cellOf(l)) }
 
 	// Typed aggregate accumulation engages when the argument reads typed
 	// payloads (or there is no argument at all — pure frame counting). SUM
@@ -484,12 +461,12 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 	// non-numeric error surfaces through the boxed path with its exact
 	// message and position.
 	aggFn := spec.Func.AggFunc()
-	typedArg := in.Arg == nil && in.ArgCol != nil && in.ArgCol.Boxed == nil
+	typedArg := in.ArgCol != nil && in.ArgCol.Boxed == nil
 	if aggFn == AggSum || aggFn == AggAvg {
 		typedArg = typedArg && (in.ArgCol.Kind == value.KindInt ||
 			in.ArgCol.Kind == value.KindFloat || in.ArgCol.Kind == value.KindNull)
 	}
-	starTyped := in.Arg == nil && in.ArgCol == nil
+	starTyped := in.ArgCol == nil
 	var addLane func(a *winAgg, l int32)
 	switch {
 	case typedArg:

@@ -14,19 +14,52 @@ import (
 // NaN arguments, heavy order-key ties, empty frames, unused partition IDs),
 // and the cross-partition parallel fan-out must be invisible in the output.
 
+// windowCase is one random evaluation's inputs as boxed lane vectors, which
+// the naive reference reads: keys holds k values per lane, row-major, and
+// arg the argument per lane (nil for COUNT(*)).
+type windowCase struct {
+	n, k  int
+	keys  []value.Value
+	arg   []value.Value
+	parts *Grouping
+	desc  []bool
+}
+
+// input hands the same cells to WindowEval: each order key as a column of
+// its cells' kind (typed, or Boxed when all NULL) and the mixed-kind
+// argument as a Boxed column.
+func (c *windowCase) input() WindowInput {
+	in := WindowInput{N: c.n, K: c.k, Parts: c.parts, Desc: c.desc, KeyCols: make([]*Col, c.k)}
+	for j := range in.KeyCols {
+		vals := make([]value.Value, c.n)
+		kind := value.KindNull
+		for i := range vals {
+			vals[i] = c.keys[i*c.k+j]
+			if kind == value.KindNull {
+				kind = vals[i].Kind()
+			}
+		}
+		in.KeyCols[j] = ColOf(kind, vals)
+	}
+	if c.arg != nil {
+		in.ArgCol = BoxedCol(c.arg)
+	}
+	return in
+}
+
 // refWindowEval is the deliberately naive reference: stable-sort the lanes
 // by (partition, keys) with sort.SliceStable, then recompute every row's
 // rank or frame from scratch, feeding accumulators in ascending sorted
 // position exactly as a sequential scan would.
-func refWindowEval(t *testing.T, spec WindowSpec, in WindowInput) []value.Value {
+func refWindowEval(t *testing.T, spec WindowSpec, in *windowCase) []value.Value {
 	t.Helper()
-	n := in.N
+	n := in.n
 	res := make([]value.Value, n)
 	pid := func(l int) int32 {
-		if in.Parts == nil {
+		if in.parts == nil {
 			return 0
 		}
-		return in.Parts.IDs[l]
+		return in.parts.IDs[l]
 	}
 	order := make([]int, n)
 	for i := range order {
@@ -37,12 +70,12 @@ func refWindowEval(t *testing.T, spec WindowSpec, in WindowInput) []value.Value 
 		if pid(a) != pid(b) {
 			return pid(a) < pid(b)
 		}
-		for j := 0; j < in.K; j++ {
-			c := value.MustCompare(in.Keys[a*in.K+j], in.Keys[b*in.K+j])
+		for j := 0; j < in.k; j++ {
+			c := value.MustCompare(in.keys[a*in.k+j], in.keys[b*in.k+j])
 			if c == 0 {
 				continue
 			}
-			if in.Desc[j] {
+			if in.desc[j] {
 				return c > 0
 			}
 			return c < 0
@@ -50,18 +83,18 @@ func refWindowEval(t *testing.T, spec WindowSpec, in WindowInput) []value.Value 
 		return false
 	})
 	peers := func(a, b int) bool {
-		for j := 0; j < in.K; j++ {
-			if value.MustCompare(in.Keys[a*in.K+j], in.Keys[b*in.K+j]) != 0 {
+		for j := 0; j < in.k; j++ {
+			if value.MustCompare(in.keys[a*in.k+j], in.keys[b*in.k+j]) != 0 {
 				return false
 			}
 		}
 		return true
 	}
 	argAt := func(l int) value.Value {
-		if in.Arg == nil {
+		if in.arg == nil {
 			return value.NewInt(1)
 		}
-		return in.Arg[l]
+		return in.arg[l]
 	}
 	accumulate := func(s, e int) value.Value { // inclusive sorted positions
 		acc := NewAccumulator(spec.Func.AggFunc())
@@ -100,7 +133,7 @@ func refWindowEval(t *testing.T, spec WindowSpec, in WindowInput) []value.Value 
 			default:
 				var s, e int
 				switch {
-				case spec.Frame == nil && in.K == 0:
+				case spec.Frame == nil && in.k == 0:
 					s, e = lo, hi-1
 				case spec.Frame == nil:
 					s = lo
@@ -153,18 +186,18 @@ func bitEqual(a, b value.Value) bool {
 // randWindowInput builds a random lane set: numeric arguments with NULLs,
 // -0 and NaN; key columns with small tied domains; partition IDs drawn from
 // a range wider than what is used, so some IDs never occur.
-func randWindowInput(rng *rand.Rand, n, k int, withParts bool) WindowInput {
-	in := WindowInput{N: n, K: k}
+func randWindowInput(rng *rand.Rand, n, k int, withParts bool) *windowCase {
+	in := &windowCase{n: n, k: k}
 	floats := []float64{0, math.Copysign(0, -1), 1.5, -3.25, 7, math.NaN(), 1e15, -2.5}
-	in.Arg = make([]value.Value, n)
-	for i := range in.Arg {
+	in.arg = make([]value.Value, n)
+	for i := range in.arg {
 		switch rng.Intn(6) {
 		case 0:
-			in.Arg[i] = value.Null
+			in.arg[i] = value.Null
 		case 1, 2:
-			in.Arg[i] = value.NewFloat(floats[rng.Intn(len(floats))])
+			in.arg[i] = value.NewFloat(floats[rng.Intn(len(floats))])
 		default:
-			in.Arg[i] = value.NewInt(int64(rng.Intn(7) - 3))
+			in.arg[i] = value.NewInt(int64(rng.Intn(7) - 3))
 		}
 	}
 	if withParts {
@@ -173,31 +206,31 @@ func randWindowInput(rng *rand.Rand, n, k int, withParts bool) WindowInput {
 		for i := range ids {
 			ids[i] = int32(rng.Intn(width) * 2) // even IDs only: odd ones are empty
 		}
-		in.Parts = &Grouping{IDs: ids}
+		in.parts = &Grouping{IDs: ids}
 	}
 	if k > 0 {
-		in.Keys = make([]value.Value, n*k)
-		in.Desc = make([]bool, k)
+		in.keys = make([]value.Value, n*k)
+		in.desc = make([]bool, k)
 		kinds := make([]int, k)
 		for j := 0; j < k; j++ {
-			in.Desc[j] = rng.Intn(2) == 0
+			in.desc[j] = rng.Intn(2) == 0
 			kinds[j] = rng.Intn(3)
 		}
 		strs := []string{"a", "b", "bb", "z"}
 		for i := 0; i < n; i++ {
 			for j := 0; j < k; j++ {
 				if rng.Intn(8) == 0 {
-					in.Keys[i*k+j] = value.Null
+					in.keys[i*k+j] = value.Null
 					continue
 				}
 				switch kinds[j] {
 				case 0:
-					in.Keys[i*k+j] = value.NewInt(int64(rng.Intn(4)))
+					in.keys[i*k+j] = value.NewInt(int64(rng.Intn(4)))
 				case 1:
 					// 0 and -0 compare equal: deliberate peer ties.
-					in.Keys[i*k+j] = value.NewFloat([]float64{0, math.Copysign(0, -1), 2.5}[rng.Intn(3)])
+					in.keys[i*k+j] = value.NewFloat([]float64{0, math.Copysign(0, -1), 2.5}[rng.Intn(3)])
 				default:
-					in.Keys[i*k+j] = value.NewString(strs[rng.Intn(len(strs))])
+					in.keys[i*k+j] = value.NewString(strs[rng.Intn(len(strs))])
 				}
 			}
 		}
@@ -242,16 +275,16 @@ func TestWindowEvalMatchesNaiveReference(t *testing.T) {
 		if !fn.Ranking() && k > 0 && rng.Intn(3) == 0 {
 			frame = randFrame(rng)
 		}
-		in := randWindowInput(rng, n, k, rng.Intn(4) != 0)
+		wc := randWindowInput(rng, n, k, rng.Intn(4) != 0)
 		if fn == WinCount && rng.Intn(3) == 0 {
-			in.Arg = nil // COUNT(*)
+			wc.arg = nil // COUNT(*)
 		}
 		spec := WindowSpec{Func: fn, Frame: frame}
-		got, err := WindowEval(spec, in)
+		got, err := WindowEval(spec, wc.input())
 		if err != nil {
 			t.Fatalf("trial %d (%s, k=%d, frame=%v): %v", trial, fn, k, frame, err)
 		}
-		want := refWindowEval(t, spec, in)
+		want := refWindowEval(t, spec, wc)
 		if len(got) != n || len(want) != n {
 			t.Fatalf("trial %d: result lengths %d/%d, want %d", trial, len(got), len(want), n)
 		}
@@ -279,7 +312,7 @@ func TestWindowEvalParallelMatchesSequential(t *testing.T) {
 		if !fn.Ranking() && rng.Intn(2) == 0 {
 			frame = randFrame(rng)
 		}
-		in := randWindowInput(rng, n, k, true)
+		in := randWindowInput(rng, n, k, true).input()
 		spec := WindowSpec{Func: fn, Frame: frame}
 
 		ParallelThreshold = 1 << 30
@@ -315,15 +348,16 @@ func TestWindowEvalBoundedAllocs(t *testing.T) {
 	defer func() { ParallelThreshold = old }()
 	rng := rand.New(rand.NewSource(83))
 	const n, parts = 10000, 100
-	in := randWindowInput(rng, n, 1, false)
+	wc := randWindowInput(rng, n, 1, false)
 	ids := make([]int32, n)
 	for i := range ids {
 		ids[i] = int32(rng.Intn(parts))
 	}
-	in.Parts = &Grouping{IDs: ids}
-	for i := range in.Arg { // keep the running-sum path NULL-free and exact
-		in.Arg[i] = value.NewInt(int64(i % 97))
+	wc.parts = &Grouping{IDs: ids}
+	for i := range wc.arg { // keep the running-sum path NULL-free and exact
+		wc.arg[i] = value.NewInt(int64(i % 97))
 	}
+	in := wc.input()
 
 	allocs := testing.AllocsPerRun(5, func() {
 		if _, err := WindowEval(WindowSpec{Func: WinRank}, in); err != nil {

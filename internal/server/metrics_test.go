@@ -153,18 +153,14 @@ func TestMetricsEndpointAdvances(t *testing.T) {
 	}
 
 	// Vectorizer layer: the σ replays compile their predicates to batch
-	// programs ("Year = 2005" is inside the vectorizer's coverage), and the
-	// eval pipeline columnarises each base relation once on first use.
+	// programs ("Year = 2005" is inside the vectorizer's coverage).
 	if d := delta("expr.batch.ok"); d < 2 {
 		t.Errorf("expr batch ok delta = %d, want >= 2", d)
 	}
-	if d := delta("relation.column.materialize"); d < 1 {
-		t.Errorf("column materialize delta = %d, want >= 1", d)
-	}
 }
 
-// TestMetricsAggVectorizedAdvances drives a workload big enough to clear
-// the columnar threshold (tpch lineitem at sf 0.002, ~12k rows) and asserts
+// TestMetricsAggVectorizedAdvances drives a tpch workload (lineitem at
+// sf 0.002, ~12k rows) and asserts
 // the typed aggregation kernels actually engaged: relation.agg.vectorized
 // advances and relation.agg.declined stays flat across the whole scripted
 // workload — including the view-building SQL the tpch demo runs, whose

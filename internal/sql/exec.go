@@ -308,7 +308,7 @@ func (db *DB) evalFromFiltered(f FromItem, filters map[string][]expr.Expr, outer
 }
 
 // qualify renames every column of rel to "alias.col", sharing rel's typed
-// columns (a row-built rel columnarizes once, and caches them).
+// columns.
 func qualify(rel *relation.Relation, alias string) *source {
 	schema := make(relation.Schema, len(rel.Schema))
 	for i, c := range rel.Schema {
@@ -436,23 +436,24 @@ func execOn(db *DB, src *source, stmt *SelectStmt, outer expr.Env) (*relation.Re
 			return nil, werr
 		}
 	}
+	// keys are the ORDER BY key columns, one cell per output row.
 	var out *relation.Relation
-	var sortVals [][]value.Value
+	var keys []*relation.Col
 	var err error
 	if grouped {
-		out, sortVals, err = x.execGrouped(stmt, idx)
+		out, keys, err = x.execGrouped(stmt, idx)
 	} else {
-		out, sortVals, err = x.execPlain(stmt, idx)
+		out, keys, err = x.execPlain(stmt, idx)
 	}
 	if err != nil {
 		return nil, err
 	}
 
 	if stmt.Distinct {
-		out, sortVals = distinctRows(out, sortVals)
+		out, keys = distinctRows(out, keys)
 	}
 	if len(stmt.OrderBy) > 0 {
-		out = sortOutput(out, sortVals, stmt.OrderBy)
+		out = sortOutput(out, keys, stmt.OrderBy)
 	}
 	if n := out.Len(); stmt.Offset > 0 || (stmt.Limit >= 0 && stmt.Limit < n) {
 		lo := min(stmt.Offset, n)
@@ -486,7 +487,7 @@ func hasAggregates(stmt *SelectStmt) bool {
 // execGrouped evaluates GROUP BY / aggregate queries over the surviving rows
 // idx (nil = every source row); column-reference aggregate arguments run
 // the typed grouped-aggregation kernel over the source's column payloads.
-func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation, [][]value.Value, error) {
+func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
 			return nil, nil, fmt.Errorf("sql: * is not allowed with GROUP BY or aggregates")
@@ -809,35 +810,28 @@ func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []lif
 	return schema, nil
 }
 
-// sortOutput stably sorts the output rows by the precomputed keys, through
-// the relation layer's keyed parallel sort kernel.
-func sortOutput(out *relation.Relation, sortVals [][]value.Value, orderBy []OrderItem) *relation.Relation {
-	n, k := out.Len(), len(orderBy)
-	if n < 2 || k == 0 {
+// sortOutput stably sorts the output rows by their ORDER BY key columns,
+// through the relation layer's typed parallel sort kernel.
+func sortOutput(out *relation.Relation, keys []*relation.Col, orderBy []OrderItem) *relation.Relation {
+	n := out.Len()
+	if n < 2 || len(orderBy) == 0 {
 		return out
 	}
-	flat := make([]value.Value, n*k)
-	desc := make([]bool, k)
+	desc := make([]bool, len(orderBy))
 	for i := range orderBy {
 		desc[i] = orderBy[i].Desc
 	}
-	for i, keys := range sortVals {
-		copy(flat[i*k:(i+1)*k], keys)
-	}
-	return out.Pick(relation.SortPermByKeys(flat, k, desc))
+	return out.Pick(relation.SortPermCols(keys, nil, n, desc))
 }
 
-// distinctRows dedupes output rows, keeping the parallel sort keys aligned.
-func distinctRows(out *relation.Relation, sortVals [][]value.Value) (*relation.Relation, [][]value.Value) {
-	gr := relation.GroupRowsOn(out.TupleRows(), nil)
-	var keys [][]value.Value
-	if sortVals != nil {
-		keys = make([][]value.Value, gr.NumGroups())
-		for g, ri := range gr.First {
-			keys[g] = sortVals[ri]
-		}
+// distinctRows dedupes output rows, keeping each group's first row and the
+// ORDER BY keys aligned with them.
+func distinctRows(out *relation.Relation, keys []*relation.Col) (*relation.Relation, []*relation.Col) {
+	first := relation.GroupCols(out.Columns(), nil, out.Len()).First
+	if keys != nil {
+		keys = relation.GatherCols(keys, first)
 	}
-	return out.Pick(gr.First), keys
+	return out.Pick(first), keys
 }
 
 // widen coerces exact-integer results into float-typed output columns.

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"errors"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -299,9 +300,9 @@ func (x *stmtCtx) buildRowGroups(groupBy []expr.Expr, idx []int32) ([]*rowGroup,
 }
 
 // groupKeys groups the surviving rows (lane i is source row rows[i]) by the
-// GROUP BY values: the typed grouping kernel over key columns filled from
-// batch programs where the scope allows, per-row key tuples through the
-// interpreter otherwise. Both number groups identically.
+// GROUP BY values with the typed grouping kernel, over key columns filled
+// from batch programs where the scope allows and through the interpreter
+// otherwise.
 func (x *stmtCtx) groupKeys(groupBy []expr.Expr, idx, rows []int32) (*relation.Grouping, error) {
 	n, nG := len(rows), len(groupBy)
 	keyCols := make([]*relation.Col, nG)
@@ -327,28 +328,32 @@ func (x *stmtCtx) groupKeys(groupBy []expr.Expr, idx, rows []int32) (*relation.G
 		return relation.GroupCols(keyCols, nil, n), nil
 	}
 	sc := x.bind(0, groupBy...)
-	keyVals := make([]relation.Tuple, n)
+	vals := make([][]value.Value, nG)
+	for k := range vals {
+		vals[k] = make([]value.Value, n)
+	}
 	err := relation.RunChunks(sc.chunks(n), func(_, lo, hi int) error {
 		env := sc.env(0)
-		flat := make([]value.Value, (hi-lo)*nG)
 		for i := lo; i < hi; i++ {
 			env.ri = int(rows[i])
-			key := flat[(i-lo)*nG : (i-lo+1)*nG : (i-lo+1)*nG]
 			for k, g := range groupBy {
 				v, err := expr.Eval(g, env)
 				if err != nil {
 					return err
 				}
-				key[k] = v
+				vals[k][i] = v
 			}
-			keyVals[i] = key
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return relation.GroupRowsOn(keyVals, nil), nil
+	keyCols = make([]*relation.Col, nG)
+	for k, g := range groupBy {
+		keyCols[k] = relation.ColOf(x.kindOf(g), vals[k])
+	}
+	return relation.GroupCols(keyCols, nil, n), nil
 }
 
 // accumulateGroup computes every lifted aggregate over one group's rows,
@@ -423,35 +428,68 @@ func orderCols(orderBy []OrderItem, schema relation.Schema) []int {
 	return cols
 }
 
-// orderKeys evaluates the ORDER BY keys of one output row: output-column
-// references read the produced tuple, everything else evaluates in env.
-func orderKeys(orderBy []OrderItem, cols []int, tuple relation.Tuple, env expr.Env) ([]value.Value, error) {
-	if len(orderBy) == 0 {
-		return nil, nil
+// outputExprs lists what each output row evaluates, in the column layout of
+// an output: the items, then the ORDER BY keys, where a key naming an output
+// column is nil — it sorts by that item column (ocols, orderCols).
+func outputExprs(items []SelectItem, orderBy []OrderItem, ocols []int) []expr.Expr {
+	exprs := make([]expr.Expr, 0, len(items)+len(orderBy))
+	for _, it := range items {
+		exprs = append(exprs, it.Expr)
 	}
-	keys := make([]value.Value, len(orderBy))
-	for i, o := range orderBy {
-		if cols[i] >= 0 {
-			keys[i] = tuple[cols[i]]
-			continue
+	for j, o := range orderBy {
+		if ocols[j] >= 0 {
+			exprs = append(exprs, nil)
+		} else {
+			exprs = append(exprs, o.Expr)
 		}
-		v, err := expr.Eval(o.Expr, env)
-		if err != nil {
-			return nil, err
-		}
-		keys[i] = v
 	}
-	return keys, nil
+	return exprs
+}
+
+// outputCols turns the values of an output's expressions (outputExprs
+// layout) into columns: each item's values widened into a column of its
+// schema kind, each ORDER BY key's as a Boxed column.
+func outputCols(vals [][]value.Value, schema relation.Schema) []*relation.Col {
+	cols := make([]*relation.Col, len(vals))
+	for i, v := range vals {
+		switch {
+		case i < len(schema):
+			for r := range v {
+				v[r] = widen(v[r], schema[i].Kind)
+			}
+			cols[i] = relation.ColOf(schema[i].Kind, v)
+		case v != nil:
+			cols[i] = relation.BoxedCol(v)
+		}
+	}
+	return cols
+}
+
+// orderKeyCols picks an output's ORDER BY key columns out of its columns
+// (outputExprs layout, m items): a key naming an output column sorts by
+// that item column.
+func orderKeyCols(ocols []int, cols []*relation.Col, m int) []*relation.Col {
+	if len(ocols) == 0 {
+		return nil
+	}
+	keys := make([]*relation.Col, len(ocols))
+	for j, c := range ocols {
+		if c < 0 {
+			c = m + j
+		}
+		keys[j] = cols[c]
+	}
+	return keys
 }
 
 // execPlain projects without grouping into a column-built relation, and
-// computes the ORDER BY keys per row. Where the scope allows, every item
-// and key is a column from lanesOf: an item naming a typed source column
-// shares it (idx nil) or gathers it, the others fill from batch programs.
-// Otherwise, or when a batch lane errs, the interpreter evaluates every row
-// in order, so the first error stays row-major across items and ORDER BY
-// keys. Only output cells are boxed, never a source row.
-func (x *stmtCtx) execPlain(stmt *SelectStmt, idx []int32) (*relation.Relation, [][]value.Value, error) {
+// returns the ORDER BY key columns beside it. Where the scope allows, every
+// item and key is a column from lanesOf: an item naming a typed source
+// column shares it (idx nil) or gathers it, the others fill from batch
+// programs. Otherwise, or when a batch lane errs, the interpreter evaluates
+// every row in order, so the first error stays row-major across items and
+// ORDER BY keys. Only output cells are boxed, never a source row.
+func (x *stmtCtx) execPlain(stmt *SelectStmt, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	items, err := expandStars(x.src, stmt.Items)
 	if err != nil {
 		return nil, nil, err
@@ -460,92 +498,54 @@ func (x *stmtCtx) execPlain(stmt *SelectStmt, idx []int32) (*relation.Relation, 
 	if err != nil {
 		return nil, nil, err
 	}
-	orderBy := stmt.OrderBy
-	ocols := orderCols(orderBy, schema)
+	ocols := orderCols(stmt.OrderBy, schema)
+	exprs := outputExprs(items, stmt.OrderBy, ocols)
 	m, n := len(items), x.lanes(idx)
-	cols := make([]*relation.Col, m+len(orderBy)) // items, then keys not naming an output column
+	cols := make([]*relation.Col, len(exprs))
 	ok := true
-	for i := 0; i < len(cols) && ok; i++ {
+	for i, e := range exprs {
 		switch {
 		case i < m:
-			cols[i], ok = x.lanesOf(items[i].Expr, idx, schema[i].Kind, true)
-		case ocols[i-m] < 0:
-			e := orderBy[i-m].Expr
+			cols[i], ok = x.lanesOf(e, idx, schema[i].Kind, true)
+		case e != nil:
 			cols[i], ok = x.lanesOf(e, idx, x.kindOf(e), false)
 		}
-	}
-	var sortVals [][]value.Value
-	if !ok {
-		if cols, sortVals, err = x.plainRows(items, orderBy, ocols, schema, idx); err != nil {
-			return nil, nil, err
-		}
-	}
-	out := relation.FromColumns("result", schema, cols[:m], n)
-	if len(orderBy) == 0 || sortVals != nil {
-		return out, sortVals, nil
-	}
-	sortVals = make([][]value.Value, n)
-	k := len(orderBy)
-	flat := make([]value.Value, n*k)
-	for r := range sortVals {
-		keys := flat[r*k : (r+1)*k : (r+1)*k]
-		for j, c := range ocols {
-			if c < 0 {
-				c = m + j
+		if !ok {
+			if cols, err = x.plainRows(exprs, schema, idx); err != nil {
+				return nil, nil, err
 			}
-			keys[j] = cols[c].Value(r)
+			break
 		}
-		sortVals[r] = keys
 	}
-	return out, sortVals, nil
+	return relation.FromColumns("result", schema, cols[:m], n), orderKeyCols(ocols, cols, m), nil
 }
 
-// plainRows is execPlain's interpreter loop: the items and ORDER BY keys of
-// every surviving row, in row-major order, returned as the item columns and
-// the per-row keys.
-func (x *stmtCtx) plainRows(items []SelectItem, orderBy []OrderItem, ocols []int, schema relation.Schema, idx []int32) ([]*relation.Col, [][]value.Value, error) {
-	exprs := make([]expr.Expr, 0, len(items)+len(orderBy))
-	for _, it := range items {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, o := range orderBy {
-		exprs = append(exprs, o.Expr)
-	}
+// plainRows is execPlain's interpreter loop: the output expressions
+// (outputExprs layout) of every surviving row, in row-major order.
+func (x *stmtCtx) plainRows(exprs []expr.Expr, schema relation.Schema, idx []int32) ([]*relation.Col, error) {
 	sc := x.bind(0, exprs...)
-	m, n := len(items), x.lanes(idx)
-	vals := make([][]value.Value, m)
-	for i := range vals {
-		vals[i] = make([]value.Value, n)
-	}
-	var sortVals [][]value.Value
-	if len(orderBy) > 0 {
-		sortVals = make([][]value.Value, n)
+	n := x.lanes(idx)
+	vals := make([][]value.Value, len(exprs))
+	for i, e := range exprs {
+		if e != nil {
+			vals[i] = make([]value.Value, n)
+		}
 	}
 	env := sc.env(0)
-	tuple := make(relation.Tuple, m)
 	for r := 0; r < n; r++ {
 		env.ri = rowAt(idx, r)
-		for i, it := range items {
-			v, err := expr.Eval(it.Expr, env)
-			if err != nil {
-				return nil, nil, err
+		for i, e := range exprs {
+			if e == nil {
+				continue
 			}
-			tuple[i] = widen(v, schema[i].Kind)
-			vals[i][r] = tuple[i]
-		}
-		if sortVals != nil {
-			keys, err := orderKeys(orderBy, ocols, tuple, env)
+			v, err := expr.Eval(e, env)
 			if err != nil {
-				return nil, nil, err
+				return nil, err
 			}
-			sortVals[r] = keys
+			vals[i][r] = v
 		}
 	}
-	cols := make([]*relation.Col, m)
-	for i := range cols {
-		cols[i] = relation.ColOf(schema[i].Kind, vals[i])
-	}
-	return cols, sortVals, nil
+	return outputCols(vals, schema), nil
 }
 
 // groupOutput evaluates the lifted aggregates, HAVING, the select items and
@@ -560,7 +560,7 @@ func (x *stmtCtx) plainRows(items []SelectItem, orderBy []OrderItem, ocols []int
 // up front through the typed grouped-aggregation kernel — all groups at
 // once over the column payloads — and the per-group loop only reads the
 // results.
-func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32) (*relation.Relation, [][]value.Value, error) {
+func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	args := make([]expr.Expr, 0, len(aggs))
 	chunkSafe := true
 	for _, a := range aggs {
@@ -580,14 +580,9 @@ func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []
 		execMergeFallback.Inc()
 	}
 	argScope := x.bind(0, args...)
-	exprs := []expr.Expr{having}
-	for _, it := range items {
-		exprs = append(exprs, it.Expr)
-	}
-	for _, o := range orderBy {
-		exprs = append(exprs, o.Expr)
-	}
-	extScope := x.bind(len(aggs), exprs...)
+	ocols := orderCols(orderBy, schema)
+	exprs := outputExprs(items, orderBy, ocols) // evaluated per kept group
+	extScope := x.bind(len(aggs), append(exprs, having)...)
 
 	// Typed grouped aggregation: with the row→group map in hand, every
 	// argument (COUNT(*) has none) fills a column through lanesOf and feeds
@@ -628,21 +623,21 @@ func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []
 		}
 	}
 
-	out := relation.New("result", schema)
-	ocols := orderCols(orderBy, out.Schema)
-	type part struct {
-		rows []relation.Tuple
-		keys [][]value.Value
-	}
 	parallel := argScope.parallel && extScope.parallel
 	bounds := [][2]int{{0, len(groups)}}
-	if parallel {
+	if parallel && len(groups) > 0 {
 		bounds = relation.Chunks(len(groups))
 	}
-	parts := make([]part, len(bounds))
+	parts := make([][][]value.Value, len(bounds)) // [chunk][expr][kept group]
 	chunkRows := len(groups) == 1 && chunkSafe && parallel
 	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
-		p := &parts[c]
+		p := make([][]value.Value, len(exprs))
+		for i, e := range exprs {
+			if e != nil {
+				p[i] = []value.Value{} // non-nil even when no group is kept
+			}
+		}
+		parts[c] = p
 		env := extScope.env(0)
 		for gi := lo; gi < hi; gi++ {
 			grp := groups[gi]
@@ -673,30 +668,32 @@ func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []
 					continue
 				}
 			}
-			tuple := make(relation.Tuple, len(items))
-			for i, it := range items {
-				v, err := expr.Eval(it.Expr, env)
+			for i, e := range exprs {
+				if e == nil {
+					continue
+				}
+				v, err := expr.Eval(e, env)
 				if err != nil {
 					return err
 				}
-				tuple[i] = widen(v, schema[i].Kind)
+				if len(p[i]) == cap(p[i]) {
+					p[i] = slices.Grow(p[i], len(p[i])+8) // double, not append's quarter
+				}
+				p[i] = append(p[i], v)
 			}
-			keys, err := orderKeys(orderBy, ocols, tuple, env)
-			if err != nil {
-				return err
-			}
-			p.rows = append(p.rows, tuple)
-			p.keys = append(p.keys, keys)
 		}
 		return nil
 	})
 	if err != nil {
 		return nil, nil, err
 	}
-	sortVals := make([][]value.Value, 0, len(groups))
-	for _, p := range parts {
-		out.Rows = append(out.Rows, p.rows...)
-		sortVals = append(sortVals, p.keys...)
+	vals := parts[0]
+	for _, p := range parts[1:] { // later chunks' groups follow, in chunk order
+		for i := range vals {
+			vals[i] = append(vals[i], p[i]...)
+		}
 	}
-	return out, sortVals, nil
+	cols := outputCols(vals, schema)
+	m := len(items)
+	return relation.FromColumns("result", schema, cols[:m], len(vals[0])), orderKeyCols(ocols, cols, m), nil
 }

@@ -92,9 +92,19 @@ func TestOrderByOutputAlias(t *testing.T) {
 }
 
 func TestDistinct(t *testing.T) {
-	r := q(t, "SELECT DISTINCT Model FROM cars")
-	if r.Len() != 2 {
-		t.Fatalf("distinct models = %d", r.Len())
+	for _, c := range []struct {
+		src  string
+		want int
+	}{
+		{"SELECT DISTINCT Model FROM cars", 2},
+		// An ORDER BY key that is not an output column, over a grouped and
+		// an ungrouped result that keep no row.
+		{"SELECT DISTINCT Model FROM cars GROUP BY Model HAVING COUNT(*) > 100 ORDER BY MAX(Price)", 0},
+		{"SELECT DISTINCT Model FROM cars WHERE Price < 0 ORDER BY Price", 0},
+	} {
+		if r := q(t, c.src); r.Len() != c.want {
+			t.Fatalf("%s: %d rows, want %d", c.src, r.Len(), c.want)
+		}
 	}
 }
 
@@ -234,6 +244,11 @@ func TestAggregateEmptyInput(t *testing.T) {
 	r := q(t, "SELECT COUNT(*) AS n, SUM(Price) AS s FROM cars WHERE Price > 99999")
 	if r.Len() != 1 || r.TupleRows()[0][0].Int() != 0 || !r.TupleRows()[0][1].IsNull() {
 		t.Fatalf("empty aggregate = %v", r.TupleRows())
+	}
+	// Grouped, the empty input has no group, so no row.
+	r = q(t, "SELECT Model, COUNT(*) AS n FROM cars WHERE Price > 99999 GROUP BY Model ORDER BY n")
+	if r.Len() != 0 {
+		t.Fatalf("empty grouped aggregate = %v", r.TupleRows())
 	}
 }
 

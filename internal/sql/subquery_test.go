@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"sheetmusiq/internal/expr"
+	"sheetmusiq/internal/relation"
+	"sheetmusiq/internal/value"
 )
 
 func TestScalarSubquery(t *testing.T) {
@@ -166,5 +168,72 @@ func TestSubqueryCache(t *testing.T) {
 	}
 	if got := d2.SubqueryRuns(); got != 2 {
 		t.Fatalf("model-correlated subquery ran %d times, want 2", got)
+	}
+}
+
+// membershipDB is the test database plus t(k, x), whose x column holds a
+// NULL: the inner and outer sides of the membership edge cases.
+func membershipDB() *DB {
+	d := db()
+	t := relation.New("t", relation.Schema{
+		{Name: "k", Kind: value.KindInt},
+		{Name: "x", Kind: value.KindInt},
+	})
+	t.MustAppend(value.NewInt(1), value.NewInt(2005))
+	t.MustAppend(value.NewInt(2), value.Null)
+	t.MustAppend(value.NewInt(3), value.NewInt(30))
+	d.Register(t)
+	return d
+}
+
+func TestNotInOverNullInnerKeepsNoRow(t *testing.T) {
+	// Every Year is either 2005 (in the set) or unequal to 2005 and 30 with
+	// a NULL left to compare: false or unknown, never true.
+	r, err := membershipDB().Query("SELECT ID FROM cars WHERE Year NOT IN (SELECT x FROM t)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Len() != 0 {
+		t.Fatalf("NOT IN over a column holding NULL kept %v", r.TupleRows())
+	}
+}
+
+func TestInOverEmptyInner(t *testing.T) {
+	d := membershipDB()
+	in, err := d.Query("SELECT k FROM t WHERE x IN (SELECT ID FROM cars WHERE Price < 0)")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in.Len() != 0 {
+		t.Fatalf("IN over an empty result kept %v", in.TupleRows())
+	}
+	// NOT IN over an empty set is true for every row, a NULL x included.
+	notIn, err := d.Query("SELECT k FROM t WHERE x NOT IN (SELECT ID FROM cars WHERE Price < 0) ORDER BY k")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if notIn.Len() != 3 {
+		t.Fatalf("NOT IN over an empty result kept %v, want every row", notIn.TupleRows())
+	}
+}
+
+func TestSubqueryOverGroupedOrderedInner(t *testing.T) {
+	// The model with the most cars is Jetta (6 of 9).
+	r := q(t, "SELECT ID FROM cars WHERE Model IN "+
+		"(SELECT Model FROM cars GROUP BY Model ORDER BY COUNT(*) DESC LIMIT 1) ORDER BY ID")
+	want := []int64{304, 423, 723, 725, 872, 901}
+	if r.Len() != len(want) {
+		t.Fatalf("IN over a grouped, ordered subquery = %v", r.TupleRows())
+	}
+	for i, row := range r.TupleRows() {
+		if row[0].Int() != want[i] {
+			t.Fatalf("row %d = %v, want %d", i, row, want[i])
+		}
+	}
+	// The lowest per-model maximum price is the Civics' 16000.
+	r = q(t, "SELECT ID FROM cars WHERE Price = "+
+		"(SELECT MAX(Price) AS m FROM cars GROUP BY Model ORDER BY m LIMIT 1) ORDER BY ID")
+	if r.Len() != 2 || r.TupleRows()[0][0].Int() != 322 || r.TupleRows()[1][0].Int() != 901 {
+		t.Fatalf("scalar subquery over a grouped, ordered subquery = %v", r.TupleRows())
 	}
 }

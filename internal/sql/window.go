@@ -125,76 +125,63 @@ func (x *stmtCtx) applyWindows(stmt *SelectStmt, idx []int32) (*SelectStmt, erro
 }
 
 // evalWindow computes one window call's value per surviving row. Partition
-// keys, order keys and the argument are arbitrary expressions; when no
-// enclosing scope or subquery is involved, each input fills from a batch
-// program over the source's typed columns (counted by expr.batch.window),
-// otherwise row by row through the interpreter.
+// keys, order keys and the argument are arbitrary expressions, each
+// evaluated into a column: from a batch program over the source's typed
+// columns when no enclosing scope or subquery is involved (counted by
+// expr.batch.window), otherwise row by row through the interpreter.
 func (x *stmtCtx) evalWindow(w *expr.WindowCall, idx []int32) ([]value.Value, error) {
 	n := x.lanes(idx)
-	evalVec := func(e expr.Expr) ([]value.Value, bool, error) {
-		out := make([]value.Value, n)
-		sc := x.bind(0, e)
-		if sc.parallel && n > 0 {
-			if bp, cerr := expr.CompileBatch(e, x.src.batchResolve); cerr == nil {
-				if bad := bp.EvalPos(idx, 0, n, value.KindNull, out); bad >= 0 {
-					return nil, false, bp.RowError(sc.env(rowAt(idx, bad)), false)
-				}
-				return out, true, nil
-			}
+	batched := true
+	colOf := func(e expr.Expr) (*relation.Col, error) {
+		kind := x.kindOf(e)
+		if col, ok := x.lanesOf(e, idx, kind, false); ok {
+			return col, nil
 		}
-		env := sc.env(0)
-		for i := range out {
+		batched = false
+		env := x.bind(0, e).env(0)
+		vals := make([]value.Value, n)
+		for i := range vals {
 			env.ri = rowAt(idx, i)
 			v, err := expr.Eval(e, env)
 			if err != nil {
-				return nil, false, err
+				return nil, err
 			}
-			out[i] = v
+			vals[i] = v
 		}
-		return out, false, nil
+		return relation.ColOf(kind, vals), nil
+	}
+	cols := func(es []expr.Expr) ([]*relation.Col, error) {
+		out := make([]*relation.Col, len(es))
+		for i, e := range es {
+			var err error
+			if out[i], err = colOf(e); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
 	}
 
 	in := relation.WindowInput{N: n, K: len(w.OrderBy)}
-	batched := true
 	if len(w.PartitionBy) > 0 {
-		partRows := make([]relation.Tuple, n)
-		for i := range partRows {
-			partRows[i] = make(relation.Tuple, len(w.PartitionBy))
-		}
-		for ki, p := range w.PartitionBy {
-			vec, vb, err := evalVec(p)
-			if err != nil {
-				return nil, err
-			}
-			batched = batched && vb
-			for i := 0; i < n; i++ {
-				partRows[i][ki] = vec[i]
-			}
-		}
-		in.Parts = relation.GroupRowsOn(partRows, nil)
-	}
-	if k := len(w.OrderBy); k > 0 {
-		in.Keys = make([]value.Value, n*k)
-		in.Desc = make([]bool, k)
-		for ki, o := range w.OrderBy {
-			in.Desc[ki] = o.Desc
-			vec, vb, err := evalVec(o.X)
-			if err != nil {
-				return nil, err
-			}
-			batched = batched && vb
-			for i := 0; i < n; i++ {
-				in.Keys[i*k+ki] = vec[i]
-			}
-		}
-	}
-	if w.Arg != nil {
-		vec, vb, err := evalVec(w.Arg)
+		parts, err := cols(w.PartitionBy)
 		if err != nil {
 			return nil, err
 		}
-		batched = batched && vb
-		in.Arg = vec
+		in.Parts = relation.GroupCols(parts, nil, n)
+	}
+	keys := make([]expr.Expr, len(w.OrderBy))
+	in.Desc = make([]bool, len(w.OrderBy))
+	for i, o := range w.OrderBy {
+		keys[i], in.Desc[i] = o.X, o.Desc
+	}
+	var err error
+	if in.KeyCols, err = cols(keys); err != nil {
+		return nil, err
+	}
+	if w.Arg != nil {
+		if in.ArgCol, err = colOf(w.Arg); err != nil {
+			return nil, err
+		}
 	}
 	if batched && n > 0 {
 		expr.NoteWindowBatch()

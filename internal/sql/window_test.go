@@ -180,8 +180,11 @@ func TestSQLWindowBatchCounterAndParity(t *testing.T) {
 	const rowSrc = `SELECT ID, RANK() OVER (PARTITION BY Model || (SELECT '' FROM cars LIMIT 1) ORDER BY Price + ` + zero + `, ID + ` + zero + `) AS rnk,
 		SUM(Mileage + ` + zero + `) OVER (PARTITION BY Model || (SELECT '' FROM cars LIMIT 1) ORDER BY Price + ` + zero + `, ID + ` + zero + ` ROWS BETWEEN 2 PRECEDING AND CURRENT ROW) AS mov
 		FROM cars WHERE Price > 9000 ORDER BY Model, rnk`
-	big64 := relation.New("cars", dataset.CarSchema())
-	big64.Rows = big.TupleRows()[:64]
+	first64 := make([]int32, 64)
+	for i := range first64 {
+		first64[i] = int32(i)
+	}
+	big64 := big.Pick(first64)
 	db2 := NewDB()
 	db2.Register(big64)
 	before = obs.Default.CounterValue("expr.batch.window")

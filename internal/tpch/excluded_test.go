@@ -36,7 +36,7 @@ func TestExcludedQ4AgainstManualCheck(t *testing.T) {
 	lo := lineitem.Schema.IndexOf("l_orderkey")
 	lc := lineitem.Schema.IndexOf("l_commitdate")
 	lr := lineitem.Schema.IndexOf("l_receiptdate")
-	for _, row := range lineitem.Rows {
+	for _, row := range lineitem.TupleRows() {
 		if row[lc].DateDays() < row[lr].DateDays() {
 			late[row[lo].Int()] = true
 		}
@@ -47,7 +47,7 @@ func TestExcludedQ4AgainstManualCheck(t *testing.T) {
 	lo93 := value.NewDate(1993, 7, 1).DateDays()
 	hi93 := value.NewDate(1993, 10, 1).DateDays()
 	want := map[string]int64{}
-	for _, row := range orders.Rows {
+	for _, row := range orders.TupleRows() {
 		d := row[od].DateDays()
 		if d >= lo93 && d < hi93 && late[row[oo].Int()] {
 			want[row[op].Str()]++

@@ -25,19 +25,33 @@ func setup(t *testing.T) *sql.DB {
 	return testDB
 }
 
+// TestGenerateBuildsTypedColumns: every generated table appends into typed
+// columns of its schema kinds; none is a Boxed column.
+func TestGenerateBuildsTypedColumns(t *testing.T) {
+	for _, r := range Generate(DefaultConfig()).All() {
+		for j, c := range r.Columns() {
+			if c.Boxed != nil || c.Kind != r.Schema[j].Kind {
+				t.Errorf("%s.%s: kind %v, boxed %v; want typed %v",
+					r.Name, r.Schema[j].Name, c.Kind, c.Boxed != nil, r.Schema[j].Kind)
+			}
+		}
+	}
+}
+
 func TestGenerateDeterministic(t *testing.T) {
 	a := Generate(Config{ScaleFactor: 0.001, Seed: 7})
 	b := Generate(Config{ScaleFactor: 0.001, Seed: 7})
 	if a.LineItem.Len() != b.LineItem.Len() {
 		t.Fatal("generation is not deterministic in cardinality")
 	}
-	for i := range a.LineItem.Rows {
-		if a.LineItem.Rows[i].Key() != b.LineItem.Rows[i].Key() {
+	al, bl := a.LineItem.TupleRows(), b.LineItem.TupleRows()
+	for i := range al {
+		if al[i].Key() != bl[i].Key() {
 			t.Fatalf("row %d differs between identical seeds", i)
 		}
 	}
 	c := Generate(Config{ScaleFactor: 0.001, Seed: 8})
-	if c.Orders.Rows[0].Key() == a.Orders.Rows[0].Key() {
+	if c.Orders.TupleRows()[0].Key() == a.Orders.TupleRows()[0].Key() {
 		t.Error("different seeds should differ")
 	}
 }
@@ -66,28 +80,28 @@ func TestReferentialIntegrity(t *testing.T) {
 	keys := func(r *relation.Relation, col string) map[string]bool {
 		i := r.Schema.IndexOf(col)
 		out := map[string]bool{}
-		for _, row := range r.Rows {
+		for _, row := range r.TupleRows() {
 			out[row[i].Key()] = true
 		}
 		return out
 	}
 	custKeys := keys(tb.Customer, "c_custkey")
 	oc := tb.Orders.Schema.IndexOf("o_custkey")
-	for _, row := range tb.Orders.Rows {
+	for _, row := range tb.Orders.TupleRows() {
 		if !custKeys[row[oc].Key()] {
 			t.Fatalf("order references missing customer %v", row[oc])
 		}
 	}
 	orderKeys := keys(tb.Orders, "o_orderkey")
 	lo := tb.LineItem.Schema.IndexOf("l_orderkey")
-	for _, row := range tb.LineItem.Rows {
+	for _, row := range tb.LineItem.TupleRows() {
 		if !orderKeys[row[lo].Key()] {
 			t.Fatalf("lineitem references missing order %v", row[lo])
 		}
 	}
 	nationKeys := keys(tb.Nation, "n_nationkey")
 	sn := tb.Supplier.Schema.IndexOf("s_nationkey")
-	for _, row := range tb.Supplier.Rows {
+	for _, row := range tb.Supplier.TupleRows() {
 		if !nationKeys[row[sn].Key()] {
 			t.Fatalf("supplier references missing nation %v", row[sn])
 		}
@@ -97,7 +111,7 @@ func TestReferentialIntegrity(t *testing.T) {
 func TestDateRanges(t *testing.T) {
 	tb := Generate(Config{ScaleFactor: 0.001, Seed: 1})
 	oi := tb.Orders.Schema.IndexOf("o_orderdate")
-	for _, row := range tb.Orders.Rows {
+	for _, row := range tb.Orders.TupleRows() {
 		d := row[oi].DateDays()
 		if d < startDate || d > endDate {
 			t.Fatalf("order date %v out of the 1992-1998 window", row[oi])
@@ -105,7 +119,7 @@ func TestDateRanges(t *testing.T) {
 	}
 	si := tb.LineItem.Schema.IndexOf("l_shipdate")
 	ri := tb.LineItem.Schema.IndexOf("l_receiptdate")
-	for _, row := range tb.LineItem.Rows {
+	for _, row := range tb.LineItem.TupleRows() {
 		if row[ri].DateDays() < row[si].DateDays() {
 			t.Fatal("receipt before ship date")
 		}
