@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet lint bench bench-json bench-gate loadgen-smoke clean
+.PHONY: build test race vet lint loc bench bench-json bench-gate loadgen-smoke clean
 
 build:
 	$(GO) build ./...
@@ -46,6 +46,12 @@ lint:
 	else \
 		echo "$(GO) vet ./... (staticcheck not installed)"; $(GO) vet ./...; \
 	fi
+
+# loc prints the number of non-test Go lines outside perfbench/ (tracked
+# files and new ones not yet added), the size figure ROADMAP and CHANGES.md
+# track from change to change.
+loc:
+	@git ls-files --cached --others --exclude-standard '*.go' | grep -v '_test\.go$$' | grep -v '^perfbench/' | xargs cat | wc -l
 
 # bench-gate re-runs the tracked headline workloads (BENCH_GATE_PATTERN,
 # defined below — the one list of gated benchmarks) and fails when any of

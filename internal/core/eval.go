@@ -13,8 +13,8 @@ import (
 // evaluation and per stage, never per row. evalReplayOps accumulates the
 // replayed operator count (selections + computed columns + grouping +
 // ordering), so evalReplayOps/evalCount is the mean replay length.
-// evalMergeFallback counts aggregate passes forced sequential because
-// chunked merging would not be bit-identical (relation.MergeExact) — the
+// evalMergeFallback counts aggregate passes relation.GroupAggregate kept
+// sequential because chunked merging would not be bit-identical — the
 // determinism contract of the parallel pipeline. evalPlanSec times
 // buildPipeline: stratification, fingerprints and graph edges (expressions
 // compile inside the stage bodies, and only on recompute). The stage-cache

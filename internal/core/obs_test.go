@@ -33,8 +33,9 @@ func numericSheet(t *testing.T, n int, k value.Kind) *Spreadsheet {
 // TestFloatSumMergeFallbackCountedOnce pins the PR 2 determinism contract
 // through the metrics layer: a float-input SUM aggregation over the
 // parallel threshold must abandon chunked accumulation (float addition
-// re-associates under Accumulator.Merge, so relation.MergeExact declines
-// it) and record the sequential fallback exactly once per replay — while
+// re-associates across chunks, so relation.GroupAggregate keeps the pass
+// sequential and reports it) and record the fallback exactly once per
+// replay — while
 // an integer-input SUM, whose merge is exact, records none.
 func TestFloatSumMergeFallbackCountedOnce(t *testing.T) {
 	// Chunks consults GOMAXPROCS, so force multi-proc scheduling even on a

@@ -25,7 +25,8 @@ type equivProgram struct {
 // selections (comparison, IN, LIKE, BETWEEN, boolean combinations),
 // grouping at several levels, finest ordering, projection, duplicate
 // elimination, aggregates at every level (including HAVING-style selection
-// over them), formulas, and formula-over-aggregate chains.
+// over them), formulas, formula-over-aggregate chains, and an aggregate over
+// a mixed-kind formula column.
 func equivPrograms() []equivProgram {
 	sel := func(pred string) func(s *Spreadsheet) error {
 		return func(s *Spreadsheet) error { _, err := s.Select(pred); return err }
@@ -93,6 +94,11 @@ func equivPrograms() []equivProgram {
 		{"ordergroups-by", seq(group(Asc, "Model"),
 			agg("AvgP", relation.AggAvg, "Price", 2),
 			func(s *Spreadsheet) error { return s.OrderGroupsBy(1, "AvgP", Desc) })},
+		// M is declared INTEGER but holds floats on odd IDs, so its column
+		// is Boxed: its SUM must stay sequential like a float SUM's.
+		{"sum-over-mixed-kinds", seq(
+			formula("M", "COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)"),
+			agg("SumM", relation.AggSum, "M", 1))},
 	}
 }
 

@@ -162,11 +162,10 @@ func runBase(ev *evalCtx, _ *stageSnap) (*stageSnap, error) {
 // the group's value into every member row's slot of a fresh column vector
 // (Def. 11 / Table III). Rows map to dense group IDs once
 // (relation.GroupView) and both the accumulate and write-back passes index
-// flat per-group arrays. Above the parallel threshold the accumulate pass
-// keeps per-chunk partial accumulators merged in chunk order
-// (Accumulator.Merge); when the merge would not be bit-identical
-// (relation.MergeExact declines float summing) the pass stays sequential
-// and records the fallback, as before.
+// flat per-group arrays. The accumulate pass is relation.GroupAggregate:
+// above the parallel threshold it merges per-chunk partials in chunk order,
+// and where that merge would not be bit-identical (float or mixed-kind
+// summing) it stays sequential and the stage records the fallback.
 func runAggStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		inPos := ev.pos(c.Input)
@@ -204,8 +203,8 @@ func runAggStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*sta
 // indexed column vector: rows carry their group's value, rows eliminated
 // upstream stay NULL holes. When every group result shares one kind the
 // vector is a typed payload lane — one raw store per row; mixed-kind
-// results (possible only through the boxed fallback over dynamically typed
-// inputs) take the boxed vector.
+// results (possible only through GroupAggregate's boxed lane over a
+// mixed-kind computed column) take the boxed vector.
 func scatterGroups(results []value.Value, gids, idx []int32, nBase, n int) *relation.Col {
 	kind, mixed := value.KindNull, false
 	for _, v := range results {
@@ -318,67 +317,17 @@ func scatterGroups(results []value.Value, gids, idx []int32, nBase, n int) *rela
 	return out
 }
 
-// runAggKernel computes the per-group aggregate values. The typed kernel
-// (relation.GroupAggregate) consumes the input column's payload arrays
-// directly and chunks in parallel when the merge is bit-exact; the boxed
-// per-group Accumulator loop remains as the fallback for dynamically typed
-// inputs (computed-column vectors). Both paths feed cells in ascending view
-// order and merge partials in chunk order, so they produce identical bits.
+// runAggKernel computes the per-group aggregate values through
+// relation.GroupAggregate, which reads the input column in place — typed
+// payloads, or one boxed accumulator per group over a mixed-kind computed
+// column — and counts the passes it keeps sequential for bit-identity.
 func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inPos int, gids []int32, ng, n int) ([]value.Value, error) {
 	results, seqFallback, err := relation.GroupAggregate(c.Agg, view.ColAt(inPos), gids, view.Idx, n, ng)
-	if err == nil {
-		if seqFallback {
-			evalMergeFallback.Inc()
-		}
-		return results, nil
-	}
-	if !errors.Is(err, relation.ErrNotVectorizable) {
+	if err != nil {
 		return nil, fmt.Errorf("core: aggregate %s: %w", c.Name, err)
 	}
-	bounds := relation.Chunks(n)
-	if len(bounds) > 1 && !relation.MergeExact(c.Agg, ev.work[inPos].Kind) {
-		// Float-stream summing is not associative; stay sequential
-		// so the result is bit-identical to the one-chunk scan.
+	if seqFallback {
 		evalMergeFallback.Inc()
-		bounds = [][2]int{{0, n}}
-	}
-	parts := make([][]*relation.Accumulator, len(bounds))
-	err = relation.RunChunks(bounds, func(ch, lo, hi int) error {
-		accs := make([]*relation.Accumulator, ng)
-		for i := lo; i < hi; i++ {
-			acc := accs[gids[i]]
-			if acc == nil {
-				acc = relation.NewAccumulator(c.Agg)
-				accs[gids[i]] = acc
-			}
-			if err := acc.Add(view.At(i, inPos)); err != nil {
-				return fmt.Errorf("core: aggregate %s: %w", c.Name, err)
-			}
-		}
-		parts[ch] = accs
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	accs := parts[0]
-	for _, part := range parts[1:] {
-		for g, acc := range part {
-			if acc == nil {
-				continue
-			}
-			if prev := accs[g]; prev != nil {
-				prev.Merge(acc)
-			} else {
-				accs[g] = acc
-			}
-		}
-	}
-	// Finalise once per group, not once per row. Every group has at
-	// least one row, so every merged accumulator is non-nil.
-	results = make([]value.Value, ng)
-	for g, acc := range accs {
-		results[g] = acc.Result()
 	}
 	return results, nil
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -122,8 +121,11 @@ func (s *valueSet) AddAll(o *valueSet) {
 	}
 }
 
-// Accumulator incrementally computes one aggregate.
-type Accumulator struct {
+// accumulator incrementally computes one aggregate over boxed values: the
+// boxed lane of GroupAggregate (one per group over a Boxed column), every
+// window frame's state, and the tests' independent reference. It is used by
+// value and reset per group or frame, so a window frame costs no allocation.
+type accumulator struct {
 	fn       AggFunc
 	count    int64 // tuples seen (COUNT semantics)
 	nonNull  int64
@@ -131,22 +133,35 @@ type Accumulator struct {
 	sumSq    float64
 	intSum   int64
 	intExact bool
-	min, max value.Value
+	best     value.Value // MIN/MAX: the extreme seen first
 	distinct *valueSet
 }
 
-// NewAccumulator returns an accumulator for fn.
-func NewAccumulator(fn AggFunc) *Accumulator {
-	a := &Accumulator{fn: fn, intExact: true}
+// newAccumulator returns an accumulator for fn.
+func newAccumulator(fn AggFunc) *accumulator {
+	a := &accumulator{}
+	a.reset(fn)
+	return a
+}
+
+// reset empties a for a fresh accumulation of fn.
+func (a *accumulator) reset(fn AggFunc) {
+	*a = accumulator{fn: fn, intExact: true}
 	if fn == AggCountDistinct {
 		a.distinct = newValueSet()
 	}
-	return a
+}
+
+// improves reports whether a value comparing c against the best so far
+// replaces it: a strict compare only, so the first-seen value wins ties and
+// NaN, which compares 0 with everything, never replaces.
+func (a *accumulator) improves(c int) bool {
+	return (a.fn == AggMin && c < 0) || (a.fn == AggMax && c > 0)
 }
 
 // Add feeds one input value. COUNT counts every tuple including NULLs
 // (matching COUNT(*)); all other functions skip NULL inputs.
-func (a *Accumulator) Add(v value.Value) error {
+func (a *accumulator) Add(v value.Value) error {
 	a.count++
 	if v.IsNull() {
 		return nil
@@ -158,18 +173,9 @@ func (a *Accumulator) Add(v value.Value) error {
 	case AggCountDistinct:
 		a.distinct.Add(v)
 		return nil
-	case AggMin:
-		if a.min.IsNull() {
-			a.min = v
-		} else if value.MustCompare(v, a.min) < 0 {
-			a.min = v
-		}
-		return nil
-	case AggMax:
-		if a.max.IsNull() {
-			a.max = v
-		} else if value.MustCompare(v, a.max) > 0 {
-			a.max = v
+	case AggMin, AggMax:
+		if a.best.IsNull() || a.improves(value.MustCompare(v, a.best)) {
+			a.best = v
 		}
 		return nil
 	}
@@ -187,15 +193,87 @@ func (a *Accumulator) Add(v value.Value) error {
 	return nil
 }
 
-// MergeExact reports whether chunked accumulation merged via Merge is
+// addCell feeds cell i of c exactly as Add(c.Value(i)) does. COUNT, MIN and
+// MAX over any typed column, and SUM/AVG over INT, FLOAT or all-NULL
+// columns, read the payload in place; a Boxed cell, and any other function
+// or kind, goes through Add, so the error text and the erring cell stay
+// Add's.
+func (a *accumulator) addCell(c *Col, i int) error {
+	if c.Boxed != nil {
+		return a.Add(c.Boxed[i])
+	}
+	if c.Kind == value.KindNull || BitGet(c.Nulls, i) {
+		a.count++ // Add(NULL) counts the tuple and nothing else
+		return nil
+	}
+	sums := a.fn == AggSum || a.fn == AggAvg
+	switch {
+	case a.fn == AggCount:
+	case a.fn == AggMin || a.fn == AggMax:
+		if a.best.IsNull() || a.improves(cellCompareValue(c, i, a.best)) {
+			a.best = c.Value(i)
+		}
+	case sums && c.Kind == value.KindInt:
+		a.intSum += c.Ints[i]
+		a.sum += float64(c.Ints[i])
+	case sums && c.Kind == value.KindFloat:
+		a.intExact = false
+		a.sum += c.Floats[i]
+	default:
+		return a.Add(c.Value(i))
+	}
+	a.count++
+	a.nonNull++
+	return nil
+}
+
+// cellCompareValue is value.MustCompare(c.Value(i), v) for a non-NULL cell
+// of the typed column c, read from the payload when v has c's kind.
+func cellCompareValue(c *Col, i int, v value.Value) int {
+	if v.Kind() == c.Kind {
+		switch c.Kind {
+		case value.KindInt:
+			return order(c.Ints[i], v.Int())
+		case value.KindFloat:
+			return order(c.Floats[i], v.Float())
+		case value.KindString:
+			return strings.Compare(c.Strs[i], v.Str())
+		case value.KindDate:
+			return order(c.Ints[i], v.DateDays())
+		case value.KindBool:
+			b := int64(0)
+			if v.Bool() {
+				b = 1
+			}
+			return order(c.Ints[i], b)
+		}
+	}
+	return value.MustCompare(c.Value(i), v)
+}
+
+// order compares x and y three-way; a NaN compares 0 with everything, as in
+// value.Compare.
+func order[T int64 | float64](x, y T) int {
+	switch {
+	case x < y:
+		return -1
+	case x > y:
+		return 1
+	}
+	return 0
+}
+
+// mergeExact reports whether chunked accumulation merged via Merge is
 // bit-identical to the sequential scan for fn over the given input kind.
 // COUNT, COUNT_DISTINCT, MIN and MAX are order-insensitive for any input;
 // SUM re-associates addition, which is exact for integer inputs (the
 // wrapping int64 sum) but not for float streams. AVG and STDDEV sum in
 // float64 whatever the input, and integers past 2^53 round there, so they
-// never merge. Callers keep those passes sequential so every parallel
-// result stays deterministic and identical to the sequential one.
-func MergeExact(fn AggFunc, input value.Kind) bool {
+// never merge. GroupAggregate keeps those passes sequential so every
+// parallel result stays deterministic and identical to the sequential one;
+// it asks about a Boxed column as about a FLOAT one, since its cells may be
+// floats whatever kind was declared for it.
+func mergeExact(fn AggFunc, input value.Kind) bool {
 	switch fn {
 	case AggSum:
 		return input != value.KindFloat
@@ -211,18 +289,15 @@ func MergeExact(fn AggFunc, input value.Kind) bool {
 // tie-breaks (MIN/MAX over compare-equal values) match the sequential
 // scan. SUM, COUNT, MIN and MAX merge directly; AVG and STDDEV merge
 // through their sum/sum-of-squares/count decomposition.
-func (a *Accumulator) Merge(o *Accumulator) {
+func (a *accumulator) Merge(o *accumulator) {
 	a.count += o.count
 	a.nonNull += o.nonNull
 	a.sum += o.sum
 	a.sumSq += o.sumSq
 	a.intSum += o.intSum
 	a.intExact = a.intExact && o.intExact
-	if !o.min.IsNull() && (a.min.IsNull() || value.MustCompare(o.min, a.min) < 0) {
-		a.min = o.min
-	}
-	if !o.max.IsNull() && (a.max.IsNull() || value.MustCompare(o.max, a.max) > 0) {
-		a.max = o.max
+	if !o.best.IsNull() && (a.best.IsNull() || a.improves(value.MustCompare(o.best, a.best))) {
+		a.best = o.best
 	}
 	if o.distinct != nil {
 		a.distinct.AddAll(o.distinct)
@@ -231,7 +306,7 @@ func (a *Accumulator) Merge(o *Accumulator) {
 
 // Result returns the final aggregate value. Empty groups yield NULL for
 // every function except COUNT variants, which yield 0.
-func (a *Accumulator) Result() value.Value {
+func (a *accumulator) Result() value.Value {
 	switch a.fn {
 	case AggCount:
 		return value.NewInt(a.count)
@@ -249,10 +324,8 @@ func (a *Accumulator) Result() value.Value {
 		return value.NewFloat(a.sum)
 	case AggAvg:
 		return value.NewFloat(a.sum / float64(a.nonNull))
-	case AggMin:
-		return a.min
-	case AggMax:
-		return a.max
+	case AggMin, AggMax:
+		return a.best
 	case AggStdDev:
 		n := float64(a.nonNull)
 		mean := a.sum / n
@@ -328,39 +401,10 @@ func (r *Relation) Aggregate(groupCols []string, fn AggFunc, col string) (*Relat
 	if ci >= 0 {
 		in = cols[ci]
 	}
-	results, err := aggregateColumn(fn, in, gr, ng, n)
+	results, _, err := GroupAggregate(fn, in, gr.IDs, nil, n, ng)
 	if err != nil {
 		return nil, err
 	}
 	out := append(GatherCols(keyCols, gr.First), ColOf(schema[len(gidx)].Kind, results))
 	return FromColumns(r.Name, schema, out, ng), nil
-}
-
-// aggregateColumn computes fn over the input column for every group,
-// dispatching to the typed grouped-aggregation kernel (GroupedAggState, via
-// GroupAggregate) when the column's representation allows and the boxed
-// per-group accumulator otherwise. in is nil only for COUNT with no column.
-func aggregateColumn(fn AggFunc, in *Col, gr *Grouping, ng, n int) ([]value.Value, error) {
-	res, _, err := GroupAggregate(fn, in, gr.IDs, nil, n, ng)
-	if err == nil {
-		return res, nil
-	}
-	if !errors.Is(err, ErrNotVectorizable) {
-		return nil, err
-	}
-	// Generic: one accumulator per group, fed in ascending row order.
-	accs := make([]*Accumulator, ng)
-	for g := range accs {
-		accs[g] = NewAccumulator(fn)
-	}
-	for i := 0; i < n; i++ {
-		if err := accs[gr.IDs[i]].Add(in.Value(i)); err != nil {
-			return nil, err
-		}
-	}
-	res = make([]value.Value, ng)
-	for g := range res {
-		res[g] = accs[g].Result()
-	}
-	return res, nil
 }

@@ -1,22 +1,24 @@
 package relation
 
 import (
-	"errors"
 	"fmt"
 
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/value"
 )
 
-// Typed grouped-aggregation kernel. GroupedAggState holds one aggregate
-// function's per-group state as flat typed arrays — int64 sums, float64
-// sum/sum-of-squares, per-kind min/max bests, dense distinct tables — and is
-// fed whole column payloads through lane loops instead of boxing each cell
-// into a value.Value and calling Accumulator.Add row by row. The contract is
-// bit-identity: feeding lanes [lo,hi) in ascending order produces exactly
-// the values the boxed Accumulator produces from the same cells in the same
+// Grouped-aggregation kernel, the one aggregation entry point (GroupAggregate)
+// behind η, SQL's aggregates and Relation.Aggregate. groupedAggState holds one
+// aggregate function's per-group state as flat typed arrays — int64 sums,
+// float64 sum/sum-of-squares, per-kind min/max bests, dense distinct tables —
+// and is fed whole column payloads through lane loops instead of boxing each
+// cell into a value.Value and calling accumulator.Add row by row. The contract
+// is bit-identity: feeding lanes [lo,hi) in ascending order produces exactly
+// the values the boxed accumulator produces from the same cells in the same
 // order, including float summation order, MIN/MAX first-seen tie-breaks,
 // int64 wrap-around on SUM, and the COUNT/COUNT_DISTINCT empty-group rules.
+// A Boxed (mixed-kind) column runs the boxed lane instead: one accumulator
+// per group, fed cell by cell, under the same chunk/merge driver.
 //
 // Per-group exactness needs no per-group flag here: a typed column is
 // single-kind, so an Int column's SUM is always exact in int64 (the boxed
@@ -24,24 +26,22 @@ import (
 // intExact); NULL-only groups return NULL before exactness is consulted.
 //
 // Chunked parallel accumulation builds one state per chunk and folds them in
-// chunk order with Merge, mirroring the Accumulator.Merge idiom: counts and
+// chunk order with Merge, mirroring the accumulator.Merge idiom: counts and
 // sums add, bests keep the earlier chunk on compare-equal (first-seen),
-// distinct tables union. MergeExact gates which functions may chunk at all.
+// distinct tables union. mergeExact gates which functions may chunk at all.
+//
+// relation.agg.vectorized counts typed runs and relation.agg.declined counts
+// boxed-lane runs; the repository benchmark reads the second under that
+// name, so renaming it is a change to the benchmark.
 var (
 	aggVectorized = obs.Default.Counter("relation.agg.vectorized")
-	aggDeclined   = obs.Default.Counter("relation.agg.declined")
+	aggBoxed      = obs.Default.Counter("relation.agg.declined")
 )
 
-// ErrNotVectorizable marks an aggregation the typed kernel declines — the
-// input column is dynamically typed (Boxed) and the function reads cells.
-// Callers fall back to the boxed per-group Accumulator path.
-var ErrNotVectorizable = errors.New("relation: aggregation not vectorizable")
-
-// GroupedAggState is the typed per-group state of one aggregate function
-// over one column. Construct with NewGroupedAggState, feed lane ranges with
-// Update, combine chunk partials with Merge, and read per-group values with
-// Results.
-type GroupedAggState struct {
+// groupedAggState is the per-group state of one aggregate function over one
+// column. Construct with newGroupedAggState, feed lane ranges with Update,
+// combine chunk partials with Merge, and read per-group values with Results.
+type groupedAggState struct {
 	fn   AggFunc
 	in   *Col    // nil for COUNT with no argument column
 	rows []int32 // lane → cell index (nil = identity)
@@ -57,24 +57,33 @@ type GroupedAggState struct {
 	bestF   []float64
 	bestS   []string
 	dt      *distinctTable // COUNT_DISTINCT
+	accs    []accumulator  // the boxed lane: one per group over a Boxed column
 }
 
-// NewGroupedAggState builds the state for fn over in with ng groups; rows
+// newGroupedAggState builds the state for fn over in with ng groups; rows
 // maps accumulation lanes to cell indexes of in (nil = identity). A nil in
-// is COUNT with no argument (COUNT(*)). Boxed columns decline with
-// ErrNotVectorizable unless the function never reads cells (COUNT).
-func NewGroupedAggState(fn AggFunc, in *Col, rows []int32, ng int) (*GroupedAggState, error) {
-	st := &GroupedAggState{fn: fn, in: in, rows: rows, ng: ng}
+// is COUNT with no argument (COUNT(*)). COUNT never reads a cell, so it
+// counts typed over any column; every other function over a Boxed column
+// gets the boxed lane.
+func newGroupedAggState(fn AggFunc, in *Col, rows []int32, ng int) (*groupedAggState, error) {
+	st := &groupedAggState{fn: fn, in: in, rows: rows, ng: ng}
 	switch fn {
 	case AggCount:
 		st.count = make([]int64, ng)
 		return st, nil
+	case AggSum, AggAvg, AggMin, AggMax, AggCountDistinct, AggStdDev:
+	default:
+		return nil, fmt.Errorf("relation: unknown aggregate function %q", fn)
 	}
 	if in == nil {
 		return nil, fmt.Errorf("relation: %s requires an argument column", fn)
 	}
 	if in.Boxed != nil {
-		return nil, ErrNotVectorizable
+		st.accs = make([]accumulator, ng)
+		for g := range st.accs {
+			st.accs[g].reset(fn)
+		}
+		return st, nil
 	}
 	switch fn {
 	case AggCountDistinct:
@@ -99,14 +108,12 @@ func NewGroupedAggState(fn AggFunc, in *Col, rows []int32, ng int) (*GroupedAggS
 		if fn == AggStdDev {
 			st.sumSq = make([]float64, ng)
 		}
-	default:
-		return nil, fmt.Errorf("relation: unknown aggregate function %q", fn)
 	}
 	return st, nil
 }
 
 // cell maps lane k to its cell index.
-func (st *GroupedAggState) cell(k int) int {
+func (st *groupedAggState) cell(k int) int {
 	if st.rows == nil {
 		return k
 	}
@@ -115,8 +122,17 @@ func (st *GroupedAggState) cell(k int) int {
 
 // Update feeds lanes [lo,hi): lane k belongs to group gids[k] and reads the
 // cell st.rows maps it to. Lanes must be fed in ascending order within one
-// state for float sums and tie-breaks to match the boxed scan.
-func (st *GroupedAggState) Update(gids []int32, lo, hi int) error {
+// state for float sums and tie-breaks to match the boxed scan. The boxed
+// lane errs as its accumulator does, at the first cell it rejects.
+func (st *groupedAggState) Update(gids []int32, lo, hi int) error {
+	if st.accs != nil {
+		for k := lo; k < hi; k++ {
+			if err := st.accs[gids[k]].Add(st.in.Boxed[st.cell(k)]); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
 	switch st.fn {
 	case AggCount:
 		// COUNT counts tuples per group, NULLs included, column or not.
@@ -137,7 +153,7 @@ func (st *GroupedAggState) Update(gids []int32, lo, hi int) error {
 // updateSums feeds SUM/AVG/STDDEV. The kind switch, null-bitmap branch and
 // lane→cell indirection are hoisted out of the per-lane loops (the HashInto
 // idiom), so the no-null fast loops are a load, the adds, and a group index.
-func (st *GroupedAggState) updateSums(gids []int32, lo, hi int) error {
+func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 	in := st.in
 	switch in.Kind {
 	case value.KindNull:
@@ -244,7 +260,7 @@ func (st *GroupedAggState) updateSums(gids []int32, lo, hi int) error {
 		}
 		return nil
 	}
-	// Non-numeric kinds error exactly where the boxed Accumulator does: at
+	// Non-numeric kinds error exactly where the boxed accumulator does: at
 	// the first non-NULL cell fed (an all-NULL range accumulates nothing).
 	for k := lo; k < hi; k++ {
 		if !in.IsNull(st.cell(k)) {
@@ -258,7 +274,7 @@ func (st *GroupedAggState) updateSums(gids []int32, lo, hi int) error {
 // group's first occurrence among compare-equal cells exactly as the boxed
 // MustCompare path does (for floats the strict < and > arms coincide with
 // MustCompare, NaN-unordered included).
-func (st *GroupedAggState) updateMinMax(gids []int32, lo, hi int) {
+func (st *groupedAggState) updateMinMax(gids []int32, lo, hi int) {
 	in := st.in
 	wantMin := st.fn == AggMin
 	switch in.Kind {
@@ -310,10 +326,17 @@ func (st *GroupedAggState) updateMinMax(gids []int32, lo, hi int) {
 }
 
 // Merge folds o — the same function over a later lane chunk of the same
-// column — into st, in chunk order, mirroring Accumulator.Merge: counts and
+// column — into st, in chunk order, mirroring accumulator.Merge: counts and
 // sums add, bests keep the receiver on compare-equal (the earlier chunk saw
-// the cell first), distinct entries union.
-func (st *GroupedAggState) Merge(o *GroupedAggState) {
+// the cell first), distinct entries union. The boxed lane merges group by
+// group.
+func (st *groupedAggState) Merge(o *groupedAggState) {
+	if st.accs != nil {
+		for g := range st.accs {
+			st.accs[g].Merge(&o.accs[g])
+		}
+		return
+	}
 	switch st.fn {
 	case AggCount:
 		for g, c := range o.count {
@@ -376,11 +399,17 @@ func (st *GroupedAggState) Merge(o *GroupedAggState) {
 	}
 }
 
-// Results finalises every group, exactly as Accumulator.Result: COUNT
+// Results finalises every group, exactly as accumulator.Result: COUNT
 // variants return counts (0 for empty groups), everything else returns NULL
 // for NULL-only groups; SUM over an Int column stays exact in int64.
-func (st *GroupedAggState) Results() []value.Value {
+func (st *groupedAggState) Results() []value.Value {
 	res := make([]value.Value, st.ng)
+	if st.accs != nil {
+		for g := range res {
+			res[g] = st.accs[g].Result()
+		}
+		return res
+	}
 	switch st.fn {
 	case AggCount:
 		for g, c := range st.count {
@@ -548,40 +577,40 @@ func (t *distinctTable) absorb(o *distinctTable) {
 
 // GroupAggregate computes fn over column in for every group: lane k in
 // [0,n) belongs to group gids[k] and reads cell rows[k] (nil rows =
-// identity), with ng groups total. The accumulation chunks in parallel when
-// the merge is bit-exact (MergeExact); otherwise it stays sequential and the
-// returned flag reports the fallback. A nil in is COUNT with no argument.
-// Boxed input columns decline with ErrNotVectorizable (except COUNT, which
-// never reads cells); callers then run the boxed Accumulator path.
+// identity), with ng groups total. A nil in is COUNT with no argument. The
+// accumulation chunks in parallel when the merge is bit-exact (mergeExact,
+// asked about a Boxed column as about a FLOAT one); otherwise it stays
+// sequential and the returned flag reports the fallback. Every column is
+// accepted: a Boxed one runs the boxed lane, whose error is the
+// accumulator's.
 func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value.Value, bool, error) {
-	if in != nil && in.Boxed != nil && fn != AggCount {
-		aggDeclined.Inc()
-		return nil, false, ErrNotVectorizable
-	}
-	kind := value.KindNull
-	if in != nil {
+	kind, runs := value.KindNull, aggVectorized
+	switch {
+	case in != nil && in.Boxed != nil && fn != AggCount:
+		kind, runs = value.KindFloat, aggBoxed
+	case in != nil:
 		kind = in.Kind
 	}
 	bounds := Chunks(n)
 	seqFallback := false
-	if len(bounds) > 1 && !MergeExact(fn, kind) {
+	if len(bounds) > 1 && !mergeExact(fn, kind) {
 		bounds = [][2]int{{0, n}}
 		seqFallback = true
 	}
 	if len(bounds) <= 1 {
-		st, err := NewGroupedAggState(fn, in, rows, ng)
+		st, err := newGroupedAggState(fn, in, rows, ng)
 		if err != nil {
 			return nil, false, err
 		}
 		if err := st.Update(gids, 0, n); err != nil {
 			return nil, false, err
 		}
-		aggVectorized.Inc()
+		runs.Inc()
 		return st.Results(), seqFallback, nil
 	}
-	parts := make([]*GroupedAggState, len(bounds))
+	parts := make([]*groupedAggState, len(bounds))
 	err := RunChunks(bounds, func(ch, lo, hi int) error {
-		st, err := NewGroupedAggState(fn, in, rows, ng)
+		st, err := newGroupedAggState(fn, in, rows, ng)
 		if err != nil {
 			return err
 		}
@@ -598,6 +627,6 @@ func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value
 	for _, p := range parts[1:] {
 		st.Merge(p)
 	}
-	aggVectorized.Inc()
+	runs.Inc()
 	return st.Results(), false, nil
 }

@@ -1,7 +1,6 @@
 package relation
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,22 +8,23 @@ import (
 	"sheetmusiq/internal/value"
 )
 
-// Property tests for the typed grouped-aggregation kernel: GroupedAggState
-// fed whole columns must agree bit for bit with one boxed Accumulator per
-// group fed the same cells in the same ascending order — across every
-// aggregate function, NaN/-0 floats, MinInt64 and ints beyond 2^53,
-// NULL-only groups, empty inputs, lane indirection and chunked merges.
+// Property tests for the grouped-aggregation kernel: groupedAggState fed
+// whole columns must agree bit for bit with one boxed accumulator per group
+// fed the same cells in the same ascending order — across every aggregate
+// function, NaN/-0 floats, MinInt64 and ints beyond 2^53, NULL-only groups,
+// empty inputs, lane indirection, chunked merges and Boxed (mixed-kind)
+// columns, which run the boxed lane.
 
 var allAggFuncs = []AggFunc{
 	AggSum, AggAvg, AggMin, AggMax, AggCount, AggCountDistinct, AggStdDev,
 }
 
-// refGroupAggregate is the boxed reference: one Accumulator per group, cells
+// refGroupAggregate is the boxed reference: one accumulator per group, cells
 // fed in ascending lane order, exactly the pre-kernel evaluation loop.
 func refGroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value.Value, error) {
-	accs := make([]*Accumulator, ng)
+	accs := make([]*accumulator, ng)
 	for g := range accs {
-		accs[g] = NewAccumulator(fn)
+		accs[g] = newAccumulator(fn)
 	}
 	for k := 0; k < n; k++ {
 		i := k
@@ -91,21 +91,51 @@ func randAggCol(rng *rand.Rand, kind value.Kind, n int) *Col {
 	return c
 }
 
+// randBoxedCol builds a Boxed column mixing INT, FLOAT and NULL cells, plus
+// STRING cells when withStrings is set. Its numbers are small ints and
+// floats without NaN, so value.MustCompare orders them totally and chunked
+// MIN/MAX merges stay exact (a NaN or an int past 2^53 next to a float
+// breaks transitivity). The ints drift upward with the lane, so the later
+// chunks of a long column hold MAX and distinct values the earlier ones
+// lack, and a lost merge shows.
+func randBoxedCol(rng *rand.Rand, n int, withStrings bool) *Col {
+	floats := []float64{0, math.Copysign(0, -1), 1.5, -3.25, 2, math.Inf(-1), 0.1}
+	strs := []string{"", "a", "zz"}
+	vals := make([]value.Value, n)
+	for i := range vals {
+		switch r := rng.Intn(8); {
+		case r == 0:
+			vals[i] = value.Null
+		case r < 4:
+			vals[i] = value.NewInt(int64(rng.Intn(9) - 4 + i/64))
+		case r < 7 || !withStrings:
+			vals[i] = value.NewFloat(floats[rng.Intn(len(floats))])
+		default:
+			vals[i] = value.NewString(strs[rng.Intn(len(strs))])
+		}
+	}
+	return BoxedCol(vals)
+}
+
 var aggColKinds = []value.Kind{
 	value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindDate,
 }
 
-// TestGroupAggregateMatchesAccumulator: the typed kernel and the boxed
-// per-group reference agree bit for bit across random columns, group maps
-// and lane indirections, for every aggregate function — and when a function
-// rejects a kind, both paths produce the identical error.
+// TestGroupAggregateMatchesAccumulator: the kernel and the boxed per-group
+// reference agree bit for bit across random columns, group maps and lane
+// indirections, for every aggregate function — and when a function rejects
+// a kind, both paths produce the identical error. The last 200 trials draw
+// Boxed columns of mixed INT/FLOAT/STRING/NULL cells (the boxed lane).
 func TestGroupAggregateMatchesAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
-	for trial := 0; trial < 400; trial++ {
+	for trial := 0; trial < 600; trial++ {
 		kind := aggColKinds[rng.Intn(len(aggColKinds))]
 		fn := allAggFuncs[rng.Intn(len(allAggFuncs))]
 		m := rng.Intn(90) // base cells; includes 0
-		in := randAggCol(rng, kind, m)
+		in, desc := randAggCol(rng, kind, m), kind.String()
+		if trial >= 400 {
+			in, desc = randBoxedCol(rng, m, true), "Boxed"
+		}
 		// Half the trials read the column through a lane indirection with
 		// repeats and gaps, as η over a filtered IndexView does.
 		var rows []int32
@@ -129,18 +159,18 @@ func TestGroupAggregateMatchesAccumulator(t *testing.T) {
 		got, _, gotErr := GroupAggregate(fn, col, gids, rows, n, ng)
 		want, wantErr := refGroupAggregate(fn, col, gids, rows, n, ng)
 		if (gotErr == nil) != (wantErr == nil) {
-			t.Fatalf("trial %d (%s over %s): kernel err %v, reference err %v", trial, fn, kind, gotErr, wantErr)
+			t.Fatalf("trial %d (%s over %s): kernel err %v, reference err %v", trial, fn, desc, gotErr, wantErr)
 		}
 		if gotErr != nil {
 			if gotErr.Error() != wantErr.Error() {
-				t.Fatalf("trial %d (%s over %s): error %q, reference %q", trial, fn, kind, gotErr, wantErr)
+				t.Fatalf("trial %d (%s over %s): error %q, reference %q", trial, fn, desc, gotErr, wantErr)
 			}
 			continue
 		}
 		for g := range want {
 			if !bitEqual(got[g], want[g]) {
 				t.Fatalf("trial %d (%s over %s, n=%d, ng=%d): group %d = %v, reference %v",
-					trial, fn, kind, n, ng, g, got[g], want[g])
+					trial, fn, desc, n, ng, g, got[g], want[g])
 			}
 		}
 	}
@@ -148,14 +178,14 @@ func TestGroupAggregateMatchesAccumulator(t *testing.T) {
 
 // TestGroupAggregateMergedPartialsMatchSequential: splitting the lanes into
 // chunks, accumulating each into its own state and merging in chunk order
-// must reproduce the single sequential state bit for bit whenever MergeExact
+// must reproduce the single sequential state bit for bit whenever mergeExact
 // allows the function/kind pair to chunk at all.
 func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(92))
 	for trial := 0; trial < 200; trial++ {
 		kind := aggColKinds[rng.Intn(len(aggColKinds))]
 		fn := allAggFuncs[rng.Intn(len(allAggFuncs))]
-		if !MergeExact(fn, kind) {
+		if !mergeExact(fn, kind) {
 			continue
 		}
 		n := 1 + rng.Intn(120)
@@ -165,7 +195,7 @@ func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 		for k := range gids {
 			gids[k] = int32(rng.Intn(ng))
 		}
-		seq, err := NewGroupedAggState(fn, in, nil, ng)
+		seq, err := newGroupedAggState(fn, in, nil, ng)
 		if err != nil {
 			if fn != AggSum && fn != AggAvg && fn != AggStdDev {
 				t.Fatalf("trial %d (%s over %s): %v", trial, fn, kind, err)
@@ -176,11 +206,11 @@ func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 			continue // non-numeric sum family: covered by the error test above
 		}
 		nchunks := 2 + rng.Intn(3)
-		var merged *GroupedAggState
+		var merged *groupedAggState
 		ok := true
 		for c := 0; c < nchunks; c++ {
 			lo, hi := c*n/nchunks, (c+1)*n/nchunks
-			st, err := NewGroupedAggState(fn, in, nil, ng)
+			st, err := newGroupedAggState(fn, in, nil, ng)
 			if err != nil {
 				t.Fatalf("trial %d: %v", trial, err)
 			}
@@ -209,14 +239,26 @@ func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 
 // TestGroupAggregateParallelMatchesSequential: the chunked driver must be
 // bit-identical to the forced-sequential run for every function — including
-// float summing, which the driver keeps sequential via MergeExact.
+// float summing, which the driver keeps sequential via mergeExact. A Boxed
+// mixed INT/FLOAT column runs the boxed lane: SUM, AVG and STDDEV stay
+// sequential and report the fallback, as over a FLOAT column, while MIN,
+// MAX, COUNT and COUNT_DISTINCT chunk; every run is counted as a boxed-lane
+// run (relation.agg.declined), COUNT's typed count excepted.
 func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	old := ParallelThreshold
 	defer func() { ParallelThreshold = old }()
-	for _, kind := range []value.Kind{value.KindInt, value.KindFloat} {
+	for _, input := range []string{"INTEGER", "FLOAT", "Boxed"} {
 		n := 5000
-		in := randAggCol(rng, kind, n)
+		var in *Col
+		switch input {
+		case "INTEGER":
+			in = randAggCol(rng, value.KindInt, n)
+		case "FLOAT":
+			in = randAggCol(rng, value.KindFloat, n)
+		default:
+			in = randBoxedCol(rng, n, false)
+		}
 		ng := 7
 		gids := make([]int32, n)
 		for k := range gids {
@@ -226,16 +268,30 @@ func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 			ParallelThreshold = 1 << 30
 			seq, _, err := GroupAggregate(fn, in, gids, nil, n, ng)
 			if err != nil {
-				t.Fatalf("%s over %s sequential: %v", fn, kind, err)
+				t.Fatalf("%s over %s sequential: %v", fn, input, err)
 			}
 			ParallelThreshold = 64
-			par, _, err := GroupAggregate(fn, in, gids, nil, n, ng)
+			declined := aggBoxed.Value()
+			par, fallback, err := GroupAggregate(fn, in, gids, nil, n, ng)
 			if err != nil {
-				t.Fatalf("%s over %s parallel: %v", fn, kind, err)
+				t.Fatalf("%s over %s parallel: %v", fn, input, err)
+			}
+			if input == "Boxed" {
+				sums := fn == AggSum || fn == AggAvg || fn == AggStdDev
+				if chunked := len(Chunks(n)) > 1; fallback != (sums && chunked) {
+					t.Fatalf("%s over Boxed: fallback %v over %d chunks", fn, fallback, len(Chunks(n)))
+				}
+				want := int64(1)
+				if fn == AggCount {
+					want = 0
+				}
+				if got := aggBoxed.Value() - declined; got != want {
+					t.Fatalf("%s over Boxed: relation.agg.declined advanced by %d, want %d", fn, got, want)
+				}
 			}
 			for g := range seq {
 				if !bitEqual(seq[g], par[g]) {
-					t.Fatalf("%s over %s: group %d sequential %v != parallel %v", fn, kind, g, seq[g], par[g])
+					t.Fatalf("%s over %s: group %d sequential %v != parallel %v", fn, input, g, seq[g], par[g])
 				}
 			}
 		}
@@ -243,7 +299,7 @@ func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 }
 
 // TestGroupAggregateEdgeCases pins the boundary semantics the boxed
-// Accumulator defines: empty inputs, NULL-only groups, int64 wrap-around,
+// accumulator defines: empty inputs, NULL-only groups, int64 wrap-around,
 // and COUNT over a column still counting NULL tuples.
 func TestGroupAggregateEdgeCases(t *testing.T) {
 	// Empty input, one group: COUNT variants yield 0, the rest NULL.
@@ -281,7 +337,7 @@ func TestGroupAggregateEdgeCases(t *testing.T) {
 	if res[0].Int() != 2 || res[1].Int() != 2 {
 		t.Fatalf("COUNT groups = %v, %v; want 2, 2 (NULL tuples count)", res[0], res[1])
 	}
-	// Integer SUM wraps in int64 exactly as Accumulator.intSum does.
+	// Integer SUM wraps in int64 exactly as accumulator.intSum does.
 	wrap := &Col{Kind: value.KindInt, Ints: []int64{math.MaxInt64, 1}}
 	res, _, err = GroupAggregate(AggSum, wrap, []int32{0, 0}, nil, 2, 1)
 	if err != nil {
@@ -289,24 +345,6 @@ func TestGroupAggregateEdgeCases(t *testing.T) {
 	}
 	if res[0].Int() != math.MinInt64 {
 		t.Fatalf("wrapping SUM = %v, want MinInt64", res[0])
-	}
-}
-
-// TestGroupAggregateDeclinesBoxed: dynamically typed columns decline with
-// ErrNotVectorizable for cell-reading functions, and COUNT — which never
-// reads a cell — still vectorizes over them.
-func TestGroupAggregateDeclinesBoxed(t *testing.T) {
-	in := BoxedCol([]value.Value{value.NewInt(1), value.NewString("x")})
-	gids := []int32{0, 0}
-	if _, _, err := GroupAggregate(AggSum, in, gids, nil, 2, 1); !errors.Is(err, ErrNotVectorizable) {
-		t.Fatalf("SUM over boxed: err = %v, want ErrNotVectorizable", err)
-	}
-	res, _, err := GroupAggregate(AggCount, in, gids, nil, 2, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res[0].Int() != 2 {
-		t.Fatalf("COUNT over boxed = %v, want 2", res[0])
 	}
 }
 
@@ -332,7 +370,7 @@ func TestGroupedAggStateUpdateAllocs(t *testing.T) {
 		{AggCount, value.KindInt},
 	} {
 		in := randAggCol(rng, tc.kind, n)
-		st, err := NewGroupedAggState(tc.fn, in, nil, ng)
+		st, err := newGroupedAggState(tc.fn, in, nil, ng)
 		if err != nil {
 			t.Fatalf("%s over %s: %v", tc.fn, tc.kind, err)
 		}
@@ -350,7 +388,7 @@ func TestGroupedAggStateUpdateAllocs(t *testing.T) {
 // TestWindowEvalTypedLanesMatchBoxed: feeding WindowEval typed argument and
 // key columns (with and without a lane indirection) must be bit-identical
 // to feeding it Boxed columns of the same cells, one per lane, which run the
-// boxed comparator and the Accumulator fallback.
+// boxed comparator and the accumulator's boxed Add.
 func TestWindowEvalTypedLanesMatchBoxed(t *testing.T) {
 	rng := rand.New(rand.NewSource(95))
 	argKinds := []value.Kind{value.KindInt, value.KindFloat}

@@ -490,7 +490,7 @@ func TestDifferenceMatchesMultisetSemantics(t *testing.T) {
 // TestCountDistinctValueSet: the hash-set COUNT_DISTINCT agrees with value
 // equality across kinds (int 2 and float 2.0 count once) and merges.
 func TestCountDistinctValueSet(t *testing.T) {
-	a := NewAccumulator(AggCountDistinct)
+	a := newAccumulator(AggCountDistinct)
 	for _, v := range []value.Value{
 		value.NewInt(2), value.NewFloat(2), value.NewInt(3), value.Null, value.NewString("2"),
 	} {
@@ -498,7 +498,7 @@ func TestCountDistinctValueSet(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	b := NewAccumulator(AggCountDistinct)
+	b := newAccumulator(AggCountDistinct)
 	if err := b.Add(value.NewInt(3)); err != nil {
 		t.Fatal(err)
 	}

@@ -93,20 +93,20 @@ func TestAccumulatorMergeEquivalence(t *testing.T) {
 	fns := []AggFunc{AggSum, AggAvg, AggMin, AggMax, AggCount, AggCountDistinct, AggStdDev}
 	for _, fn := range fns {
 		for _, nChunks := range []int{1, 2, 3, 7, 16} {
-			seq := NewAccumulator(fn)
+			seq := newAccumulator(fn)
 			for _, v := range stream {
 				if err := seq.Add(v); err != nil {
 					t.Fatal(err)
 				}
 			}
 			size := (len(stream) + nChunks - 1) / nChunks
-			var merged *Accumulator
+			var merged *accumulator
 			for lo := 0; lo < len(stream); lo += size {
 				hi := lo + size
 				if hi > len(stream) {
 					hi = len(stream)
 				}
-				part := NewAccumulator(fn)
+				part := newAccumulator(fn)
 				for _, v := range stream[lo:hi] {
 					if err := part.Add(v); err != nil {
 						t.Fatal(err)
@@ -130,8 +130,8 @@ func TestAccumulatorMergeEquivalence(t *testing.T) {
 // chunk order keeps the earliest chunk's representative among
 // compare-equal values, like the sequential first-seen scan.
 func TestAccumulatorMergeFirstSeenTies(t *testing.T) {
-	a := NewAccumulator(AggMin)
-	b := NewAccumulator(AggMin)
+	a := newAccumulator(AggMin)
+	b := newAccumulator(AggMin)
 	if err := a.Add(value.NewFloat(2)); err != nil {
 		t.Fatal(err)
 	}

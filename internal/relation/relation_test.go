@@ -503,7 +503,7 @@ func TestSortedCloneLeavesOriginal(t *testing.T) {
 
 func TestAccumulatorEdgeCases(t *testing.T) {
 	// STDDEV of a single value is 0 (population convention).
-	acc := NewAccumulator(AggStdDev)
+	acc := newAccumulator(AggStdDev)
 	if err := acc.Add(value.NewInt(5)); err != nil {
 		t.Fatal(err)
 	}
@@ -512,7 +512,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 	}
 	// MIN/MAX over only NULLs is NULL.
 	for _, fn := range []AggFunc{AggMin, AggMax, AggAvg, AggSum, AggStdDev} {
-		acc := NewAccumulator(fn)
+		acc := newAccumulator(fn)
 		if err := acc.Add(value.Null); err != nil {
 			t.Fatal(err)
 		}
@@ -521,7 +521,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		}
 	}
 	// SUM over mixed int and float promotes to float.
-	acc = NewAccumulator(AggSum)
+	acc = newAccumulator(AggSum)
 	if err := acc.Add(value.NewInt(1)); err != nil {
 		t.Fatal(err)
 	}
@@ -532,7 +532,7 @@ func TestAccumulatorEdgeCases(t *testing.T) {
 		t.Fatalf("mixed SUM = %v", got)
 	}
 	// MIN over strings works (lexical).
-	acc = NewAccumulator(AggMin)
+	acc = newAccumulator(AggMin)
 	for _, s := range []string{"jetta", "civic", "accord"} {
 		if err := acc.Add(value.NewString(s)); err != nil {
 			t.Fatal(err)

@@ -34,8 +34,8 @@ type WindowFunc string
 
 // The supported window functions. The ranking trio requires an ORDER BY and
 // takes no argument; the aggregate five accept an optional frame and reuse
-// Accumulator semantics (COUNT counts frame rows including NULLs when no
-// argument column is given, mirroring COUNT(*)).
+// the aggregate accumulator's semantics (COUNT counts frame rows including
+// NULLs when no argument column is given, mirroring COUNT(*)).
 const (
 	WinRank      WindowFunc = "RANK"
 	WinDenseRank WindowFunc = "DENSE_RANK"
@@ -191,10 +191,10 @@ type WindowSpec struct {
 // (nil = a single partition).
 //
 // Comparisons run on raw payloads (colCompare, value.MustCompare on the
-// cells). A typed argument accumulates through typed scalar state (winAgg,
-// which reproduces Accumulator's operation order exactly); a Boxed one, or a
-// non-numeric one under SUM or AVG, goes through the boxed Accumulator, so
-// its error text and erring position are the Accumulator's.
+// cells). Every frame accumulates through one accumulator fed cell by cell
+// (addCell: typed payloads in place, Boxed cells and non-numeric SUM/AVG
+// arguments through Add), so an error's text and erring position are the
+// accumulator's.
 type WindowInput struct {
 	N       int
 	ArgCol  *Col
@@ -203,148 +203,6 @@ type WindowInput struct {
 	Rows    []int32
 	K       int
 	Desc    []bool
-}
-
-// winAgg is the allocation-free scalar aggregate state the typed window
-// paths use for SUM/AVG/MIN/MAX/COUNT frames (window aggregates never need
-// STDDEV or COUNT_DISTINCT). Field discipline mirrors Accumulator: count
-// includes NULLs, sums accumulate in add order, bests replace on strict
-// compare only (first-seen ties), intExact clears on any float add.
-type winAgg struct {
-	fn       AggFunc
-	count    int64
-	nonNull  int64
-	sum      float64
-	intSum   int64
-	intExact bool
-	has      bool
-	kind     value.Kind // kind of the best cell (MIN/MAX)
-	bestI    int64
-	bestF    float64
-	bestS    string
-}
-
-func newWinAgg(fn AggFunc) winAgg { return winAgg{fn: fn, intExact: true} }
-
-// add feeds one cell of c, replicating Accumulator.Add over the boxed cell.
-// c's kind must be numeric (or NULL) for SUM/AVG — callers route other kinds
-// through the boxed fallback so error behaviour is byte-identical.
-func (a *winAgg) add(c *Col, i int) {
-	a.count++
-	if c.Kind == value.KindNull || BitGet(c.Nulls, i) {
-		return
-	}
-	a.nonNull++
-	switch a.fn {
-	case AggCount:
-		return
-	case AggMin:
-		if !a.has {
-			a.has = true
-			a.setBest(c, i)
-			return
-		}
-		switch c.Kind {
-		case value.KindFloat:
-			if c.Floats[i] < a.bestF {
-				a.bestF = c.Floats[i]
-			}
-		case value.KindString:
-			if c.Strs[i] < a.bestS {
-				a.bestS = c.Strs[i]
-			}
-		default:
-			if c.Ints[i] < a.bestI {
-				a.bestI = c.Ints[i]
-			}
-		}
-		return
-	case AggMax:
-		if !a.has {
-			a.has = true
-			a.setBest(c, i)
-			return
-		}
-		switch c.Kind {
-		case value.KindFloat:
-			if c.Floats[i] > a.bestF {
-				a.bestF = c.Floats[i]
-			}
-		case value.KindString:
-			if c.Strs[i] > a.bestS {
-				a.bestS = c.Strs[i]
-			}
-		default:
-			if c.Ints[i] > a.bestI {
-				a.bestI = c.Ints[i]
-			}
-		}
-		return
-	}
-	// SUM / AVG over a numeric column.
-	if c.Kind == value.KindInt {
-		a.intSum += c.Ints[i]
-		a.sum += float64(c.Ints[i])
-	} else {
-		a.intExact = false
-		a.sum += c.Floats[i]
-	}
-}
-
-// addOne counts a lane with no argument column (COUNT(*)): the boxed path
-// feeds NewInt(1), which bumps count and nonNull and is otherwise ignored.
-func (a *winAgg) addOne() {
-	a.count++
-	a.nonNull++
-	if a.fn == AggSum || a.fn == AggAvg {
-		a.intSum++
-		a.sum++
-	}
-}
-
-func (a *winAgg) setBest(c *Col, i int) {
-	a.kind = c.Kind
-	switch c.Kind {
-	case value.KindFloat:
-		a.bestF = c.Floats[i]
-	case value.KindString:
-		a.bestS = c.Strs[i]
-	default:
-		a.bestI = c.Ints[i]
-	}
-}
-
-// result finalises, exactly as Accumulator.Result.
-func (a *winAgg) result() value.Value {
-	if a.fn == AggCount {
-		return value.NewInt(a.count)
-	}
-	if a.nonNull == 0 {
-		return value.Null
-	}
-	switch a.fn {
-	case AggSum:
-		if a.intExact {
-			return value.NewInt(a.intSum)
-		}
-		return value.NewFloat(a.sum)
-	case AggAvg:
-		return value.NewFloat(a.sum / float64(a.nonNull))
-	case AggMin, AggMax:
-		switch a.kind {
-		case value.KindFloat:
-			return value.NewFloat(a.bestF)
-		case value.KindString:
-			return value.NewString(a.bestS)
-		case value.KindBool:
-			return value.NewBool(a.bestI != 0)
-		case value.KindDate:
-			return value.NewDateDays(a.bestI)
-		default:
-			return value.NewInt(a.bestI)
-		}
-	}
-	return value.Null
 }
 
 // Window-kernel metrics, recorded per evaluation (never per row).
@@ -451,29 +309,24 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		}
 		return int(in.Rows[l])
 	}
-	// argAt boxes the argument cell of a lane, for the Accumulator fallback
-	// (reached only with an argument column; COUNT(*) always runs typed).
-	argAt := func(l int32) value.Value { return in.ArgCol.Value(cellOf(l)) }
-
-	// Typed aggregate accumulation engages when the argument reads typed
-	// payloads (or there is no argument at all — pure frame counting). SUM
-	// and AVG additionally require a numeric (or all-NULL) column, so the
-	// non-numeric error surfaces through the boxed path with its exact
-	// message and position.
+	// feed adds the argument cells of sorted positions [s, e) to acc in
+	// ascending order; with no argument column (COUNT(*)) each lane counts
+	// as Add(1) does.
 	aggFn := spec.Func.AggFunc()
-	typedArg := in.ArgCol != nil && in.ArgCol.Boxed == nil
-	if aggFn == AggSum || aggFn == AggAvg {
-		typedArg = typedArg && (in.ArgCol.Kind == value.KindInt ||
-			in.ArgCol.Kind == value.KindFloat || in.ArgCol.Kind == value.KindNull)
-	}
-	starTyped := in.ArgCol == nil
-	var addLane func(a *winAgg, l int32)
-	switch {
-	case typedArg:
-		col := in.ArgCol
-		addLane = func(a *winAgg, l int32) { a.add(col, cellOf(l)) }
-	case starTyped:
-		addLane = func(a *winAgg, l int32) { a.addOne() }
+	one := value.NewInt(1)
+	feed := func(acc *accumulator, s, e int) error {
+		if in.ArgCol == nil {
+			for i := s; i < e; i++ {
+				_ = acc.Add(one) // a COUNT never errs
+			}
+			return nil
+		}
+		for i := s; i < e; i++ {
+			if err := acc.addCell(in.ArgCol, cellOf(perm[i])); err != nil {
+				return err
+			}
+		}
+		return nil
 	}
 
 	evalPart := func(lo, hi int) error {
@@ -503,24 +356,14 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			}
 			return nil
 		}
+		// One accumulator per partition, reset per frame: used by value, it
+		// stays off the heap however many frames the partition has.
+		var acc accumulator
+		acc.reset(aggFn)
 		if spec.Frame == nil && in.K == 0 {
 			// Whole-partition aggregate: one pass, broadcast.
-			if addLane != nil {
-				acc := newWinAgg(aggFn)
-				for i := lo; i < hi; i++ {
-					addLane(&acc, perm[i])
-				}
-				r := acc.result()
-				for i := lo; i < hi; i++ {
-					res[perm[i]] = r
-				}
-				return nil
-			}
-			acc := NewAccumulator(aggFn)
-			for i := lo; i < hi; i++ {
-				if err := acc.Add(argAt(perm[i])); err != nil {
-					return err
-				}
+			if err := feed(&acc, lo, hi); err != nil {
+				return err
 			}
 			r := acc.Result()
 			for i := lo; i < hi; i++ {
@@ -534,34 +377,13 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			// at each peer-group boundary. Accumulation order is identical
 			// to recomputing each frame from scratch, so the incremental
 			// strategy is bit-identical to the naive one.
-			if addLane != nil {
-				acc := newWinAgg(aggFn)
-				for s := lo; s < hi; {
-					e := s + 1
-					for e < hi && peers(perm[s], perm[e]) {
-						e++
-					}
-					for i := s; i < e; i++ {
-						addLane(&acc, perm[i])
-					}
-					r := acc.result()
-					for i := s; i < e; i++ {
-						res[perm[i]] = r
-					}
-					s = e
-				}
-				return nil
-			}
-			acc := NewAccumulator(aggFn)
 			for s := lo; s < hi; {
 				e := s + 1
 				for e < hi && peers(perm[s], perm[e]) {
 					e++
 				}
-				for i := s; i < e; i++ {
-					if err := acc.Add(argAt(perm[i])); err != nil {
-						return err
-					}
+				if err := feed(&acc, s, e); err != nil {
+					return err
 				}
 				r := acc.Result()
 				for i := s; i < e; i++ {
@@ -587,27 +409,6 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			}
 			return hi - 1
 		}
-		if addLane != nil {
-			// One reusable state for the whole range: resetting in place
-			// keeps the per-frame accumulator off the heap (taking its
-			// address inside the loop would escape it once per row).
-			var acc winAgg
-			for i := lo; i < hi; i++ {
-				s, e := bound(spec.Frame.Lo, i), bound(spec.Frame.Hi, i)
-				if s < lo {
-					s = lo
-				}
-				if e > hi-1 {
-					e = hi - 1
-				}
-				acc = newWinAgg(aggFn)
-				for j := s; j <= e; j++ {
-					addLane(&acc, perm[j])
-				}
-				res[perm[i]] = acc.result()
-			}
-			return nil
-		}
 		for i := lo; i < hi; i++ {
 			s, e := bound(spec.Frame.Lo, i), bound(spec.Frame.Hi, i)
 			if s < lo {
@@ -616,11 +417,9 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			if e > hi-1 {
 				e = hi - 1
 			}
-			acc := NewAccumulator(aggFn)
-			for j := s; j <= e; j++ {
-				if err := acc.Add(argAt(perm[j])); err != nil {
-					return err
-				}
+			acc.reset(aggFn)
+			if err := feed(&acc, s, e+1); err != nil {
+				return err
 			}
 			res[perm[i]] = acc.Result()
 		}

@@ -97,7 +97,7 @@ func refWindowEval(t *testing.T, spec WindowSpec, in *windowCase) []value.Value 
 		return in.arg[l]
 	}
 	accumulate := func(s, e int) value.Value { // inclusive sorted positions
-		acc := NewAccumulator(spec.Func.AggFunc())
+		acc := newAccumulator(spec.Func.AggFunc())
 		for j := s; j <= e; j++ {
 			if err := acc.Add(argAt(order[j])); err != nil {
 				t.Fatalf("reference accumulate: %v", err)

@@ -485,8 +485,8 @@ func hasAggregates(stmt *SelectStmt) bool {
 }
 
 // execGrouped evaluates GROUP BY / aggregate queries over the surviving rows
-// idx (nil = every source row); column-reference aggregate arguments run
-// the typed grouped-aggregation kernel over the source's column payloads.
+// idx (nil = every source row); every aggregate runs relation.GroupAggregate
+// over its argument's lane column (groupOutput).
 func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
@@ -494,7 +494,7 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation
 		}
 	}
 	// Group rows by the GROUP BY expression values.
-	groups, gr, err := x.buildRowGroups(stmt.GroupBy, idx)
+	gr, err := x.groupRows(stmt.GroupBy, idx)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -561,7 +561,7 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation
 	if err != nil {
 		return nil, nil, err
 	}
-	return x.groupOutput(groups, gr, aggs, items, having, orderBy, schema, idx)
+	return x.groupOutput(gr, aggs, items, having, orderBy, schema, idx)
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.

@@ -17,7 +17,8 @@ import (
 // equivQueries spans the executor's paths: compiled WHERE filtering, plain
 // projection, grouped aggregation (multi-group and the chunked single
 // group), HAVING, ORDER BY over aliases / source columns / aggregates,
-// DISTINCT, LIMIT/OFFSET, joins, and the interpreted subquery fallback.
+// DISTINCT, LIMIT/OFFSET, joins, the interpreted subquery fallback, and a
+// SUM over mixed-kind values.
 var equivQueries = []string{
 	"SELECT * FROM cars",
 	"SELECT Model, Price FROM cars WHERE Price < 15000 AND Condition IN ('Good','Excellent')",
@@ -36,6 +37,9 @@ var equivQueries = []string{
 	"SELECT Model, Price FROM cars WHERE Price > (SELECT AVG(Price) FROM cars) ORDER BY ID",
 	"SELECT Model FROM cars WHERE Model IN (SELECT specialty FROM dealers) ORDER BY ID",
 	"SELECT Model, Price FROM (SELECT Model, Price FROM cars WHERE Year >= 2003) s WHERE Price < 18000 ORDER BY Price, Model",
+	// Declared INTEGER, holding floats on odd IDs: a mixed-kind SUM, which
+	// must stay sequential like a float SUM.
+	"SELECT SUM(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS s FROM cars",
 }
 
 func equivDB(base *relation.Relation) *DB {
@@ -108,11 +112,13 @@ func TestSQLParallelErrorParity(t *testing.T) {
 
 // TestSQLChunkBoundaryErrors places the one first-erring row at each chunk
 // boundary of a 4-chunk split (the SHEETMUSIQ_PARALLEL_THRESHOLD=4 setting,
-// forced here) and pins the WHERE, select-item and ORDER BY key error
-// strings, over typed columns (batch programs flag the row) and boxed rows
-// (the interpreter loops) alike. Row bad divides by zero; every later row
-// errs in UPPER, inside a different item, so only a row-major first error
-// reports the division.
+// forced here) and pins the error strings of each phase: WHERE, select
+// items, an ORDER BY key, grouped aggregate arguments and a window's
+// partition and argument inputs. Row bad divides by zero; every later row
+// errs in UPPER, inside a different expression, so only a row-major first
+// error reports the division. Each query also runs with a scalar subquery's
+// 0 added to one numeric term, which declines the batch programs and runs
+// the interpreter loops.
 func TestSQLChunkBoundaryErrors(t *testing.T) {
 	oldProcs := runtime.GOMAXPROCS(4)
 	old := relation.ParallelThreshold
@@ -121,38 +127,43 @@ func TestSQLChunkBoundaryErrors(t *testing.T) {
 		runtime.GOMAXPROCS(oldProcs)
 	}()
 	const want = "value: division by zero"
-	queries := []string{
-		"SELECT X FROM t WHERE X / D + LENGTH(UPPER(Y)) > 0",
-		"SELECT LENGTH(UPPER(Y)) AS a, X / D AS b FROM t",
-		"SELECT LENGTH(UPPER(Y)) AS a FROM t ORDER BY X / D",
+	const zero = " + (SELECT 0 FROM t LIMIT 1)"
+	queries := []struct{ batch, interpreted string }{
+		{"SELECT X FROM t WHERE X / D + LENGTH(UPPER(Y)) > 0",
+			"SELECT X FROM t WHERE X / D" + zero + " + LENGTH(UPPER(Y)) > 0"},
+		{"SELECT LENGTH(UPPER(Y)) AS a, X / D AS b FROM t",
+			"SELECT LENGTH(UPPER(Y)) AS a, X / D" + zero + " AS b FROM t"},
+		{"SELECT LENGTH(UPPER(Y)) AS a FROM t ORDER BY X / D",
+			"SELECT LENGTH(UPPER(Y)) AS a FROM t ORDER BY X / D" + zero},
+		{"SELECT D, SUM(X / D) AS a, MAX(LENGTH(UPPER(Y))) AS b FROM t GROUP BY D",
+			"SELECT D, SUM(X / D" + zero + ") AS a, MAX(LENGTH(UPPER(Y))) AS b FROM t GROUP BY D"},
+		{"SELECT SUM(X / D) OVER (PARTITION BY LENGTH(UPPER(Y))) AS w FROM t",
+			"SELECT SUM(X / D" + zero + ") OVER (PARTITION BY LENGTH(UPPER(Y))) AS w FROM t"},
 	}
 	for _, threshold := range []int{4, 1 << 30} {
 		relation.ParallelThreshold = threshold
-		for _, typed := range []bool{true, false} {
-			for _, bad := range []int{0, 3, 4, 7, 8, 11, 12, 15} {
-				rel := relation.New("t", relation.Schema{
-					{Name: "X", Kind: value.KindInt},
-					{Name: "D", Kind: value.KindInt},
-					{Name: "Y", Kind: value.KindInt},
-				})
-				for i := 0; i < 16; i++ {
-					d, y := value.NewInt(1), value.Null
-					if i == bad {
-						d = value.NewInt(0)
-					}
-					if i > bad {
-						y = value.NewInt(7)
-					}
-					rel.MustAppend(value.NewInt(int64(i+1)), d, y)
+		for _, bad := range []int{0, 3, 4, 7, 8, 11, 12, 15} {
+			rel := relation.New("t", relation.Schema{
+				{Name: "X", Kind: value.KindInt},
+				{Name: "D", Kind: value.KindInt},
+				{Name: "Y", Kind: value.KindInt},
+			})
+			for i := 0; i < 16; i++ {
+				d, y := value.NewInt(1), value.Null
+				if i == bad {
+					d = value.NewInt(0)
 				}
-				if typed {
-					rel.Columns()
+				if i > bad {
+					y = value.NewInt(7)
 				}
-				d := NewDB()
-				d.Register(rel)
-				for _, q := range queries {
-					if _, err := d.Query(q); err == nil || err.Error() != want {
-						t.Errorf("threshold %d, typed %v, bad row %d, %q: err = %v, want %q", threshold, typed, bad, q, err, want)
+				rel.MustAppend(value.NewInt(int64(i+1)), d, y)
+			}
+			d := NewDB()
+			d.Register(rel)
+			for _, q := range queries {
+				for _, text := range []string{q.batch, q.interpreted} {
+					if _, err := d.Query(text); err == nil || err.Error() != want {
+						t.Errorf("threshold %d, bad row %d, %q: err = %v, want %q", threshold, bad, text, err, want)
 					}
 				}
 			}

@@ -1,7 +1,6 @@
 package sql
 
 import (
-	"errors"
 	"slices"
 	"strconv"
 	"strings"
@@ -12,14 +11,16 @@ import (
 	"sheetmusiq/internal/value"
 )
 
-// execMergeFallback counts grouped statements whose single-group aggregate
+// execMergeFallback counts grouped statements in which some aggregate's
 // accumulation stayed sequential because the chunked merge would not be
-// bit-identical (relation.MergeExact), one increment per statement.
+// bit-identical (relation.GroupAggregate's fallback flag), one increment per
+// statement.
 var execMergeFallback = obs.Default.Counter("sql.exec.merge_fallback")
 
-// This file holds the executor's row loops, one per shape: WHERE, GROUP BY
-// keys, aggregate arguments, plain output and grouped output (join ON and
-// window inputs use the same scopes). A loop walks surviving source rows by
+// This file holds the executor's row loops, one per shape: WHERE, lane
+// columns (GROUP BY keys, aggregate arguments and window inputs: laneCols),
+// plain output and grouped output (join ON uses the same scopes). A loop
+// walks surviving source rows by
 // their base-row index and reads cells lazily from the source's typed
 // columns, so it boxes only the cells its expressions read, never a whole
 // row. Every loop binds the names of its expressions to column slots once
@@ -255,164 +256,103 @@ func (x *stmtCtx) lanesOf(e expr.Expr, idx []int32, kind value.Kind, widen bool)
 	return relation.ColOf(kind, vals), true
 }
 
-// rowGroup is one GROUP BY partition in first-appearance order: the
-// base-row indexes of its rows.
-type rowGroup struct {
-	rows []int32
-}
-
-// buildRowGroups partitions the surviving rows idx (nil = every source row)
-// by the GROUP BY expression values (groupKeys), first-appearance order
-// preserved. An aggregate query without GROUP BY yields one group even over
-// empty input. The returned Grouping maps each lane of idx to its group ID,
-// groups[g] holding the rows of ID g; the typed aggregate kernel consumes
-// it directly.
-func (x *stmtCtx) buildRowGroups(groupBy []expr.Expr, idx []int32) ([]*rowGroup, *relation.Grouping, error) {
+// laneCols evaluates es over the surviving rows idx (nil = every source
+// row) into one column each, trying per expression, in order: a typed source
+// column, read in place (rows[i] = idx); a batch program (lanesOf,
+// positional: rows[i] = nil); and one interpreter pass over the expressions
+// whose batch program declined or flagged an erring lane, row-major across
+// them. Batch-served expressions have no erring lane, so that pass's first
+// error is the row-major first error of es. batched reports whether every
+// expression was served without the interpreter.
+func (x *stmtCtx) laneCols(es []expr.Expr, idx []int32) (cols []*relation.Col, rows [][]int32, batched bool, err error) {
+	cols = make([]*relation.Col, len(es))
+	rows = make([][]int32, len(es))
+	kinds := make([]value.Kind, len(es))
+	var declined []expr.Expr
+	var at []int // position in es of each expression in declined
+	for i, e := range es {
+		kinds[i] = x.kindOf(e)
+		if cols[i] = x.src.plainCol(e, kinds[i]); cols[i] != nil {
+			rows[i] = idx
+			continue
+		}
+		var ok bool
+		if cols[i], ok = x.lanesOf(e, idx, kinds[i], false); !ok {
+			declined, at = append(declined, e), append(at, i)
+		}
+	}
+	if len(declined) == 0 {
+		return cols, rows, true, nil
+	}
+	sc := x.bind(0, declined...)
 	n := x.lanes(idx)
-	rows := idx
-	if rows == nil {
-		rows = make([]int32, n)
-		for i := range rows {
-			rows[i] = int32(i)
-		}
+	vals := make([][]value.Value, len(declined))
+	for j := range vals {
+		vals[j] = make([]value.Value, n)
 	}
-	nG := len(groupBy)
-	if nG == 0 {
-		gr := &relation.Grouping{IDs: make([]int32, n), First: []int32{0}}
-		return []*rowGroup{{rows: rows}}, gr, nil
-	}
-	gr, err := x.groupKeys(groupBy, idx, rows)
-	if err != nil {
-		return nil, nil, err
-	}
-	counts := make([]int, gr.NumGroups())
-	for _, gid := range gr.IDs {
-		counts[gid]++
-	}
-	groups := make([]*rowGroup, gr.NumGroups())
-	for g := range groups {
-		groups[g] = &rowGroup{rows: make([]int32, 0, counts[g])}
-	}
-	for i, gid := range gr.IDs {
-		groups[gid].rows = append(groups[gid].rows, rows[i])
-	}
-	return groups, gr, nil
-}
-
-// groupKeys groups the surviving rows (lane i is source row rows[i]) by the
-// GROUP BY values with the typed grouping kernel, over key columns filled
-// from batch programs where the scope allows and through the interpreter
-// otherwise.
-func (x *stmtCtx) groupKeys(groupBy []expr.Expr, idx, rows []int32) (*relation.Grouping, error) {
-	n, nG := len(rows), len(groupBy)
-	keyCols := make([]*relation.Col, nG)
-	plain := true // every key a source column: group them in place, through idx
-	for k, g := range groupBy {
-		if keyCols[k] = x.src.plainCol(g, x.kindOf(g)); keyCols[k] == nil {
-			plain = false
-			break
-		}
-	}
-	if plain {
-		return relation.GroupCols(keyCols, idx, n), nil
-	}
-	for k, g := range groupBy {
-		col, ok := x.lanesOf(g, idx, x.kindOf(g), false)
-		if !ok {
-			keyCols = nil
-			break
-		}
-		keyCols[k] = col
-	}
-	if keyCols != nil {
-		return relation.GroupCols(keyCols, nil, n), nil
-	}
-	sc := x.bind(0, groupBy...)
-	vals := make([][]value.Value, nG)
-	for k := range vals {
-		vals[k] = make([]value.Value, n)
-	}
-	err := relation.RunChunks(sc.chunks(n), func(_, lo, hi int) error {
+	err = relation.RunChunks(sc.chunks(n), func(_, lo, hi int) error {
 		env := sc.env(0)
-		for i := lo; i < hi; i++ {
-			env.ri = int(rows[i])
-			for k, g := range groupBy {
-				v, err := expr.Eval(g, env)
+		for r := lo; r < hi; r++ {
+			env.ri = rowAt(idx, r)
+			for j, e := range declined {
+				v, err := expr.Eval(e, env)
 				if err != nil {
 					return err
 				}
-				vals[k][i] = v
+				vals[j][r] = v
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, nil, false, err
 	}
-	keyCols = make([]*relation.Col, nG)
-	for k, g := range groupBy {
-		keyCols[k] = relation.ColOf(x.kindOf(g), vals[k])
+	for j, i := range at {
+		cols[i] = relation.ColOf(kinds[i], vals[j])
 	}
-	return relation.GroupCols(keyCols, nil, n), nil
+	return cols, rows, false, nil
 }
 
-// accumulateGroup computes every lifted aggregate over one group's rows,
-// arguments evaluated in sc. With chunking enabled (the single-group case,
-// where cross-group parallelism has nothing to chew on) the rows split into
-// chunks whose partial accumulators merge in chunk order.
-func accumulateGroup(sc *scope, aggs []liftedAgg, rows []int32, chunked bool) ([]value.Value, error) {
-	accumulate := func(lo, hi int) ([]*relation.Accumulator, error) {
-		accs := make([]*relation.Accumulator, len(aggs))
-		for i, a := range aggs {
-			accs[i] = relation.NewAccumulator(a.fn)
-		}
-		env := sc.env(0)
-		for i := lo; i < hi; i++ {
-			env.ri = int(rows[i])
-			for ai, a := range aggs {
-				v := value.NewInt(1)
-				if !a.star {
-					var err error
-					if v, err = expr.Eval(a.arg, env); err != nil {
-						return nil, err
-					}
-				}
-				if err := accs[ai].Add(v); err != nil {
-					return nil, err
-				}
-			}
-		}
-		return accs, nil
-	}
-	var accs []*relation.Accumulator
-	bounds := relation.Chunks(len(rows))
-	if !chunked || len(bounds) <= 1 {
-		var err error
-		if accs, err = accumulate(0, len(rows)); err != nil {
-			return nil, err
-		}
-	} else {
-		parts := make([][]*relation.Accumulator, len(bounds))
-		err := relation.RunChunks(bounds, func(c, lo, hi int) error {
-			a, err := accumulate(lo, hi)
-			parts[c] = a
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		accs = parts[0]
-		for _, p := range parts[1:] {
-			for ai := range accs {
-				accs[ai].Merge(p[ai])
-			}
+// aligned returns laneCols' columns read through one lane→row vector, the
+// form GroupCols and WindowEval take: idx when every column is read in
+// place, else nil, with the columns read in place gathered.
+func aligned(cols []*relation.Col, rows [][]int32, idx []int32) ([]*relation.Col, []int32) {
+	inPlace := 0
+	for _, r := range rows {
+		if r != nil {
+			inPlace++
 		}
 	}
-	results := make([]value.Value, len(aggs))
-	for ai, acc := range accs {
-		results[ai] = acc.Result()
+	switch inPlace {
+	case 0:
+		return cols, nil
+	case len(cols):
+		return cols, idx
 	}
-	return results, nil
+	out := make([]*relation.Col, len(cols))
+	for i, c := range cols {
+		if rows[i] != nil {
+			c = c.Gather(rows[i])
+		}
+		out[i] = c
+	}
+	return out, nil
+}
+
+// groupRows maps every surviving row (lane of idx, nil = every source row)
+// to its group by the GROUP BY values, in first-appearance order. An
+// aggregate query without GROUP BY is one group, even over empty input.
+func (x *stmtCtx) groupRows(groupBy []expr.Expr, idx []int32) (*relation.Grouping, error) {
+	n := x.lanes(idx)
+	if len(groupBy) == 0 {
+		return &relation.Grouping{IDs: make([]int32, n), First: []int32{0}}, nil
+	}
+	cols, rows, _, err := x.laneCols(groupBy, idx)
+	if err != nil {
+		return nil, err
+	}
+	keys, at := aligned(cols, rows, idx)
+	return relation.GroupCols(keys, at, n), nil
 }
 
 // orderCols resolves each ORDER BY key that names an output column to that
@@ -548,89 +488,53 @@ func (x *stmtCtx) plainRows(exprs []expr.Expr, schema relation.Schema, idx []int
 	return outputCols(vals, schema), nil
 }
 
-// groupOutput evaluates the lifted aggregates, HAVING, the select items and
-// the ORDER BY keys per group. Aggregate arguments evaluate over source
-// rows; HAVING, items and keys over the extended row of a representative
-// source row followed by one slot per lifted aggregate. Groups process in
-// parallel chunks (chunk-local outputs concatenated in chunk order); the
-// single-group case chunks the aggregate accumulation instead.
-//
-// When every lifted aggregate's argument is a plain column reference (or
-// COUNT(*)), the aggregates compute
-// up front through the typed grouped-aggregation kernel — all groups at
-// once over the column payloads — and the per-group loop only reads the
-// results.
-func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32) (*relation.Relation, []*relation.Col, error) {
+// groupOutput computes the lifted aggregates up front — one lane column per
+// argument (laneCols) and one relation.GroupAggregate call per aggregate for
+// all groups — and then evaluates HAVING, the select items and the ORDER BY
+// keys per group over the extended row: a representative source row
+// followed by one slot per lifted aggregate. Groups process in parallel
+// chunks (chunk-local outputs concatenated in chunk order).
+func (x *stmtCtx) groupOutput(gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	args := make([]expr.Expr, 0, len(aggs))
-	chunkSafe := true
 	for _, a := range aggs {
-		if a.star {
-			continue
-		}
-		args = append(args, a.arg)
-		// Chunked accumulation must be bit-identical to the sequential
-		// scan; float-stream summing is not (addition re-associates), so
-		// any such aggregate keeps the whole pass sequential.
-		in, err := expr.Check(a.arg, x.src.kind)
-		if err != nil || !relation.MergeExact(a.fn, in) {
-			chunkSafe = false
+		if !a.star {
+			args = append(args, a.arg)
 		}
 	}
-	if !chunkSafe {
+	cols, rows, _, err := x.laneCols(args, idx)
+	if err != nil {
+		return nil, nil, err
+	}
+	n, ng := len(gr.IDs), gr.NumGroups()
+	aggResults := make([][]value.Value, len(aggs)) // [agg][group]
+	fallback := false
+	for i, a := range aggs {
+		var in *relation.Col
+		var at []int32
+		if !a.star { // COUNT(*) has no argument column
+			in, at = cols[0], rows[0]
+			cols, rows = cols[1:], rows[1:]
+		}
+		res, seq, err := relation.GroupAggregate(a.fn, in, gr.IDs, at, n, ng)
+		if err != nil {
+			return nil, nil, err
+		}
+		fallback = fallback || seq
+		aggResults[i] = res
+	}
+	if fallback {
 		execMergeFallback.Inc()
 	}
-	argScope := x.bind(0, args...)
+
 	ocols := orderCols(orderBy, schema)
 	exprs := outputExprs(items, orderBy, ocols) // evaluated per kept group
 	extScope := x.bind(len(aggs), append(exprs, having)...)
-
-	// Typed grouped aggregation: with the row→group map in hand, every
-	// argument (COUNT(*) has none) fills a column through lanesOf and feeds
-	// the typed kernel for all groups at once. The engagement is
-	// all-or-nothing so the boxed per-group loop below stays the single
-	// fallback, and reports the exact error when a batch lane errs.
-	var aggResults [][]value.Value // [agg][group]
-	if x.outer == nil && len(aggs) > 0 {
-		cols := make([]*relation.Col, len(aggs))
-		rows := make([][]int32, len(aggs)) // idx for a source column, nil for a filled one
-		typedOK := true
-		for i, a := range aggs {
-			if a.star {
-				continue // COUNT(*): no argument column
-			}
-			kind := x.kindOf(a.arg)
-			if cols[i] = x.src.plainCol(a.arg, kind); cols[i] != nil {
-				rows[i] = idx
-				continue
-			}
-			if cols[i], typedOK = x.lanesOf(a.arg, idx, kind, false); !typedOK {
-				break
-			}
-		}
-		if typedOK {
-			aggResults = make([][]value.Value, len(aggs))
-			for i, a := range aggs {
-				res, _, err := relation.GroupAggregate(a.fn, cols[i], gr.IDs, rows[i], len(gr.IDs), len(groups))
-				if errors.Is(err, relation.ErrNotVectorizable) {
-					aggResults = nil
-					break
-				}
-				if err != nil {
-					return nil, nil, err
-				}
-				aggResults[i] = res
-			}
-		}
-	}
-
-	parallel := argScope.parallel && extScope.parallel
-	bounds := [][2]int{{0, len(groups)}}
-	if parallel && len(groups) > 0 {
-		bounds = relation.Chunks(len(groups))
+	bounds := [][2]int{{0, ng}}
+	if extScope.parallel && ng > 0 {
+		bounds = relation.Chunks(ng)
 	}
 	parts := make([][][]value.Value, len(bounds)) // [chunk][expr][kept group]
-	chunkRows := len(groups) == 1 && chunkSafe && parallel
-	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
+	err = relation.RunChunks(bounds, func(c, lo, hi int) error {
 		p := make([][]value.Value, len(exprs))
 		for i, e := range exprs {
 			if e != nil {
@@ -639,25 +543,16 @@ func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []
 		}
 		parts[c] = p
 		env := extScope.env(0)
-		for gi := lo; gi < hi; gi++ {
-			grp := groups[gi]
-			var results []value.Value
-			if aggResults != nil {
-				results = make([]value.Value, len(aggs))
-				for ai := range aggResults {
-					results[ai] = aggResults[ai][gi]
-				}
-			} else {
-				var err error
-				if results, err = accumulateGroup(argScope, aggs, grp.rows, chunkRows); err != nil {
-					return err
-				}
+		env.aggs = make([]value.Value, len(aggs))
+		for g := lo; g < hi; g++ {
+			for ai, res := range aggResults {
+				env.aggs[ai] = res[g]
 			}
 			// Extended row: a representative source row (all NULL for the
 			// empty ungrouped group) followed by the aggregate results.
-			env.ri, env.aggs = -1, results
-			if len(grp.rows) > 0 {
-				env.ri = int(grp.rows[0])
+			env.ri = -1
+			if first := int(gr.First[g]); first < n {
+				env.ri = rowAt(idx, first)
 			}
 			if having != nil {
 				ok, err := expr.EvalBool(having, env)
@@ -693,7 +588,7 @@ func (x *stmtCtx) groupOutput(groups []*rowGroup, gr *relation.Grouping, aggs []
 			vals[i] = append(vals[i], p[i]...)
 		}
 	}
-	cols := outputCols(vals, schema)
+	cols = outputCols(vals, schema)
 	m := len(items)
 	return relation.FromColumns("result", schema, cols[:m], len(vals[0])), orderKeyCols(ocols, cols, m), nil
 }

@@ -125,63 +125,33 @@ func (x *stmtCtx) applyWindows(stmt *SelectStmt, idx []int32) (*SelectStmt, erro
 }
 
 // evalWindow computes one window call's value per surviving row. Partition
-// keys, order keys and the argument are arbitrary expressions, each
-// evaluated into a column: from a batch program over the source's typed
-// columns when no enclosing scope or subquery is involved (counted by
-// expr.batch.window), otherwise row by row through the interpreter.
+// keys, order keys and the argument are arbitrary expressions, evaluated
+// together into lane columns (laneCols: source columns in place, batch
+// programs, then one row-major interpreter pass over the rest); a window
+// whose inputs all avoided the interpreter is counted by expr.batch.window.
 func (x *stmtCtx) evalWindow(w *expr.WindowCall, idx []int32) ([]value.Value, error) {
 	n := x.lanes(idx)
-	batched := true
-	colOf := func(e expr.Expr) (*relation.Col, error) {
-		kind := x.kindOf(e)
-		if col, ok := x.lanesOf(e, idx, kind, false); ok {
-			return col, nil
-		}
-		batched = false
-		env := x.bind(0, e).env(0)
-		vals := make([]value.Value, n)
-		for i := range vals {
-			env.ri = rowAt(idx, i)
-			v, err := expr.Eval(e, env)
-			if err != nil {
-				return nil, err
-			}
-			vals[i] = v
-		}
-		return relation.ColOf(kind, vals), nil
-	}
-	cols := func(es []expr.Expr) ([]*relation.Col, error) {
-		out := make([]*relation.Col, len(es))
-		for i, e := range es {
-			var err error
-			if out[i], err = colOf(e); err != nil {
-				return nil, err
-			}
-		}
-		return out, nil
-	}
-
-	in := relation.WindowInput{N: n, K: len(w.OrderBy)}
-	if len(w.PartitionBy) > 0 {
-		parts, err := cols(w.PartitionBy)
-		if err != nil {
-			return nil, err
-		}
-		in.Parts = relation.GroupCols(parts, nil, n)
-	}
-	keys := make([]expr.Expr, len(w.OrderBy))
-	in.Desc = make([]bool, len(w.OrderBy))
+	np, nk := len(w.PartitionBy), len(w.OrderBy)
+	es := append([]expr.Expr(nil), w.PartitionBy...)
+	in := relation.WindowInput{N: n, K: nk, Desc: make([]bool, nk)}
 	for i, o := range w.OrderBy {
-		keys[i], in.Desc[i] = o.X, o.Desc
-	}
-	var err error
-	if in.KeyCols, err = cols(keys); err != nil {
-		return nil, err
+		es = append(es, o.X)
+		in.Desc[i] = o.Desc
 	}
 	if w.Arg != nil {
-		if in.ArgCol, err = colOf(w.Arg); err != nil {
-			return nil, err
-		}
+		es = append(es, w.Arg)
+	}
+	cols, rows, batched, err := x.laneCols(es, idx)
+	if err != nil {
+		return nil, err
+	}
+	cols, in.Rows = aligned(cols, rows, idx)
+	if np > 0 {
+		in.Parts = relation.GroupCols(cols[:np], in.Rows, n)
+	}
+	in.KeyCols = cols[np : np+nk]
+	if w.Arg != nil {
+		in.ArgCol = cols[np+nk]
 	}
 	if batched && n > 0 {
 		expr.NoteWindowBatch()

@@ -319,7 +319,6 @@ func genOrdersLineItem(rng *rand.Rand, nOrders, nCust, nPart, nSupp int) (*relat
 		odate := startDate + int64(rng.Intn(int(endDate-startDate-151*day)))
 		nLines := rng.Intn(7) + 1
 		total := 0.0
-		var lines []relation.Tuple
 		status := "O"
 		allShipped := true
 		for ln := 1; ln <= nLines; ln++ {
@@ -347,10 +346,10 @@ func genOrdersLineItem(rng *rand.Rand, nOrders, nCust, nPart, nSupp int) (*relat
 				allShipped = false
 			}
 			total += price * (1 + tax) * (1 - disc)
-			lines = append(lines, relation.Tuple{
+			lineitem.MustAppend(
 				value.NewInt(int64(o)),
 				value.NewInt(partkey),
-				value.NewInt(int64(rng.Intn(nSupp) + 1)),
+				value.NewInt(int64(rng.Intn(nSupp)+1)),
 				value.NewInt(int64(ln)),
 				value.NewInt(qty),
 				value.NewFloat(price),
@@ -364,8 +363,7 @@ func genOrdersLineItem(rng *rand.Rand, nOrders, nCust, nPart, nSupp int) (*relat
 				value.NewString(instructs[rng.Intn(len(instructs))]),
 				value.NewString(shipModes[rng.Intn(len(shipModes))]),
 				comment(rng),
-			})
-			_ = ls
+			)
 		}
 		if allShipped {
 			status = "F"
@@ -381,11 +379,6 @@ func genOrdersLineItem(rng *rand.Rand, nOrders, nCust, nPart, nSupp int) (*relat
 			value.NewInt(0),
 			comment(rng),
 		)
-		for _, l := range lines {
-			if err := lineitem.Append(l); err != nil {
-				panic(err)
-			}
-		}
 	}
 	return orders, lineitem
 }
