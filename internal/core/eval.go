@@ -186,15 +186,6 @@ func stageRows(cur *stageSnap, art *stageArtifact) int {
 	return 0
 }
 
-// coerce widens an integer into a float-typed column so computed columns
-// stay kind-consistent (exact integer division yields INTEGER values).
-func coerce(v value.Value, kind value.Kind) value.Value {
-	if kind == value.KindFloat && v.Kind() == value.KindInt {
-		return value.NewFloat(float64(v.Int()))
-	}
-	return v
-}
-
 // groupTree builds the recursive group tree from the λ stage's group
 // starts in O(groups × basis arity): level li's starts refine level li−1's,
 // so a group's children are the next level's starts inside its row range,

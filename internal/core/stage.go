@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -161,11 +160,12 @@ func runBase(ev *evalCtx, _ *stageSnap) (*stageSnap, error) {
 // runAggStage computes one η column over the input snapshot's rows, writing
 // the group's value into every member row's slot of a fresh column vector
 // (Def. 11 / Table III). Rows map to dense group IDs once
-// (relation.GroupView) and both the accumulate and write-back passes index
-// flat per-group arrays. The accumulate pass is relation.GroupAggregate:
-// above the parallel threshold it merges per-chunk partials in chunk order,
-// and where that merge would not be bit-identical (float or mixed-kind
-// summing) it stays sequential and the stage records the fallback.
+// (relation.GroupView). The accumulate pass is relation.GroupAggregate,
+// which returns one cell per group: above the parallel threshold it merges
+// per-chunk partials in chunk order, and where that merge would not be
+// bit-identical (float or mixed-kind summing, float MIN/MAX) it stays
+// sequential and the stage records the fallback. relation.Place then writes
+// each row's group cell at the row's base index.
 func runAggStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		inPos := ev.pos(c.Input)
@@ -183,15 +183,11 @@ func runAggStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*sta
 		out := relation.AllNullCol()
 		if n > 0 {
 			gr := ev.groupCached(view, bpos)
-			gids, ng := gr.IDs, gr.NumGroups()
-			results, err := ev.runAggKernel(c, view, inPos, gids, ng, n)
+			res, err := ev.runAggKernel(c, view, inPos, gr.IDs, gr.NumGroups(), n)
 			if err != nil {
 				return nil, err
 			}
-			for g := range results {
-				results[g] = coerce(results[g], c.ResultKind)
-			}
-			out = scatterGroups(results, gids, in.idx, nBase, n)
+			out = relation.Place(res, gr.IDs, in.idx, nBase, c.ResultKind)
 		}
 		snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 		snap.ownBytes = out.MemBytes()
@@ -199,137 +195,19 @@ func runAggStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*sta
 	}
 }
 
-// scatterGroups broadcasts per-group aggregate results into a base-row-
-// indexed column vector: rows carry their group's value, rows eliminated
-// upstream stay NULL holes. When every group result shares one kind the
-// vector is a typed payload lane — one raw store per row; mixed-kind
-// results (possible only through GroupAggregate's boxed lane over a
-// mixed-kind computed column) take the boxed vector.
-func scatterGroups(results []value.Value, gids, idx []int32, nBase, n int) *relation.Col {
-	kind, mixed := value.KindNull, false
-	for _, v := range results {
-		if v.IsNull() {
-			continue
-		}
-		if kind == value.KindNull {
-			kind = v.Kind()
-		} else if kind != v.Kind() {
-			mixed = true
-			break
-		}
-	}
-	if kind == value.KindNull {
-		return relation.AllNullCol()
-	}
-	if mixed {
-		vals := make([]value.Value, nBase)
-		_ = relation.ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				vals[idx[i]] = results[gids[i]]
-			}
-			return nil
-		})
-		return relation.BoxedCol(vals)
-	}
-	ng := len(results)
-	gnull := make([]bool, ng)
-	out := &relation.Col{Kind: kind}
-	filled := make([]uint8, nBase)
-	switch kind {
-	case value.KindFloat:
-		gv := make([]float64, ng)
-		for g, v := range results {
-			if v.IsNull() {
-				gnull[g] = true
-			} else {
-				gv[g] = v.Float()
-			}
-		}
-		lane := make([]float64, nBase)
-		_ = relation.ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				g := gids[i]
-				if gnull[g] {
-					continue
-				}
-				ri := idx[i]
-				lane[ri] = gv[g]
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Floats = lane
-	case value.KindString:
-		gv := make([]string, ng)
-		for g, v := range results {
-			if v.IsNull() {
-				gnull[g] = true
-			} else {
-				gv[g] = v.Str()
-			}
-		}
-		lane := make([]string, nBase)
-		_ = relation.ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				g := gids[i]
-				if gnull[g] {
-					continue
-				}
-				ri := idx[i]
-				lane[ri] = gv[g]
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Strs = lane
-	default: // Int, Bool and Date share the Ints payload
-		gv := make([]int64, ng)
-		for g, v := range results {
-			switch {
-			case v.IsNull():
-				gnull[g] = true
-			case kind == value.KindInt:
-				gv[g] = v.Int()
-			case kind == value.KindDate:
-				gv[g] = v.DateDays()
-			default:
-				if v.Bool() {
-					gv[g] = 1
-				}
-			}
-		}
-		lane := make([]int64, nBase)
-		_ = relation.ForChunks(n, func(_, lo, hi int) error {
-			for i := lo; i < hi; i++ {
-				g := gids[i]
-				if gnull[g] {
-					continue
-				}
-				ri := idx[i]
-				lane[ri] = gv[g]
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Ints = lane
-	}
-	out.Nulls = relation.NullsFromFilled(filled)
-	return out
-}
-
-// runAggKernel computes the per-group aggregate values through
+// runAggKernel computes the per-group column through
 // relation.GroupAggregate, which reads the input column in place — typed
 // payloads, or one boxed accumulator per group over a mixed-kind computed
 // column — and counts the passes it keeps sequential for bit-identity.
-func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inPos int, gids []int32, ng, n int) ([]value.Value, error) {
-	results, seqFallback, err := relation.GroupAggregate(c.Agg, view.ColAt(inPos), gids, view.Idx, n, ng)
+func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inPos int, gids []int32, ng, n int) (*relation.Col, error) {
+	res, seqFallback, err := relation.GroupAggregate(c.Agg, view.ColAt(inPos), gids, view.Idx, n, ng)
 	if err != nil {
 		return nil, fmt.Errorf("core: aggregate %s: %w", c.Name, err)
 	}
 	if seqFallback {
 		evalMergeFallback.Inc()
 	}
-	return results, nil
+	return res, nil
 }
 
 // runFormulaStage computes one θ column row-locally (Def. 12) into a fresh
@@ -337,7 +215,7 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 // chunk writes its lanes' payloads straight into the result column — nothing
 // is boxed. When lanes disagree with the inferred kind (a result whose kinds
 // really mix, such as COALESCE(I, S)) the program refills the column boxed
-// and the column becomes Boxed if its kinds stay mixed. A chunk
+// and the values rule (relation.ValuesCol) decides its form. A chunk
 // with an erring lane re-runs that row through the interpreter for the exact
 // error.
 func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
@@ -374,7 +252,7 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 			if err != nil {
 				return nil, err
 			}
-			out = typedFromVals(vals, in.idx, nBase)
+			out = relation.ValuesCol(vals)
 		}
 		snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 		snap.ownBytes = out.MemBytes()
@@ -382,106 +260,12 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 	}
 }
 
-// errMixedKinds aborts a typed conversion pass when a filled cell disagrees
-// with the column's detected kind.
-var errMixedKinds = errors.New("core: mixed cell kinds")
-
-// typedFromVals converts a freshly filled base-row-indexed boxed vector into
-// a typed column; idx lists the filled positions (other rows are NULL
-// holes). When the filled cells carry more than one kind the boxed vector
-// itself becomes the column — the dynamically typed escape hatch.
-func typedFromVals(vals []value.Value, idx []int32, nBase int) *relation.Col {
-	kind := value.KindNull
-	for _, ri := range idx {
-		if v := vals[ri]; !v.IsNull() {
-			kind = v.Kind()
-			break
-		}
-	}
-	if kind == value.KindNull {
-		return relation.AllNullCol()
-	}
-	out := &relation.Col{Kind: kind}
-	filled := make([]uint8, nBase)
-	var convErr error
-	switch kind {
-	case value.KindFloat:
-		lane := make([]float64, nBase)
-		convErr = relation.ForChunks(len(idx), func(_, lo, hi int) error {
-			for k := lo; k < hi; k++ {
-				ri := idx[k]
-				v := vals[ri]
-				if v.IsNull() {
-					continue
-				}
-				if v.Kind() != kind {
-					return errMixedKinds
-				}
-				lane[ri] = v.Float()
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Floats = lane
-	case value.KindString:
-		lane := make([]string, nBase)
-		convErr = relation.ForChunks(len(idx), func(_, lo, hi int) error {
-			for k := lo; k < hi; k++ {
-				ri := idx[k]
-				v := vals[ri]
-				if v.IsNull() {
-					continue
-				}
-				if v.Kind() != kind {
-					return errMixedKinds
-				}
-				lane[ri] = v.Str()
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Strs = lane
-	default: // Int, Bool and Date share the Ints payload
-		lane := make([]int64, nBase)
-		convErr = relation.ForChunks(len(idx), func(_, lo, hi int) error {
-			for k := lo; k < hi; k++ {
-				ri := idx[k]
-				v := vals[ri]
-				if v.IsNull() {
-					continue
-				}
-				if v.Kind() != kind {
-					return errMixedKinds
-				}
-				switch kind {
-				case value.KindInt:
-					lane[ri] = v.Int()
-				case value.KindDate:
-					lane[ri] = v.DateDays()
-				default:
-					if v.Bool() {
-						lane[ri] = 1
-					}
-				}
-				filled[ri] = 1
-			}
-			return nil
-		})
-		out.Ints = lane
-	}
-	if convErr != nil {
-		return relation.BoxedCol(vals)
-	}
-	out.Nulls = relation.NullsFromFilled(filled)
-	return out
-}
-
 // runWindowStage computes one ω column over the input snapshot's rows.
 // Partition IDs come from the same dense grouping the η stages use
 // (relation.GroupView); order keys and the argument lane are gathered
 // view-aligned and handed to the columnar kernel (relation.WindowEval),
-// whose per-partition results write back into the base-row-indexed column
-// vector. Determinism is the kernel's contract: stable (partition, key)
+// whose lane-aligned column relation.Place writes at the lanes' base rows.
+// Determinism is the kernel's contract: stable (partition, key)
 // sorting and sequential per-partition accumulation make the output
 // independent of the parallel split.
 func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
@@ -511,9 +295,9 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 		}
 		snap := in.extend()
 		nBase := ev.s.base.Len()
-		vals := make([]value.Value, nBase)
 		view := ev.viewOf(in)
 		n := view.Len()
+		out := relation.AllNullCol()
 		if n > 0 {
 			win := relation.WindowInput{N: n, K: len(opos), Desc: desc, Rows: view.Idx}
 			if len(ppos) > 0 {
@@ -536,14 +320,8 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 			if werr != nil {
 				return nil, fmt.Errorf("core: window %s: %w", c.Name, werr)
 			}
-			_ = relation.ForChunks(n, func(_, lo, hi int) error {
-				for i := lo; i < hi; i++ {
-					vals[in.idx[i]] = coerce(res[i], c.ResultKind)
-				}
-				return nil
-			})
+			out = relation.Place(res, nil, in.idx, nBase, c.ResultKind)
 		}
-		out := typedFromVals(vals, in.idx, nBase)
 		snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 		snap.ownBytes = out.MemBytes()
 		return snap, nil

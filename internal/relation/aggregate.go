@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"sheetmusiq/internal/value"
@@ -265,17 +266,21 @@ func order[T int64 | float64](x, y T) int {
 
 // mergeExact reports whether chunked accumulation merged via Merge is
 // bit-identical to the sequential scan for fn over the given input kind.
-// COUNT, COUNT_DISTINCT, MIN and MAX are order-insensitive for any input;
-// SUM re-associates addition, which is exact for integer inputs (the
-// wrapping int64 sum) but not for float streams. AVG and STDDEV sum in
-// float64 whatever the input, and integers past 2^53 round there, so they
-// never merge. GroupAggregate keeps those passes sequential so every
+// COUNT and COUNT_DISTINCT are order-insensitive for any input. SUM
+// re-associates addition, which is exact for integer inputs (the wrapping
+// int64 sum) but not for float streams. AVG and STDDEV sum in float64
+// whatever the input, and integers past 2^53 round there, so they never
+// merge. MIN and MAX merge exactly over totally ordered cells, which FLOAT
+// cells are not: NaN compares equal to everything, so a chunk whose first
+// cell is NaN keeps it and ignores the rest of the chunk, and the merge then
+// drops that partial. GroupAggregate keeps those passes sequential so every
 // parallel result stays deterministic and identical to the sequential one;
 // it asks about a Boxed column as about a FLOAT one, since its cells may be
-// floats whatever kind was declared for it.
+// floats whatever kind was declared for it (and ints past 2^53 beside floats
+// break MustCompare's transitivity the same way NaN does).
 func mergeExact(fn AggFunc, input value.Kind) bool {
 	switch fn {
-	case AggSum:
+	case AggSum, AggMin, AggMax:
 		return input != value.KindFloat
 	case AggAvg, AggStdDev:
 		return false
@@ -334,22 +339,9 @@ func (a *accumulator) Result() value.Value {
 			varc = 0
 		}
 		// Population standard deviation; documented in DESIGN.md.
-		return value.NewFloat(sqrt(varc))
+		return value.NewFloat(math.Sqrt(varc))
 	}
 	return value.Null
-}
-
-func sqrt(x float64) float64 {
-	if x <= 0 {
-		return 0
-	}
-	// Newton iteration; avoids importing math for one call and keeps the
-	// accumulator allocation-free.
-	z := x
-	for i := 0; i < 40; i++ {
-		z = (z + x/z) / 2
-	}
-	return z
 }
 
 // Aggregate computes fn over the named column for every group defined by
@@ -401,10 +393,15 @@ func (r *Relation) Aggregate(groupCols []string, fn AggFunc, col string) (*Relat
 	if ci >= 0 {
 		in = cols[ci]
 	}
-	results, _, err := GroupAggregate(fn, in, gr.IDs, nil, n, ng)
+	res, _, err := GroupAggregate(fn, in, gr.IDs, nil, n, ng)
 	if err != nil {
 		return nil, err
 	}
-	out := append(GatherCols(keyCols, gr.First), ColOf(schema[len(gidx)].Kind, results))
+	// Over a Boxed input the values rule may settle on a kind other than
+	// the declared one; such a column is Boxed, as ColOf would build it.
+	if k := schema[len(gidx)].Kind; res.Boxed == nil && res.Kind != value.KindNull && res.Kind != k {
+		res = boxedCells(ng, res.Value)
+	}
+	out := append(GatherCols(keyCols, gr.First), res)
 	return FromColumns(r.Name, schema, out, ng), nil
 }

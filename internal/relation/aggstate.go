@@ -2,6 +2,7 @@ package relation
 
 import (
 	"fmt"
+	"math"
 
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/value"
@@ -112,14 +113,6 @@ func newGroupedAggState(fn AggFunc, in *Col, rows []int32, ng int) (*groupedAggS
 	return st, nil
 }
 
-// cell maps lane k to its cell index.
-func (st *groupedAggState) cell(k int) int {
-	if st.rows == nil {
-		return k
-	}
-	return int(st.rows[k])
-}
-
 // Update feeds lanes [lo,hi): lane k belongs to group gids[k] and reads the
 // cell st.rows maps it to. Lanes must be fed in ascending order within one
 // state for float sums and tie-breaks to match the boxed scan. The boxed
@@ -127,7 +120,7 @@ func (st *groupedAggState) cell(k int) int {
 func (st *groupedAggState) Update(gids []int32, lo, hi int) error {
 	if st.accs != nil {
 		for k := lo; k < hi; k++ {
-			if err := st.accs[gids[k]].Add(st.in.Boxed[st.cell(k)]); err != nil {
+			if err := st.accs[gids[k]].Add(st.in.Boxed[laneCell(st.rows, k)]); err != nil {
 				return err
 			}
 		}
@@ -179,7 +172,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 				return nil
 			}
 			for k := lo; k < hi; k++ {
-				i := st.cell(k)
+				i := laneCell(st.rows, k)
 				if BitGet(in.Nulls, i) {
 					continue
 				}
@@ -189,7 +182,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 			}
 		case st.sumSq != nil: // STDDEV
 			for k := lo; k < hi; k++ {
-				i := st.cell(k)
+				i := laneCell(st.rows, k)
 				if BitGet(in.Nulls, i) {
 					continue
 				}
@@ -208,7 +201,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 				return nil
 			}
 			for k := lo; k < hi; k++ {
-				i := st.cell(k)
+				i := laneCell(st.rows, k)
 				if BitGet(in.Nulls, i) {
 					continue
 				}
@@ -222,7 +215,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 		fs := in.Floats
 		if st.sumSq != nil { // STDDEV
 			for k := lo; k < hi; k++ {
-				i := st.cell(k)
+				i := laneCell(st.rows, k)
 				if BitGet(in.Nulls, i) {
 					continue
 				}
@@ -250,7 +243,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 			return nil
 		}
 		for k := lo; k < hi; k++ {
-			i := st.cell(k)
+			i := laneCell(st.rows, k)
 			if BitGet(in.Nulls, i) {
 				continue
 			}
@@ -263,7 +256,7 @@ func (st *groupedAggState) updateSums(gids []int32, lo, hi int) error {
 	// Non-numeric kinds error exactly where the boxed accumulator does: at
 	// the first non-NULL cell fed (an all-NULL range accumulates nothing).
 	for k := lo; k < hi; k++ {
-		if !in.IsNull(st.cell(k)) {
+		if !in.IsNull(laneCell(st.rows, k)) {
 			return fmt.Errorf("relation: %s over non-numeric %s", st.fn, in.Kind)
 		}
 	}
@@ -283,7 +276,7 @@ func (st *groupedAggState) updateMinMax(gids []int32, lo, hi int) {
 	case value.KindFloat:
 		fs := in.Floats
 		for k := lo; k < hi; k++ {
-			i := st.cell(k)
+			i := laneCell(st.rows, k)
 			if BitGet(in.Nulls, i) {
 				continue
 			}
@@ -297,7 +290,7 @@ func (st *groupedAggState) updateMinMax(gids []int32, lo, hi int) {
 	case value.KindString:
 		ss := in.Strs
 		for k := lo; k < hi; k++ {
-			i := st.cell(k)
+			i := laneCell(st.rows, k)
 			if BitGet(in.Nulls, i) {
 				continue
 			}
@@ -311,7 +304,7 @@ func (st *groupedAggState) updateMinMax(gids []int32, lo, hi int) {
 	default: // Int, Bool, Date share the Ints payload
 		ints := in.Ints
 		for k := lo; k < hi; k++ {
-			i := st.cell(k)
+			i := laneCell(st.rows, k)
 			if BitGet(in.Nulls, i) {
 				continue
 			}
@@ -345,6 +338,8 @@ func (st *groupedAggState) Merge(o *groupedAggState) {
 	case AggCountDistinct:
 		st.dt.absorb(o.dt)
 	case AggMin, AggMax:
+		// Only bestI and bestS merge: MIN and MAX over a FLOAT column never
+		// chunk (mergeExact).
 		wantMin := st.fn == AggMin
 		for g, oh := range o.has {
 			if !oh {
@@ -352,29 +347,19 @@ func (st *groupedAggState) Merge(o *groupedAggState) {
 			}
 			if !st.has[g] {
 				st.has[g] = true
-				switch {
-				case st.bestF != nil:
-					st.bestF[g] = o.bestF[g]
-				case st.bestS != nil:
+				if st.bestS != nil {
 					st.bestS[g] = o.bestS[g]
-				case st.bestI != nil:
+				} else {
 					st.bestI[g] = o.bestI[g]
 				}
 				continue
 			}
-			switch {
-			case st.bestF != nil:
-				if v := o.bestF[g]; (wantMin && v < st.bestF[g]) || (!wantMin && v > st.bestF[g]) {
-					st.bestF[g] = v
-				}
-			case st.bestS != nil:
+			if st.bestS != nil {
 				if v := o.bestS[g]; (wantMin && v < st.bestS[g]) || (!wantMin && v > st.bestS[g]) {
 					st.bestS[g] = v
 				}
-			case st.bestI != nil:
-				if v := o.bestI[g]; (wantMin && v < st.bestI[g]) || (!wantMin && v > st.bestI[g]) {
-					st.bestI[g] = v
-				}
+			} else if v := o.bestI[g]; (wantMin && v < st.bestI[g]) || (!wantMin && v > st.bestI[g]) {
+				st.bestI[g] = v
 			}
 		}
 	default:
@@ -399,77 +384,61 @@ func (st *groupedAggState) Merge(o *groupedAggState) {
 	}
 }
 
-// Results finalises every group, exactly as accumulator.Result: COUNT
-// variants return counts (0 for empty groups), everything else returns NULL
-// for NULL-only groups; SUM over an Int column stays exact in int64.
-func (st *groupedAggState) Results() []value.Value {
-	res := make([]value.Value, st.ng)
+// Results finalises every group into an ng-cell column, exactly as
+// accumulator.Result would per group: COUNT variants are INT counts (0 for
+// empty groups), everything else is NULL for NULL-only groups, and SUM over
+// an INT column stays exact in int64. The typed lanes build the column from
+// the state's own arrays, boxing nothing (AVG and STDDEV finalise in place,
+// so Results is called once); the boxed lane passes its accumulators'
+// Result()s through the values rule (ValuesCol).
+func (st *groupedAggState) Results() *Col {
 	if st.accs != nil {
-		for g := range res {
-			res[g] = st.accs[g].Result()
+		vals := make([]value.Value, st.ng)
+		for g := range vals {
+			vals[g] = st.accs[g].Result()
 		}
-		return res
+		return ValuesCol(vals)
 	}
 	switch st.fn {
 	case AggCount:
-		for g, c := range st.count {
-			res[g] = value.NewInt(c)
-		}
-		return res
+		return &Col{Kind: value.KindInt, Ints: st.count}
 	case AggCountDistinct:
-		for g, c := range st.dt.counts {
-			res[g] = value.NewInt(c)
-		}
-		return res
+		return &Col{Kind: value.KindInt, Ints: st.dt.counts}
 	case AggMin, AggMax:
-		for g := range res {
-			if !st.has[g] {
-				res[g] = value.Null
-				continue
-			}
-			switch {
-			case st.bestF != nil:
-				res[g] = value.NewFloat(st.bestF[g])
-			case st.bestS != nil:
-				res[g] = value.NewString(st.bestS[g])
-			default:
-				switch st.in.Kind {
-				case value.KindBool:
-					res[g] = value.NewBool(st.bestI[g] != 0)
-				case value.KindDate:
-					res[g] = value.NewDateDays(st.bestI[g])
-				default:
-					res[g] = value.NewInt(st.bestI[g])
-				}
+		if st.in.Kind == value.KindNull {
+			return AllNullCol()
+		}
+		out := &Col{Kind: st.in.Kind, Ints: st.bestI, Floats: st.bestF, Strs: st.bestS}
+		for g, h := range st.has {
+			if !h {
+				out.setNull(g, st.ng)
 			}
 		}
-		return res
+		return out
 	}
-	for g := range res {
-		if st.nonNull[g] == 0 {
-			res[g] = value.Null
+	out := &Col{Kind: value.KindFloat, Floats: st.sum}
+	if st.intSum != nil {
+		out = &Col{Kind: value.KindInt, Ints: st.intSum}
+	}
+	for g, nn := range st.nonNull {
+		if nn == 0 {
+			out.setNull(g, st.ng)
 			continue
 		}
+		n := float64(nn)
 		switch st.fn {
-		case AggSum:
-			if st.intSum != nil {
-				res[g] = value.NewInt(st.intSum[g])
-			} else {
-				res[g] = value.NewFloat(st.sum[g])
-			}
 		case AggAvg:
-			res[g] = value.NewFloat(st.sum[g] / float64(st.nonNull[g]))
+			st.sum[g] /= n
 		case AggStdDev:
-			n := float64(st.nonNull[g])
 			mean := st.sum[g] / n
 			varc := st.sumSq[g]/n - mean*mean
 			if varc < 0 {
 				varc = 0
 			}
-			res[g] = value.NewFloat(sqrt(varc))
+			st.sum[g] = math.Sqrt(varc)
 		}
 	}
-	return res
+	return out
 }
 
 // distinctTable is COUNT_DISTINCT's typed backing store: one open-addressing
@@ -520,10 +489,7 @@ func cellHash(c *Col, i int) uint64 {
 func (t *distinctTable) update(gids []int32, lo, hi int) {
 	in := t.in
 	for k := lo; k < hi; k++ {
-		i := k
-		if t.rows != nil {
-			i = int(t.rows[k])
-		}
+		i := laneCell(t.rows, k)
 		if in.IsNull(i) {
 			continue // COUNT_DISTINCT skips NULL inputs
 		}
@@ -575,15 +541,15 @@ func (t *distinctTable) absorb(o *distinctTable) {
 	}
 }
 
-// GroupAggregate computes fn over column in for every group: lane k in
-// [0,n) belongs to group gids[k] and reads cell rows[k] (nil rows =
-// identity), with ng groups total. A nil in is COUNT with no argument. The
-// accumulation chunks in parallel when the merge is bit-exact (mergeExact,
-// asked about a Boxed column as about a FLOAT one); otherwise it stays
-// sequential and the returned flag reports the fallback. Every column is
-// accepted: a Boxed one runs the boxed lane, whose error is the
-// accumulator's.
-func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) ([]value.Value, bool, error) {
+// GroupAggregate computes fn over column in for every group and returns the
+// results as an ng-cell column (Results): lane k in [0,n) belongs to group
+// gids[k] and reads cell rows[k] (nil rows = identity). A nil in is COUNT
+// with no argument. The accumulation chunks in parallel when the merge is
+// bit-exact (mergeExact, asked about a Boxed column as about a FLOAT one);
+// otherwise it stays sequential and the returned flag reports the fallback.
+// Every column is accepted: a Boxed one runs the boxed lane, whose error is
+// the accumulator's.
+func GroupAggregate(fn AggFunc, in *Col, gids, rows []int32, n, ng int) (*Col, bool, error) {
 	kind, runs := value.KindNull, aggVectorized
 	switch {
 	case in != nil && in.Boxed != nil && fn != AggCount:

@@ -1,8 +1,10 @@
 package relation
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"sheetmusiq/internal/value"
@@ -117,15 +119,57 @@ func randBoxedCol(rng *rand.Rand, n int, withStrings bool) *Col {
 	return BoxedCol(vals)
 }
 
+// colMismatch describes the first way col differs from the reference
+// values, or returns "": a cell whose value, kind or NULL differs
+// (bitEqual), or a form that breaks the values rule — typed when the
+// reference's non-NULL values share one kind, Boxed when they mix.
+func colMismatch(col *Col, want []value.Value) string {
+	for i, w := range want {
+		if got := col.Value(i); !bitEqual(got, w) {
+			return fmt.Sprintf("cell %d = %v, reference %v", i, got, w)
+		}
+	}
+	kind, mixed := value.KindNull, false
+	for _, w := range want {
+		switch {
+		case w.IsNull():
+		case kind == value.KindNull:
+			kind = w.Kind()
+		case w.Kind() != kind:
+			mixed = true
+		}
+	}
+	if mixed != (col.Boxed != nil) {
+		return fmt.Sprintf("Boxed form %v, reference kinds mixed %v", col.Boxed != nil, mixed)
+	}
+	return ""
+}
+
+// colsMatch reports whether two columns hold bit-identical cells [0, n) in
+// the same form.
+func colsMatch(a, b *Col, n int) bool {
+	if (a.Boxed != nil) != (b.Boxed != nil) {
+		return false
+	}
+	for i := 0; i < n; i++ {
+		if !bitEqual(a.Value(i), b.Value(i)) {
+			return false
+		}
+	}
+	return true
+}
+
 var aggColKinds = []value.Kind{
 	value.KindInt, value.KindFloat, value.KindString, value.KindBool, value.KindDate,
 }
 
-// TestGroupAggregateMatchesAccumulator: the kernel and the boxed per-group
-// reference agree bit for bit across random columns, group maps and lane
-// indirections, for every aggregate function — and when a function rejects
-// a kind, both paths produce the identical error. The last 200 trials draw
-// Boxed columns of mixed INT/FLOAT/STRING/NULL cells (the boxed lane).
+// TestGroupAggregateMatchesAccumulator: the kernel's column and the boxed
+// per-group reference agree bit for bit across random columns, group maps
+// and lane indirections, for every aggregate function — cell by cell in
+// value, kind and NULL, and in form (colMismatch) — and when a function
+// rejects a kind, both paths produce the identical error. The last 200
+// trials draw Boxed columns of mixed INT/FLOAT/STRING/NULL cells (the boxed
+// lane).
 func TestGroupAggregateMatchesAccumulator(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	for trial := 0; trial < 600; trial++ {
@@ -167,11 +211,8 @@ func TestGroupAggregateMatchesAccumulator(t *testing.T) {
 			}
 			continue
 		}
-		for g := range want {
-			if !bitEqual(got[g], want[g]) {
-				t.Fatalf("trial %d (%s over %s, n=%d, ng=%d): group %d = %v, reference %v",
-					trial, fn, desc, n, ng, g, got[g], want[g])
-			}
+		if d := colMismatch(got, want); d != "" {
+			t.Fatalf("trial %d (%s over %s, n=%d, ng=%d): %s", trial, fn, desc, n, ng, d)
 		}
 	}
 }
@@ -228,10 +269,10 @@ func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 			continue
 		}
 		a, b := seq.Results(), merged.Results()
-		for g := range a {
-			if !bitEqual(a[g], b[g]) {
+		for g := 0; g < ng; g++ {
+			if !bitEqual(a.Value(g), b.Value(g)) {
 				t.Fatalf("trial %d (%s over %s, %d chunks): group %d sequential %v != merged %v",
-					trial, fn, kind, nchunks, g, a[g], b[g])
+					trial, fn, kind, nchunks, g, a.Value(g), b.Value(g))
 			}
 		}
 	}
@@ -239,11 +280,11 @@ func TestGroupAggregateMergedPartialsMatchSequential(t *testing.T) {
 
 // TestGroupAggregateParallelMatchesSequential: the chunked driver must be
 // bit-identical to the forced-sequential run for every function — including
-// float summing, which the driver keeps sequential via mergeExact. A Boxed
-// mixed INT/FLOAT column runs the boxed lane: SUM, AVG and STDDEV stay
-// sequential and report the fallback, as over a FLOAT column, while MIN,
-// MAX, COUNT and COUNT_DISTINCT chunk; every run is counted as a boxed-lane
-// run (relation.agg.declined), COUNT's typed count excepted.
+// float summing and float MIN/MAX, which GroupAggregate keeps sequential via
+// mergeExact. A Boxed mixed INT/FLOAT column runs the boxed lane: SUM, AVG,
+// STDDEV, MIN and MAX stay sequential and report the fallback, as over a
+// FLOAT column, while COUNT and COUNT_DISTINCT chunk; every run is counted
+// as a boxed-lane run (relation.agg.declined), COUNT's typed count excepted.
 func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(93))
 	old := ParallelThreshold
@@ -277,8 +318,8 @@ func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 				t.Fatalf("%s over %s parallel: %v", fn, input, err)
 			}
 			if input == "Boxed" {
-				sums := fn == AggSum || fn == AggAvg || fn == AggStdDev
-				if chunked := len(Chunks(n)) > 1; fallback != (sums && chunked) {
+				sequential := fn != AggCount && fn != AggCountDistinct
+				if chunked := len(Chunks(n)) > 1; fallback != (sequential && chunked) {
 					t.Fatalf("%s over Boxed: fallback %v over %d chunks", fn, fallback, len(Chunks(n)))
 				}
 				want := int64(1)
@@ -289,11 +330,42 @@ func TestGroupAggregateParallelMatchesSequential(t *testing.T) {
 					t.Fatalf("%s over Boxed: relation.agg.declined advanced by %d, want %d", fn, got, want)
 				}
 			}
-			for g := range seq {
-				if !bitEqual(seq[g], par[g]) {
-					t.Fatalf("%s over %s: group %d sequential %v != parallel %v", fn, input, g, seq[g], par[g])
-				}
+			if !colsMatch(seq, par, ng) {
+				t.Fatalf("%s over %s: sequential and parallel columns differ", fn, input)
 			}
+		}
+	}
+}
+
+// TestGroupAggregateMinMaxChunksMatchSequential pins two inputs on which a
+// chunked MIN or MAX merge loses the sequential answer, forced onto two
+// chunks: a FLOAT chunk whose first cell is NaN keeps NaN as its best and
+// ignores the 1 after it, and in a Boxed column the float 2^53 compares
+// equal to both the ints 2^53 and 2^53+1, so the second chunk's best stays
+// the float and the merge keeps the first chunk's 2^53. Both stay
+// sequential and report the fallback.
+func TestGroupAggregateMinMaxChunksMatchSequential(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	old := ParallelThreshold
+	ParallelThreshold = 0
+	defer func() { ParallelThreshold = old }()
+	const big = 1 << 53
+	for _, tc := range []struct {
+		fn   AggFunc
+		in   *Col
+		want value.Value
+	}{
+		{AggMin, &Col{Kind: value.KindFloat, Floats: []float64{3, 4, math.NaN(), 1}}, value.NewFloat(1)},
+		{AggMax, BoxedCol([]value.Value{
+			value.NewInt(big), value.NewInt(0), value.NewFloat(big), value.NewInt(big + 1),
+		}), value.NewInt(big + 1)},
+	} {
+		res, fallback, err := GroupAggregate(tc.fn, tc.in, make([]int32, 4), nil, 4, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Value(0); !bitEqual(got, tc.want) || !fallback {
+			t.Fatalf("%s = %v (fallback %v), want %v from a sequential pass", tc.fn, got, fallback, tc.want)
 		}
 	}
 }
@@ -313,8 +385,8 @@ func TestGroupAggregateEdgeCases(t *testing.T) {
 		if fn == AggCount || fn == AggCountDistinct {
 			want = value.NewInt(0)
 		}
-		if !bitEqual(res[0], want) {
-			t.Fatalf("%s over empty = %v, want %v", fn, res[0], want)
+		if !bitEqual(res.Value(0), want) {
+			t.Fatalf("%s over empty = %v, want %v", fn, res.Value(0), want)
 		}
 	}
 	// A NULL-only group next to a live one.
@@ -327,15 +399,15 @@ func TestGroupAggregateEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Int() != 12 || !res[1].IsNull() {
-		t.Fatalf("SUM groups = %v, %v; want 12, NULL", res[0], res[1])
+	if res.Value(0).Int() != 12 || !res.IsNull(1) {
+		t.Fatalf("SUM groups = %v, %v; want 12, NULL", res.Value(0), res.Value(1))
 	}
 	res, _, err = GroupAggregate(AggCount, in, gids, nil, 4, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Int() != 2 || res[1].Int() != 2 {
-		t.Fatalf("COUNT groups = %v, %v; want 2, 2 (NULL tuples count)", res[0], res[1])
+	if res.Value(0).Int() != 2 || res.Value(1).Int() != 2 {
+		t.Fatalf("COUNT groups = %v, %v; want 2, 2 (NULL tuples count)", res.Value(0), res.Value(1))
 	}
 	// Integer SUM wraps in int64 exactly as accumulator.intSum does.
 	wrap := &Col{Kind: value.KindInt, Ints: []int64{math.MaxInt64, 1}}
@@ -343,8 +415,24 @@ func TestGroupAggregateEdgeCases(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res[0].Int() != math.MinInt64 {
-		t.Fatalf("wrapping SUM = %v, want MinInt64", res[0])
+	if res.Value(0).Int() != math.MinInt64 {
+		t.Fatalf("wrapping SUM = %v, want MinInt64", res.Value(0))
+	}
+	// STDDEV of {0, 2e12} is 1e12: the square root is math.Sqrt's, in the
+	// kernel and in the accumulator alike.
+	sd := &Col{Kind: value.KindFloat, Floats: []float64{0, 2e12}}
+	res, _, err = GroupAggregate(AggStdDev, sd, []int32{0, 0}, nil, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := newAccumulator(AggStdDev)
+	for i := range sd.Floats {
+		if err := acc.addCell(sd, i); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got, ref := res.Value(0), acc.Result(); got.Float() != 1e12 || ref.Float() != 1e12 {
+		t.Fatalf("STDDEV {0, 2e12} = %v (accumulator %v), want 1e12", got, ref)
 	}
 }
 
@@ -469,11 +557,8 @@ func TestWindowEvalTypedLanesMatchBoxed(t *testing.T) {
 			}
 			continue
 		}
-		for i := range want {
-			if !bitEqual(got[i], want[i]) {
-				t.Fatalf("trial %d (%s, k=%d, frame=%v): lane %d typed %v != boxed %v",
-					trial, fn, k, frame, i, got[i], want[i])
-			}
+		if !colsMatch(got, want, n) {
+			t.Fatalf("trial %d (%s, k=%d, frame=%v): typed and boxed columns differ", trial, fn, k, frame)
 		}
 	}
 }

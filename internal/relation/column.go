@@ -551,6 +551,155 @@ func ColOf(kind value.Kind, vals []value.Value) *Col {
 	return buildCol(len(vals), kind, func(i int) value.Value { return vals[i] })
 }
 
+// ValuesCol builds a column from values whose kind is not declared — the
+// values rule: typed in the first non-NULL value's kind when every non-NULL
+// value has that kind, Boxed over vals itself when the kinds mix, and
+// AllNullCol when every value is NULL.
+func ValuesCol(vals []value.Value) *Col {
+	kind := value.KindNull
+	for _, v := range vals {
+		switch {
+		case v.IsNull():
+		case kind == value.KindNull:
+			kind = v.Kind()
+		case v.Kind() != kind:
+			return BoxedCol(vals)
+		}
+	}
+	if kind == value.KindNull {
+		return AllNullCol()
+	}
+	return ColOf(kind, vals)
+}
+
+// Place writes a kernel column at base rows: lane k of the len(to) lanes
+// reads cell from[k] of c (nil from = cell k) and lands at cell to[k] of a
+// fresh column of size cells; every other cell is NULL. η places a
+// GroupAggregate column through its group IDs, ω a WindowEval column lane by
+// lane. A declared FLOAT kind widens c's INT cells first; the form then
+// follows the values rule over c's cells (AllNullCol when none is non-NULL).
+// Typed cells copy as raw payloads in parallel chunks, each marking a filled
+// byte per cell that folds into the null bitmap afterwards, so no cell is
+// boxed and no chunk writes a bitmap word another chunk writes.
+func Place(c *Col, from, to []int32, size int, kind value.Kind) *Col {
+	if c.Boxed != nil {
+		vals := c.Boxed
+		if kind == value.KindFloat {
+			vals = make([]value.Value, len(c.Boxed))
+			for i, v := range c.Boxed {
+				if v.Kind() == value.KindInt {
+					v = value.NewFloat(float64(v.Int()))
+				}
+				vals[i] = v
+			}
+		}
+		if c = ValuesCol(vals); c.Boxed != nil {
+			out := make([]value.Value, size)
+			_ = ForChunks(len(to), func(_, lo, hi int) error {
+				for k := lo; k < hi; k++ {
+					out[to[k]] = c.Boxed[laneCell(from, k)]
+				}
+				return nil
+			})
+			return BoxedCol(out)
+		}
+	}
+	if c.Kind == value.KindNull || c.allNull() {
+		return AllNullCol()
+	}
+	if kind == value.KindFloat && c.Kind == value.KindInt {
+		fs := make([]float64, len(c.Ints))
+		for i, x := range c.Ints {
+			fs[i] = float64(x)
+		}
+		c = &Col{Kind: value.KindFloat, Floats: fs, Nulls: c.Nulls}
+	}
+	out := &Col{Kind: c.Kind}
+	filled := make([]uint8, size)
+	switch c.Kind {
+	case value.KindFloat:
+		out.Floats = make([]float64, size)
+		placeLanes(out.Floats, c.Floats, c.Nulls, from, to, filled)
+	case value.KindString:
+		out.Strs = make([]string, size)
+		placeLanes(out.Strs, c.Strs, c.Nulls, from, to, filled)
+	default: // Int, Bool and Date share the Ints payload
+		out.Ints = make([]int64, size)
+		placeLanes(out.Ints, c.Ints, c.Nulls, from, to, filled)
+	}
+	out.Nulls = NullsFromFilled(filled)
+	return out
+}
+
+// laneCell maps lane k to its cell through a lane→cell vector (nil =
+// identity), the indirection every kernel reads its input through.
+func laneCell(rows []int32, k int) int {
+	if rows == nil {
+		return k
+	}
+	return int(rows[k])
+}
+
+// placeLanes is Place's typed copy: dst[to[k]] = src[from[k]] for every lane
+// whose source cell is not NULL, marking the cell filled. The null-free
+// identity and indirect loops are hoisted out, as in HashInto.
+func placeLanes[T int64 | float64 | string](dst, src []T, nulls []uint64, from, to []int32, filled []uint8) {
+	_ = ForChunks(len(to), func(_, lo, hi int) error {
+		switch {
+		case nulls == nil && from == nil:
+			for k := lo; k < hi; k++ {
+				ri := to[k]
+				dst[ri] = src[k]
+				filled[ri] = 1
+			}
+		case nulls == nil:
+			for k := lo; k < hi; k++ {
+				ri := to[k]
+				dst[ri] = src[from[k]]
+				filled[ri] = 1
+			}
+		default:
+			for k := lo; k < hi; k++ {
+				i := laneCell(from, k)
+				if BitGet(nulls, i) {
+					continue
+				}
+				ri := to[k]
+				dst[ri] = src[i]
+				filled[ri] = 1
+			}
+		}
+		return nil
+	})
+}
+
+// allNull reports whether every cell of the typed column c is NULL: its null
+// bitmap sets a bit for each payload slot (and no bit beyond them is set).
+func (c *Col) allNull() bool {
+	m := len(c.Ints) + len(c.Floats) + len(c.Strs)
+	if m > 0 && c.Nulls == nil {
+		return false
+	}
+	for w := 0; w < m>>6; w++ {
+		if c.Nulls[w] != ^uint64(0) {
+			return false
+		}
+	}
+	if r := m & 63; r != 0 {
+		return c.Nulls[m>>6] == 1<<r-1
+	}
+	return true
+}
+
+// setNull marks cell i of an n-cell column NULL, allocating the bitmap on
+// first use.
+func (c *Col) setNull(i, n int) {
+	if c.Nulls == nil {
+		c.Nulls = NewBitmap(n)
+	}
+	BitSet(c.Nulls, i)
+}
+
 // buildCol builds an n-cell column of the given kind from cell(i), or a
 // Boxed column of the cells when some non-NULL cell is of another kind.
 func buildCol(n int, kind value.Kind, cell func(i int) value.Value) *Col {
@@ -568,10 +717,7 @@ func buildCol(n int, kind value.Kind, cell func(i int) value.Value) *Col {
 	for i := 0; i < n; i++ {
 		v := cell(i)
 		if v.IsNull() {
-			if c.Nulls == nil {
-				c.Nulls = NewBitmap(n)
-			}
-			BitSet(c.Nulls, i)
+			c.setNull(i, n)
 			continue
 		}
 		if v.Kind() != kind {

@@ -2,6 +2,7 @@ package relation
 
 import (
 	"math/rand"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -240,5 +241,102 @@ func TestReadCSVBuildsTypedColumns(t *testing.T) {
 	}
 	if got := r.TupleRows()[2][2].Float(); got != 1.5 {
 		t.Fatalf("price of row 2 = %v, want 1.5", got)
+	}
+}
+
+// TestPlace: Place writes lane k's cell from[k] at cell to[k] of a fresh
+// column and leaves every other cell NULL, over every kind, Boxed and
+// all-NULL kernel columns, with holes between the placed cells, and with a
+// declared FLOAT kind widening INT cells (typed and Boxed) before the form
+// is decided. The result must match a boxed reference cell for cell, follow
+// the values rule (colMismatch; AllNullCol when no cell is non-NULL) and set
+// no null bit past its size, in one chunk and in four.
+func TestPlace(t *testing.T) {
+	const m, size = 70, 150 // kernel cells; base rows, with holes
+	rng := rand.New(rand.NewSource(96))
+	mixed := func(withFloats bool) *Col {
+		vals := make([]value.Value, m)
+		for i := range vals {
+			switch {
+			case i%5 == 0:
+			case i%2 == 0:
+				vals[i] = value.NewInt(int64(i))
+			case withFloats:
+				vals[i] = value.NewFloat(float64(i) / 4)
+			default:
+				vals[i] = value.NewString(strconv.Itoa(i))
+			}
+		}
+		return BoxedCol(vals)
+	}
+	allNullInts := &Col{Kind: value.KindInt, Ints: make([]int64, m), Nulls: NewBitmap(m)}
+	for i := 0; i < m; i++ {
+		BitSet(allNullInts.Nulls, i)
+	}
+	cases := []struct {
+		name string
+		c    *Col
+		kind value.Kind
+	}{
+		{"INTEGER", randAggCol(rng, value.KindInt, m), value.KindInt},
+		{"FLOAT", randAggCol(rng, value.KindFloat, m), value.KindFloat},
+		{"TEXT", randAggCol(rng, value.KindString, m), value.KindString},
+		{"BOOLEAN", randAggCol(rng, value.KindBool, m), value.KindBool},
+		{"DATE", randAggCol(rng, value.KindDate, m), value.KindDate},
+		{"INTEGER as FLOAT", randAggCol(rng, value.KindInt, m), value.KindFloat},
+		{"Boxed INTEGER/TEXT", mixed(false), value.KindInt},
+		{"Boxed INTEGER/FLOAT", mixed(true), value.KindInt},
+		{"Boxed INTEGER/FLOAT as FLOAT", mixed(true), value.KindFloat},
+		{"all-NULL column", AllNullCol(), value.KindInt},
+		{"all-NULL INTEGER", allNullInts, value.KindFloat},
+		{"all-NULL Boxed", BoxedCol(make([]value.Value, m)), value.KindNull},
+	}
+	old := ParallelThreshold
+	defer func() { ParallelThreshold = old }()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	for _, threshold := range []int{1 << 30, 0} {
+		ParallelThreshold = threshold
+		for _, tc := range cases {
+			// η's shape (from = group IDs, lanes at ascending base rows
+			// with holes) and ω's (from nil, one lane per cell).
+			for _, eta := range []bool{true, false} {
+				n := m
+				var from []int32
+				if eta {
+					n = 100
+					from = make([]int32, n)
+					for k := range from {
+						from[k] = int32(k % m)
+					}
+				}
+				to := make([]int32, 0, n)
+				for ri := 0; len(to) < n; ri++ {
+					if size-ri > n-len(to) && rng.Intn(3) == 0 {
+						continue // a hole
+					}
+					to = append(to, int32(ri))
+				}
+				want := make([]value.Value, size)
+				anyCell := false
+				for k, ri := range to {
+					v := tc.c.Value(laneCell(from, k))
+					if tc.kind == value.KindFloat && v.Kind() == value.KindInt {
+						v = value.NewFloat(float64(v.Int()))
+					}
+					want[ri] = v
+					anyCell = anyCell || !v.IsNull()
+				}
+				got := Place(tc.c, from, to, size, tc.kind)
+				if d := colMismatch(got, want); d != "" {
+					t.Fatalf("%s (η %v, threshold %d): %s", tc.name, eta, threshold, d)
+				}
+				if bitsBeyond(got, size) {
+					t.Fatalf("%s (η %v): null bit set past %d cells", tc.name, eta, size)
+				}
+				if !anyCell && (got.Kind != value.KindNull || got.Boxed != nil) {
+					t.Fatalf("%s (η %v): no non-NULL cell, but not AllNullCol", tc.name, eta)
+				}
+			}
+		}
 	}
 }

@@ -308,6 +308,21 @@ func TestAggregateNullHandling(t *testing.T) {
 	}
 }
 
+// TestAggregateBoxedInputKeepsDeclaredKind: a column declared INTEGER that
+// holds floats sums to a float, which the result column holds Boxed under
+// the declared kind, as a declared-kind column is built (ColOf).
+func TestAggregateBoxedInputKeepsDeclaredKind(t *testing.T) {
+	schema := Schema{{Name: "v", Kind: value.KindInt}}
+	col := BoxedCol([]value.Value{value.NewFloat(1.5), value.NewFloat(2.5)})
+	got, err := FromColumns("t", schema, []*Col{col}, 2).Aggregate(nil, AggSum, "v")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c := got.Columns()[0]; c.Boxed == nil || !bitEqual(c.Value(0), value.NewFloat(4)) || got.Schema[0].Kind != value.KindInt {
+		t.Fatalf("SUM column = %+v under %v, want Boxed 4.0 under INTEGER", c, got.Schema[0].Kind)
+	}
+}
+
 func TestParseAggFunc(t *testing.T) {
 	if f, err := ParseAggFunc("avg"); err != nil || f != AggAvg {
 		t.Errorf("ParseAggFunc(avg) = %v, %v", f, err)

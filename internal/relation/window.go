@@ -213,8 +213,10 @@ var (
 )
 
 // WindowEval computes the window function over every lane and returns the
-// lane-aligned result vector.
-func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
+// lane-aligned result column: the ranking functions write INT payloads
+// directly, and the aggregate frames' results become one column through
+// the values rule (ValuesCol).
+func WindowEval(spec WindowSpec, in WindowInput) (*Col, error) {
 	n := in.N
 	if spec.Func.Ranking() {
 		if in.K == 0 {
@@ -237,9 +239,17 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 	}
 	windowEvals.Inc()
 	windowRows.Add(int64(n))
-	res := make([]value.Value, n)
 	if n == 0 {
-		return res, nil
+		return AllNullCol(), nil
+	}
+	// Exactly one of ranks (the ranking functions) and res (the aggregate
+	// frames) is filled, lane by lane.
+	var ranks []int64
+	var res []value.Value
+	if spec.Func.Ranking() {
+		ranks = make([]int64, n)
+	} else {
+		res = make([]value.Value, n)
 	}
 
 	// keyCmp is the per-key three-way comparator over lanes: colCompare,
@@ -303,12 +313,6 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		}
 		return true
 	}
-	cellOf := func(l int32) int {
-		if in.Rows == nil {
-			return int(l)
-		}
-		return int(in.Rows[l])
-	}
 	// feed adds the argument cells of sorted positions [s, e) to acc in
 	// ascending order; with no argument column (COUNT(*)) each lane counts
 	// as Add(1) does.
@@ -322,7 +326,7 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 			return nil
 		}
 		for i := s; i < e; i++ {
-			if err := acc.addCell(in.ArgCol, cellOf(perm[i])); err != nil {
+			if err := acc.addCell(in.ArgCol, laneCell(in.Rows, int(perm[i]))); err != nil {
 				return err
 			}
 		}
@@ -333,7 +337,7 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		switch spec.Func {
 		case WinRowNumber:
 			for i := lo; i < hi; i++ {
-				res[perm[i]] = value.NewInt(int64(i - lo + 1))
+				ranks[perm[i]] = int64(i - lo + 1)
 			}
 			return nil
 		case WinRank, WinDenseRank:
@@ -350,7 +354,7 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 					rank = int64(s - lo + 1)
 				}
 				for i := s; i < e; i++ {
-					res[perm[i]] = value.NewInt(rank)
+					ranks[perm[i]] = rank
 				}
 				s = e
 			}
@@ -396,16 +400,20 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		// Explicit ROWS frame: physical offsets from the current row,
 		// clamped to the partition; each frame accumulates fresh in
 		// ascending order (empty frames yield the empty-accumulator result).
+		// An offset is clamped before it is added, so its bound lands at
+		// most one row outside the partition and never overflows: a frame
+		// end beyond the partition leaves the frame empty, and the clamp
+		// below pulls the other end back in.
 		bound := func(b FrameBound, i int) int {
 			switch b.Kind {
 			case BoundUnboundedPreceding:
 				return lo
 			case BoundPreceding:
-				return i - int(b.Offset)
+				return i - int(min(b.Offset, int64(i-lo+1)))
 			case BoundCurrentRow:
 				return i
 			case BoundFollowing:
-				return i + int(b.Offset)
+				return i + int(min(b.Offset, int64(hi-i)))
 			}
 			return hi - 1
 		}
@@ -443,14 +451,17 @@ func WindowEval(spec WindowSpec, in WindowInput) ([]value.Value, error) {
 		if err != nil {
 			return nil, err
 		}
-		return res, nil
-	}
-	for _, p := range parts {
-		if err := evalPart(p[0], p[1]); err != nil {
-			return nil, err
+	} else {
+		for _, p := range parts {
+			if err := evalPart(p[0], p[1]); err != nil {
+				return nil, err
+			}
 		}
 	}
-	return res, nil
+	if ranks != nil {
+		return &Col{Kind: value.KindInt, Ints: ranks}, nil
+	}
+	return ValuesCol(res), nil
 }
 
 // partChunks splits m partitions into up to GOMAXPROCS contiguous bounds.

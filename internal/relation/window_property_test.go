@@ -96,9 +96,38 @@ func refWindowEval(t *testing.T, spec WindowSpec, in *windowCase) []value.Value 
 		}
 		return in.arg[l]
 	}
-	accumulate := func(s, e int) value.Value { // inclusive sorted positions
+	// inFrame reports whether sorted position j lies in the frame of the
+	// row at sorted position at, by comparing distances to the offsets, so
+	// no offset is ever added to a position and none can overflow.
+	inFrame := func(f *Frame, j, at int) bool {
+		d := int64(j - at) // j's distance after the current row
+		lo, hi := true, true
+		switch f.Lo.Kind {
+		case BoundPreceding:
+			lo = -d <= f.Lo.Offset
+		case BoundCurrentRow:
+			lo = d >= 0
+		case BoundFollowing:
+			lo = d >= f.Lo.Offset
+		}
+		switch f.Hi.Kind {
+		case BoundPreceding:
+			hi = -d >= f.Hi.Offset
+		case BoundCurrentRow:
+			hi = d <= 0
+		case BoundFollowing:
+			hi = d <= f.Hi.Offset
+		}
+		return lo && hi
+	}
+	// accumulate feeds the partition's sorted positions [lo, hi) that
+	// member accepts, in ascending order.
+	accumulate := func(lo, hi int, member func(j int) bool) value.Value {
 		acc := newAccumulator(spec.Func.AggFunc())
-		for j := s; j <= e; j++ {
+		for j := lo; j < hi; j++ {
+			if !member(j) {
+				continue
+			}
 			if err := acc.Add(argAt(order[j])); err != nil {
 				t.Fatalf("reference accumulate: %v", err)
 			}
@@ -131,39 +160,21 @@ func refWindowEval(t *testing.T, spec WindowSpec, in *windowCase) []value.Value 
 					res[order[i]] = value.NewInt(dense)
 				}
 			default:
-				var s, e int
+				var member func(j int) bool
 				switch {
 				case spec.Frame == nil && in.k == 0:
-					s, e = lo, hi-1
+					member = func(int) bool { return true }
 				case spec.Frame == nil:
-					s = lo
-					e = i
+					// The running frame: up to the current row's last peer.
+					e := i
 					for e+1 < hi && peers(order[e+1], order[i]) {
 						e++
 					}
+					member = func(j int) bool { return j <= e }
 				default:
-					bound := func(b FrameBound, at int) int {
-						switch b.Kind {
-						case BoundUnboundedPreceding:
-							return lo
-						case BoundPreceding:
-							return at - int(b.Offset)
-						case BoundCurrentRow:
-							return at
-						case BoundFollowing:
-							return at + int(b.Offset)
-						}
-						return hi - 1
-					}
-					s, e = bound(spec.Frame.Lo, i), bound(spec.Frame.Hi, i)
-					if s < lo {
-						s = lo
-					}
-					if e > hi-1 {
-						e = hi - 1
-					}
+					member = func(j int) bool { return inFrame(spec.Frame, j, i) }
 				}
-				res[order[i]] = accumulate(s, e)
+				res[order[i]] = accumulate(lo, hi, member)
 			}
 		}
 		lo = hi
@@ -238,17 +249,25 @@ func randWindowInput(rng *rand.Rand, n, k int, withParts bool) *windowCase {
 	return in
 }
 
+// randFrame draws a ROWS frame. One offset in five lies within two of
+// math.MaxInt64, where adding it to a row position would overflow.
 func randFrame(rng *rand.Rand) *Frame {
+	off := func(k int) int64 {
+		if rng.Intn(5) == 0 {
+			return math.MaxInt64 - int64(rng.Intn(3))
+		}
+		return int64(rng.Intn(k))
+	}
 	lows := []FrameBound{
 		{Kind: BoundUnboundedPreceding},
-		{Kind: BoundPreceding, Offset: int64(rng.Intn(4))},
+		{Kind: BoundPreceding, Offset: off(4)},
 		{Kind: BoundCurrentRow},
-		{Kind: BoundFollowing, Offset: int64(rng.Intn(3))},
+		{Kind: BoundFollowing, Offset: off(3)},
 	}
 	his := []FrameBound{
-		{Kind: BoundPreceding, Offset: int64(rng.Intn(3))},
+		{Kind: BoundPreceding, Offset: off(3)},
 		{Kind: BoundCurrentRow},
-		{Kind: BoundFollowing, Offset: int64(rng.Intn(4))},
+		{Kind: BoundFollowing, Offset: off(4)},
 		{Kind: BoundUnboundedFollowing},
 	}
 	return &Frame{Lo: lows[rng.Intn(len(lows))], Hi: his[rng.Intn(len(his))]}
@@ -259,9 +278,11 @@ var allWindowFuncs = []WindowFunc{
 	WinSum, WinAvg, WinMin, WinMax, WinCount,
 }
 
-// TestWindowEvalMatchesNaiveReference: the kernel and the per-row recompute
-// agree bit for bit across random functions, partitions, orderings and
-// frames — including empty inputs, empty frames and all-NULL arguments.
+// TestWindowEvalMatchesNaiveReference: the kernel's column and the per-row
+// recompute agree bit for bit across random functions, partitions,
+// orderings and frames — including empty inputs, empty frames, frame
+// offsets near math.MaxInt64 and all-NULL arguments — cell by cell in
+// value, kind and NULL, and in form (colMismatch).
 func TestWindowEvalMatchesNaiveReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
 	for trial := 0; trial < 150; trial++ {
@@ -285,14 +306,8 @@ func TestWindowEvalMatchesNaiveReference(t *testing.T) {
 			t.Fatalf("trial %d (%s, k=%d, frame=%v): %v", trial, fn, k, frame, err)
 		}
 		want := refWindowEval(t, spec, wc)
-		if len(got) != n || len(want) != n {
-			t.Fatalf("trial %d: result lengths %d/%d, want %d", trial, len(got), len(want), n)
-		}
-		for i := range got {
-			if !bitEqual(got[i], want[i]) {
-				t.Fatalf("trial %d (%s, k=%d, frame=%v): lane %d = %v, reference %v",
-					trial, fn, k, frame, i, got[i], want[i])
-			}
+		if d := colMismatch(got, want); d != "" {
+			t.Fatalf("trial %d (%s, k=%d, frame=%v): %s", trial, fn, k, frame, d)
 		}
 	}
 }
@@ -329,13 +344,11 @@ func TestWindowEvalParallelMatchesSequential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d warm: %v", trial, err)
 		}
-		for i := range cold {
-			if !bitEqual(cold[i], par[i]) {
-				t.Fatalf("trial %d (%s): lane %d sequential %v != parallel %v", trial, fn, i, cold[i], par[i])
-			}
-			if !bitEqual(par[i], warm[i]) {
-				t.Fatalf("trial %d (%s): lane %d cold %v != warm %v", trial, fn, i, par[i], warm[i])
-			}
+		if !colsMatch(cold, par, n) {
+			t.Fatalf("trial %d (%s): sequential and parallel columns differ", trial, fn)
+		}
+		if !colsMatch(par, warm, n) {
+			t.Fatalf("trial %d (%s): cold and warm columns differ", trial, fn)
 		}
 	}
 }

@@ -485,8 +485,11 @@ func hasAggregates(stmt *SelectStmt) bool {
 }
 
 // execGrouped evaluates GROUP BY / aggregate queries over the surviving rows
-// idx (nil = every source row); every aggregate runs relation.GroupAggregate
-// over its argument's lane column (groupOutput).
+// idx (nil = every source row), in Theorem 1's shape: the lifted aggregates
+// become columns of the group relation (groupCtx), HAVING filters its rows,
+// and the items and ORDER BY keys are the plain projection of the rows that
+// pass (execPlain). Each phase reports its own row-major first error: GROUP
+// BY keys, aggregate arguments, HAVING, output.
 func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation, []*relation.Col, error) {
 	for _, it := range stmt.Items {
 		if it.Star {
@@ -499,8 +502,18 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation
 		return nil, nil, err
 	}
 
-	// Collect every aggregate call appearing in the statement.
-	aggs, rewritten, having, orderBy, err := liftAggregates(stmt)
+	// Collect every aggregate call appearing in the statement. An unaliased
+	// item keeps its own spelling as its output name (Name() of the lifted
+	// item would read "__agg_0").
+	named := *stmt
+	named.Items = make([]SelectItem, len(stmt.Items))
+	for i, it := range stmt.Items {
+		if it.Alias == "" {
+			it.Alias = it.Name()
+		}
+		named.Items[i] = it
+	}
+	aggs, items, having, orderBy, err := liftAggregates(&named)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -532,7 +545,6 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation
 		}
 		return nil
 	}
-	items := rewritten
 	for _, it := range items {
 		if err := checkGrouped(it.Expr, "select list"); err != nil {
 			return nil, nil, err
@@ -557,11 +569,17 @@ func (x *stmtCtx) execGrouped(stmt *SelectStmt, idx []int32) (*relation.Relation
 			return nil, nil, err
 		}
 	}
-	schema, err := groupedSchema(x.src, stmt, items, aggs)
+	gx, err := x.groupCtx(gr, aggs, idx)
 	if err != nil {
 		return nil, nil, err
 	}
-	return x.groupOutput(gr, aggs, items, having, orderBy, schema, idx)
+	var kept []int32 // nil = every group
+	if having != nil {
+		if kept, err = gx.filter(having, nil); err != nil {
+			return nil, nil, err
+		}
+	}
+	return gx.execPlain(&SelectStmt{Items: items, OrderBy: orderBy}, kept)
 }
 
 // liftedAgg is one distinct aggregate call lifted out of the statement.
@@ -766,46 +784,6 @@ func outputSchema(src *source, items []SelectItem) (relation.Schema, error) {
 			k = value.KindString
 		}
 		schema[i] = relation.Column{Name: it.Name(), Kind: k}
-	}
-	return schema, nil
-}
-
-// groupedSchema infers result kinds when placeholders stand in for lifted
-// aggregates.
-func groupedSchema(src *source, stmt *SelectStmt, items []SelectItem, aggs []liftedAgg) (relation.Schema, error) {
-	resolve := func(name string) (value.Kind, bool) {
-		if strings.HasPrefix(name, "__agg_") {
-			var i int
-			fmt.Sscanf(name, "__agg_%d", &i)
-			if i < len(aggs) {
-				a := aggs[i]
-				in := value.KindInt
-				if a.arg != nil {
-					k, err := expr.Check(a.arg, src.kind)
-					if err == nil {
-						in = k
-					}
-				}
-				return a.fn.ResultKind(in), true
-			}
-		}
-		return src.kind(name)
-	}
-	schema := make(relation.Schema, len(items))
-	origNames := stmt.Items
-	for i, it := range items {
-		k, err := expr.Check(it.Expr, resolve)
-		if err != nil {
-			return nil, err
-		}
-		if k == value.KindNull {
-			k = value.KindString
-		}
-		name := it.Alias
-		if name == "" {
-			name = origNames[i].Name()
-		}
-		schema[i] = relation.Column{Name: name, Kind: k}
 	}
 	return schema, nil
 }

@@ -16,9 +16,11 @@ import (
 
 // equivQueries spans the executor's paths: compiled WHERE filtering, plain
 // projection, grouped aggregation (multi-group and the chunked single
-// group), HAVING, ORDER BY over aliases / source columns / aggregates,
-// DISTINCT, LIMIT/OFFSET, joins, the interpreted subquery fallback, and a
-// SUM over mixed-kind values.
+// group, an unaliased aggregate item, the empty ungrouped group under
+// HAVING, a correlated subquery in a grouped item), HAVING, ORDER BY over
+// aliases / source columns / aggregates / a window, DISTINCT, LIMIT/OFFSET,
+// joins, the interpreted subquery fallback, and SUM, MIN and MAX over
+// mixed-kind values.
 var equivQueries = []string{
 	"SELECT * FROM cars",
 	"SELECT Model, Price FROM cars WHERE Price < 15000 AND Condition IN ('Good','Excellent')",
@@ -40,6 +42,11 @@ var equivQueries = []string{
 	// Declared INTEGER, holding floats on odd IDs: a mixed-kind SUM, which
 	// must stay sequential like a float SUM.
 	"SELECT SUM(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS s FROM cars",
+	"SELECT MIN(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS lo, MAX(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS hi FROM cars",
+	"SELECT Model, AVG(Price) FROM cars GROUP BY Model ORDER BY Model",
+	"SELECT COUNT(*) AS n, MAX(Price) AS m FROM cars WHERE Price < 0 HAVING COUNT(*) = 0",
+	"SELECT Model, (SELECT COUNT(*) FROM dealers d WHERE d.specialty = Model) AS k, COUNT(*) AS n FROM cars GROUP BY Model ORDER BY Model",
+	"SELECT ID, RANK() OVER (PARTITION BY Model ORDER BY Price) AS r FROM cars ORDER BY r, ID",
 }
 
 func equivDB(base *relation.Relation) *DB {
@@ -107,6 +114,32 @@ func TestSQLParallelErrorParity(t *testing.T) {
 	}
 	if seqErr.Error() != parErr.Error() {
 		t.Fatalf("error parity lost:\nsequential: %v\nparallel:   %v", seqErr, parErr)
+	}
+}
+
+// TestSQLHavingErrorPhase: HAVING is its own phase, after the aggregate
+// arguments and before the output, so a later group's HAVING error is
+// reported ahead of an earlier group's error in an item. Group 1 passes
+// HAVING and divides by zero in the item; group 2 compares a string with an
+// integer in HAVING. Both the batch programs and the interpreter (a scalar
+// subquery's 0 added in HAVING) report the HAVING error.
+func TestSQLHavingErrorPhase(t *testing.T) {
+	rel := relation.New("t", relation.Schema{
+		{Name: "G", Kind: value.KindInt},
+		{Name: "X", Kind: value.KindInt},
+	})
+	rel.MustAppend(value.NewInt(1), value.NewInt(0))
+	rel.MustAppend(value.NewInt(2), value.NewInt(1))
+	d := NewDB()
+	d.Register(rel)
+	const want = "value: cannot compare TEXT with INTEGER"
+	for _, src := range []string{
+		"SELECT G, 1 / MIN(X) AS q FROM t GROUP BY G HAVING IF(G = 1, 1, 'a') > 0",
+		"SELECT G, 1 / MIN(X) AS q FROM t GROUP BY G HAVING IF(G = 1, 1, 'a') > (SELECT 0 FROM t LIMIT 1)",
+	} {
+		if _, err := d.Query(src); err == nil || err.Error() != want {
+			t.Errorf("%q: err = %v, want %q", src, err, want)
+		}
 	}
 }
 

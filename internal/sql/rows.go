@@ -1,10 +1,6 @@
 package sql
 
 import (
-	"slices"
-	"strconv"
-	"strings"
-
 	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
@@ -18,8 +14,10 @@ import (
 var execMergeFallback = obs.Default.Counter("sql.exec.merge_fallback")
 
 // This file holds the executor's row loops, one per shape: WHERE, lane
-// columns (GROUP BY keys, aggregate arguments and window inputs: laneCols),
-// plain output and grouped output (join ON uses the same scopes). A loop
+// columns (GROUP BY keys, aggregate arguments and window inputs: laneCols)
+// and output (join ON uses the same scopes). Grouped output is no shape of
+// its own: HAVING, the items and the ORDER BY keys run as WHERE and output
+// over the group relation (groupCtx), whose rows are the groups. A loop
 // walks surviving source rows by
 // their base-row index and reads cells lazily from the source's typed
 // columns, so it boxes only the cells its expressions read, never a whole
@@ -46,19 +44,17 @@ type stmtCtx struct {
 	subs  map[*expr.Subquery]*subState
 }
 
-// scope binds the column names of one loop's expressions to slots of its
-// evaluation row: the source columns, followed by nAggs lifted-aggregate
-// slots in grouped output.
+// scope binds the column names of one loop's expressions to the source
+// columns of its evaluation row.
 type scope struct {
 	*stmtCtx
-	nAggs    int
-	slots    map[string]int // reference spelling → slot; -1 = enclosing scope
+	slots    map[string]int // reference spelling → source column; -1 = enclosing scope
 	parallel bool
 }
 
 // bind resolves every column reference of es once.
-func (x *stmtCtx) bind(nAggs int, es ...expr.Expr) *scope {
-	sc := &scope{stmtCtx: x, nAggs: nAggs, slots: map[string]int{}, parallel: x.outer == nil}
+func (x *stmtCtx) bind(es ...expr.Expr) *scope {
+	sc := &scope{stmtCtx: x, slots: map[string]int{}, parallel: x.outer == nil}
 	for _, e := range es {
 		if e == nil {
 			continue
@@ -77,31 +73,15 @@ func (x *stmtCtx) bind(nAggs int, es ...expr.Expr) *scope {
 	return sc
 }
 
-// resolve applies the lookup precedence: a lifted-aggregate placeholder
-// ("__agg_3") names its slot, then the source's unique-suffix rule applies;
-// -1 leaves the name to the enclosing scope.
+// resolve applies the lookup precedence: the source's unique-suffix rule,
+// then -1, which leaves the name to the enclosing scope. Over a group
+// relation the lifted-aggregate placeholders ("__agg_3") are source columns
+// like any other.
 func (sc *scope) resolve(name string) int {
-	if i, ok := aggSlot(name); ok && i < sc.nAggs {
-		return len(sc.src.rel.Schema) + i
-	}
 	if i, err := sc.src.resolve(name); err == nil {
 		return i
 	}
 	return -1
-}
-
-// aggSlot parses a lifted-aggregate placeholder name ("__agg_3") into its
-// index.
-func aggSlot(name string) (int, bool) {
-	l := strings.ToLower(name)
-	if !strings.HasPrefix(l, "__agg_") {
-		return 0, false
-	}
-	i, err := strconv.Atoi(l[len("__agg_"):])
-	if err != nil || i < 0 {
-		return 0, false
-	}
-	return i, true
 }
 
 // chunks splits n rows for the loop: parallel chunks when safe, else one.
@@ -117,15 +97,12 @@ func (sc *scope) chunks(n int) [][2]int {
 func (sc *scope) env(ri int) *rowEnv { return &rowEnv{sc: sc, ri: ri} }
 
 // rowEnv evaluates expressions over one row of a scope: source row ri, read
-// cell by cell from the source's typed columns (ri < 0 reads every source
-// cell as NULL, the empty ungrouped group), followed by the lifted-aggregate
-// slots aggs in grouped output. It also carries the statement's database
-// and subquery cache so nested subqueries can execute (correlated names
-// resolve innermost-first, then walk outward).
+// cell by cell from the source's typed columns. It also carries the
+// statement's database and subquery cache so nested subqueries can execute
+// (correlated names resolve innermost-first, then walk outward).
 type rowEnv struct {
-	sc   *scope
-	ri   int
-	aggs []value.Value
+	sc *scope
+	ri int
 }
 
 // Lookup implements expr.Env. Names outside the bound set (a nested
@@ -141,14 +118,7 @@ func (e *rowEnv) Lookup(name string) (value.Value, bool) {
 		}
 		return value.Null, false
 	}
-	cols := e.sc.src.cols
-	switch {
-	case i >= len(cols):
-		return e.aggs[i-len(cols)], true
-	case e.ri < 0:
-		return value.Null, true
-	}
-	return cols[i].Value(e.ri), true
+	return e.sc.src.cols[i].Value(e.ri), true
 }
 
 // rowAt maps lane i of a surviving-row vector (nil = every source row) to
@@ -173,7 +143,7 @@ func (x *stmtCtx) lanes(idx []int32) int {
 // from the column vectors where the scope allows; otherwise the interpreter
 // reads each row's cells.
 func (x *stmtCtx) filter(pred expr.Expr, idx []int32) ([]int32, error) {
-	sc := x.bind(0, pred)
+	sc := x.bind(pred)
 	n := x.lanes(idx)
 	if sc.parallel {
 		// Only subqueries decline, and they clear parallel.
@@ -284,7 +254,7 @@ func (x *stmtCtx) laneCols(es []expr.Expr, idx []int32) (cols []*relation.Col, r
 	if len(declined) == 0 {
 		return cols, rows, true, nil
 	}
-	sc := x.bind(0, declined...)
+	sc := x.bind(declined...)
 	n := x.lanes(idx)
 	vals := make([][]value.Value, len(declined))
 	for j := range vals {
@@ -422,7 +392,8 @@ func orderKeyCols(ocols []int, cols []*relation.Col, m int) []*relation.Col {
 	return keys
 }
 
-// execPlain projects without grouping into a column-built relation, and
+// execPlain projects the surviving rows idx into a column-built relation —
+// source rows, or in grouped output the group relation's groups — and
 // returns the ORDER BY key columns beside it. Where the scope allows, every
 // item and key is a column from lanesOf: an item naming a typed source
 // column shares it (idx nil) or gathers it, the others fill from batch
@@ -463,7 +434,7 @@ func (x *stmtCtx) execPlain(stmt *SelectStmt, idx []int32) (*relation.Relation, 
 // plainRows is execPlain's interpreter loop: the output expressions
 // (outputExprs layout) of every surviving row, in row-major order.
 func (x *stmtCtx) plainRows(exprs []expr.Expr, schema relation.Schema, idx []int32) ([]*relation.Col, error) {
-	sc := x.bind(0, exprs...)
+	sc := x.bind(exprs...)
 	n := x.lanes(idx)
 	vals := make([][]value.Value, len(exprs))
 	for i, e := range exprs {
@@ -488,13 +459,18 @@ func (x *stmtCtx) plainRows(exprs []expr.Expr, schema relation.Schema, idx []int
 	return outputCols(vals, schema), nil
 }
 
-// groupOutput computes the lifted aggregates up front — one lane column per
-// argument (laneCols) and one relation.GroupAggregate call per aggregate for
-// all groups — and then evaluates HAVING, the select items and the ORDER BY
-// keys per group over the extended row: a representative source row
-// followed by one slot per lifted aggregate. Groups process in parallel
-// chunks (chunk-local outputs concatenated in chunk order).
-func (x *stmtCtx) groupOutput(gr *relation.Grouping, aggs []liftedAgg, items []SelectItem, having expr.Expr, orderBy []OrderItem, schema relation.Schema, idx []int32) (*relation.Relation, []*relation.Col, error) {
+// groupCtx computes the lifted aggregates and returns a context over the
+// group relation, whose rows are the groups in first-appearance order: every
+// source column at the group's first row (all NULL for the empty ungrouped
+// group), followed by one "__agg_i" column per lifted aggregate. Each
+// aggregate argument is one lane column (laneCols) and each aggregate one
+// relation.GroupAggregate call for all groups, whose column joins the
+// relation as it is, under the kind the aggregate declares. Every source
+// column is gathered, not only the grouped ones: a correlated subquery in an
+// item may read any of them. The context shares the statement's database,
+// enclosing scope and subquery cache, so HAVING, the items and the ORDER BY
+// keys run over it as over any source (filter, execPlain).
+func (x *stmtCtx) groupCtx(gr *relation.Grouping, aggs []liftedAgg, idx []int32) (*stmtCtx, error) {
 	args := make([]expr.Expr, 0, len(aggs))
 	for _, a := range aggs {
 		if !a.star {
@@ -503,92 +479,46 @@ func (x *stmtCtx) groupOutput(gr *relation.Grouping, aggs []liftedAgg, items []S
 	}
 	cols, rows, _, err := x.laneCols(args, idx)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	n, ng := len(gr.IDs), gr.NumGroups()
-	aggResults := make([][]value.Value, len(aggs)) // [agg][group]
+	var gcols []*relation.Col
+	if n == 0 && ng == 1 { // the empty ungrouped group
+		gcols = make([]*relation.Col, len(x.src.cols))
+		for i := range gcols {
+			gcols[i] = relation.AllNullCol()
+		}
+	} else {
+		first := make([]int32, ng)
+		for g, f := range gr.First {
+			first[g] = int32(rowAt(idx, int(f)))
+		}
+		gcols = relation.GatherCols(x.src.cols, first)
+	}
+	schema := x.src.rel.Schema.Clone()
 	fallback := false
 	for i, a := range aggs {
 		var in *relation.Col
 		var at []int32
-		if !a.star { // COUNT(*) has no argument column
+		argKind := value.KindInt // COUNT(*)
+		if !a.star {
 			in, at = cols[0], rows[0]
 			cols, rows = cols[1:], rows[1:]
+			if k, err := expr.Check(a.arg, x.src.kind); err == nil {
+				argKind = k
+			}
 		}
 		res, seq, err := relation.GroupAggregate(a.fn, in, gr.IDs, at, n, ng)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		fallback = fallback || seq
-		aggResults[i] = res
+		schema = append(schema, relation.Column{Name: aggPlaceholder(i), Kind: a.fn.ResultKind(argKind)})
+		gcols = append(gcols, res)
 	}
 	if fallback {
 		execMergeFallback.Inc()
 	}
-
-	ocols := orderCols(orderBy, schema)
-	exprs := outputExprs(items, orderBy, ocols) // evaluated per kept group
-	extScope := x.bind(len(aggs), append(exprs, having)...)
-	bounds := [][2]int{{0, ng}}
-	if extScope.parallel && ng > 0 {
-		bounds = relation.Chunks(ng)
-	}
-	parts := make([][][]value.Value, len(bounds)) // [chunk][expr][kept group]
-	err = relation.RunChunks(bounds, func(c, lo, hi int) error {
-		p := make([][]value.Value, len(exprs))
-		for i, e := range exprs {
-			if e != nil {
-				p[i] = []value.Value{} // non-nil even when no group is kept
-			}
-		}
-		parts[c] = p
-		env := extScope.env(0)
-		env.aggs = make([]value.Value, len(aggs))
-		for g := lo; g < hi; g++ {
-			for ai, res := range aggResults {
-				env.aggs[ai] = res[g]
-			}
-			// Extended row: a representative source row (all NULL for the
-			// empty ungrouped group) followed by the aggregate results.
-			env.ri = -1
-			if first := int(gr.First[g]); first < n {
-				env.ri = rowAt(idx, first)
-			}
-			if having != nil {
-				ok, err := expr.EvalBool(having, env)
-				if err != nil {
-					return err
-				}
-				if !ok {
-					continue
-				}
-			}
-			for i, e := range exprs {
-				if e == nil {
-					continue
-				}
-				v, err := expr.Eval(e, env)
-				if err != nil {
-					return err
-				}
-				if len(p[i]) == cap(p[i]) {
-					p[i] = slices.Grow(p[i], len(p[i])+8) // double, not append's quarter
-				}
-				p[i] = append(p[i], v)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	vals := parts[0]
-	for _, p := range parts[1:] { // later chunks' groups follow, in chunk order
-		for i := range vals {
-			vals[i] = append(vals[i], p[i]...)
-		}
-	}
-	cols = outputCols(vals, schema)
-	m := len(items)
-	return relation.FromColumns("result", schema, cols[:m], len(vals[0])), orderKeyCols(ocols, cols, m), nil
+	grel := relation.FromColumns(x.src.rel.Name, schema, gcols, ng)
+	return &stmtCtx{db: x.db, src: newSource(grel), outer: x.outer, subs: x.subs}, nil
 }

@@ -69,6 +69,12 @@ func TestImplicitAlias(t *testing.T) {
 	if r.Schema[0].Name != "p" {
 		t.Fatalf("implicit alias lost: %v", r.Schema.Names())
 	}
+	// An unaliased grouped item is named by its own spelling, not by the
+	// lifted aggregate's placeholder.
+	r = q(t, "SELECT Model, AVG(Price) FROM cars GROUP BY Model ORDER BY Model")
+	if got := r.Schema.Names(); got[0] != "Model" || got[1] != "AVG(Price)" {
+		t.Fatalf("grouped item names = %v, want [Model AVG(Price)]", got)
+	}
 }
 
 func TestOrderByLimit(t *testing.T) {
@@ -249,6 +255,23 @@ func TestAggregateEmptyInput(t *testing.T) {
 	r = q(t, "SELECT Model, COUNT(*) AS n FROM cars WHERE Price > 99999 GROUP BY Model ORDER BY n")
 	if r.Len() != 0 {
 		t.Fatalf("empty grouped aggregate = %v", r.TupleRows())
+	}
+}
+
+// TestStdDevSquareRoot: STDDEV of {0, 2e12} is exactly 1e12 (a variance of
+// 1e24, whose square root math.Sqrt rounds correctly).
+func TestStdDevSquareRoot(t *testing.T) {
+	rel := relation.New("t", relation.Schema{{Name: "x", Kind: value.KindFloat}})
+	rel.MustAppend(value.NewFloat(0))
+	rel.MustAppend(value.NewFloat(2e12))
+	d := NewDB()
+	d.Register(rel)
+	r, err := d.Query("SELECT STDDEV(x) AS sd FROM t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.TupleRows()[0][0]; got.Float() != 1e12 {
+		t.Fatalf("STDDEV = %v, want 1e12", got)
 	}
 }
 

@@ -11,9 +11,9 @@ import (
 // Window-function execution. OVER expressions are computed between WHERE and
 // projection, SQL's window stage: every distinct window call in the select
 // list or ORDER BY is lifted out and replaced by a placeholder column
-// reference, the window vectors are evaluated over the post-WHERE rows
+// reference, the window columns are evaluated over the post-WHERE rows
 // through the columnar kernel (relation.WindowEval), and the source is
-// extended with one "__win_N" column per call. The rewritten statement then
+// extended with one typed "__win_N" column per call. The rewritten statement then
 // flows through the ordinary plain-projection paths — DISTINCT, ORDER BY,
 // LIMIT all see plain columns.
 
@@ -105,16 +105,18 @@ func (x *stmtCtx) applyWindows(stmt *SelectStmt, idx []int32) (*SelectStmt, erro
 		if err != nil {
 			return nil, err
 		}
-		vec, err := x.evalWindow(w, idx)
+		col, err := x.evalWindow(w, idx)
 		if err != nil {
 			return nil, err
 		}
-		vals := make([]value.Value, nBase)
-		for i, v := range vec {
-			vals[rowAt(idx, i)] = v
+		// The kernel's column is lane-aligned; base-row aligned it is the
+		// same column when every row survives, else it is placed at the
+		// surviving rows. No kind is declared, so no cell widens.
+		if idx != nil {
+			col = relation.Place(col, nil, idx, nBase, value.KindNull)
 		}
 		winSchema = append(winSchema, relation.Column{Name: winPlaceholder(wi), Kind: kind})
-		winCols = append(winCols, relation.BoxedCol(vals))
+		winCols = append(winCols, col)
 	}
 
 	nstmt := *stmt
@@ -124,12 +126,13 @@ func (x *stmtCtx) applyWindows(stmt *SelectStmt, idx []int32) (*SelectStmt, erro
 	return &nstmt, nil
 }
 
-// evalWindow computes one window call's value per surviving row. Partition
+// evalWindow computes one window call's column over the surviving rows,
+// lane-aligned (relation.WindowEval). Partition
 // keys, order keys and the argument are arbitrary expressions, evaluated
 // together into lane columns (laneCols: source columns in place, batch
 // programs, then one row-major interpreter pass over the rest); a window
 // whose inputs all avoided the interpreter is counted by expr.batch.window.
-func (x *stmtCtx) evalWindow(w *expr.WindowCall, idx []int32) ([]value.Value, error) {
+func (x *stmtCtx) evalWindow(w *expr.WindowCall, idx []int32) (*relation.Col, error) {
 	n := x.lanes(idx)
 	np, nk := len(w.PartitionBy), len(w.OrderBy)
 	es := append([]expr.Expr(nil), w.PartitionBy...)

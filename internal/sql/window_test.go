@@ -62,6 +62,44 @@ func TestSQLWindowMovingFrame(t *testing.T) {
 		14500, 29500, 31000, 33000, 34500, 35500, 13500, 28500, 31000)
 }
 
+// TestSQLWindowHugeFrameOffsets: an offset of math.MaxInt64 rows reaches
+// past the partition without overflowing — as a near bound it is the
+// partition's end, as a far one it leaves the frame empty.
+func TestSQLWindowHugeFrameOffsets(t *testing.T) {
+	rel := relation.New("t", relation.Schema{{Name: "x", Kind: value.KindInt}})
+	for i := 1; i <= 4; i++ {
+		rel.MustAppend(value.NewInt(int64(i)))
+	}
+	d := NewDB()
+	d.Register(rel)
+	for _, tc := range []struct {
+		frame string
+		want  []value.Value
+	}{
+		{"CURRENT ROW AND 9223372036854775807 FOLLOWING",
+			[]value.Value{value.NewInt(10), value.NewInt(9), value.NewInt(7), value.NewInt(4)}},
+		{"CURRENT ROW AND UNBOUNDED FOLLOWING",
+			[]value.Value{value.NewInt(10), value.NewInt(9), value.NewInt(7), value.NewInt(4)}},
+		{"9223372036854775807 PRECEDING AND CURRENT ROW",
+			[]value.Value{value.NewInt(1), value.NewInt(3), value.NewInt(6), value.NewInt(10)}},
+		{"9223372036854775807 FOLLOWING AND UNBOUNDED FOLLOWING",
+			[]value.Value{value.Null, value.Null, value.Null, value.Null}},
+		{"UNBOUNDED PRECEDING AND 9223372036854775807 PRECEDING",
+			[]value.Value{value.Null, value.Null, value.Null, value.Null}},
+	} {
+		src := "SELECT SUM(x) OVER (ORDER BY x ROWS BETWEEN " + tc.frame + ") AS s FROM t ORDER BY x"
+		r, err := d.Query(src)
+		if err != nil {
+			t.Fatalf("%s: %v", src, err)
+		}
+		for i, row := range r.TupleRows() {
+			if !value.Equal(row[0], tc.want[i]) || row[0].Kind() != tc.want[i].Kind() {
+				t.Fatalf("%s: row %d = %v, want %v", src, i, row[0], tc.want[i])
+			}
+		}
+	}
+}
+
 func TestSQLWindowCountStar(t *testing.T) {
 	r := q(t, "SELECT ID, COUNT(*) OVER (PARTITION BY Model) AS n FROM cars")
 	eqI64(t, colI64(t, r, "n"), 6, 6, 6, 6, 6, 6, 3, 3, 3)
