@@ -566,10 +566,12 @@ func walkthroughEngine100k(b *testing.B) (*engine.Engine, func(engine.Op)) {
 // BenchmarkFormulaRecompute100k prices the edits whose stages recompute on
 // a warm 100k-row sheet at the Tables I–V state: each iteration adds a θ
 // formula (Score: integer division feeding +; Label: UPPER and a || chain)
-// or a σ with LIKE, with constants no earlier iteration used so the stage
-// cache cannot answer it, renders the first 50-row page, undoes the edit
-// and renders again. The LIKE patterns each match one model; the run of
-// trailing %s only makes the constant fresh.
+// or a σ (Like: LIKE on Model; Mileage: the walkthrough's Mileage bound),
+// with constants no earlier iteration used so the stage cache cannot answer
+// it, renders the first 50-row page, undoes the edit and renders again. The
+// LIKE patterns each match one model; the run of trailing %s only makes the
+// constant fresh. The Mileage bound keeps about half the rows, so λ orders
+// about half of the walkthrough's survivors.
 func BenchmarkFormulaRecompute100k(b *testing.B) {
 	models := []string{"Je%", "Ci%", "Cor%", "Ac%", "Fo%", "Al%", "Pa%", "Cam%"}
 	for _, bc := range []struct {
@@ -587,6 +589,9 @@ func BenchmarkFormulaRecompute100k(b *testing.B) {
 		{"Like", func(i int) engine.Op {
 			pattern := models[i%len(models)] + strings.Repeat("%", i/len(models)%10)
 			return engine.Op{Op: "select", Predicate: fmt.Sprintf("Model LIKE '%s'", pattern)}
+		}},
+		{"Mileage", func(i int) engine.Op {
+			return engine.Op{Op: "select", Predicate: fmt.Sprintf("Mileage < %d", 85000+i%10000)}
 		}},
 	} {
 		b.Run(bc.name, func(b *testing.B) {

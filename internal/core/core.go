@@ -299,6 +299,11 @@ type Spreadsheet struct {
 	baseSeen  *relation.Relation
 	baseGen   uint64
 	lastPlan  *EvalPlan
+	// orderMemo is the base-order key of the last λ recompute under base
+	// column keys that sorted its survivors; the next such recompute under
+	// the same key builds that order (stage.go, baseOrder). Clone starts
+	// without it.
+	orderMemo uint64
 }
 
 type snapshot struct {

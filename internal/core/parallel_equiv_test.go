@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -125,14 +127,37 @@ func renderAt(t *testing.T, base *relation.Relation, p equivProgram, threshold i
 	return res.Render(), res.RenderGrouped()
 }
 
+// nanPriceCars is RandomCars with Price a FLOAT column that holds NaN on
+// about one row in seven: a λ key that is not a strict weak order, since NaN
+// compares 0 against every price.
+func nanPriceCars(n int, seed int64) *relation.Relation {
+	r := dataset.RandomCars(n, seed)
+	rng := rand.New(rand.NewSource(seed))
+	schema := r.Schema.Clone()
+	cols := append([]*relation.Col(nil), r.Columns()...)
+	p := r.Schema.IndexOf("Price")
+	prices := make([]value.Value, n)
+	for i := range prices {
+		prices[i] = value.NewFloat(float64(cols[p].Ints[i]))
+		if rng.Intn(7) == 0 {
+			prices[i] = value.NewFloat(math.NaN())
+		}
+	}
+	schema[p].Kind = value.KindFloat
+	cols[p] = relation.ColOf(value.KindFloat, prices)
+	return relation.FromColumns(r.Name, schema, cols, n)
+}
+
 // TestParallelEquivalence forces the chunked path (threshold 0) and the
 // sequential path (huge threshold) over every program shape and both the
-// paper's 15-row table and a larger random table, and insists the rendered
-// output — table and group structure — is identical.
+// paper's 15-row table and a larger random table, plus one whose Price
+// holds NaN, and insists the rendered output — table and group structure —
+// is identical.
 func TestParallelEquivalence(t *testing.T) {
 	bases := map[string]*relation.Relation{
-		"usedcars": dataset.UsedCars(),
-		"random3k": dataset.RandomCars(3000, 99),
+		"usedcars":      dataset.UsedCars(),
+		"random3k":      dataset.RandomCars(3000, 99),
+		"random3k-nanp": nanPriceCars(3000, 99),
 	}
 	const sequential = 1 << 30
 	for baseName, base := range bases {

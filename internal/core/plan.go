@@ -577,11 +577,19 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	keys := s.sortKeys()
 	if len(keys) > 0 {
 		fp := fpU(rowFP, uint64(stageOrder))
+		// The base order's key (stage.go, baseOrder) folds in only what the
+		// stable sort of every base row reads: the base and each key's
+		// direction and column fingerprint, which for a base column is keyed
+		// on the base and the column's name. The row spine and the level
+		// split change the survivors and the group starts, not that order.
+		ofp := fpS(baseFP, "base-order")
 		refs := make([]string, 0, len(keys))
 		for _, k := range keys {
+			kfp := refFP(k.Column)
 			fp = fpS(fp, k.Column)
 			fp = fpDir(fp, k.Desc)
-			fp = fpU(fp, refFP(k.Column))
+			fp = fpU(fp, kfp)
+			ofp = fpU(fpDir(ofp, k.Desc), kfp)
 			refs = append(refs, k.Column)
 		}
 		// The artifact carries the group tree's level boundaries, so the key
@@ -597,7 +605,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 		stages = append(stages, stageNode{
 			kind: stageOrder, id: "order", name: "λ", fp: fp,
 			deps:  depList(rowID, refs),
-			run:   runOrderStage(keys),
+			run:   runOrderStage(keys, ofp),
 			apply: applyOrder,
 		})
 	}

@@ -12,11 +12,15 @@ import (
 // from a cached artifact; stage_recomputes counts stages actually
 // re-executed. snapshot_bytes gauges the resident bytes owned by the cached
 // artifacts of every live sheet (each artifact is charged only for the
-// storage it allocated itself).
+// storage it allocated itself). order_built counts λ base orders built into
+// the cache, order_filtered the λ recomputes that filtered one instead of
+// sorting their survivors (stage.go, baseOrder).
 var (
 	evalStageHits       = obs.Default.Counter("core.eval.stage_hits")
 	evalStageRecomputes = obs.Default.Counter("core.eval.stage_recomputes")
 	evalSnapshotBytes   = obs.Default.Gauge("core.eval.snapshot_bytes")
+	evalOrderBuilt      = obs.Default.Counter("core.eval.order_built")
+	evalOrderFiltered   = obs.Default.Counter("core.eval.order_filtered")
 )
 
 // stageSnap is the running state of one evaluation: the surviving base-row

@@ -378,7 +378,8 @@ func runDistinctStage(cols []string) func(*evalCtx, *stageSnap) (*stageSnap, err
 // while it holds the sorted view, records where each grouping level's
 // groups start (groupStarts). Assembly builds the group tree from those
 // offsets, so a cached λ artifact serves the tree without a row scan.
-func runOrderStage(keys []relation.SortKey) func(*evalCtx, *stageSnap) (*stageArtifact, error) {
+// orderFP keys the keys' σ-independent base order (baseOrder).
+func runOrderStage(keys []relation.SortKey, orderFP uint64) func(*evalCtx, *stageSnap) (*stageArtifact, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageArtifact, error) {
 		pos := make([]int, len(keys))
 		desc := make([]bool, len(keys))
@@ -391,7 +392,7 @@ func runOrderStage(keys []relation.SortKey) func(*evalCtx, *stageSnap) (*stageAr
 		}
 		view := ev.viewOf(in)
 		sorted := *view
-		sorted.Idx = ev.orderedIdx(view, pos, desc)
+		sorted.Idx = ev.orderedIdx(view, pos, desc, orderFP)
 		starts, err := ev.groupStarts(&sorted)
 		if err != nil {
 			return nil, err
@@ -468,8 +469,10 @@ func viewEqualOn(v *relation.IndexView, a, b int, cols []*relation.Col) bool {
 // grouping basis itself — and every key column's compare-equal relation
 // coincides with group equality, the rows counting-sort by group rank in
 // O(n) instead of comparison-sorting; the result is bit-identical to the
-// stable merge sort. Everything else takes relation.SortView.
-func (ev *evalCtx) orderedIdx(view *relation.IndexView, pos []int, desc []bool) []int32 {
+// stable merge sort. Otherwise, when the keys' base order is at hand, the
+// survivors filter it (filterOrder). Everything else takes
+// relation.SortView.
+func (ev *evalCtx) orderedIdx(view *relation.IndexView, pos []int, desc []bool, orderFP uint64) []int32 {
 	if gr := ev.cachedGrouping(view, pos); gr != nil && len(pos) > 0 {
 		kc := make([]*relation.Col, len(pos))
 		ok := true
@@ -484,5 +487,75 @@ func (ev *evalCtx) orderedIdx(view *relation.IndexView, pos []int, desc []bool) 
 			return relation.SortViewByGrouping(view, kc, desc, gr)
 		}
 	}
+	if order := ev.baseOrder(pos, desc, orderFP); order != nil {
+		if idx := filterOrder(order, view.Idx, view.Base); idx != nil {
+			evalOrderFiltered.Inc()
+			return idx
+		}
+	}
 	return relation.SortView(view, pos, desc)
+}
+
+// baseOrder returns the keys' base order — the stable sort of every base
+// row by the keys — from the sheet's artifact cache, building it on the
+// second λ recompute in a row under the same key (orderMemo), or nil. A
+// first sighting sorts its survivors, so a cold sheet, a one-off λ flip or
+// a τ edit costs no more than it did; an edit that recomputes λ under a
+// standing key set (a σ or δ edit) filters from then on.
+//
+// Only keys that are all base columns and compare as a strict weak order
+// over the whole base qualify. An η, ω or θ column is filled over the rows
+// that reach its stage, not over the base; and under a key that is not a
+// strict weak order (a NaN in a FLOAT key, or a Boxed key) the stable sort
+// of the survivors need not be the filtered sort of the base.
+func (ev *evalCtx) baseOrder(pos []int, desc []bool, fp uint64) []int32 {
+	keyCols := make([]*relation.Col, len(pos))
+	for i, p := range pos {
+		if p >= ev.nBase {
+			return nil
+		}
+		keyCols[i] = ev.cols[p]
+	}
+	s := ev.s
+	cache := s.snaps()
+	if art := cache.get(fp); art != nil {
+		return art.idx
+	}
+	if s.orderMemo != fp {
+		s.orderMemo = fp
+		return nil
+	}
+	n := s.base.Len()
+	if !relation.StrictWeakOrder(keyCols, nil, n) {
+		return nil
+	}
+	order := relation.SortPermCols(keyCols, nil, n, desc)
+	cache.put(&stageArtifact{fp: fp, idx: order, ownBytes: int64(4 * n)})
+	evalOrderBuilt.Inc()
+	return order
+}
+
+// filterOrder keeps, in order, the base order's entries whose row is in
+// idx. Stages before λ keep their survivors in ascending base order, and
+// under that precondition the result is exactly the stable sort of idx
+// (Theorem 2: σ commutes with λ): equal keys keep base order either way.
+// filterOrder checks the precondition while it marks the survivors and
+// returns nil when it does not hold.
+func filterOrder(order, idx []int32, nBase int) []int32 {
+	keep := relation.NewBitmap(nBase)
+	prev := int32(-1)
+	for _, r := range idx {
+		if r <= prev {
+			return nil
+		}
+		relation.BitSet(keep, int(r))
+		prev = r
+	}
+	out := make([]int32, 0, len(idx))
+	for _, r := range order {
+		if relation.BitGet(keep, int(r)) {
+			out = append(out, r)
+		}
+	}
+	return out
 }

@@ -22,7 +22,8 @@ type SortKey struct {
 // gather. Above ParallelThreshold the permutation is chunk-sorted
 // concurrently and the sorted runs merge pairwise; every merge prefers the
 // left (lower original index) run on ties, so the result is stable and
-// bit-identical to the sequential sort.
+// bit-identical to the sequential sort — provided the keys compare as a
+// strict weak order (StrictWeakOrder). Keys that do not stay sequential.
 var (
 	sortKeyed    = obs.Default.Counter("relation.sort.keyed")
 	sortParallel = obs.Default.Counter("relation.sort.parallel")
@@ -31,9 +32,12 @@ var (
 // permSorter stably orders an int32 permutation under an arbitrary strict
 // less. The column sort and the window kernel's (partition, keys) sort both
 // run through it, so their stability and parallel-merge determinism are
-// identical.
+// identical. sequential keeps the sort in one run: callers set it when less
+// is not a strict weak order, under which the sorted result depends on
+// where the chunks split.
 type permSorter struct {
-	less func(a, b int32) bool
+	less       func(a, b int32) bool
+	sequential bool
 }
 
 // sortRunCutoff is the run length below which the merge sort switches to
@@ -86,13 +90,13 @@ func (s *permSorter) mergeInto(a, b, out []int32) {
 }
 
 // sort stably orders the full permutation, fanning out above the parallel
-// threshold: chunks sort concurrently, then sorted runs merge pairwise (also
-// concurrently) until one run remains.
+// threshold unless the sorter is sequential: chunks sort concurrently, then
+// sorted runs merge pairwise (also concurrently) until one run remains.
 func (s *permSorter) sort(perm []int32) {
 	n := len(perm)
 	buf := make([]int32, n)
 	bounds := Chunks(n)
-	if len(bounds) <= 1 {
+	if len(bounds) <= 1 || s.sequential {
 		s.sortRun(perm, buf)
 		return
 	}
@@ -242,6 +246,36 @@ func colCompare(c *Col, rows []int32) func(a, b int32) int {
 	}
 }
 
+// StrictWeakOrder reports whether colCompare orders lanes 0..n-1 of every
+// key column (cell indexes read through rows, nil = identity) as a strict
+// weak order: no key is Boxed, and no FLOAT key holds a NaN on those lanes.
+// A NaN compares 0 against every value, and a Boxed column's cells may mix
+// ints past 2^53 with floats, so either breaks transitivity; the stable
+// sort's result is then not unique, and the chunked sort and merge could
+// return a different one for every chunk split. Only the sequential sort is
+// deterministic there, so SortPermCols and WindowEval keep such sorts in one
+// run, and core's λ filters a cached base order only under keys that pass.
+func StrictWeakOrder(keyCols []*Col, rows []int32, n int) bool {
+	for _, c := range keyCols {
+		if c.Boxed != nil {
+			return false
+		}
+		if c.Kind != value.KindFloat {
+			continue
+		}
+		for l := 0; l < n; l++ {
+			i := l
+			if rows != nil {
+				i = int(rows[l])
+			}
+			if f := c.Floats[i]; f != f && !BitGet(c.Nulls, i) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // SortPermCols stably orders sort lanes 0..n-1 by the typed key columns,
 // reading cell indexes through rows (nil = identity), and returns the
 // permutation.
@@ -271,7 +305,7 @@ func SortPermCols(keyCols []*Col, rows []int32, n int, desc []bool) []int32 {
 		}
 		return false
 	}
-	(&permSorter{less: less}).sort(perm)
+	(&permSorter{less: less, sequential: !StrictWeakOrder(keyCols, rows, n)}).sort(perm)
 	return perm
 }
 

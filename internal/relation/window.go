@@ -289,7 +289,8 @@ func WindowEval(spec WindowSpec, in WindowInput) (*Col, error) {
 			}
 			return false
 		}
-		(&permSorter{less: less}).sort(perm)
+		sequential := !StrictWeakOrder(in.KeyCols, in.Rows, n)
+		(&permSorter{less: less, sequential: sequential}).sort(perm)
 	}
 
 	// Partition bounds over the sorted permutation.

@@ -189,6 +189,38 @@ func TestMetricsAggVectorizedAdvances(t *testing.T) {
 	}
 }
 
+// TestMetricsOrderFilteredAdvances: on a sheet under one ordering, the
+// render after the sort recomputes λ by sorting, and each σ edit after it
+// recomputes λ again under the same keys — the first builds the keys' base
+// order, the second filters it — so core.eval.order_filtered advances.
+func TestMetricsOrderFilteredAdvances(t *testing.T) {
+	_, c := newTestServer(t, Config{})
+	id := c.create("ordered")
+	c.op(id, engine.Op{Op: "demo", Table: "cars"})
+	c.op(id, engine.Op{Op: "group", Columns: []string{"Model"}, Dir: "desc"})
+	c.op(id, engine.Op{Op: "sort", Column: "Price", Dir: "asc"})
+	render := func() {
+		var out json.RawMessage
+		if code := c.do("GET", "/v1/sessions/"+id+"/render?limit=3", nil, &out); code != http.StatusOK {
+			t.Fatalf("render: status %d", code)
+		}
+	}
+	render()
+	before := fetchMetrics(t, c)
+	c.op(id, engine.Op{Op: "select", Predicate: "Year >= 2003"})
+	render()
+	c.op(id, engine.Op{Op: "modify", ID: 1, Predicate: "Year >= 2004"})
+	render()
+	after := fetchMetrics(t, c)
+	delta := func(name string) int64 { return after.Counters[name] - before.Counters[name] }
+	if d := delta("core.eval.order_built"); d < 1 {
+		t.Errorf("core.eval.order_built delta = %d, want >= 1", d)
+	}
+	if d := delta("core.eval.order_filtered"); d < 2 {
+		t.Errorf("core.eval.order_filtered delta = %d, want >= 2", d)
+	}
+}
+
 // TestRequestIDRoundTrip asserts the request-ID contract on the wire: a
 // caller-supplied X-Request-ID is echoed back verbatim, and a request
 // without one gets a generated ID on the response.
