@@ -63,12 +63,6 @@ func carryComputed(newBase *relation.Relation, computed []*ComputedColumn) error
 			if !known(c.Input) {
 				return fmt.Errorf("core: computed column %s aggregates %q, which the result does not carry; remove it first", c.Name, c.Input)
 			}
-		case KindWindow:
-			for _, ref := range c.Win.columns() {
-				if !known(ref) {
-					return fmt.Errorf("core: computed column %s references %q, which the result does not carry; remove it first", c.Name, ref)
-				}
-			}
 		default:
 			for _, ref := range expr.Columns(c.Formula) {
 				if !known(ref) {

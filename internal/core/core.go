@@ -95,83 +95,6 @@ const (
 	KindWindow
 )
 
-// WindowDef is the definition of a window computed column (KindWindow).
-// All references are plain column names (base or computed), like an
-// aggregate's Input, which keeps cloning, persistence and fingerprinting
-// structural.
-type WindowDef struct {
-	Func        relation.WindowFunc
-	Input       string // argument column; "" for ranking functions and COUNT(*)
-	PartitionBy []string
-	OrderBy     []SortKey
-	Frame       *relation.Frame
-}
-
-// clone deep-copies the definition.
-func (w *WindowDef) clone() *WindowDef {
-	out := &WindowDef{Func: w.Func, Input: w.Input}
-	out.PartitionBy = append([]string(nil), w.PartitionBy...)
-	out.OrderBy = append([]SortKey(nil), w.OrderBy...)
-	if w.Frame != nil {
-		f := *w.Frame
-		out.Frame = &f
-	}
-	return out
-}
-
-// columns returns every column the definition references.
-func (w *WindowDef) columns() []string {
-	var out []string
-	if w.Input != "" {
-		out = append(out, w.Input)
-	}
-	out = append(out, w.PartitionBy...)
-	for _, k := range w.OrderBy {
-		out = append(out, k.Column)
-	}
-	return out
-}
-
-// SQL renders the definition in OVER-clause spelling for history entries
-// and the explain surface.
-func (w *WindowDef) SQL() string {
-	var b strings.Builder
-	b.WriteString(string(w.Func))
-	b.WriteByte('(')
-	if w.Input != "" {
-		b.WriteString(w.Input)
-	} else if !w.Func.Ranking() {
-		b.WriteByte('*')
-	}
-	b.WriteString(") OVER (")
-	sep := ""
-	if len(w.PartitionBy) > 0 {
-		b.WriteString("PARTITION BY ")
-		b.WriteString(strings.Join(w.PartitionBy, ", "))
-		sep = " "
-	}
-	if len(w.OrderBy) > 0 {
-		b.WriteString(sep)
-		b.WriteString("ORDER BY ")
-		for i, k := range w.OrderBy {
-			if i > 0 {
-				b.WriteString(", ")
-			}
-			b.WriteString(k.Column)
-			if k.Dir == Desc {
-				b.WriteString(" DESC")
-			}
-		}
-		sep = " "
-	}
-	if w.Frame != nil {
-		b.WriteString(sep)
-		b.WriteString(w.Frame.String())
-	}
-	b.WriteByte(')')
-	return b.String()
-}
-
 // ComputedColumn is the definition of one computed column. The paper's
 // essential property — "once a user has defined such a column, the user
 // expects it to reflect the value correctly even as the database or
@@ -186,11 +109,11 @@ type ComputedColumn struct {
 	Input string // column aggregated over
 	Level int    // 1-based grouping level; 1 aggregates the whole sheet
 
-	// Formula definition (KindFormula).
+	// Formula definition (KindFormula), or the window call (KindWindow):
+	// an *expr.WindowCall whose argument and keys are plain column
+	// references. Both are expression trees, so they print, check, clone,
+	// fingerprint and rename through internal/expr alike.
 	Formula expr.Expr
-
-	// Window definition (KindWindow).
-	Win *WindowDef
 
 	// ResultKind caches the inferred kind of the column.
 	ResultKind value.Kind
@@ -198,16 +121,8 @@ type ComputedColumn struct {
 
 // dependsOn reports whether the definition references the named column.
 func (c *ComputedColumn) dependsOn(col string) bool {
-	switch c.Kind {
-	case KindAggregate:
+	if c.Kind == KindAggregate {
 		return strings.EqualFold(c.Input, col)
-	case KindWindow:
-		for _, ref := range c.Win.columns() {
-			if strings.EqualFold(ref, col) {
-				return true
-			}
-		}
-		return false
 	}
 	return expr.References(c.Formula, col)
 }
@@ -255,9 +170,6 @@ func (q *queryState) clone() *queryState {
 		cc := *c
 		if cc.Formula != nil {
 			cc.Formula = cloneExpr(cc.Formula)
-		}
-		if cc.Win != nil {
-			cc.Win = cc.Win.clone()
 		}
 		out.computed = append(out.computed, &cc)
 	}
@@ -497,8 +409,9 @@ func (s *Spreadsheet) visible(name string) bool {
 
 // aggDepth computes the paper-motivated evaluation depth of a column: base
 // columns are depth 0, a formula column has the max depth of its inputs,
-// and an aggregate column is one deeper than its input. Selections evaluate
-// at the max depth of their referenced columns; see Evaluate.
+// and an aggregate or window column is one deeper than its (deepest) input.
+// Selections evaluate at the max depth of their referenced columns; see
+// Evaluate.
 func (s *Spreadsheet) aggDepth(col string, seen map[string]bool) (int, error) {
 	if s.base.Schema.Has(col) {
 		return 0, nil
@@ -523,22 +436,6 @@ func (s *Spreadsheet) aggDepth(col string, seen map[string]bool) (int, error) {
 		}
 		return d + 1, nil
 	}
-	if c.Kind == KindWindow {
-		// A window column is one deeper than its deepest reference: it is
-		// computed over the rows surviving the shallower stages, like an
-		// aggregate, and formulas over it evaluate later.
-		max := 0
-		for _, ref := range c.Win.columns() {
-			d, err := s.aggDepth(ref, seen)
-			if err != nil {
-				return 0, err
-			}
-			if d > max {
-				max = d
-			}
-		}
-		return max + 1, nil
-	}
 	max := 0
 	for _, ref := range expr.Columns(c.Formula) {
 		d, err := s.aggDepth(ref, seen)
@@ -549,11 +446,22 @@ func (s *Spreadsheet) aggDepth(col string, seen map[string]bool) (int, error) {
 			max = d
 		}
 	}
+	if c.Kind == KindWindow {
+		// A window column is one deeper than its deepest reference: it is
+		// computed over the rows surviving the shallower stages, like an
+		// aggregate, and formulas over it evaluate later.
+		max++
+	}
 	return max, nil
 }
 
-// exprDepth is aggDepth over all columns an expression references.
-func (s *Spreadsheet) exprDepth(e expr.Expr) (int, error) {
+// ColumnDepth is the evaluation stratum of a base or computed column
+// (aggDepth); SQL generation stages its subqueries by it.
+func (s *Spreadsheet) ColumnDepth(col string) (int, error) { return s.aggDepth(col, nil) }
+
+// ExprDepth is the stratum an expression evaluates at: the deepest column
+// it references. A selection runs at its predicate's depth.
+func (s *Spreadsheet) ExprDepth(e expr.Expr) (int, error) {
 	max := 0
 	for _, col := range expr.Columns(e) {
 		d, err := s.aggDepth(col, map[string]bool{})

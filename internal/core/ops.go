@@ -37,7 +37,7 @@ func (s *Spreadsheet) SelectExpr(e expr.Expr) (int, error) {
 	if expr.ContainsWindow(e) {
 		return 0, fmt.Errorf("core: window functions are created with Window, not inline in predicates")
 	}
-	if _, err := s.exprDepth(e); err != nil {
+	if _, err := s.ExprDepth(e); err != nil {
 		return 0, err
 	}
 	before := s.begin()
@@ -307,143 +307,39 @@ func (s *Spreadsheet) Window(fn relation.WindowFunc, input string, partitionBy [
 	return s.WindowAs("", fn, input, partitionBy, orderBy, frame)
 }
 
-// WindowAs is Window with an explicit result-column name.
+// WindowAs is Window with an explicit result-column name. It builds the
+// OVER call WindowExprAs stores.
 func (s *Spreadsheet) WindowAs(name string, fn relation.WindowFunc, input string, partitionBy []string, orderBy []SortKey, frame *relation.Frame) (string, error) {
-	def := &WindowDef{
-		Func:        fn,
-		Input:       input,
-		PartitionBy: append([]string(nil), partitionBy...),
-		OrderBy:     append([]SortKey(nil), orderBy...),
+	w := &expr.WindowCall{Func: fn}
+	if input != "" {
+		w.Arg = &expr.ColumnRef{Name: input}
+	}
+	for _, p := range partitionBy {
+		w.PartitionBy = append(w.PartitionBy, &expr.ColumnRef{Name: p})
+	}
+	for _, k := range orderBy {
+		w.OrderBy = append(w.OrderBy, expr.WindowOrder{X: &expr.ColumnRef{Name: k.Column}, Desc: k.Dir == Desc})
 	}
 	if frame != nil {
 		f := *frame
-		def.Frame = &f
+		w.Frame = &f
 	}
-	return s.windowAs(name, def)
+	return s.WindowExprAs(name, w)
 }
 
 // WindowExprAs creates a window column from a parsed OVER expression whose
-// argument, partition and order keys are plain column references — the shape
-// the operator stores (WindowDef). The SQL layer and the REPL route through
-// here.
+// argument, partition and order keys are plain column references. The call
+// is the stored definition, as a θ column stores its formula. The SQL
+// layer and the REPL route through here.
 func (s *Spreadsheet) WindowExprAs(name string, w *expr.WindowCall) (string, error) {
-	def, err := windowDefFromCall(w)
-	if err != nil {
-		return "", err
-	}
-	return s.windowAs(name, def)
-}
-
-// windowDefFromCall lowers a parsed *expr.WindowCall to the core definition,
-// requiring every key to be a plain column reference.
-func windowDefFromCall(w *expr.WindowCall) (*WindowDef, error) {
-	def := &WindowDef{Func: w.Func}
-	if w.Arg != nil {
-		c, ok := w.Arg.(*expr.ColumnRef)
-		if !ok {
-			return nil, fmt.Errorf("core: window argument must be a plain column, got %s", w.Arg.SQL())
-		}
-		def.Input = c.Name
-	}
-	for _, p := range w.PartitionBy {
-		c, ok := p.(*expr.ColumnRef)
-		if !ok {
-			return nil, fmt.Errorf("core: PARTITION BY key must be a plain column, got %s", p.SQL())
-		}
-		def.PartitionBy = append(def.PartitionBy, c.Name)
-	}
-	for _, k := range w.OrderBy {
-		c, ok := k.X.(*expr.ColumnRef)
-		if !ok {
-			return nil, fmt.Errorf("core: window ORDER BY key must be a plain column, got %s", k.X.SQL())
-		}
-		dir := Asc
-		if k.Desc {
-			dir = Desc
-		}
-		def.OrderBy = append(def.OrderBy, SortKey{Column: c.Name, Dir: dir})
-	}
-	if w.Frame != nil {
-		f := *w.Frame
-		def.Frame = &f
-	}
-	return def, nil
-}
-
-// checkWindowDef validates a window definition against the current schema
-// and returns the column's result kind. Shared by the operator entry point
-// and state restoration.
-func (s *Spreadsheet) checkWindowDef(def *WindowDef) (value.Kind, error) {
-	fn := def.Func
-	if _, err := relation.ParseWindowFunc(string(fn)); err != nil {
-		return value.KindNull, err
-	}
-	inKind := value.KindNull
-	if fn.NeedsArg() && def.Input == "" {
-		return value.KindNull, fmt.Errorf("core: window %s needs an argument column", fn)
-	}
-	if def.Input != "" {
-		if fn.Ranking() {
-			return value.KindNull, fmt.Errorf("core: window %s takes no argument", fn)
-		}
-		k, ok := s.columnKind(def.Input)
-		if !ok {
-			return value.KindNull, fmt.Errorf("core: unknown column %q", def.Input)
-		}
-		inKind = k
-		switch fn {
-		case relation.WinSum, relation.WinAvg:
-			if !k.Numeric() {
-				return value.KindNull, fmt.Errorf("core: %s requires a numeric column, %q is %s", fn, def.Input, k)
-			}
-		}
-	}
-	seen := map[string]bool{}
-	for _, c := range def.PartitionBy {
-		if !s.hasColumn(c) {
-			return value.KindNull, fmt.Errorf("core: unknown column %q", c)
-		}
-		lk := strings.ToLower(c)
-		if seen[lk] {
-			return value.KindNull, fmt.Errorf("core: duplicate PARTITION BY column %q", c)
-		}
-		seen[lk] = true
-	}
-	for _, k := range def.OrderBy {
-		if !s.hasColumn(k.Column) {
-			return value.KindNull, fmt.Errorf("core: unknown column %q", k.Column)
-		}
-	}
-	if fn.Ranking() {
-		if len(def.OrderBy) == 0 {
-			return value.KindNull, fmt.Errorf("core: window %s needs ORDER BY", fn)
-		}
-		if def.Frame != nil {
-			return value.KindNull, fmt.Errorf("core: window %s takes no frame", fn)
-		}
-	}
-	if def.Frame != nil {
-		if len(def.OrderBy) == 0 {
-			return value.KindNull, fmt.Errorf("core: a window frame needs ORDER BY")
-		}
-		if err := def.Frame.Validate(); err != nil {
-			return value.KindNull, err
-		}
-	}
-	return fn.ResultKind(inKind), nil
-}
-
-// windowAs validates def, names the column, and appends the ω definition to
-// the query state.
-func (s *Spreadsheet) windowAs(name string, def *WindowDef) (string, error) {
-	kind, err := s.checkWindowDef(def)
+	kind, err := s.checkWindow(w)
 	if err != nil {
 		return "", err
 	}
 	if name == "" {
-		base := titleCase(string(def.Func))
-		if def.Input != "" {
-			base += "_" + def.Input
+		base := titleCase(string(w.Func))
+		if arg, ok := w.Arg.(*expr.ColumnRef); ok {
+			base += "_" + arg.Name
 		}
 		name = base
 		for i := 2; s.hasColumn(name); i++ {
@@ -454,15 +350,63 @@ func (s *Spreadsheet) windowAs(name string, def *WindowDef) (string, error) {
 	}
 	before := s.begin()
 	s.state.computed = append(s.state.computed, &ComputedColumn{
-		Name: name, Kind: KindWindow, Win: def, ResultKind: kind,
+		Name: name, Kind: KindWindow, Formula: w, ResultKind: kind,
 	})
 	if _, err := s.aggDepth(name, map[string]bool{}); err != nil {
 		// Roll back the speculative append (cycle detection).
 		s.state.computed = s.state.computed[:len(s.state.computed)-1]
 		return "", err
 	}
-	s.commit(before, "ω "+name+" = "+def.SQL())
+	s.commit(before, "ω "+name+" = "+w.SQL())
 	return name, nil
+}
+
+// checkWindow validates an ω call against the current schema and returns
+// the column's result kind. expr.Check applies the rules of every OVER
+// clause; the algebra adds its own: the argument and keys are plain column
+// references, a PARTITION BY column appears once, and SUM/AVG read a
+// numeric column, as η's do. Shared by the operator and state restoration.
+func (s *Spreadsheet) checkWindow(w *expr.WindowCall) (value.Kind, error) {
+	plain := func(e expr.Expr, what string) (string, error) {
+		if c, ok := e.(*expr.ColumnRef); ok {
+			return c.Name, nil
+		}
+		return "", fmt.Errorf("core: %s must be a plain column, got %s", what, e.SQL())
+	}
+	var arg string
+	if w.Arg != nil {
+		var err error
+		if arg, err = plain(w.Arg, "window argument"); err != nil {
+			return value.KindNull, err
+		}
+	}
+	seen := map[string]bool{}
+	for _, p := range w.PartitionBy {
+		c, err := plain(p, "PARTITION BY key")
+		if err != nil {
+			return value.KindNull, err
+		}
+		lk := strings.ToLower(c)
+		if seen[lk] {
+			return value.KindNull, fmt.Errorf("core: duplicate PARTITION BY column %q", c)
+		}
+		seen[lk] = true
+	}
+	for _, k := range w.OrderBy {
+		if _, err := plain(k.X, "window ORDER BY key"); err != nil {
+			return value.KindNull, err
+		}
+	}
+	kind, err := expr.Check(w, s.columnKind)
+	if err != nil {
+		return value.KindNull, err
+	}
+	if w.Func == relation.WinSum || w.Func == relation.WinAvg {
+		if k, _ := s.columnKind(arg); !k.Numeric() {
+			return value.KindNull, fmt.Errorf("core: %s requires a numeric column, %q is %s", w.Func, arg, k)
+		}
+	}
+	return kind, nil
 }
 
 // Distinct applies δ (Def. 13): duplicates over the currently visible
@@ -518,28 +462,10 @@ func (s *Spreadsheet) Rename(old, new string) error {
 		if strings.EqualFold(c.Name, old) {
 			c.Name = new
 		}
-		switch c.Kind {
-		case KindFormula:
+		if c.Kind != KindAggregate {
 			rewrite(c.Formula)
-		case KindWindow:
-			w := c.Win
-			if strings.EqualFold(w.Input, old) {
-				w.Input = new
-			}
-			for i, p := range w.PartitionBy {
-				if strings.EqualFold(p, old) {
-					w.PartitionBy[i] = new
-				}
-			}
-			for i, k := range w.OrderBy {
-				if strings.EqualFold(k.Column, old) {
-					w.OrderBy[i].Column = new
-				}
-			}
-		default:
-			if strings.EqualFold(c.Input, old) {
-				c.Input = new
-			}
+		} else if strings.EqualFold(c.Input, old) {
+			c.Input = new
 		}
 	}
 	for gi := range s.state.grouping {

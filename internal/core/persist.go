@@ -57,7 +57,7 @@ type computedJSON struct {
 	Level   int    `json:"level,omitempty"`
 	Formula string `json:"formula,omitempty"`
 	// Window definitions round-trip through their OVER-clause SQL rendering
-	// (WindowDef.SQL → expr.Parse), like predicates and formulas.
+	// (expr's printer → expr.Parse), like predicates and formulas.
 	Window string `json:"window,omitempty"`
 }
 
@@ -113,7 +113,7 @@ func (s *Spreadsheet) encodeState(st *queryState) stateJSON {
 			cj.Level = c.Level
 		case KindWindow:
 			cj.Kind = "window"
-			cj.Window = c.Win.SQL()
+			cj.Window = c.Formula.SQL()
 		default:
 			cj.Kind = "formula"
 			cj.Formula = c.Formula.SQL()
@@ -234,16 +234,12 @@ func decodeState(s *Spreadsheet, in stateJSON) error {
 			if !ok {
 				return fmt.Errorf("core: restore column %s: %q is not a window expression", c.Name, c.Window)
 			}
-			def, err := windowDefFromCall(w)
-			if err != nil {
-				return fmt.Errorf("core: restore column %s: %w", c.Name, err)
-			}
-			kind, err := s.checkWindowDef(def)
+			kind, err := s.checkWindow(w)
 			if err != nil {
 				return fmt.Errorf("core: restore column %s: %w", c.Name, err)
 			}
 			st.computed = append(st.computed, &ComputedColumn{
-				Name: c.Name, Kind: KindWindow, Win: def, ResultKind: kind,
+				Name: c.Name, Kind: KindWindow, Formula: w, ResultKind: kind,
 			})
 		default:
 			return fmt.Errorf("core: restore: unknown computed kind %q", c.Kind)
@@ -268,7 +264,7 @@ func decodeState(s *Spreadsheet, in stateJSON) error {
 		if _, err := expr.Check(sel.Pred, s.columnKind); err != nil {
 			return fmt.Errorf("core: restore selection #%d: %w", sel.ID, err)
 		}
-		if _, err := s.exprDepth(sel.Pred); err != nil {
+		if _, err := s.ExprDepth(sel.Pred); err != nil {
 			return fmt.Errorf("core: restore selection #%d: %w", sel.ID, err)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sheetmusiq/internal/dataset"
+	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/relation"
 )
 
@@ -187,5 +188,83 @@ func TestSchemaFingerprint(t *testing.T) {
 	narrow, _ := dataset.UsedCars().Project([]string{"ID"})
 	if New(narrow).SchemaFingerprint() == a {
 		t.Error("different schemas must fingerprint differently")
+	}
+}
+
+// unitPriceCars is the demo relation with Price renamed to "Unit Price", a
+// name every printed definition must quote.
+func unitPriceCars() *relation.Relation {
+	r := dataset.UsedCars()
+	schema := r.Schema.Clone()
+	schema[schema.IndexOf("Price")].Name = "Unit Price"
+	return r.WithSchema(schema)
+}
+
+// TestWindowQuotedColumnRoundTrip: a window over a column whose name needs
+// quoting prints its OVER text through expr's printer, so both persisted
+// documents read back, with the grid, history, version and undo stack.
+func TestWindowQuotedColumnRoundTrip(t *testing.T) {
+	s := New(unitPriceCars())
+	e, err := expr.Parse(`SUM("Unit Price") OVER (ORDER BY Year)`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WindowExprAs("W", e.(*expr.WindowCall)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.WindowAs("R", relation.WinRank, "", []string{"Model"},
+		[]SortKey{{Column: "Unit Price", Dir: Desc}}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Select("R <= 2"); err != nil {
+		t.Fatal(err)
+	}
+	if want := `ω W = SUM("Unit Price") OVER (ORDER BY Year)`; s.History()[0] != want {
+		t.Fatalf("history reads %q, want %q", s.History()[0], want)
+	}
+	want, err := s.Evaluate()
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(doc string, got *Spreadsheet) {
+		t.Helper()
+		res, err := got.Evaluate()
+		if err != nil {
+			t.Fatalf("%s: %v", doc, err)
+		}
+		if res.Render() != want.Render() {
+			t.Fatalf("%s: restored grid differs:\n%s\nvs\n%s", doc, res.Render(), want.Render())
+		}
+		if strings.Join(got.History(), "\n") != strings.Join(s.History(), "\n") {
+			t.Fatalf("%s: history %q, want %q", doc, got.History(), s.History())
+		}
+	}
+	data, err := s.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err := RestoreState(unitPriceCars(), data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("state", restored)
+	full, err := s.MarshalFull()
+	if err != nil {
+		t.Fatal(err)
+	}
+	restored, err = RestoreFull(s.Base(), full)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("full", restored)
+	if restored.Version() != s.Version() || restored.UndoDepth() != s.UndoDepth() {
+		t.Fatalf("full: version %d undo %d, want %d and %d",
+			restored.Version(), restored.UndoDepth(), s.Version(), s.UndoDepth())
+	}
+	if _, err := restored.Undo(); err != nil {
+		t.Fatal(err)
+	}
+	if len(restored.ComputedColumns()) != 2 || len(restored.Selections("")) != 0 {
+		t.Fatal("full: undo did not restore the state before the selection")
 	}
 }

@@ -340,7 +340,7 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 	}
 	selDepth := make([]int, len(s.state.selections))
 	for i, sel := range s.state.selections {
-		d, err := s.exprDepth(sel.Pred)
+		d, err := s.ExprDepth(sel.Pred)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -446,71 +446,43 @@ func (s *Spreadsheet) buildPipeline() (*evalCtx, []stageNode, error) {
 				apply: applyCol(c.Name),
 			})
 		}
-		// Window columns of depth d: computed over the rows surviving
-		// selections < d, after the depth's aggregates (a window may rank
-		// by an aggregate of the same depth's inputs via a shallower
-		// column) and before its formulas (which may reference the window).
-		for ci, c := range s.state.computed {
-			if c.Kind != KindWindow || colDepths[ci] != d {
-				continue
+		// Window, then formula columns of depth d, each in creation order:
+		// a window sees the rows surviving selections < d after the
+		// depth's aggregates (it may rank by them), and a formula may read
+		// the windows and earlier formulas. Both key on their expression:
+		// its fingerprint, the result kind and the fingerprints of the
+		// columns it reads.
+		for _, k := range [...]struct {
+			col   ComputedKind
+			stage stageKind
+			glyph string
+		}{{KindWindow, stageWindow, "ω"}, {KindFormula, stageFormula, "θ"}} {
+			for ci, c := range s.state.computed {
+				if c.Kind != k.col || colDepths[ci] != d {
+					continue
+				}
+				refs := expr.Deps(c.Formula)
+				fp := fpU(entryFP, uint64(k.stage))
+				fp = fpU(fp, expr.Fingerprint(c.Formula))
+				fp = fpU(fp, uint64(c.ResultKind))
+				for _, r := range refs {
+					fp = fpU(fp, refFP(r))
+				}
+				run := runFormulaStage
+				if k.col == KindWindow {
+					run = runWindowStage
+				}
+				lk := strings.ToLower(c.Name)
+				id := "col:" + lk
+				colFPs[lk], colNode[lk] = fp, id
+				stages = append(stages, stageNode{
+					kind: k.stage, id: id, fp: fp,
+					name:  fmt.Sprintf("%s %s d%d", k.glyph, c.Name, d),
+					deps:  depList(entryID, refs),
+					run:   colArtifact(run(c, colPos[ci])),
+					apply: applyCol(c.Name),
+				})
 			}
-			w := c.Win
-			fp := fpU(entryFP, uint64(stageWindow))
-			fp = fpS(fp, string(w.Func))
-			fp = fpS(fp, w.Input)
-			if w.Input != "" {
-				fp = fpU(fp, refFP(w.Input))
-			}
-			fp = fpU(fp, uint64(len(w.PartitionBy)))
-			for _, b := range w.PartitionBy {
-				fp = fpS(fp, b)
-				fp = fpU(fp, refFP(b))
-			}
-			fp = fpU(fp, uint64(len(w.OrderBy)))
-			for _, k := range w.OrderBy {
-				fp = fpS(fp, k.Column)
-				fp = fpDir(fp, k.Dir == Desc)
-				fp = fpU(fp, refFP(k.Column))
-			}
-			if w.Frame != nil {
-				fp = fpS(fp, w.Frame.String())
-			}
-			fp = fpU(fp, uint64(c.ResultKind))
-			refs := w.columns()
-			lk := strings.ToLower(c.Name)
-			id := "col:" + lk
-			colFPs[lk], colNode[lk] = fp, id
-			stages = append(stages, stageNode{
-				kind: stageWindow, id: id, fp: fp,
-				name:  fmt.Sprintf("ω %s d%d", c.Name, d),
-				deps:  depList(entryID, refs),
-				run:   colArtifact(runWindowStage(c, colPos[ci])),
-				apply: applyCol(c.Name),
-			})
-		}
-		// Formula columns of depth d, in creation order (later formulas
-		// may reference earlier ones of the same depth).
-		for ci, c := range s.state.computed {
-			if c.Kind != KindFormula || colDepths[ci] != d {
-				continue
-			}
-			refs := expr.Deps(c.Formula)
-			fp := fpU(entryFP, uint64(stageFormula))
-			fp = fpU(fp, expr.Fingerprint(c.Formula))
-			fp = fpU(fp, uint64(c.ResultKind))
-			for _, r := range refs {
-				fp = fpU(fp, refFP(r))
-			}
-			lk := strings.ToLower(c.Name)
-			id := "col:" + lk
-			colFPs[lk], colNode[lk] = fp, id
-			stages = append(stages, stageNode{
-				kind: stageFormula, id: id, fp: fp,
-				name:  fmt.Sprintf("θ %s d%d", c.Name, d),
-				deps:  depList(entryID, refs),
-				run:   colArtifact(runFormulaStage(c, colPos[ci])),
-				apply: applyCol(c.Name),
-			})
 		}
 		// Selections of depth d, in state order: one independent σ part
 		// per predicate plus the depth's ∧ stage.

@@ -270,28 +270,36 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 // independent of the parallel split.
 func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
-		w := c.Win
-		if outPos < 0 || w == nil {
+		w, ok := c.Formula.(*expr.WindowCall)
+		if outPos < 0 || !ok {
 			return nil, fmt.Errorf("core: window %s column missing", c.Name)
 		}
-		ppos, err := ev.positions(w.PartitionBy)
-		if err != nil {
-			return nil, fmt.Errorf("core: window %s: %w", c.Name, err)
+		// The argument and keys are plain column references (checkWindow).
+		var err error
+		pos := func(e expr.Expr) int {
+			if ref, ok := e.(*expr.ColumnRef); ok && ev.pos(ref.Name) >= 0 {
+				return ev.pos(ref.Name)
+			}
+			if err == nil {
+				err = fmt.Errorf("core: window %s: unknown column %s", c.Name, e.SQL())
+			}
+			return -1
+		}
+		ppos := make([]int, len(w.PartitionBy))
+		for i, p := range w.PartitionBy {
+			ppos[i] = pos(p)
 		}
 		opos := make([]int, len(w.OrderBy))
 		desc := make([]bool, len(w.OrderBy))
 		for i, k := range w.OrderBy {
-			p := ev.pos(k.Column)
-			if p < 0 {
-				return nil, fmt.Errorf("core: window %s: unknown column %q", c.Name, k.Column)
-			}
-			opos[i], desc[i] = p, k.Dir == Desc
+			opos[i], desc[i] = pos(k.X), k.Desc
 		}
 		inPos := -1
-		if w.Input != "" {
-			if inPos = ev.pos(w.Input); inPos < 0 {
-				return nil, fmt.Errorf("core: window %s: unknown column %q", c.Name, w.Input)
-			}
+		if w.Arg != nil {
+			inPos = pos(w.Arg)
+		}
+		if err != nil {
+			return nil, err
 		}
 		snap := in.extend()
 		nBase := ev.s.base.Len()

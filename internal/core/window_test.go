@@ -303,8 +303,9 @@ func TestWindowRenameRewrites(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := s.state.findComputed("R")
-	if c == nil || c.Win.Input != "Cost" || c.Win.OrderBy[0].Column != "Cost" {
-		t.Fatalf("rename did not rewrite window definition: %+v", c.Win)
+	w := c.Formula.(*expr.WindowCall)
+	if w.Arg.(*expr.ColumnRef).Name != "Cost" || w.OrderBy[0].X.(*expr.ColumnRef).Name != "Cost" {
+		t.Fatalf("rename did not rewrite window definition: %s", w.SQL())
 	}
 	wantInts(t, colInts(t, s, "R"),
 		14500, 29500, 45500, 62500, 80000, 98000, 13500, 28500, 44500)

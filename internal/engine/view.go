@@ -83,7 +83,7 @@ func (e *Engine) State() (*StateInfo, error) {
 			ci.Level = c.Level
 		case core.KindWindow:
 			ci.Kind = "window"
-			ci.Window = c.Win.SQL()
+			ci.Window = c.Formula.SQL()
 		default:
 			ci.Kind = "formula"
 			ci.Formula = c.Formula.SQL()

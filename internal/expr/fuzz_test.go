@@ -41,6 +41,12 @@ func FuzzParse(f *testing.F) {
 		"RANK() OVER (ORDER BY)",
 		"DENSE_RANK() OVER (PARTITION BY)",
 		"SUM(x) OVER (ORDER BY y ROWS BETWEEN CURRENT ROW AND UNBOUNDED PRECEDING)",
+		// Names that need quoting inside OVER: every window definition
+		// prints through this printer.
+		`SUM("Unit Price") OVER (ORDER BY "Date" DESC ROWS 1 PRECEDING)`,
+		`RANK() OVER (PARTITION BY "Order", "Group" ORDER BY "2nd", "Desc" DESC)`,
+		`AVG("Limit") OVER (PARTITION BY "a ""b""" ORDER BY "Unit Price")`,
+		`COUNT(*) OVER (PARTITION BY "Order") <= 3`,
 	}
 	for _, s := range seeds {
 		f.Add(s)

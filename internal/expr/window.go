@@ -133,18 +133,18 @@ func checkWindow(w *WindowCall, resolve KindResolver) (value.Kind, error) {
 			return value.KindNull, fmt.Errorf("expr: %s() takes no argument", w.Func)
 		}
 		if len(w.OrderBy) == 0 {
-			return value.KindNull, fmt.Errorf("expr: %s requires an ORDER BY in its OVER clause", w.Func)
+			return value.KindNull, fmt.Errorf("expr: window %s needs ORDER BY", w.Func)
 		}
 		if w.Frame != nil {
-			return value.KindNull, fmt.Errorf("expr: %s does not take a frame", w.Func)
+			return value.KindNull, fmt.Errorf("expr: window %s takes no frame", w.Func)
 		}
 	}
 	if w.Arg == nil && w.Func.NeedsArg() {
-		return value.KindNull, fmt.Errorf("expr: %s window requires an argument", w.Func)
+		return value.KindNull, fmt.Errorf("expr: window %s needs an argument", w.Func)
 	}
 	if w.Frame != nil {
 		if len(w.OrderBy) == 0 {
-			return value.KindNull, fmt.Errorf("expr: a window frame requires an ORDER BY")
+			return value.KindNull, fmt.Errorf("expr: a window frame needs ORDER BY")
 		}
 		if err := w.Frame.Validate(); err != nil {
 			return value.KindNull, err

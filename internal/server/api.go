@@ -36,7 +36,8 @@ import (
 // caller set it, a fresh one otherwise). Errors are JSON:
 // {"error": "...", "request_id": "..."} with 400 (bad op), 403 (filesystem
 // op while disabled), 404 (unknown session), 409 (no current sheet), or
-// 410 (session closed mid-request).
+// 410 (session deleted, shut down, or evicted without durability
+// mid-request; a parked durable session reopens instead).
 
 // errorBody is the uniform error envelope. RequestID ties a client-side
 // failure report to the server's log line for the same request.

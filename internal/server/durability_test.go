@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -85,6 +86,91 @@ func TestEvictThenReopenReplaysNothing(t *testing.T) {
 	// The undo history survived the round trip.
 	if eff := c.op(s1, engine.Op{Op: "undo"}); eff.Op != "undo" {
 		t.Fatalf("undo after rehydration: %+v", eff)
+	}
+}
+
+// TestParkedHandleReopens: a handle taken before its durable session is
+// evicted keeps working. The op handler calls Get, then ApplyOp; a
+// concurrent request's Get may evict the session in between, which parks
+// it on disk rather than ending it, so the op runs on the rehydrated
+// session exactly once.
+func TestParkedHandleReopens(t *testing.T) {
+	m := NewManager(Config{MaxSessions: 1, Durability: newStore(t, t.TempDir())})
+	t.Cleanup(m.Shutdown)
+	a, err := m.Create("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.ApplyOp(engine.Op{Op: "demo", Table: "cars"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.Create("b"); err != nil { // cap is 1: parks a
+		t.Fatal(err)
+	}
+	if _, err := a.ApplyOp(engine.Op{Op: "select", Predicate: "Year >= 2005"}); err != nil {
+		t.Fatalf("op through a parked handle: %v", err)
+	}
+	live, ok := m.Get(a.ID())
+	if !ok || live == a {
+		t.Fatalf("Get(%s) = %p, %v; want the reopened session", a.ID(), live, ok)
+	}
+	err = a.Do(func(e *engine.Engine) error {
+		if n := len(e.Sheet().Selections("")); n != 1 {
+			t.Errorf("%d selections after one select through the handle, want 1", n)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Do through a parked handle: %v", err)
+	}
+}
+
+// TestParkedHandlesUnderChurn: handles held across concurrent evictions.
+// Four durable sessions share a cap of two, and each goroutine drives its
+// own session through the handle it took once, so every op may find its
+// session parked by another goroutine's rehydration. No op may fail, and
+// each runs exactly once. Run under -race.
+func TestParkedHandlesUnderChurn(t *testing.T) {
+	const workers, pairs = 4, 10
+	m := NewManager(Config{MaxSessions: 2, Durability: newStore(t, t.TempDir())})
+	t.Cleanup(m.Shutdown)
+	handles := make([]*Session, workers)
+	for i := range handles {
+		s, err := m.Create("")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.ApplyOp(engine.Op{Op: "demo", Table: "cars"}); err != nil {
+			t.Fatal(err)
+		}
+		handles[i] = s
+	}
+	var wg sync.WaitGroup
+	for _, s := range handles {
+		wg.Add(1)
+		go func(s *Session) {
+			defer wg.Done()
+			for i := 0; i < pairs; i++ {
+				for _, op := range []engine.Op{{Op: "select", Predicate: "Year >= 2004"}, {Op: "undo"}} {
+					if _, err := s.ApplyOp(op); err != nil {
+						t.Errorf("session %s op %d (%s): %v", s.ID(), i, op.Op, err)
+						return
+					}
+				}
+			}
+		}(s)
+	}
+	wg.Wait()
+	for _, s := range handles {
+		err := s.Do(func(e *engine.Engine) error {
+			if v := e.Sheet().Version(); v != 2*pairs {
+				t.Errorf("session %s at version %d, want %d", s.ID(), v, 2*pairs)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -162,6 +162,10 @@ type Session struct {
 	// eviction, or the TTL sweep (and with them every other session's
 	// Create/Get/List, which wait on the manager mutex).
 	closed atomic.Bool
+	// parkedBy is the manager that parked this durable session on disk
+	// (eviction or expiry). It is set before closed, so a handle that sees
+	// closed reopens the session through parkedBy.Get instead of failing.
+	parkedBy *Manager
 
 	ops atomic.Int64
 
@@ -176,24 +180,46 @@ func (s *Session) ID() string { return s.id }
 // Name returns the session's optional label.
 func (s *Session) Name() string { return s.name }
 
-// ErrSessionClosed is returned by Do after the session was closed or
-// evicted; in-flight callers fail cleanly rather than driving a zombie.
+// ErrSessionClosed is returned by Do after the session was deleted, shut
+// down, or evicted without durability; in-flight callers fail cleanly
+// rather than driving a zombie.
 var ErrSessionClosed = fmt.Errorf("server: session closed")
 
 // Do runs fn with exclusive access to the session's engine. An op already
-// in flight when the session is closed runs to completion; only subsequent
-// calls fail.
+// in flight when the session is closed runs to completion; a later call on
+// a handle to a parked session runs on the session reopened from disk.
 func (s *Session) Do(fn func(*engine.Engine) error) error {
-	if s.closed.Load() {
-		return ErrSessionClosed
+	s, err := s.lock()
+	if err != nil {
+		return err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return ErrSessionClosed
-	}
 	s.ops.Add(1)
 	return fn(s.eng)
+}
+
+// lock takes the mutex of the session a call runs on and returns it: this
+// session while it is open, else — for a durable session parked by
+// eviction or expiry — the one its manager's Get reopens, after waiting
+// for the park to finish. Any other closed handle is gone.
+func (s *Session) lock() (*Session, error) {
+	for {
+		if !s.closed.Load() {
+			s.mu.Lock()
+			if !s.closed.Load() {
+				return s, nil
+			}
+			s.mu.Unlock()
+		}
+		if s.parkedBy == nil {
+			return nil, ErrSessionClosed
+		}
+		live, ok := s.parkedBy.Get(s.id)
+		if !ok {
+			return nil, ErrSessionClosed
+		}
+		s = live
+	}
 }
 
 // ApplyOp applies one engine op under the session mutex and, when the
@@ -201,16 +227,13 @@ func (s *Session) Do(fn func(*engine.Engine) error) error {
 // mutating ops are logged — reads like explain never hit the disk) and
 // checkpoints every SnapshotEvery logged ops. The append happens before
 // the result is returned, so an op the client saw acknowledged is always
-// in the log.
+// in the log. The op runs once, on the session lock returns.
 func (s *Session) ApplyOp(op engine.Op) (*engine.Effect, error) {
-	if s.closed.Load() {
-		return nil, ErrSessionClosed
+	s, err := s.lock()
+	if err != nil {
+		return nil, err
 	}
-	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed.Load() {
-		return nil, ErrSessionClosed
-	}
 	s.ops.Add(1)
 	eff, err := s.eng.Apply(op)
 	if err != nil {
@@ -420,15 +443,18 @@ func (m *Manager) Close(id string) bool {
 	}
 }
 
-// closeLocked removes the session and marks it closed so later Do calls
-// fail. It deliberately does NOT take s.mu: waiting for an in-flight
-// engine op here would hold the manager mutex (the caller has it) for the
-// op's whole duration, stalling every other session. For durable sessions
-// the WAL checkpoint + close happens on a background goroutine for the
-// same reason; Get/Close/Shutdown synchronise with it via m.closing.
-// Caller holds m.mu.
+// closeLocked removes the session and marks it closed, so later Do calls
+// fail or, on a durable session it parks, reopen it. It deliberately does
+// NOT take s.mu: waiting for an in-flight engine op here would hold the
+// manager mutex (the caller has it) for the op's whole duration, stalling
+// every other session. For durable sessions the WAL checkpoint + close
+// happens on a background goroutine for the same reason; Get/Close/Shutdown
+// synchronise with it via m.closing. Caller holds m.mu.
 func (m *Manager) closeLocked(s *Session, reason closeReason) {
 	delete(m.sessions, s.id)
+	if s.wlog != nil && (reason == reasonEvicted || reason == reasonExpired) {
+		s.parkedBy = m
+	}
 	s.closed.Store(true)
 	reason.counter().Inc()
 	sessLive.Set(int64(len(m.sessions)))

@@ -4,14 +4,16 @@
 // spreadsheet's base relation, reproduces the algebra's Evaluate output —
 // including row order — which the property tests in this package assert.
 //
-// Generation mirrors the staged evaluation semantics of internal/core:
+// Generation follows the staged evaluation semantics of internal/core, with
+// core's strata (Spreadsheet.ColumnDepth, Spreadsheet.ExprDepth) and expr's
+// printer for every name and definition:
 //
 //	stage 0   SELECT base columns [DISTINCT recorded set]
 //	          + one wrapping SELECT per depth-0 formula column
 //	          + WHERE with the depth-0 predicates
 //	stage d   a GROUP BY subquery per grouping basis joined back to carry
-//	          the depth-d aggregate columns, then depth-d formulas and the
-//	          depth-d predicates
+//	          the depth-d aggregate columns, then one wrap per depth-d
+//	          window and formula column, and the depth-d predicates
 //	final     projection of the visible columns, ORDER BY the grouping
 //	          emulation (Sec. II-A) plus the finest-level keys
 //
@@ -85,27 +87,15 @@ func (g *generator) push(sql string) {
 	g.plan.Stages = append(g.plan.Stages, sql)
 }
 
-func quote(name string) string {
-	plain := name != ""
-	for i, r := range name {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r == '_':
-		case r >= '0' && r <= '9':
-			if i == 0 {
-				plain = false
-			}
-		default:
-			plain = false
-		}
-	}
-	if plain {
-		return name
-	}
-	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
-}
+// quote prints a name with expr's identifier rule, so every name the
+// generator writes reads back through the SQL parser: names with spaces or
+// a leading digit, and reserved words such as Date or Order, are quoted. A
+// qualified reference is quote(alias + "." + name), which reads back as the
+// FROM source's qualified column name.
+func quote(name string) string { return (&expr.ColumnRef{Name: name}).SQL() }
 
-// depths classifies computed columns and selections by aggregate depth,
-// mirroring core's stratification.
+// depths holds core's stratification of the computed columns
+// (Spreadsheet.ColumnDepth) and the deepest stratum in use.
 type depths struct {
 	col map[string]int
 	max int
@@ -113,87 +103,22 @@ type depths struct {
 
 func (g *generator) computeDepths(computed []core.ComputedColumn, sels []core.Selection) (*depths, []int, error) {
 	d := &depths{col: map[string]int{}}
-	byName := map[string]*core.ComputedColumn{}
-	for i := range computed {
-		byName[strings.ToLower(computed[i].Name)] = &computed[i]
-	}
-	var colDepth func(name string, seen map[string]bool) (int, error)
-	colDepth = func(name string, seen map[string]bool) (int, error) {
-		key := strings.ToLower(name)
-		if dep, ok := d.col[key]; ok {
-			return dep, nil
-		}
-		c, ok := byName[key]
-		if !ok {
-			if g.sheet.Base().Schema.Has(name) {
-				return 0, nil
-			}
-			return 0, fmt.Errorf("sqlgen: unknown column %q", name)
-		}
-		if seen[key] {
-			return 0, fmt.Errorf("sqlgen: computed column cycle through %q", name)
-		}
-		seen[key] = true
-		defer delete(seen, key)
-		var dep int
-		switch c.Kind {
-		case core.KindAggregate:
-			in, err := colDepth(c.Input, seen)
-			if err != nil {
-				return 0, err
-			}
-			dep = in + 1
-		case core.KindWindow:
-			// Like aggregates, ω sits one stratum above its deepest input
-			// (core.aggDepth): it ranks the rows the shallower stages left.
-			for _, ref := range windowColumns(c.Win) {
-				rd, err := colDepth(ref, seen)
-				if err != nil {
-					return 0, err
-				}
-				if rd > dep {
-					dep = rd
-				}
-			}
-			dep++
-		default:
-			for _, ref := range expr.Columns(c.Formula) {
-				rd, err := colDepth(ref, seen)
-				if err != nil {
-					return 0, err
-				}
-				if rd > dep {
-					dep = rd
-				}
-			}
-		}
-		d.col[key] = dep
-		if dep > d.max {
-			d.max = dep
-		}
-		return dep, nil
-	}
 	for _, c := range computed {
-		if _, err := colDepth(c.Name, map[string]bool{}); err != nil {
+		dep, err := g.sheet.ColumnDepth(c.Name)
+		if err != nil {
 			return nil, nil, err
 		}
+		d.col[strings.ToLower(c.Name)] = dep
+		d.max = max(d.max, dep)
 	}
 	selDepth := make([]int, len(sels))
 	for i, sel := range sels {
-		dep := 0
-		for _, ref := range expr.Columns(sel.Pred) {
-			rd, err := colDepth(ref, map[string]bool{})
-			if err != nil {
-				return nil, nil, err
-			}
-			if rd > dep {
-				dep = rd
-			}
+		dep, err := g.sheet.ExprDepth(sel.Pred)
+		if err != nil {
+			return nil, nil, err
 		}
 		selDepth[i] = dep
-		if dep > d.max {
-			d.max = dep
-		}
+		d.max = max(d.max, dep)
 	}
 	return d, selDepth, nil
 }
@@ -232,24 +157,17 @@ func (g *generator) run() (*Plan, error) {
 				return nil, err
 			}
 		}
-		// Window columns of depth d (d ≥ 1), one wrap each, after the
-		// depth-d aggregates (a window may rank by them) and before the
-		// formulas (which may reference the window).
-		for _, c := range computed {
-			if c.Kind != core.KindWindow || dep.col[strings.ToLower(c.Name)] != d {
-				continue
+		// Window, then formula columns of depth d, one wrap each: a window
+		// may rank by the depth's aggregates, and a formula may reference
+		// the windows and earlier formulas.
+		for _, kind := range []core.ComputedKind{core.KindWindow, core.KindFormula} {
+			for _, c := range computed {
+				if c.Kind != kind || dep.col[strings.ToLower(c.Name)] != d {
+					continue
+				}
+				g.push("SELECT *, " + c.Formula.SQL() + " AS " + quote(c.Name) + " FROM " + g.from())
+				g.cols = append(g.cols, c.Name)
 			}
-			g.push("SELECT *, " + c.Win.SQL() + " AS " + quote(c.Name) + " FROM " + g.from())
-			g.cols = append(g.cols, c.Name)
-		}
-		// Formula columns of depth d, one wrap each so same-depth formulas
-		// can reference earlier ones.
-		for _, c := range computed {
-			if c.Kind != core.KindFormula || dep.col[strings.ToLower(c.Name)] != d {
-				continue
-			}
-			g.push("SELECT *, " + c.Formula.SQL() + " AS " + quote(c.Name) + " FROM " + g.from())
-			g.cols = append(g.cols, c.Name)
 		}
 		// Selections of depth d.
 		var preds []string
@@ -351,10 +269,10 @@ func (g *generator) emitAggregates(computed []core.ComputedColumn, dep *depths, 
 		aAlias := g.nextAlias()
 		var sel []string
 		for _, c := range g.cols {
-			sel = append(sel, tAlias+"."+bare(c)+" AS "+quote(c))
+			sel = append(sel, quote(tAlias+"."+c)+" AS "+quote(c))
 		}
 		for _, c := range b.cols {
-			sel = append(sel, aAlias+"."+bare(c.Name)+" AS "+quote(c.Name))
+			sel = append(sel, quote(aAlias+"."+c.Name)+" AS "+quote(c.Name))
 			g.cols = append(g.cols, c.Name)
 		}
 		left := g.cur
@@ -367,37 +285,13 @@ func (g *generator) emitAggregates(computed []core.ComputedColumn, dep *depths, 
 		} else {
 			var conds []string
 			for _, a := range b.basis {
-				conds = append(conds, tAlias+"."+bare(a)+" = "+aAlias+"."+bare(a))
+				conds = append(conds, quote(tAlias+"."+a)+" = "+quote(aAlias+"."+a))
 			}
 			stmt += " JOIN (" + sub + ") AS " + aAlias + " ON " + strings.Join(conds, " AND ")
 		}
 		g.push(stmt)
 	}
 	return nil
-}
-
-// bare renders a column name for qualified references; names needing quotes
-// cannot be qualified in the expression grammar, so reject them clearly.
-func bare(name string) string {
-	q := quote(name)
-	if strings.HasPrefix(q, `"`) {
-		return q
-	}
-	return name
-}
-
-// windowColumns enumerates the base/computed columns a window definition
-// reads: its input, partition attributes and order keys.
-func windowColumns(w *core.WindowDef) []string {
-	var out []string
-	if w.Input != "" {
-		out = append(out, w.Input)
-	}
-	out = append(out, w.PartitionBy...)
-	for _, k := range w.OrderBy {
-		out = append(out, k.Column)
-	}
-	return out
 }
 
 // cumulativeBasis reproduces the paper's g_level from the grouping spec.
@@ -442,19 +336,12 @@ func (g *generator) checkDistinctRestriction(distinct []string, computed []core.
 		}
 	}
 	for _, c := range computed {
-		switch c.Kind {
-		case core.KindAggregate:
-			if err := check([]string{c.Input}, "aggregate "+c.Name); err != nil {
-				return err
-			}
-		case core.KindWindow:
-			if err := check(windowColumns(c.Win), "window "+c.Name); err != nil {
-				return err
-			}
-		default:
-			if err := check(expr.Columns(c.Formula), "formula "+c.Name); err != nil {
-				return err
-			}
+		refs, what := []string{c.Input}, "aggregate "
+		if c.Kind != core.KindAggregate {
+			refs, what = expr.Columns(c.Formula), "computed column "
+		}
+		if err := check(refs, what+c.Name); err != nil {
+			return err
 		}
 	}
 	for _, lvl := range g.sheet.Grouping() {

@@ -278,16 +278,68 @@ func TestCompileStages(t *testing.T) {
 	}
 }
 
+// carColumns names the RandomCars columns the randomized programs read,
+// and whether predicate and formula texts spell names as quoted
+// identifiers.
+type carColumns struct {
+	Price, Year, Model, Mileage string
+	quoted                      bool
+}
+
+// q spells a column name in a predicate or formula text.
+func (c carColumns) q(name string) string {
+	if c.quoted {
+		return `"` + name + `"`
+	}
+	return name
+}
+
+// carInputs are the randomized programs' inputs: RandomCars as generated,
+// and with those columns renamed so that every name the generator prints
+// needs quoting (a space, reserved words, a leading digit).
+var carInputs = []struct {
+	name string
+	cols carColumns
+}{
+	{"plain", carColumns{"Price", "Year", "Model", "Mileage", false}},
+	{"quoted", carColumns{"Unit Price", "Date", "Order", "2nd", true}},
+}
+
+// randomCars is dataset.RandomCars with its columns renamed to cols.
+func randomCars(n int, seed int64, cols carColumns) *relation.Relation {
+	r := dataset.RandomCars(n, seed)
+	schema := r.Schema.Clone()
+	for i, c := range schema {
+		switch c.Name {
+		case "Price":
+			schema[i].Name = cols.Price
+		case "Year":
+			schema[i].Name = cols.Year
+		case "Model":
+			schema[i].Name = cols.Model
+		case "Mileage":
+			schema[i].Name = cols.Mileage
+		}
+	}
+	return r.WithSchema(schema)
+}
+
 // TestRandomizedEquivalence fuzzes query states and checks algebra ≡ SQL.
 func TestRandomizedEquivalence(t *testing.T) {
+	for _, in := range carInputs {
+		t.Run(in.name, func(t *testing.T) { randomizedEquivalence(t, in.cols) })
+	}
+}
+
+func randomizedEquivalence(t *testing.T, c carColumns) {
 	rng := rand.New(rand.NewSource(99))
 	preds := []string{
-		"Price < 25000", "Price >= 12000", "Year <> 2003", "Mileage < 150000",
-		"Condition IN ('Excellent','Good')", "Model LIKE '%a%'",
-		"Year BETWEEN 2001 AND 2008", "Price * 2 > Mileage / 3",
+		c.q(c.Price) + " < 25000", c.q(c.Price) + " >= 12000", c.q(c.Year) + " <> 2003", c.q(c.Mileage) + " < 150000",
+		"Condition IN ('Excellent','Good')", c.q(c.Model) + " LIKE '%a%'",
+		c.q(c.Year) + " BETWEEN 2001 AND 2008", c.q(c.Price) + " * 2 > " + c.q(c.Mileage) + " / 3",
 	}
 	for trial := 0; trial < 40; trial++ {
-		s := core.New(dataset.RandomCars(50, int64(trial)))
+		s := core.New(randomCars(50, int64(trial), c))
 		steps := 1 + rng.Intn(6)
 		grouped := 0
 		hasAgg := false
@@ -299,12 +351,12 @@ func TestRandomizedEquivalence(t *testing.T) {
 				}
 			case 2:
 				if grouped == 0 {
-					if err := s.GroupBy(core.Dir(rng.Intn(2) == 0), "Model"); err != nil {
+					if err := s.GroupBy(core.Dir(rng.Intn(2) == 0), c.Model); err != nil {
 						t.Fatal(err)
 					}
 					grouped = 1
 				} else if grouped == 1 {
-					if err := s.GroupBy(core.Dir(rng.Intn(2) == 0), "Year"); err != nil {
+					if err := s.GroupBy(core.Dir(rng.Intn(2) == 0), c.Year); err != nil {
 						t.Fatal(err)
 					}
 					grouped = 2
@@ -312,7 +364,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 			case 3:
 				if !hasAgg {
 					lvl := 1 + rng.Intn(grouped+1)
-					if _, err := s.AggregateAs("AvgP", relation.AggAvg, "Price", lvl); err != nil {
+					if _, err := s.AggregateAs("AvgP", relation.AggAvg, c.Price, lvl); err != nil {
 						t.Fatal(err)
 					}
 					hasAgg = true
@@ -323,7 +375,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 					}
 				}
 			case 4:
-				if err := s.Sort("Price", core.Dir(rng.Intn(2) == 0)); err != nil {
+				if err := s.Sort(c.Price, core.Dir(rng.Intn(2) == 0)); err != nil {
 					t.Fatal(err)
 				}
 				// Occasionally exercise the OrderGroupsBy extension.
@@ -333,7 +385,7 @@ func TestRandomizedEquivalence(t *testing.T) {
 					}
 				}
 			case 5:
-				if _, err := s.Formula("", "Price + Mileage / 100"); err != nil {
+				if _, err := s.Formula("", c.q(c.Price)+" + "+c.q(c.Mileage)+" / 100"); err != nil {
 					t.Fatal(err)
 				}
 			}

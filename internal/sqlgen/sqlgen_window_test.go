@@ -111,6 +111,12 @@ func TestGenerateWindowAfterSelection(t *testing.T) {
 // TestRandomizedWindowEquivalence mixes ω into random σ/θ/λ states and
 // requires the SQL path to agree on every trial.
 func TestRandomizedWindowEquivalence(t *testing.T) {
+	for _, in := range carInputs {
+		t.Run(in.name, func(t *testing.T) { randomizedWindowEquivalence(t, in.cols) })
+	}
+}
+
+func randomizedWindowEquivalence(t *testing.T, c carColumns) {
 	rng := rand.New(rand.NewSource(42))
 	funcs := []relation.WindowFunc{
 		relation.WinRank, relation.WinDenseRank, relation.WinRowNumber,
@@ -118,17 +124,17 @@ func TestRandomizedWindowEquivalence(t *testing.T) {
 		relation.WinCount,
 	}
 	for trial := 0; trial < 25; trial++ {
-		s := core.New(dataset.RandomCars(60, int64(100+trial)))
+		s := core.New(randomCars(60, int64(100+trial), c))
 		fn := funcs[rng.Intn(len(funcs))]
 		input := ""
 		if fn.NeedsArg() {
-			input = []string{"Price", "Mileage"}[rng.Intn(2)]
+			input = []string{c.Price, c.Mileage}[rng.Intn(2)]
 		}
 		var part []string
 		if rng.Intn(3) > 0 {
-			part = []string{"Model"}
+			part = []string{c.Model}
 		}
-		order := []core.SortKey{{Column: "Price", Dir: core.Dir(rng.Intn(2) == 0)}, {Column: "ID", Dir: core.Asc}}
+		order := []core.SortKey{{Column: c.Price, Dir: core.Dir(rng.Intn(2) == 0)}, {Column: "ID", Dir: core.Asc}}
 		var frame *relation.Frame
 		if !fn.Ranking() && rng.Intn(3) == 0 {
 			frame = &relation.Frame{
@@ -137,7 +143,7 @@ func TestRandomizedWindowEquivalence(t *testing.T) {
 			}
 		}
 		if rng.Intn(2) == 0 {
-			if _, err := s.Select("Price < 30000"); err != nil {
+			if _, err := s.Select(c.q(c.Price) + " < 30000"); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -146,12 +152,12 @@ func TestRandomizedWindowEquivalence(t *testing.T) {
 			t.Fatalf("trial %d %s: %v", trial, fn, err)
 		}
 		if fn.Ranking() && rng.Intn(2) == 0 {
-			if _, err := s.Select(name + " <= 5"); err != nil {
+			if _, err := s.Select(c.q(name) + " <= 5"); err != nil {
 				t.Fatal(err)
 			}
 		}
 		if rng.Intn(2) == 0 {
-			if err := s.Sort("Mileage", core.Dir(rng.Intn(2) == 0)); err != nil {
+			if err := s.Sort(c.Mileage, core.Dir(rng.Intn(2) == 0)); err != nil {
 				t.Fatal(err)
 			}
 		}

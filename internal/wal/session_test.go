@@ -209,6 +209,58 @@ func TestCloseThenRecoverReplaysNothing(t *testing.T) {
 	}
 }
 
+// TestRecoverWindowOverQuotedColumn: a window over a CSV column whose name
+// needs quoting ("Unit Price") writes checkpoints that read back. With
+// 64-byte segments and a checkpoint every 2 ops, each checkpoint prunes the
+// segments it covers, so recovery must come from the last checkpoint plus
+// the log suffix, with no fallback.
+func TestRecoverWindowOverQuotedColumn(t *testing.T) {
+	dir := t.TempDir()
+	csvPath := filepath.Join(dir, "sales.csv")
+	csv := "Year,Unit Price,Region\n2003,12,north\n2004,30,south\n2005,18,north\n2006,25,south\n2007,40,north\n"
+	if err := os.WriteFile(csvPath, []byte(csv), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st, err := NewStore(dir, Options{Sync: SyncNone, SegmentBytes: 64}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := SessionMeta{ID: "s1", Created: time.Unix(0, 0)}
+	sl, err := st.Open(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := applyAll(t, sl, []engine.Op{
+		{Op: "load", Path: csvPath},
+		{Op: "window", Name: "W", Window: `SUM("Unit Price") OVER (ORDER BY Year)`},
+		{Op: "select", Predicate: "W > 20"},
+		{Op: "sort", Column: "Unit Price", Dir: "desc"},
+		{Op: "window", Name: "R", Window: `RANK() OVER (PARTITION BY Region ORDER BY "Unit Price")`},
+	})
+	// Crash: no Close. Reopen the directory as a fresh process would.
+	sl2, err := st.Open(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sl2.Close(nil)
+	eng2, stats, err := sl2.Recover(newEngine)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Fallbacks != 0 || stats.ReplayErr != "" || stats.CheckpointSeq != 4 || stats.Replayed != 1 {
+		t.Fatalf("recovery stats %+v, want the last checkpoint with no fallback", stats)
+	}
+	if got, want := gridJSON(t, eng2), gridJSON(t, eng); got != want {
+		t.Fatalf("recovered grid differs\n got %s\nwant %s", got, want)
+	}
+	if v := eng2.Version(); v != eng.Version() {
+		t.Fatalf("recovered version %d, want %d", v, eng.Version())
+	}
+	if h := eng2.History(); !reflect.DeepEqual(h, eng.History()) {
+		t.Fatalf("recovered history %v, want %v", h, eng.History())
+	}
+}
+
 // TestUndoPastCheckpointFallsBack forces the approximate-checkpoint escape
 // hatch. A join replaces the base relation; undoing it leaves a redo stack
 // whose entry hangs off the derived base, so the checkpoint taken there
