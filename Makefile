@@ -10,14 +10,17 @@ build:
 # programs chunked stages share across goroutines, are the most
 # concurrency-sensitive, so test always re-runs them under the race detector
 # (full-tree race stays available as `make race`). internal/core, relation,
-# sql, tpch, sqlgen, engine and theorem1 additionally race with the parallel
-# threshold forced low, so the chunk fan-out in every evaluation stage,
-# executor loop, join gather and grouping pass fires even on the small test
-# relations (tpch builds the study views against the golden answers and the
-# algebra ≡ SQL differential; sqlgen's algebra ≡ SQL differential and
-# engine's ∪/−/δ tests drive SQL's column-emitting DISTINCT, ORDER BY,
-# GROUP BY and window paths; theorem1's SQL ≡ algebra suite runs GROUP BY
-# and HAVING through the group relation);
+# sql, tpch, sqlgen, engine, theorem1 and expr additionally race with the
+# parallel threshold forced low, so the chunk fan-out in every evaluation
+# stage, executor loop, join gather and grouping pass fires even on the
+# small test relations (tpch builds the study views against the golden
+# answers and the algebra ≡ SQL differential; sqlgen's algebra ≡ SQL
+# differential and engine's ∪/−/δ tests drive SQL's column-emitting
+# DISTINCT, ORDER BY, GROUP BY and window paths; theorem1's SQL ≡ algebra
+# suite runs GROUP BY and HAVING through the group relation; expr's
+# property tests draw 1–70 rows, one chunk at the default threshold, so
+# only here do they reach the batch program's merge of its chunks' results
+# and its scan for the first erring chunk);
 # -count=1 because the threshold is read at package init, which the test
 # cache does not see, so a cached result of the plain race run would stand
 # in for it. perfbench is its own module, which the root
@@ -26,7 +29,7 @@ build:
 test: lint
 	$(GO) test ./...
 	$(GO) test -race ./internal/obs ./internal/server ./internal/relation ./internal/core ./internal/sql ./internal/wal ./internal/engine ./internal/sqlgen ./internal/graph ./internal/expr
-	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/tpch ./internal/sqlgen ./internal/engine ./internal/theorem1
+	SHEETMUSIQ_PARALLEL_THRESHOLD=4 $(GO) test -count=1 -race ./internal/core ./internal/relation ./internal/sql ./internal/tpch ./internal/sqlgen ./internal/engine ./internal/theorem1 ./internal/expr
 	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 race:

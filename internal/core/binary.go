@@ -163,12 +163,13 @@ func (s *Spreadsheet) Difference(stored *Spreadsheet) error {
 // disambiguated with its name as a prefix, so conditions reference e.g.
 // "orders.o_custkey". An empty condition degenerates to Product.
 //
-// When the condition carries conjunctive cross-relation column equalities
-// (`a = b` with a from the current sheet and b from the stored one), the
-// join runs through the equi-hash-join kernel, and the rest of the
-// condition, if any, filters the key-matching candidates only. Genuinely
-// theta conditions filter the product. Either way the condition runs as a
-// batch program over the candidates' typed columns.
+// The join runs through expr.JoinOn over the product schema's names:
+// conjunctive cross-relation column equalities (`a = b` with a from the
+// current sheet and b from the stored one) key the equi-hash-join kernel,
+// and the rest of the condition, if any, filters the key-matching
+// candidates only. Genuinely theta conditions filter the product. Either
+// way the condition runs as a batch program over the candidates' typed
+// columns.
 func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 	if strings.TrimSpace(condition) == "" {
 		return s.Product(stored)
@@ -202,87 +203,13 @@ func (s *Spreadsheet) Join(stored *Spreadsheet, condition string) error {
 	if kind != value.KindBool && kind != value.KindNull {
 		return fmt.Errorf("core: join condition must be boolean, got %s", kind)
 	}
-	on := conditionFilter(e)
-	var j *relation.Relation
-	if lcols, rcols, keysOnly := equiPairs(e, probe.Schema, len(left.Schema)); len(lcols) > 0 {
-		if keysOnly {
-			on = nil // the kernel's key match is the whole condition
-		}
-		j, err = left.HashJoin(right, lcols, rcols, on)
-	} else {
-		j, err = left.Join(right, on)
-	}
+	j, err := expr.JoinOn(left, right, e, func(name string) (int, bool) {
+		i := probe.Schema.IndexOf(name)
+		return i, i >= 0
+	})
 	if err != nil {
 		return err
 	}
 	j.Name = s.name
 	return s.rebase(j, "⋈ "+stored.Name()+" ON "+e.SQL())
-}
-
-// conditionFilter runs a join condition over a join's candidate pairs as a
-// batch program over their columns, resolved by product-schema name; the
-// first erring candidate re-runs through the interpreter for the exact
-// error.
-func conditionFilter(e expr.Expr) relation.PairFilter {
-	return func(cand *relation.Relation) ([]int32, error) {
-		cols := cand.Columns()
-		bp, err := expr.CompileBatch(e, func(name string) (*relation.Col, bool) {
-			if i := cand.Schema.IndexOf(name); i >= 0 {
-				return cols[i], true
-			}
-			return nil, false
-		})
-		if err != nil {
-			return nil, fmt.Errorf("core: join condition: %w", err)
-		}
-		kept, bad := bp.Select(nil, cand.Len())
-		if bad >= 0 {
-			return nil, bp.RowError(rowEnv{schema: cand.Schema, row: cand.TupleRange(bad, bad+1)[0]}, true)
-		}
-		return kept, nil
-	}
-}
-
-// equiPairs extracts the cross-relation column-equality conjuncts of a join
-// condition over the product schema: top-level AND-connected `a = b` where
-// one column lies left of split and the other at or right of it. Returned
-// right positions are relative to the right relation. A predicate that is
-// true implies every returned pair compares equal, which is what lets the
-// hash kernel prune non-matching pairs safely. keysOnly reports that the
-// pairs are every conjunct, so the kernel's key match is the whole
-// condition.
-func equiPairs(e expr.Expr, schema relation.Schema, split int) (lcols, rcols []int, keysOnly bool) {
-	keysOnly = true
-	var visit func(expr.Expr)
-	visit = func(n expr.Expr) {
-		if b, ok := n.(*expr.Binary); ok && b.Op == expr.OpAnd {
-			visit(b.L)
-			visit(b.R)
-			return
-		}
-		if li, ri, ok := equiPair(n, schema); ok && li < split && ri >= split {
-			lcols, rcols = append(lcols, li), append(rcols, ri-split)
-		} else if ok && ri < split && li >= split {
-			lcols, rcols = append(lcols, ri), append(rcols, li-split)
-		} else {
-			keysOnly = false
-		}
-	}
-	visit(e)
-	return lcols, rcols, keysOnly
-}
-
-// equiPair resolves an `a = b` column equality to its two schema positions.
-func equiPair(n expr.Expr, schema relation.Schema) (li, ri int, ok bool) {
-	b, isBin := n.(*expr.Binary)
-	if !isBin || b.Op != expr.OpEq {
-		return 0, 0, false
-	}
-	lc, lok := b.L.(*expr.ColumnRef)
-	rc, rok := b.R.(*expr.ColumnRef)
-	if !lok || !rok {
-		return 0, 0, false
-	}
-	li, ri = schema.IndexOf(lc.Name), schema.IndexOf(rc.Name)
-	return li, ri, li >= 0 && ri >= 0
 }

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 
 	"sheetmusiq/internal/dataset"
-	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/value"
@@ -135,7 +133,7 @@ func TestJoinEquiDispatchesToHashKernel(t *testing.T) {
 		t.Fatal("equality condition must dispatch to the hash-join kernel")
 	}
 
-	// Reference: the same predicate wrapped so equiPairs cannot extract it
+	// Reference: the same predicate wrapped so no key can be extracted
 	// (OR with a false arm), forcing the theta pair scan.
 	fallBefore := obs.Default.CounterValue("relation.join.fallback")
 	ref := New(dataset.UsedCars())
@@ -157,39 +155,6 @@ func TestJoinEquiDispatchesToHashKernel(t *testing.T) {
 			if !value.Equal(res.Table.TupleRows()[i][j], refRes.Table.TupleRows()[i][j]) {
 				t.Fatalf("row %d differs between hash and theta paths", i)
 			}
-		}
-	}
-}
-
-func TestEquiPairsExtraction(t *testing.T) {
-	schema := relation.Schema{
-		{Name: "a", Kind: value.KindInt},
-		{Name: "b", Kind: value.KindInt},
-		{Name: "x", Kind: value.KindInt},
-		{Name: "y", Kind: value.KindInt},
-	}
-	cases := []struct {
-		cond     string
-		wantL    []int
-		wantR    []int
-		keysOnly bool
-	}{
-		{"a = x", []int{0}, []int{0}, true},
-		{"x = a", []int{0}, []int{0}, true},                 // orientation-insensitive
-		{"a = x AND b = y", []int{0, 1}, []int{0, 1}, true}, // both conjuncts
-		{"a = x AND b > y", []int{0}, []int{0}, false},      // residual theta kept out
-		{"a = b", nil, nil, false},                          // same-side equality
-		{"a = x OR b = y", nil, nil, false},                 // OR is not conjunctive
-		{"a + 1 = x", nil, nil, false},                      // not a bare column ref
-	}
-	for _, c := range cases {
-		e, err := expr.Parse(c.cond)
-		if err != nil {
-			t.Fatal(err)
-		}
-		l, r, keysOnly := equiPairs(e, schema, 2)
-		if fmt.Sprint(l) != fmt.Sprint(c.wantL) || fmt.Sprint(r) != fmt.Sprint(c.wantR) || keysOnly != c.keysOnly {
-			t.Fatalf("equiPairs(%q) = %v,%v,%v want %v,%v,%v", c.cond, l, r, keysOnly, c.wantL, c.wantR, c.keysOnly)
 		}
 	}
 }

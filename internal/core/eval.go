@@ -52,20 +52,6 @@ type Result struct {
 	Levels []GroupLevel // the grouping specification the tree reflects
 }
 
-// rowEnv adapts one working row to the interpreter: the row a batch
-// program flagged re-runs through it for the exact error.
-type rowEnv struct {
-	schema relation.Schema
-	row    relation.Tuple
-}
-
-func (e rowEnv) Lookup(name string) (value.Value, bool) {
-	if i := e.schema.IndexOf(name); i >= 0 {
-		return e.row[i], true
-	}
-	return value.Null, false
-}
-
 // Evaluate replays the query state against the base relation and returns
 // the resulting spreadsheet view.
 //

@@ -27,8 +27,9 @@ type equivProgram struct {
 // selections (comparison, IN, LIKE, BETWEEN, boolean combinations),
 // grouping at several levels, finest ordering, projection, duplicate
 // elimination, aggregates at every level (including HAVING-style selection
-// over them), formulas, formula-over-aggregate chains, and an aggregate over
-// a mixed-kind formula column.
+// over them), formulas, formula-over-aggregate chains, an aggregate over
+// a mixed-kind formula column, and a formula whose kinds mix on the last
+// rows only.
 func equivPrograms() []equivProgram {
 	sel := func(pred string) func(s *Spreadsheet) error {
 		return func(s *Spreadsheet) error { _, err := s.Select(pred); return err }
@@ -101,6 +102,9 @@ func equivPrograms() []equivProgram {
 		{"sum-over-mixed-kinds", seq(
 			formula("M", "COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)"),
 			agg("SumM", relation.AggSum, "M", 1))},
+		// Over random3k (IDs 1000–3999) its lanes leave INTEGER only on
+		// the last rows, so only the last chunk's lanes box.
+		{"formula-mixed-last-rows", formula("Tail", "COALESCE(IF(ID >= 3990, NULL, ID), Model)")},
 	}
 }
 

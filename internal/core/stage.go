@@ -6,7 +6,6 @@ import (
 
 	"sheetmusiq/internal/expr"
 	"sheetmusiq/internal/relation"
-	"sheetmusiq/internal/value"
 )
 
 // Stage bodies. Every stage consumes and produces a stageSnap and reads
@@ -135,14 +134,6 @@ func (ev *evalCtx) viewOf(snap *stageSnap) *relation.IndexView {
 	}
 }
 
-// rowError re-runs view row i — the first erring lane bp flagged — through
-// the interpreter for the exact error.
-func (ev *evalCtx) rowError(bp *expr.BatchProgram, view *relation.IndexView, i int, pred bool) error {
-	row := make(relation.Tuple, ev.width)
-	view.GatherRow(i, row)
-	return bp.RowError(rowEnv{schema: ev.work, row: row}, pred)
-}
-
 // runBase materialises the identity snapshot: every base row survives, no
 // computed column is filled. Its only storage is the index vector.
 func runBase(ev *evalCtx, _ *stageSnap) (*stageSnap, error) {
@@ -211,13 +202,12 @@ func (ev *evalCtx) runAggKernel(c *ComputedColumn, view *relation.IndexView, inP
 }
 
 // runFormulaStage computes one θ column row-locally (Def. 12) into a fresh
-// column vector through a batch program over the typed column vectors. Each
-// chunk writes its lanes' payloads straight into the result column — nothing
-// is boxed. When lanes disagree with the inferred kind (a result whose kinds
-// really mix, such as COALESCE(I, S)) the program refills the column boxed
-// and the values rule (relation.ValuesCol) decides its form. A chunk
-// with an erring lane re-runs that row through the interpreter for the exact
-// error.
+// column vector through a batch program over the typed column vectors
+// (BatchProgram.EvalCol). Each chunk writes its lanes' payloads straight
+// into the result column — nothing is boxed. Where lanes leave the inferred
+// kind (a result whose kinds really mix, such as COALESCE(I, S)) the
+// values rule (relation.ValuesCol) decides the column's form, and an
+// erring lane yields the interpreter's exact error.
 func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		if outPos < 0 {
@@ -231,28 +221,11 @@ func runFormulaStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (
 		if err != nil {
 			return nil, fmt.Errorf("core: formula %s: %w", c.Name, err)
 		}
-		fail := func(bad int) error {
-			return fmt.Errorf("core: formula %s: %w", c.Name, ev.rowError(bp, view, bad, false))
-		}
 		out := relation.AllNullCol()
 		if n > 0 {
-			var bad int
-			if out, bad = bp.EvalCol(view.Idx, n, nBase, c.ResultKind, false, true); bad >= 0 {
-				return nil, fail(bad)
+			if out, err = bp.EvalCol(view.Idx, n, nBase, c.ResultKind, false, true); err != nil {
+				return nil, fmt.Errorf("core: formula %s: %w", c.Name, err)
 			}
-		}
-		if out == nil {
-			vals := make([]value.Value, nBase)
-			err := relation.ForChunks(n, func(_, lo, hi int) error {
-				if bad := bp.EvalInto(view.Idx, lo, hi, c.ResultKind, vals); bad >= 0 {
-					return fail(bad)
-				}
-				return nil
-			})
-			if err != nil {
-				return nil, err
-			}
-			out = relation.ValuesCol(vals)
 		}
 		snap.cols = append(snap.cols, stageCol{name: c.Name, col: out})
 		snap.ownBytes = out.MemBytes()
@@ -339,8 +312,8 @@ func runWindowStage(c *ComputedColumn, outPos int) func(*evalCtx, *stageSnap) (*
 // runSelectStage filters the input snapshot's index vector by one σ
 // predicate through a batch program (BatchProgram.Select): chunks compact
 // their survivors in chunk order, so the surviving multiset order — and the
-// first erring lane — are identical to the sequential scan. An erring lane
-// re-runs that row through the interpreter for the exact error.
+// first erring lane, whose interpreter error Select returns — are identical
+// to the sequential scan.
 func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error) {
 	return func(ev *evalCtx, in *stageSnap) (*stageSnap, error) {
 		view := ev.viewOf(in)
@@ -348,9 +321,9 @@ func runSelectStage(sel Selection) func(*evalCtx, *stageSnap) (*stageSnap, error
 		if err != nil {
 			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)
 		}
-		kept, bad := bp.Select(view.Idx, view.Len())
-		if bad >= 0 {
-			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), ev.rowError(bp, view, bad, true))
+		kept, err := bp.Select(view.Idx, view.Len())
+		if err != nil {
+			return nil, fmt.Errorf("core: selection %s: %w", sel.Pred.SQL(), err)
 		}
 		snap := in.extend()
 		snap.idx = kept

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strings"
 
 	"sheetmusiq/internal/obs"
@@ -14,19 +15,21 @@ import (
 
 // Vectorized expression backend. CompileBatch turns an expression tree into
 // a program that evaluates a whole chunk of rows per call against typed
-// column vectors (relation.Col), instead of one boxed row at a time:
-// selections produce a surviving-index vector directly (SelectInto) and
-// formulas write a value vector (EvalInto), with comparison and arithmetic
-// running as tight loops over int64/float64/string payload arrays.
+// column vectors (relation.Col), instead of one boxed row at a time. It has
+// two entry points: a selection returns its surviving-index vector
+// (Select) and a formula its column (EvalCol), with comparison and
+// arithmetic running as tight loops over int64/float64/string payload
+// arrays.
 //
 // The contract is bit-identity with the interpreter (Eval): every value,
 // NULL and error outcome matches the row-at-a-time path exactly. Errors are
 // tracked as a per-lane bitmap — a lane's bit is set iff evaluating that row
 // through Eval would return an error, including the short-circuit
 // suppression rules (AND/OR skip the right side's errors on deciding lanes;
-// IN stops at the first match). The entry points report the window's first
-// erring lane; the caller re-runs just that row through Eval, which yields
-// the exact error — the first one in row order, since the bitmap is exact.
+// IN stops at the first match). When a lane errs, the entry point rebuilds
+// the first erring lane's row from the columns its resolver handed the
+// compiler and returns the interpreter's error for it — the exact error,
+// and the first one in lane order, since the bitmap is exact.
 //
 // Each node picks its kernel per window from its operand vectors' kinds,
 // which typed columns and literals fix. Over typed lanes nothing is boxed:
@@ -45,7 +48,9 @@ import (
 // interpreter's Env carries.
 
 // BatchResolver maps a column name to the typed column vector a batch
-// program reads it from. It is consulted only at compile time.
+// program reads it from. It is consulted at compile time, and again only
+// to rebuild an erring lane's row, possibly from several chunks at once,
+// so it must answer the same every time and be safe for concurrent use.
 type BatchResolver func(name string) (*relation.Col, bool)
 
 // ErrNotVectorizable marks expressions the batch compiler declines (those
@@ -244,9 +249,10 @@ type batchPredFn func(c *bctx) *truthVec
 // BatchProgram is a compiled vectorized expression. It holds no mutable
 // state; one program may evaluate windows from many goroutines.
 type BatchProgram struct {
-	src  Expr
-	fn   batchFn
-	pred batchPredFn
+	src     Expr
+	fn      batchFn
+	pred    batchPredFn
+	resolve BatchResolver // what an erring lane's row is rebuilt from
 }
 
 // CompileBatch compiles e against typed columns. It declines (with the
@@ -263,14 +269,30 @@ func CompileBatch(e Expr, resolve BatchResolver) (*BatchProgram, error) {
 		return nil, err
 	}
 	batchOK.Inc()
-	return &BatchProgram{src: e, fn: fn, pred: pred}, nil
+	return &BatchProgram{src: e, fn: fn, pred: pred, resolve: resolve}, nil
 }
 
-// RowError re-runs one row an entry point flagged as erring through the
-// interpreter — EvalBool when pred, Eval otherwise — and returns its exact
-// error. The error bitmap is exact, so the row errs; a clean re-run would
-// mean the two evaluators disagree, which is reported rather than ignored.
-func (p *BatchProgram) RowError(env Env, pred bool) error {
+// laneRow is the interpreter's Env over one lane's row: cell ri of every
+// column the program's resolver hands it.
+type laneRow struct {
+	resolve BatchResolver
+	ri      int
+}
+
+func (r laneRow) Lookup(name string) (value.Value, bool) {
+	if col, ok := r.resolve(name); ok {
+		return col.Value(r.ri), true
+	}
+	return value.Null, false
+}
+
+// rowError re-runs lane k of idx (nil = identity), which an entry point
+// flagged as erring, through the interpreter — EvalBool when pred, Eval
+// otherwise — and returns its exact error. The error bitmap is exact, so
+// the row errs; a clean re-run would mean the two evaluators disagree,
+// which is reported rather than ignored.
+func (p *BatchProgram) rowError(idx []int32, k int, pred bool) error {
+	env := laneRow{resolve: p.resolve, ri: cellOf(idx, k, false)}
 	var err error
 	if pred {
 		_, err = EvalBool(p.src, env)
@@ -283,13 +305,47 @@ func (p *BatchProgram) RowError(env Env, pred bool) error {
 	return err
 }
 
-// SelectInto evaluates the program as a predicate over window [lo,hi) of
-// idx (nil = identity) and appends the surviving base-row indexes to
-// dst[0:], returning the count. bad is the window position (in [lo,hi)) of
-// the first lane whose row errs under EvalBool, or -1; when bad >= 0 the
-// count is meaningless and the caller re-runs row bad through EvalBool for
-// the exact error.
-func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (count, bad int) {
+// cellOf is the cell lane k lands at: k in the positional layout (pos) or
+// over the identity, else its base-row index idx[k].
+func cellOf(idx []int32, k int, pos bool) int {
+	if idx == nil || pos {
+		return k
+	}
+	return int(idx[k])
+}
+
+// Select evaluates the program as a predicate over the n lanes of idx (nil
+// = identity) in parallel chunks (relation.Chunks) and returns the
+// surviving base-row indexes in lane order — or, when a lane errs, the
+// interpreter's exact error for the first erring lane: each chunk stops at
+// its own first, and chunks report in order.
+func (p *BatchProgram) Select(idx []int32, n int) ([]int32, error) {
+	dst := make([]int32, n)
+	bounds := relation.Chunks(n)
+	counts := make([]int, len(bounds))
+	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
+		var bad int
+		if counts[c], bad = p.selectInto(idx, lo, hi, dst[lo:]); bad >= 0 {
+			return p.rowError(idx, bad, true)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	w := 0
+	for c, b := range bounds {
+		copy(dst[w:], dst[b[0]:b[0]+counts[c]])
+		w += counts[c]
+	}
+	return dst[:w:w], nil
+}
+
+// selectInto is Select over window [lo,hi) of idx: it appends the
+// surviving base-row indexes to dst[0:] and returns the count, or the
+// window position of the first erring lane as bad (-1 when none), in
+// which case the count is meaningless.
+func (p *BatchProgram) selectInto(idx []int32, lo, hi int, dst []int32) (count, bad int) {
 	idx = windowIdx(idx, lo, hi)
 	c := &bctx{rows: idx, lo: lo, n: hi - lo}
 	tv := p.pred(c)
@@ -315,138 +371,110 @@ func (p *BatchProgram) SelectInto(idx []int32, lo, hi int, dst []int32) (count, 
 	return w, -1
 }
 
-// Select evaluates the program as a predicate over the n lanes of idx (nil
-// = identity) in parallel chunks (relation.Chunks) and returns the
-// surviving base-row indexes in lane order. bad is the lane of the first
-// row that errs under EvalBool — the first in lane order, since each chunk
-// stops at its own first — or -1; kept is nil when a lane errs.
-func (p *BatchProgram) Select(idx []int32, n int) (kept []int32, bad int) {
-	dst := make([]int32, n)
+// EvalCol evaluates the program over the n lanes of idx (nil = identity),
+// in parallel chunks, into a fresh column of size cells: lane k lands at
+// cell k when pos is set, else at its base-row index, and every other cell
+// is NULL. With widen, INT lanes widen into a FLOAT kind, as a FLOAT
+// consumer coerces them. The column is typed in kind when every non-NULL
+// lane has that kind, its payloads written straight from the lane vectors
+// with nothing boxed. Otherwise, or when kind has no payload family, the
+// widened lane values form the column by the values rule
+// (relation.ValuesCol): a chunk whose lanes leave kind boxes them, and the
+// typed chunks' cells are re-read from the column, not re-evaluated. When
+// a lane errs, EvalCol instead returns the interpreter's exact error for
+// the first erring lane: each chunk checks errors before kinds and stops
+// at its first, and chunks report in order. The column is never nil
+// without an error.
+func (p *BatchProgram) EvalCol(idx []int32, n, size int, kind value.Kind, pos, widen bool) (*relation.Col, error) {
+	col := payloadCol(kind, size)
+	var filled []uint8
+	if col != nil {
+		filled = make([]uint8, size)
+	}
+	widen = widen && kind == value.KindFloat
 	bounds := relation.Chunks(n)
-	counts := make([]int, len(bounds))
-	bads := make([]int, len(bounds))
-	_ = relation.RunChunks(bounds, func(c, lo, hi int) error {
-		counts[c], bads[c] = p.SelectInto(idx, lo, hi, dst[lo:])
+	left := make([][]value.Value, len(bounds)) // the lane values of chunks that left kind
+	err := relation.RunChunks(bounds, func(c, lo, hi int) error {
+		var bad int
+		if bad, left[c] = p.evalWindow(idx, lo, hi, col, filled, pos, widen); bad >= 0 {
+			return p.rowError(idx, bad, false)
+		}
 		return nil
 	})
-	w := 0
+	if err != nil {
+		return nil, err
+	}
+	if col != nil {
+		col.Nulls = relation.NullsFromFilled(filled)
+		if !slices.ContainsFunc(left, func(vals []value.Value) bool { return vals != nil }) {
+			return col, nil
+		}
+	}
+	vals := make([]value.Value, size)
+	if col != nil {
+		for i := range vals {
+			vals[i] = col.Value(i)
+		}
+	}
 	for c, b := range bounds {
-		if bads[c] >= 0 {
-			return nil, bads[c]
+		for k, v := range left[c] {
+			vals[cellOf(idx, b[0]+k, pos)] = v
 		}
-		copy(dst[w:], dst[b[0]:b[0]+counts[c]])
-		w += counts[c]
 	}
-	return dst[:w:w], -1
+	return relation.ValuesCol(vals), nil
 }
 
-// EvalInto evaluates the program over window [lo,hi) of idx (nil =
-// identity), writing each lane's value to out at its base-row index, widened
-// to kind under the consumer's coercion rule (KindFloat widens integer
-// results; any other kind leaves values untouched). It returns the window
-// position of the first lane whose row errs under Eval, or -1; out is
-// untouched when a lane errs.
-func (p *BatchProgram) EvalInto(idx []int32, lo, hi int, kind value.Kind, out []value.Value) (bad int) {
-	idx = windowIdx(idx, lo, hi)
-	c := &bctx{rows: idx, lo: lo, n: hi - lo}
-	v := p.fn(c)
-	if k := firstBit(v.errs); k >= 0 {
-		return lo + k
-	}
-	widen := kind == value.KindFloat
-	for k := 0; k < c.n; k++ {
-		ri := lo + k
-		if idx != nil {
-			ri = int(idx[lo+k])
-		}
-		val := v.lane(k)
-		if widen && val.Kind() == value.KindInt {
-			val = value.NewFloat(float64(val.Int()))
-		}
-		out[ri] = val
-	}
-	return -1
-}
-
-// EvalIntoCol evaluates the program over window [lo,hi) of idx (nil =
-// identity), writing each lane's raw payload to out's lane array at the
-// lane's base-row index and marking the cell in filled — no value is boxed.
-// out.Kind is the expected result kind (the consumer's inferred column
-// kind) and its matching payload array must cover the base rows; integer
-// lanes widen to a float column exactly as EvalInto's coercion does. NULL
-// lanes leave filled clear. bad is the window position of the first erring
-// lane, or -1, exactly as for EvalInto; errors take precedence over kinds.
-// ok is false when a non-NULL lane's widened kind disagrees with out.Kind —
-// the caller then refills through EvalInto, which yields the dynamically
-// typed column.
-func (p *BatchProgram) EvalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8) (bad int, ok bool) {
-	return p.evalIntoCol(idx, lo, hi, out, filled, false, true)
-}
-
-// EvalCol evaluates the program over the n lanes of idx (nil = identity),
-// in parallel chunks, into a fresh column of kind covering size cells —
-// EvalIntoCol over every window. Lane k lands at cell k when pos is set
-// (EvalPos's layout), else at its base-row index; widen lets INT lanes fill
-// a FLOAT column, as EvalInto's coercion does. bad is the first erring
-// lane, or -1. col is nil when a lane errs, when kind has no payload
-// family, or when a non-NULL lane's kind disagrees with it; the caller then
-// takes the boxed route (EvalInto or EvalPos), which reports the exact
-// error or yields the mixed-kind values. Chunks report in order, so the
-// first chunk to fail either errs first in lane order or leaves the boxed
-// route to find the first error.
-func (p *BatchProgram) EvalCol(idx []int32, n, size int, kind value.Kind, pos, widen bool) (col *relation.Col, bad int) {
-	col = &relation.Col{Kind: kind}
+// payloadCol returns a column of kind with a zeroed payload array of size
+// cells, or nil when kind has no payload family.
+func payloadCol(kind value.Kind, size int) *relation.Col {
 	switch kind {
 	case value.KindInt, value.KindBool, value.KindDate:
-		col.Ints = make([]int64, size)
+		return &relation.Col{Kind: kind, Ints: make([]int64, size)}
 	case value.KindFloat:
-		col.Floats = make([]float64, size)
+		return &relation.Col{Kind: kind, Floats: make([]float64, size)}
 	case value.KindString:
-		col.Strs = make([]string, size)
-	default:
-		return nil, -1
+		return &relation.Col{Kind: kind, Strs: make([]string, size)}
 	}
-	filled := make([]uint8, size)
-	bounds := relation.Chunks(n)
-	bads := make([]int, len(bounds))
-	oks := make([]bool, len(bounds))
-	_ = relation.RunChunks(bounds, func(c, lo, hi int) error {
-		bads[c], oks[c] = p.evalIntoCol(idx, lo, hi, col, filled, pos, widen)
-		return nil
-	})
-	for c := range bounds {
-		if bads[c] >= 0 {
-			return nil, bads[c]
-		}
-		if !oks[c] {
-			return nil, -1
-		}
-	}
-	col.Nulls = relation.NullsFromFilled(filled)
-	return col, -1
+	return nil
 }
 
-// evalIntoCol is EvalIntoCol with the output layout (pos: lane k at cell
-// lo+k) and the INT-to-FLOAT widening chosen by the caller.
-func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, filled []uint8, pos, widen bool) (bad int, ok bool) {
-	idx = windowIdx(idx, lo, hi)
-	c := &bctx{rows: idx, lo: lo, n: hi - lo}
+// evalWindow is EvalCol over window [lo,hi) of idx. bad is the window
+// position of the first erring lane, or -1; errors are checked before
+// kinds. Without an erring lane, each lane's payload is written to out at
+// its cell (cellOf), marking the cell in filled, and vals is nil — unless
+// out is nil or a non-NULL lane's kind is not out.Kind: vals then holds the
+// window's lane values, boxed and widened, and the window's cells of out
+// are not to be trusted.
+func (p *BatchProgram) evalWindow(idx []int32, lo, hi int, out *relation.Col, filled []uint8, pos, widen bool) (bad int, vals []value.Value) {
+	c := &bctx{rows: windowIdx(idx, lo, hi), lo: lo, n: hi - lo}
 	v := p.fn(c)
 	if k := firstBit(v.errs); k >= 0 {
-		return lo + k, false
+		return lo + k, nil
 	}
-	ri := func(k int) int {
-		if idx != nil && !pos {
-			return int(idx[lo+k])
+	if out != nil && v.writeCol(c, out, filled, pos, widen) {
+		return -1, nil
+	}
+	vals = make([]value.Value, c.n)
+	for k := range vals {
+		x := v.lane(k)
+		if widen && x.Kind() == value.KindInt {
+			x = value.NewFloat(float64(x.Int()))
 		}
-		return lo + k
+		vals[k] = x
 	}
+	return -1, vals
+}
+
+// writeCol writes the window's lanes into out (see evalWindow) and reports
+// whether every non-NULL lane had out's kind (INT lanes count as FLOAT
+// under widen).
+func (v *bvec) writeCol(c *bctx, out *relation.Col, filled []uint8, pos, widen bool) bool {
+	ri := func(k int) int { return cellOf(c.rows, c.lo+k, pos) }
 	kind := out.Kind
-	widen = widen && kind == value.KindFloat
-	if v.kind == value.KindNull {
-		return -1, true
-	}
-	if v.kind == kindDynamic {
+	switch {
+	case v.kind == value.KindNull:
+		return true
+	case v.kind == kindDynamic:
 		for k := 0; k < c.n; k++ {
 			val := v.vals[v.pi(k)]
 			if val.IsNull() {
@@ -460,7 +488,7 @@ func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 				continue
 			}
 			if vk != kind {
-				return -1, false
+				return false
 			}
 			switch kind {
 			case value.KindInt:
@@ -470,21 +498,17 @@ func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			case value.KindString:
 				out.Strs[i] = val.Str()
 			case value.KindBool:
+				out.Ints[i] = 0
 				if val.Bool() {
 					out.Ints[i] = 1
-				} else {
-					out.Ints[i] = 0
 				}
 			case value.KindDate:
 				out.Ints[i] = val.DateDays()
-			default:
-				return -1, false
 			}
 			filled[i] = 1
 		}
-		return -1, true
-	}
-	if widen && (v.kind == value.KindInt || v.kind == kindNumeric) {
+		return true
+	case widen && (v.kind == value.KindInt || v.kind == kindNumeric):
 		for k := 0; k < c.n; k++ {
 			if v.null(k) {
 				continue
@@ -493,10 +517,14 @@ func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			_, out.Floats[i], _ = v.num(k)
 			filled[i] = 1
 		}
-		return -1, true
-	}
-	if v.kind != kind {
-		return -1, false
+		return true
+	case v.kind != kind:
+		for k := 0; k < c.n; k++ {
+			if !v.null(k) {
+				return false
+			}
+		}
+		return true // every lane NULL: no cell to write
 	}
 	switch kind {
 	case value.KindFloat:
@@ -527,31 +555,7 @@ func (p *BatchProgram) evalIntoCol(idx []int32, lo, hi int, out *relation.Col, f
 			filled[i] = 1
 		}
 	}
-	return -1, true
-}
-
-// EvalPos evaluates the program over window [lo,hi) of idx (nil =
-// identity), writing lane k's value to out[lo+k] — positional output for
-// consumers whose output rows follow window order rather than base-row
-// indexing. Widening and the erring-lane report match EvalInto, except
-// that the lanes before the first erring one are written.
-func (p *BatchProgram) EvalPos(idx []int32, lo, hi int, kind value.Kind, out []value.Value) (bad int) {
-	c := &bctx{rows: windowIdx(idx, lo, hi), lo: lo, n: hi - lo}
-	v := p.fn(c)
-	n := c.n
-	bad = -1
-	if k := firstBit(v.errs); k >= 0 {
-		n, bad = k, lo+k
-	}
-	widen := kind == value.KindFloat
-	for k := 0; k < n; k++ {
-		val := v.lane(k)
-		if widen && val.Kind() == value.KindInt {
-			val = value.NewFloat(float64(val.Int()))
-		}
-		out[lo+k] = val
-	}
-	return bad
+	return true
 }
 
 func compileBatch(e Expr, resolve BatchResolver) (batchFn, error) {

@@ -6,6 +6,8 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -243,27 +245,93 @@ func firstRowErr(rows []relation.Tuple, idx []int32, lo, hi int, eval func(row [
 	return -1, nil
 }
 
-// checkBadLane asserts the batch entry point flagged exactly the
-// interpreter's first erring row, and that re-running that row — what every
-// caller does — yields the interpreter's error string.
-func checkBadLane(t *testing.T, what string, bad, wantBad int, wantErr error, rerun func(int) error) {
+// checkFirstErr asserts that an entry point's error is the interpreter's
+// error for the first erring row, wantErr (nil when no row errs).
+func checkFirstErr(t *testing.T, what string, err, wantErr error) {
 	t.Helper()
-	if bad != wantBad {
-		t.Fatalf("%s: batch flagged lane %d, interpreter first errs at %d (%v)", what, bad, wantBad, wantErr)
-	}
-	if bad < 0 {
-		return
-	}
-	if got := rerun(bad); got == nil || got.Error() != wantErr.Error() {
-		t.Fatalf("%s: re-run of lane %d gives %v, interpreter %v", what, bad, got, wantErr)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("%s: batch error %v, interpreter's first %v", what, err, wantErr)
 	}
 }
 
+// checkErrLane pins the lane an entry point's error comes from, not only
+// its message: run over the first bad lanes returns no error, and over the
+// first bad+1 it returns the interpreter's error for lane bad, wantErr. It
+// checks nothing when no lane errs (bad < 0).
+func checkErrLane(t *testing.T, what string, bad int, wantErr error, run func(lanes int) error) {
+	t.Helper()
+	if bad < 0 {
+		return
+	}
+	if err := run(bad); err != nil {
+		t.Fatalf("%s: the %d lanes before the first erring row err: %v", what, bad, err)
+	}
+	checkFirstErr(t, fmt.Sprintf("%s (through lane %d)", what, bad), run(bad+1), wantErr)
+}
+
+// widened returns vals with INT values widened to FLOAT when kind is FLOAT,
+// as EvalCol's widen coerces them; other kinds leave vals as they are.
+func widened(vals []value.Value, kind value.Kind) []value.Value {
+	if kind != value.KindFloat {
+		return vals
+	}
+	out := make([]value.Value, len(vals))
+	for i, v := range vals {
+		if v.Kind() == value.KindInt {
+			v = value.NewFloat(float64(v.Int()))
+		}
+		out[i] = v
+	}
+	return out
+}
+
+// checkCol asserts that an EvalCol column holds want cell for cell —
+// identical values, float bits and NULLs — in EvalCol's form: typed in kind
+// when kind has a payload family and every non-NULL value has that kind,
+// else relation.ValuesCol(want)'s.
+func checkCol(t *testing.T, what string, col *relation.Col, want []value.Value, kind value.Kind) {
+	t.Helper()
+	if col == nil {
+		t.Fatalf("%s: EvalCol returned no column and no error", what)
+	}
+	for i, w := range want {
+		if got := col.Value(i); !bitIdentical(got, w) {
+			t.Fatalf("%s: cell %d: batch %s (%v), interpreter %s (%v)", what, i, got, got.Kind(), w, w.Kind())
+		}
+	}
+	form := relation.ValuesCol(want)
+	if payloadCol(kind, 0) != nil && !slices.ContainsFunc(want, func(v value.Value) bool {
+		return !v.IsNull() && v.Kind() != kind
+	}) {
+		form = &relation.Col{Kind: kind}
+	}
+	if (col.Boxed != nil) != (form.Boxed != nil) || (col.Boxed == nil && col.Kind != form.Kind) {
+		t.Fatalf("%s: EvalCol(%s) built a %s column (boxed %v), want %s (boxed %v)",
+			what, kind, col.Kind, col.Boxed != nil, form.Kind, form.Boxed != nil)
+	}
+}
+
+// batchKinds are the kinds the property tests ask EvalCol for: every
+// payload family, and KindNull, which has none.
+var batchKinds = []value.Kind{value.KindInt, value.KindFloat, value.KindString,
+	value.KindBool, value.KindDate, value.KindNull}
+
+// firstKind is the kind of the first non-NULL value, or KindFloat.
+func firstKind(vals []value.Value) value.Kind {
+	for _, v := range vals {
+		if !v.IsNull() {
+			return v.Kind()
+		}
+	}
+	return value.KindFloat
+}
+
 // TestBatchBitIdentityProperty is the main property: for random expressions
-// (and the kernel shapes) and random data, EvalPos and SelectInto agree with the interpreter on
-// every lane — identical values (including float bit patterns and NULL
-// tri-state) before the first erring row, and that row reported as the
-// first erring lane.
+// (and the kernel shapes) and random data, EvalCol and Select agree with
+// the interpreter on every lane — identical values (including float bit
+// patterns and NULL tri-state) before the first erring row, in a column of
+// a random kind with or without FLOAT widening, and that row's exact error
+// as the entry point's error.
 func TestBatchBitIdentityProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(97))
 	const random = 600
@@ -297,21 +365,34 @@ func TestBatchBitIdentityProperty(t *testing.T) {
 			want[i], _ = rp.Eval(rows[i])
 		}
 
-		out := make([]value.Value, n)
-		bad := bp.EvalPos(nil, 0, n, value.KindInt, out)
-		checkBadLane(t, what, bad, wantBad, wantErr, func(i int) error {
-			_, err := Eval(e, rowMap(r, i))
+		// The kind asked for: the first clean lane's, so the typed form
+		// is common, or any kind (KindNull has no payload family).
+		kind, widen := batchKinds[rng.Intn(len(batchKinds))], rng.Intn(2) == 0
+		if rng.Intn(2) == 0 {
+			kind = firstKind(want)
+		}
+		wk := value.KindNull
+		if widen {
+			wk = kind
+		}
+		col, err := bp.EvalCol(nil, n, n, kind, rng.Intn(2) == 0, widen)
+		checkFirstErr(t, what, err, wantErr)
+		checkErrLane(t, what, wantBad, wantErr, func(lanes int) error {
+			_, err := bp.EvalCol(nil, lanes, lanes, kind, true, widen)
 			return err
 		})
-		for i := 0; i < n && (bad < 0 || i < bad); i++ {
-			if !bitIdentical(want[i], out[i]) {
-				t.Fatalf("%s: lane %d diverges: interpreter %s (%v) vs batch %s (%v)",
-					what, i, want[i], want[i].Kind(), out[i], out[i].Kind())
+		if m := wantBad; m >= 0 {
+			// The lanes before the first erring row, on their own.
+			if col, err = bp.EvalCol(nil, m, m, kind, true, widen); err != nil {
+				t.Fatalf("%s: the %d lanes before the first erring row err: %v", what, m, err)
 			}
+			checkCol(t, what, col, widened(want[:m], wk), kind)
+		} else {
+			checkCol(t, what, col, widened(want, wk), kind)
 		}
 
-		// Predicate parity: the surviving-row set of SelectInto matches
-		// per-row EvalBool, and the first erring lane is EvalBool's.
+		// Predicate parity: the surviving-row set of Select matches
+		// per-row EvalBool, and its error is EvalBool's first.
 		var survivors []int32
 		selBad, selErr := firstRowErr(rows, nil, 0, n, func(row []value.Value) error {
 			_, err := rp.EvalBool(row)
@@ -322,22 +403,14 @@ func TestBatchBitIdentityProperty(t *testing.T) {
 				survivors = append(survivors, int32(i))
 			}
 		}
-		dst := make([]int32, n)
-		w, bad := bp.SelectInto(nil, 0, n, dst)
-		checkBadLane(t, what+" (predicate)", bad, selBad, selErr, func(i int) error {
-			_, err := EvalBool(e, rowMap(r, i))
+		kept, err := bp.Select(nil, n)
+		checkFirstErr(t, what+" (predicate)", err, selErr)
+		checkErrLane(t, what+" (predicate)", selBad, selErr, func(lanes int) error {
+			_, err := bp.Select(nil, lanes)
 			return err
 		})
-		if bad >= 0 {
-			continue
-		}
-		if w != len(survivors) {
-			t.Fatalf("%s: %d survivors, interpreter kept %d", what, w, len(survivors))
-		}
-		for i := range survivors {
-			if dst[i] != survivors[i] {
-				t.Fatalf("%s: survivor %d = row %d, interpreter kept %d", what, i, dst[i], survivors[i])
-			}
+		if err == nil && fmt.Sprint(kept) != fmt.Sprint(survivors) {
+			t.Fatalf("%s: batch kept %v, interpreter kept %v", what, kept, survivors)
 		}
 	}
 }
@@ -351,13 +424,15 @@ func rowMap(r *relation.Relation, i int) MapEnv {
 	return m
 }
 
-// TestBatchBitIdentityWindowed pins the indexed-window form: evaluating a
-// sub-window of a shuffled (and duplicating) index vector must agree lane
-// for lane with the interpreter applied to the indexed rows, EvalInto's
-// KindFloat widening must match the coerce rule, and EvalIntoCol must
-// report the same first erring lane and, into a column of the first
-// non-NULL lane's kind, fill exactly the non-NULL cells with the
-// interpreter's payloads — or decline when some lane's kind differs.
+// TestBatchBitIdentityWindowed pins the indexed form: evaluating a
+// sub-window of a shuffled index vector with gaps must agree lane for lane
+// with the interpreter applied to the indexed rows, in both layouts —
+// positional (pos, where the index duplicates rows on purpose) and at the
+// base-row index (one lane per row, every other cell NULL). Into a FLOAT
+// column with widening every value must match the coerce rule; into a
+// column of the first non-NULL lane's kind the cells must match as
+// payloads, typed while no lane's kind differs and by the values rule
+// otherwise; and either call's error must be the first erring lane's.
 func TestBatchBitIdentityWindowed(t *testing.T) {
 	rng := rand.New(rand.NewSource(131))
 	const random = 300
@@ -386,63 +461,49 @@ func TestBatchBitIdentityWindowed(t *testing.T) {
 			idx[i] = int32(rng.Intn(n)) // duplicates and gaps on purpose
 		}
 		lo := rng.Intn(m)
-		hi := lo + 1 + rng.Intn(m-lo)
+		win := idx[lo : lo+1+rng.Intn(m-lo)]
+		pos, size := trial%2 == 0, len(win)
+		if !pos {
+			// At the base-row index, two lanes of one row would write
+			// one cell from two chunks: keep each row's first lane.
+			seen := map[int32]bool{}
+			var distinct []int32
+			for _, ri := range win {
+				if !seen[ri] {
+					seen[ri] = true
+					distinct = append(distinct, ri)
+				}
+			}
+			win, size = distinct, n
+		}
+		what += fmt.Sprintf(" (pos %v)", pos)
 
-		wantBad, wantErr := firstRowErr(rows, idx, lo, hi, func(row []value.Value) error {
+		wantBad, wantErr := firstRowErr(rows, win, 0, len(win), func(row []value.Value) error {
 			_, err := rp.Eval(row)
 			return err
 		})
-		rerun := func(k int) error {
-			_, err := Eval(e, rowMap(r, int(idx[k])))
+		col, err := bp.EvalCol(win, len(win), size, value.KindFloat, pos, true)
+		checkFirstErr(t, what, err, wantErr)
+		checkErrLane(t, what, wantBad, wantErr, func(lanes int) error {
+			_, err := bp.EvalCol(win[:lanes], lanes, size, value.KindFloat, pos, true)
 			return err
-		}
-		out := make([]value.Value, m)
-		bad := bp.EvalPos(idx, lo, hi, value.KindFloat, out)
-		checkBadLane(t, what, bad, wantBad, wantErr, rerun)
-		checkBadLane(t, what+" (EvalInto)", bp.EvalInto(idx, lo, hi, value.KindFloat, make([]value.Value, n)),
-			wantBad, wantErr, rerun)
-		col := &relation.Col{Kind: value.KindFloat, Floats: make([]float64, n)}
-		colBad, _ := bp.EvalIntoCol(idx, lo, hi, col, make([]uint8, n))
-		checkBadLane(t, what+" (EvalIntoCol)", colBad, wantBad, wantErr, rerun)
-		if bad >= 0 {
+		})
+		if err != nil {
 			continue
 		}
-		want := make([]value.Value, m)
-		target := value.KindFloat // EvalIntoCol's kind: the first non-NULL lane's
-		for k := hi - 1; k >= lo; k-- {
-			v, _ := rp.Eval(rows[idx[k]])
-			if v.Kind() == value.KindInt { // EvalPos(KindFloat) widens; mirror coerce
-				v = value.NewFloat(float64(v.Int()))
-			}
-			if !bitIdentical(v, out[k]) {
-				t.Fatalf("%s: window lane %d diverges: %s vs %s", what, k, v, out[k])
-			}
-			if want[k] = v; !v.IsNull() {
-				target = v.Kind()
-			}
+		want := make([]value.Value, size)
+		for k, ri := range win {
+			want[cellOf(win, k, pos)], _ = rp.Eval(rows[ri])
 		}
-		col = &relation.Col{Kind: target, Ints: make([]int64, n), Floats: make([]float64, n), Strs: make([]string, n)}
-		filled := make([]uint8, n)
-		if _, ok := bp.EvalIntoCol(idx, lo, hi, col, filled); ok {
-			for k := lo; k < hi; k++ {
-				ri := int(idx[k])
-				if got := col.Value(ri); want[k].IsNull() != (filled[ri] == 0) || (filled[ri] != 0 && !bitIdentical(want[k], got)) {
-					t.Fatalf("%s: EvalIntoCol(%s) lane %d: filled %d, %s (%v), interpreter %s (%v)",
-						what, target, k, filled[ri], got, got.Kind(), want[k], want[k].Kind())
-				}
-			}
-			continue
+		checkCol(t, what+" (FLOAT)", col, widened(want, value.KindFloat), value.KindFloat)
+		lanes := make([]value.Value, len(win))
+		for k := range win {
+			lanes[k] = widened(want, value.KindFloat)[cellOf(win, k, pos)]
 		}
-		// A decline needs a lane of another kind, or no non-NULL lane at
-		// all (a typed vector of another kind, every lane NULL).
-		mixed, allNull := false, true
-		for _, v := range want[lo:hi] {
-			mixed = mixed || (!v.IsNull() && v.Kind() != target)
-			allNull = allNull && v.IsNull()
-		}
-		if !mixed && !allNull {
-			t.Fatalf("%s: EvalIntoCol(%s) declined though every non-NULL lane has that kind", what, target)
-		}
+		target := firstKind(lanes)
+		col, err = bp.EvalCol(win, len(win), size, target, pos, true)
+		checkFirstErr(t, what, err, nil)
+		checkCol(t, fmt.Sprintf("%s (%s)", what, target), col, widened(want, target), target)
 	}
 }
 
@@ -491,12 +552,12 @@ func TestBatchWindowBoundedAllocs(t *testing.T) {
 	}{
 		{"I < 20000 AND S IN ('a', 'Good', 'zzz')", func(bp *BatchProgram, n int) func() {
 			dst := make([]int32, n)
-			return func() { bp.SelectInto(nil, 0, n, dst) }
+			return func() { bp.selectInto(nil, 0, n, dst) }
 		}},
 		{"S || '-' || S", func(bp *BatchProgram, n int) func() {
 			col := &relation.Col{Kind: value.KindString, Strs: make([]string, n)}
 			filled := make([]uint8, n)
-			return func() { bp.EvalIntoCol(nil, 0, n, col, filled) }
+			return func() { bp.evalWindow(nil, 0, n, col, filled, false, false) }
 		}},
 	} {
 		allocs := map[int]float64{}
@@ -569,17 +630,20 @@ func TestBatchProgramConcurrentWindows(t *testing.T) {
 				sel:    make([]int32, n),
 				counts: make([]int, n/window),
 			}
+			widen := tc.kind == value.KindFloat
 			forWindows(concurrent, func(lo, hi int) {
-				if bad, ok := bp.EvalIntoCol(nil, lo, hi, res.col, res.filled); bad >= 0 || !ok {
-					t.Errorf("%s: EvalIntoCol [%d,%d): bad %d ok %v", tc.src, lo, hi, bad, ok)
+				if bad, vals := bp.evalWindow(nil, lo, hi, res.col, res.filled, false, widen); bad >= 0 || vals != nil {
+					t.Errorf("%s: typed window [%d,%d): bad %d, left the kind %v", tc.src, lo, hi, bad, vals != nil)
 				}
-				if bad := bp.EvalInto(nil, lo, hi, tc.kind, res.vals); bad >= 0 {
-					t.Errorf("%s: EvalInto [%d,%d): bad %d", tc.src, lo, hi, bad)
+				bad, vals := bp.evalWindow(nil, lo, hi, nil, nil, false, widen)
+				if bad >= 0 {
+					t.Errorf("%s: boxed window [%d,%d): bad %d", tc.src, lo, hi, bad)
 				}
+				copy(res.vals[lo:hi], vals)
 				if tc.kind == value.KindBool {
-					cnt, bad := bp.SelectInto(nil, lo, hi, res.sel[lo:])
+					cnt, bad := bp.selectInto(nil, lo, hi, res.sel[lo:])
 					if bad >= 0 {
-						t.Errorf("%s: SelectInto [%d,%d): bad %d", tc.src, lo, hi, bad)
+						t.Errorf("%s: selectInto [%d,%d): bad %d", tc.src, lo, hi, bad)
 					}
 					res.counts[lo/window] = cnt
 				}
@@ -634,10 +698,9 @@ func TestBatchDeclineFallsBackIdentically(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dst := make([]int32, len(rows))
-	w, bad := bp.SelectInto(nil, 0, len(rows), dst)
-	if bad >= 0 {
-		t.Fatalf("covered predicate errs at lane %d", bad)
+	batchKept, err := bp.Select(nil, len(rows))
+	if err != nil {
+		t.Fatalf("covered predicate errs: %v", err)
 	}
 	var kept []int32
 	for i, row := range rows {
@@ -649,10 +712,142 @@ func TestBatchDeclineFallsBackIdentically(t *testing.T) {
 			kept = append(kept, int32(i))
 		}
 	}
-	if fmt.Sprint(kept) != fmt.Sprint(dst[:w]) {
-		t.Fatalf("interpreted subquery kept %v, batch IN kept %v", kept, dst[:w])
+	if fmt.Sprint(kept) != fmt.Sprint(batchKept) {
+		t.Fatalf("interpreted subquery kept %v, batch IN kept %v", kept, batchKept)
 	}
 	if !strings.Contains(ErrNotVectorizable.Error(), "not vectorizable") {
 		t.Fatalf("sentinel error text changed: %v", ErrNotVectorizable)
+	}
+}
+
+// chunked splits every entry point's lanes into several chunks for the
+// rest of the test: a parallel threshold below any test relation, and
+// GOMAXPROCS 4 so that a small host splits too.
+func chunked(t *testing.T) {
+	oldThreshold, oldProcs := relation.ParallelThreshold, runtime.GOMAXPROCS(4)
+	relation.ParallelThreshold = 4
+	t.Cleanup(func() {
+		relation.ParallelThreshold = oldThreshold
+		runtime.GOMAXPROCS(oldProcs)
+	})
+}
+
+// chunkRel is 64 rows over ID (0..63), S ("s0".."s63") and B, a Boxed
+// column holding FLOAT ID+0.5 on rows 0–15, STRING 'x' on row 50 and
+// INTEGER ID elsewhere.
+func chunkRel() *relation.Relation {
+	const n = 64
+	r := relation.New("chunks", relation.Schema{{Name: "ID", Kind: value.KindInt}, {Name: "S", Kind: value.KindString}})
+	b := make([]value.Value, n)
+	for i := 0; i < n; i++ {
+		r.MustAppend(value.NewInt(int64(i)), value.NewString(fmt.Sprintf("s%d", i)))
+		switch {
+		case i < 16:
+			b[i] = value.NewFloat(float64(i) + 0.5)
+		case i == 50:
+			b[i] = value.NewString("x")
+		default:
+			b[i] = value.NewInt(int64(i))
+		}
+	}
+	schema := append(r.Schema.Clone(), relation.Column{Name: "B", Kind: value.KindFloat})
+	return relation.FromColumns("chunks", schema, append(r.Columns(), relation.BoxedCol(b)), n)
+}
+
+// TestEvalColAcrossChunks pins EvalCol's merge of its chunks' results:
+// lanes that leave the kind only in the last chunk give the values rule's
+// column over every lane, a kind with no payload family gives it too, and
+// an erring lane in a later chunk than a chunk whose lanes left the kind is
+// still reported, as the interpreter's message for that row.
+func TestEvalColAcrossChunks(t *testing.T) {
+	chunked(t)
+	r := chunkRel()
+	n := r.Len()
+	if len(relation.Chunks(n)) < 3 {
+		t.Fatalf("%d rows split into %d chunks; the test needs at least 3", n, len(relation.Chunks(n)))
+	}
+	batchRes, _ := batchPropResolvers(r)
+	// interp is the interpreter's value of e on every row, INT widened
+	// into a FLOAT kind.
+	interp := func(e Expr, kind value.Kind) []value.Value {
+		vals := make([]value.Value, n)
+		for i := range vals {
+			v, err := Eval(e, rowMap(r, i))
+			if err != nil {
+				t.Fatalf("%s: row %d: %v", e.SQL(), i, err)
+			}
+			vals[i] = v
+		}
+		return widened(vals, kind)
+	}
+	for _, tc := range []struct {
+		src  string
+		kind value.Kind
+	}{
+		{"COALESCE(IF(ID >= 62, NULL, ID), S)", value.KindInt},   // the last chunk's lanes leave INT
+		{"COALESCE(IF(ID >= 62, NULL, ID), S)", value.KindFloat}, // … widened
+		{"COALESCE(IF(ID >= 62, NULL, ID), S)", value.KindNull},  // no payload family
+		{"ID * 2", value.KindNull},                               // … one kind: typed
+		{"IF(ID < 0, ID, NULL)", value.KindNull},                 // … every lane NULL
+		{"IF(ID >= 62, S, NULL)", value.KindInt},                 // one other kind: typed in it
+	} {
+		e := MustParse(tc.src)
+		bp, err := CompileBatch(e, batchRes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := interp(e, tc.kind)
+		col, err := bp.EvalCol(nil, n, n, tc.kind, true, true)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		what := fmt.Sprintf("%s as %s", tc.src, tc.kind)
+		checkCol(t, what, col, want, tc.kind)
+		form := relation.ValuesCol(want)
+		if (col.Boxed != nil) != (form.Boxed != nil) || col.Kind != form.Kind {
+			t.Fatalf("%s: EvalCol built a %s column (boxed %v), ValuesCol a %s one (boxed %v)",
+				what, col.Kind, col.Boxed != nil, form.Kind, form.Boxed != nil)
+		}
+		// At the base-row index, over every other row in reverse: the
+		// leaving lanes come first, and the skipped rows' cells are NULL.
+		var idx []int32
+		for i := n - 1; i >= 0; i -= 2 {
+			idx = append(idx, int32(i))
+		}
+		sparse := make([]value.Value, n)
+		for _, ri := range idx {
+			sparse[ri] = want[ri]
+		}
+		if col, err = bp.EvalCol(idx, len(idx), n, tc.kind, false, true); err != nil {
+			t.Fatalf("%s over every other row: %v", what, err)
+		}
+		checkCol(t, what+" over every other row", col, sparse, tc.kind)
+	}
+
+	// B / (ID - 40): FLOAT lanes in chunk 0 leave INT, row 40 divides by
+	// zero and row 50 divides a string; the error is row 40's.
+	e := MustParse("B / (ID - 40)")
+	bp, err := CompileBatch(e, batchRes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, want := Eval(e, rowMap(r, 40))
+	_, later := Eval(e, rowMap(r, 50))
+	if want == nil || later == nil || want.Error() == later.Error() {
+		t.Fatalf("rows 40 and 50 must err differently: %v, %v", want, later)
+	}
+	for _, kind := range []value.Kind{value.KindInt, value.KindNull} {
+		col, err := bp.EvalCol(nil, n, n, kind, true, false)
+		if col != nil || err == nil || err.Error() != want.Error() {
+			t.Fatalf("EvalCol(%s): column %v, error %v, want row 40's %v", kind, col != nil, err, want)
+		}
+	}
+	pred := MustParse("B / (ID - 40) > 0")
+	if bp, err = CompileBatch(pred, batchRes); err != nil {
+		t.Fatal(err)
+	}
+	_, want = EvalBool(pred, rowMap(r, 40))
+	if kept, err := bp.Select(nil, n); kept != nil || err == nil || err.Error() != want.Error() {
+		t.Fatalf("Select: kept %v, error %v, want row 40's %v", kept, err, want)
 	}
 }

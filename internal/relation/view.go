@@ -40,14 +40,6 @@ func (v *IndexView) At(i, col int) value.Value {
 	return v.ColAt(col).Value(int(v.Idx[i]))
 }
 
-// GatherRow fills out (length Split+len(Over)) with view row i's full
-// working row: the backing cells followed by every computed-column cell.
-func (v *IndexView) GatherRow(i int, out []value.Value) {
-	for j := range out {
-		out[j] = v.At(i, j)
-	}
-}
-
 // ColAt returns working position col as a typed column indexed by
 // backing-row index. Computed columns are typed columns already — the
 // backing-row indexing lines up because Over vectors are indexed the same

@@ -124,15 +124,20 @@ func (s *source) plainCol(e expr.Expr, kind value.Kind) *relation.Col {
 	return col
 }
 
-// resolve maps a (possibly qualified) name to a column index, insisting on
-// uniqueness for bare names.
-func (s *source) resolve(name string) (int, error) {
-	if i := s.rel.Schema.IndexOf(name); i >= 0 {
+// resolve maps a (possibly qualified) name to a column index by the source
+// rule (resolveIn).
+func (s *source) resolve(name string) (int, error) { return resolveIn(s.rel.Schema, name) }
+
+// resolveIn maps a (possibly qualified) name to its index in a source
+// schema: the exact name, else the unique column whose name ends in
+// "." + name.
+func resolveIn(schema relation.Schema, name string) (int, error) {
+	if i := schema.IndexOf(name); i >= 0 {
 		return i, nil
 	}
 	suffix := "." + strings.ToLower(name)
 	found := -1
-	for i, c := range s.rel.Schema {
+	for i, c := range schema {
 		if strings.HasSuffix(strings.ToLower(c.Name), suffix) {
 			if found >= 0 {
 				return -1, fmt.Errorf("sql: ambiguous column %q", name)
@@ -168,9 +173,6 @@ func (e *rowEnv) EvalSubquery(sub *expr.Subquery) (*relation.Relation, error) {
 		return nil, fmt.Errorf("sql: malformed subquery node")
 	}
 	db := e.sc.db
-	if db == nil {
-		return nil, fmt.Errorf("sql: subqueries are not supported in this context")
-	}
 	if e.sc.subs == nil {
 		db.subqueryRuns++
 		return db.execOuter(stmt, e)
@@ -321,89 +323,36 @@ func qualify(rel *relation.Relation, alias string) *source {
 	return newSource(relation.FromColumns(alias, schema, rel.Columns(), rel.Len()))
 }
 
-// joinSources computes left ⋈ right over typed columns: the equi-hash-join
-// kernel when the ON clause carries equality conjuncts, the theta-join's
-// filtered product otherwise. Whatever of ON the kernel's key match does
-// not cover filters the candidate pairs as a batch program (onFilter).
-// Source names never collide (checked here), so the kernels' product
-// layout is exactly the concatenated schema.
+// joinSources computes left ⋈ right over typed columns through
+// expr.JoinOn: the equi-hash-join kernel when the ON clause carries
+// equality conjuncts between the two sides, the theta-join's filtered
+// product otherwise. Keys and filter resolve names by the source rule
+// (resolveIn) over the joined schema — source names never collide
+// (checked here), so that is exactly the kernels' product layout. An ON
+// clause nesting a subquery is refused before joining: the join has no
+// statement scope to run it in.
 func joinSources(left, right *source, on expr.Expr) (*source, error) {
+	schema := append(left.rel.Schema.Clone(), right.rel.Schema...)
 	seen := map[string]bool{}
-	for _, c := range append(left.rel.Schema.Clone(), right.rel.Schema...) {
+	for _, c := range schema {
 		k := strings.ToLower(c.Name)
 		if seen[k] {
 			return nil, fmt.Errorf("sql: duplicate source name %q; alias the tables", c.Name)
 		}
 		seen[k] = true
 	}
-	var filter relation.PairFilter
-	if on != nil {
-		filter = onFilter(on)
+	if on != nil && expr.ContainsSubquery(on) {
+		return nil, fmt.Errorf("sql: subqueries are not supported in this context")
 	}
-	var j *relation.Relation
-	var err error
-	if lk, rk, keysOnly := hashKeys(left, right, on); len(lk) > 0 {
-		if keysOnly {
-			filter = nil // the kernel's key match is the whole ON clause
-		}
-		j, err = left.rel.HashJoin(right.rel, lk, rk, filter)
-	} else {
-		j, err = left.rel.Join(right.rel, filter)
-	}
+	j, err := expr.JoinOn(left.rel, right.rel, on, func(name string) (int, bool) {
+		i, err := resolveIn(schema, name)
+		return i, err == nil
+	})
 	if err != nil {
 		return nil, err
 	}
 	j.Name = left.rel.Name + "_" + right.rel.Name
 	return newSource(j), nil
-}
-
-// onFilter runs an ON clause over a join's candidate pairs. It binds its
-// names once and cannot run subqueries (its scope has no database handle),
-// so it is pure, and its batch program runs chunk-parallel.
-func onFilter(on expr.Expr) relation.PairFilter {
-	return func(cand *relation.Relation) ([]int32, error) {
-		return (&stmtCtx{src: newSource(cand)}).filter(on, nil)
-	}
-}
-
-// hashKeys extracts column-index pairs for top-level AND-ed equality
-// conjuncts of the form leftCol = rightCol. keysOnly reports that they are
-// every conjunct of on.
-func hashKeys(left, right *source, on expr.Expr) (lk, rk []int, keysOnly bool) {
-	if on == nil {
-		return nil, nil, false
-	}
-	keysOnly = true
-	for _, c := range conjuncts(on) {
-		if li, ri, ok := keyPair(left, right, c); ok {
-			lk, rk = append(lk, li), append(rk, ri)
-		} else {
-			keysOnly = false
-		}
-	}
-	return lk, rk, keysOnly
-}
-
-// keyPair resolves an equality conjunct `a = b` to a left and a right
-// column, in either orientation.
-func keyPair(left, right *source, e expr.Expr) (li, ri int, ok bool) {
-	b, isBin := e.(*expr.Binary)
-	if !isBin || b.Op != expr.OpEq {
-		return 0, 0, false
-	}
-	lc, lok := b.L.(*expr.ColumnRef)
-	rc, rok := b.R.(*expr.ColumnRef)
-	if !lok || !rok {
-		return 0, 0, false
-	}
-	for _, p := range [2][2]string{{lc.Name, rc.Name}, {rc.Name, lc.Name}} {
-		li, lerr := left.resolve(p[0])
-		ri, rerr := right.resolve(p[1])
-		if lerr == nil && rerr == nil {
-			return li, ri, true
-		}
-	}
-	return 0, 0, false
 }
 
 // execOn runs the SELECT body against a materialised source. idx tracks the

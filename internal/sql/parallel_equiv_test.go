@@ -21,8 +21,9 @@ import (
 // group, an unaliased aggregate item, the empty ungrouped group under
 // HAVING, a correlated subquery in a grouped item), HAVING, ORDER BY over
 // aliases / source columns / aggregates / a window, DISTINCT, LIMIT/OFFSET,
-// joins, the interpreted subquery fallback, and SUM, MIN and MAX over
-// mixed-kind values.
+// joins, the interpreted subquery fallback, SUM, MIN and MAX over
+// mixed-kind values, and an item and a GROUP BY key whose kinds mix on the
+// last rows only.
 var equivQueries = []string{
 	"SELECT * FROM cars",
 	"SELECT Model, Price FROM cars WHERE Price < 15000 AND Condition IN ('Good','Excellent')",
@@ -45,6 +46,10 @@ var equivQueries = []string{
 	// must stay sequential like a float SUM.
 	"SELECT SUM(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS s FROM cars",
 	"SELECT MIN(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS lo, MAX(COALESCE(IF(ID % 2 = 0, ID, NULL), Price / 3.7)) AS hi FROM cars",
+	// Leaves INTEGER only on the last rows of random3k (IDs 1000–3999), as
+	// an item and as a GROUP BY key.
+	"SELECT ID, COALESCE(IF(ID >= 3990, NULL, ID), Model) AS tail FROM cars ORDER BY ID",
+	"SELECT COALESCE(IF(ID >= 3990, NULL, ID), Model) AS tail, COUNT(*) AS n FROM cars GROUP BY COALESCE(IF(ID >= 3990, NULL, ID), Model) ORDER BY MIN(ID)",
 	"SELECT Model, AVG(Price) FROM cars GROUP BY Model ORDER BY Model",
 	"SELECT COUNT(*) AS n, MAX(Price) AS m FROM cars WHERE Price < 0 HAVING COUNT(*) = 0",
 	"SELECT Model, (SELECT COUNT(*) FROM dealers d WHERE d.specialty = Model) AS k, COUNT(*) AS n FROM cars GROUP BY Model ORDER BY Model",

@@ -15,7 +15,7 @@ var execMergeFallback = obs.Default.Counter("sql.exec.merge_fallback")
 
 // This file holds the executor's row loops, one per shape: WHERE, lane
 // columns (GROUP BY keys, aggregate arguments and window inputs: laneCols)
-// and output (join ON uses the same scopes). Grouped output is no shape of
+// and output (join ON runs through expr.JoinOn). Grouped output is no shape of
 // its own: HAVING, the items and the ORDER BY keys run as WHERE and output
 // over the group relation (groupCtx), whose rows are the groups. A loop
 // walks surviving source rows by
@@ -24,9 +24,11 @@ var execMergeFallback = obs.Default.Counter("sql.exec.merge_fallback")
 // row. Every loop binds the names of its expressions to column slots once
 // (scope) and evaluates rows through the interpreter, expr.Eval, with no
 // per-row name search. Where no enclosing row scope or subquery is
-// involved, batch programs run over the columns instead (lanesOf, filter),
-// and an erring lane they flag sends the work back to the interpreter,
-// which yields the exact error.
+// involved, batch programs run over the columns instead (lanesOf, filter).
+// filter returns a batch program's error, the interpreter's exact error
+// for the first erring row; an erring lane in lanesOf sends the work back
+// to its caller's interpreter loop, whose first error is row-major across
+// several expressions.
 //
 // Loops split into parallel chunks (relation.RunChunks, outputs combined in
 // chunk order, so results and the first error match the sequential scan)
@@ -148,11 +150,7 @@ func (x *stmtCtx) filter(pred expr.Expr, idx []int32) ([]int32, error) {
 	if sc.parallel {
 		// Only subqueries decline, and they clear parallel.
 		if bp, err := expr.CompileBatch(pred, x.src.batchResolve); err == nil {
-			kept, bad := bp.Select(idx, n)
-			if bad >= 0 {
-				return nil, bp.RowError(sc.env(rowAt(idx, bad)), true)
-			}
-			return kept, nil
+			return bp.Select(idx, n)
 		}
 	}
 	kept := make([]int32, 0, n)
@@ -182,11 +180,12 @@ func (x *stmtCtx) kindOf(e expr.Expr) value.Kind {
 // lanesOf evaluates e over the surviving rows idx (nil = every source row)
 // into a positional column of the given kind: a column reference whose
 // cells already are that column is shared or gathered, anything else fills
-// from a batch program — typed payloads, or boxed values when its lanes'
-// kinds disagree with kind (INT lanes widen into a FLOAT column when widen
-// is set, as an output column's do). ok is false when e needs the
-// interpreter — an enclosing scope or a subquery — or a lane errs; the
-// caller's interpreter loop then runs and reports the exact error.
+// from a batch program (BatchProgram.EvalCol) — typed payloads, or the
+// values rule's column when its lanes leave kind (INT lanes widen into a
+// FLOAT column when widen is set, as an output column's do). ok is false
+// when e needs the interpreter — an enclosing scope or a subquery — or a
+// lane errs; the caller's interpreter loop then runs and reports the first
+// error in its own row-major order.
 func (x *stmtCtx) lanesOf(e expr.Expr, idx []int32, kind value.Kind, widen bool) (col *relation.Col, ok bool) {
 	if x.outer != nil || expr.ContainsSubquery(e) {
 		return nil, false
@@ -202,28 +201,8 @@ func (x *stmtCtx) lanesOf(e expr.Expr, idx []int32, kind value.Kind, widen bool)
 		return nil, false
 	}
 	n := x.lanes(idx)
-	col, bad := bp.EvalCol(idx, n, n, kind, true, widen)
-	if col != nil || bad >= 0 {
-		return col, bad < 0
-	}
-	// Lanes of another kind than the inferred one: their values, boxed.
-	wk := value.KindNull
-	if widen {
-		wk = kind
-	}
-	vals := make([]value.Value, n)
-	bounds := relation.Chunks(n)
-	bads := make([]int, len(bounds))
-	_ = relation.RunChunks(bounds, func(c, lo, hi int) error {
-		bads[c] = bp.EvalPos(idx, lo, hi, wk, vals)
-		return nil
-	})
-	for _, bad := range bads {
-		if bad >= 0 {
-			return nil, false
-		}
-	}
-	return relation.ColOf(kind, vals), true
+	col, err = bp.EvalCol(idx, n, n, kind, true, widen)
+	return col, err == nil
 }
 
 // laneCols evaluates es over the surviving rows idx (nil = every source

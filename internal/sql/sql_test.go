@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"sheetmusiq/internal/dataset"
+	"sheetmusiq/internal/obs"
 	"sheetmusiq/internal/relation"
 	"sheetmusiq/internal/value"
 )
@@ -190,6 +191,48 @@ func TestCrossJoin(t *testing.T) {
 func TestSelfJoinNeedsAliases(t *testing.T) {
 	if _, err := db().Query("SELECT * FROM cars JOIN cars ON ID = ID"); err == nil {
 		t.Fatal("self join without aliases must fail")
+	}
+}
+
+// TestJoinOnResolvesNamesOneWay: ON's keys and its filter resolve names by
+// one rule over the joined sources, so a bare name both sides carry is as
+// ambiguous in a key conjunct as in the filter, and both queries fail with
+// the filter's error; qualified names still key the hash join.
+func TestJoinOnResolvesNamesOneWay(t *testing.T) {
+	var errs []string
+	for _, src := range []string{
+		"SELECT a.ID FROM cars a JOIN cars b ON ID = ID",
+		"SELECT a.ID FROM cars a JOIN cars b ON ID = ID AND a.Price > 0",
+	} {
+		r, err := db().Query(src)
+		if err == nil {
+			t.Fatalf("%s: the bare ID names a column of either side, yet the join gave %d rows", src, r.Len())
+		}
+		errs = append(errs, err.Error())
+	}
+	if errs[0] != errs[1] || !strings.Contains(errs[0], `"ID"`) {
+		t.Fatalf("the two ON clauses fail differently: %q, %q", errs[0], errs[1])
+	}
+	hashBefore := obs.Default.CounterValue("relation.join.hash")
+	if r := q(t, "SELECT a.ID FROM cars a JOIN cars b ON a.ID = b.ID"); r.Len() != 9 {
+		t.Fatalf("ON a.ID = b.ID: %d rows, want 9", r.Len())
+	}
+	if obs.Default.CounterValue("relation.join.hash") <= hashBefore {
+		t.Fatal("ON a.ID = b.ID must key the hash join")
+	}
+}
+
+// TestJoinOnRefusesSubqueries: a join has no statement scope to run a
+// subquery in, so an ON that nests one is refused before joining, whatever
+// the sides hold — an empty side included, where no pair would reach it.
+func TestJoinOnRefusesSubqueries(t *testing.T) {
+	for _, src := range []string{
+		"SELECT a.ID FROM cars a JOIN cars b ON a.Price > (SELECT 1 FROM cars LIMIT 1)",
+		"SELECT a.ID FROM cars a JOIN (SELECT * FROM cars WHERE ID < 0) b ON a.Price > (SELECT 1 FROM cars LIMIT 1)",
+	} {
+		if _, err := db().Query(src); err == nil || err.Error() != "sql: subqueries are not supported in this context" {
+			t.Fatalf("%s: err = %v, want the refusal of subqueries in this context", src, err)
+		}
 	}
 }
 
